@@ -31,7 +31,9 @@ from repro.core.config import SolverConfig
 #: v3: new ``fused_worker_scaling`` section -- thread fan-out of fused
 #: chunks at 1/2/4 workers (ms/target, speedup, parallel efficiency) plus
 #: the active kernel backend, tracking the compiled nogil clip core.
-SCHEMA_VERSION = 3
+#: v4: ``fused_worker_scaling`` drops the backend name and JIT flag (the
+#: row kernels run on NumPy only).
+SCHEMA_VERSION = 4
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -212,29 +214,17 @@ def test_batch_localize_throughput(dataset, target_ids):
 def test_fused_worker_scaling(dataset, target_ids):
     """Thread fan-out of fused chunks: ms/target and parallel efficiency.
 
-    History: before the compiled clip core this path was dead weight.  Every
-    batched clip pass executed under the GIL -- NumPy releases it only inside
-    individual ufunc calls, and the kernel's time is dominated by the Python
-    dispatch glue *between* those calls -- so fanning fused chunks across
-    threads measured 1.04x at 2 workers: the executor hand-off ate the few
-    release windows NumPy opened.  Process pools were no better for warm
-    cohorts because each worker re-derives the shared state instead of
-    borrowing the warm caches.
-
-    With ``kernel_backend="compiled"`` the per-row clip loops run as nogil
-    machine code (numba ``@njit(nogil=True)``), so chunks genuinely overlap:
-    each thread spends most of its time inside compiled passes with the GIL
-    dropped, over *shared* warm caches (no pickling).  The scaling section
-    below records ms/target at 1/2/4 workers plus parallel efficiency
-    (speedup / workers), and the >=1.5x-at-2-workers floor is enforced
-    whenever the compiled backend is live at gate size.
+    Every batched clip pass executes under the GIL -- NumPy releases it only
+    inside individual ufunc calls, and the kernel's time is dominated by the
+    Python dispatch glue *between* those calls -- so fanning fused chunks
+    across threads buys little (1.04x at 2 workers when first measured).
+    The section records ms/target at 1/2/4 workers plus parallel efficiency
+    (speedup / workers) so a change to that picture shows up; there is no
+    scaling floor.
 
     Identity is asserted across every worker count: fan-out must never
     change an estimate.
     """
-    from repro.geometry.kernel_compiled import resolve_backend
-
-    backend = resolve_backend("auto")
     worker_counts = (1, 2, 4)
     # Cut the cohort into four chunks regardless of size so 2 and 4 workers
     # both have enough parallel slack (the default fuse_width=16 would leave
@@ -242,9 +232,8 @@ def test_fused_worker_scaling(dataset, target_ids):
     width = max(1, (len(target_ids) + 3) // 4)
     config = OctantConfig(solver=SolverConfig(engine="fused", fuse_width=width))
 
-    # Warm the JIT cache outside the timed region: the first compiled call
-    # pays module compilation (seconds), which would otherwise land entirely
-    # on the workers=1 baseline.
+    # Warm the process-wide caches outside the timed region, so they do not
+    # land entirely on the workers=1 baseline.
     BatchLocalizer(Octant(dataset, config)).localize_all(
         target_ids[: min(4, len(target_ids))]
     )
@@ -285,8 +274,7 @@ def test_fused_worker_scaling(dataset, target_ids):
     print("=" * 72)
     print(
         f"Fused chunk thread scaling -- {len(dataset.hosts)} hosts, "
-        f"{per_target} targets, fuse_width={width}, "
-        f"backend={backend.name} (jitted={backend.jitted})"
+        f"{per_target} targets, fuse_width={width}"
     )
     print("=" * 72)
     for workers in worker_counts:
@@ -302,20 +290,9 @@ def test_fused_worker_scaling(dataset, target_ids):
             "hosts": len(dataset.hosts),
             "targets": per_target,
             "fuse_width": width,
-            "kernel_backend": backend.name,
-            "jitted": backend.jitted,
             "workers": scaling,
         },
     )
-
-    # Scaling floor: only meaningful when the compiled nogil core is live
-    # (pure-NumPy threads serialize on the GIL -- the documented 1.04x) and
-    # at a size where chunk work dwarfs executor hand-off.
-    if backend.use_compiled and backend.jitted and len(target_ids) >= 20:
-        assert base / timings[2] >= 1.5, (
-            f"2-worker thread fan-out {base / timings[2]:.2f}x < 1.5x floor "
-            f"with compiled backend {backend.name!r}"
-        )
 
 
 @pytest.mark.benchmark(group="batch-localize")

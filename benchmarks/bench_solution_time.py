@@ -18,12 +18,12 @@ tracking tooling can diff runs without parsing stdout:
   (exclusion/assemble/inclusion/select, plus the fused lockstep span)
   aggregated *per engine* so phase-level wins are tracked for both.  The
   tracked figure is measured at ``OCTANT_BENCH_HOSTS=30``.
-* ``exclusion_masks`` -- the vectorized non-convex exclusion path (convex
-  mask decomposition) vs the per-piece Greiner-Hormann object fallback on
-  the same systems under the *detailed* (non-convex) geographic region
-  catalogue, with fused-vs-vector identity asserted on those geo-heavy
-  systems.  CI gates the mask path >=1.3x over the fallback at the 20-host
-  smoke cohort.
+* ``gh_exclusion`` -- the vector engine's batched Greiner-Hormann
+  subtraction of non-convex exclusions vs ``engine="object"`` (the scalar
+  reference) on the same systems under the *detailed* (non-convex)
+  geographic region catalogue, with fused == vector == object identity
+  asserted on those geo-heavy systems.  CI gates the batched path >=1.3x
+  over the object engine at the 20-host smoke cohort.
 """
 
 from __future__ import annotations
@@ -39,7 +39,10 @@ from repro import BatchLocalizer, Octant
 #: v4: the fused engine books the same per-phase names as the vector engine
 #: (inclusion / exclusion / assemble / select -- ``fused_step`` is gone) and
 #: ``single_target`` records the active clip-kernel backend.
-SCHEMA_VERSION = 4
+#: v5: ``exclusion_masks`` is replaced by ``gh_exclusion`` (batched
+#: Greiner-Hormann vs the object engine); the kernel summary drops the
+#: backend name, the compiled-runtime block and the mask-cell counter.
+SCHEMA_VERSION = 5
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -242,8 +245,8 @@ def test_cohort_engine_speedup(dataset, target_ids):
 
 
 @pytest.mark.benchmark(group="solution-time")
-def test_exclusion_mask_speedup(dataset, target_ids):
-    """Vectorized non-convex exclusion (convex masks) vs the object fallback.
+def test_gh_exclusion_speedup(dataset, target_ids):
+    """Batched Greiner-Hormann (vector engine) vs the object engine.
 
     Two workloads, both built from the *detailed* (non-convex coastline)
     geographic region catalogue:
@@ -254,21 +257,37 @@ def test_exclusion_mask_speedup(dataset, target_ids):
       pieces that *straddle* their rings -- the load the subtraction
       machinery actually runs on (at their usual top weight geographic
       regions keyhole into the pristine universe piece and never reach it).
-      Interleaved minimum-of-N runs compare ``nonconvex_exclusion="masks"``
-      (and ``"gh"``, the batched Greiner-Hormann row kernel) against
-      ``"object"``, the legacy per-piece fallback these cases used to ride.
+      The gated figure is the exclusion work itself: each system's
+      non-convex exclusions are subtracted from its piece population (the
+      object engine's population after the positive disks) by the vector
+      engine's batched exclusion step and by the object engine's per-piece
+      ``subtract_cautious``, interleaved minimum-of-N, outputs asserted
+      bit-identical.  Whole-solve times of both engines are recorded
+      beside it; the positive disks dominate them, so their ratio says
+      little about the exclusion path.
     * **Identity: the real pipeline.**  Every cohort target's actual
-      detailed-catalogue system is solved fused and vector and asserted
-      bit-identical (the "fused + geo" identity step of the CI smoke gate).
+      detailed-catalogue system is solved fused, vector and object and
+      asserted bit-identical.
 
-    The drift gate (masks >=1.3x over object at >=20 hosts) keeps the win
+    The drift gate (batched >=1.3x over object at >=20 hosts) keeps the win
     from silently rotting.
     """
     from repro.core import GeoRegionConstraint, PlanarConstraint, Polarity
     from repro.core.config import OctantConfig, SolverConfig
-    from repro.core.solver import WeightedRegionSolver, solve_systems
-    from repro.geometry import AzimuthalEquidistantProjection, disk_polygon
-    from repro.geometry.kernel import reset_geometry_tables
+    from repro.core.solver import (
+        SolverDiagnostics,
+        WeightedRegionSolver,
+        solve_systems,
+        universe_polygon,
+    )
+    from repro.geometry import AzimuthalEquidistantProjection, RegionPiece, disk_polygon
+    from repro.geometry.kernel import (
+        PieceBuffer,
+        VectorSolverKernel,
+        geometry_for_constraint,
+        reset_geometry_tables,
+        subtract_cautious,
+    )
     from repro.network.geodata import (
         DETAILED_OCEAN_REGIONS,
         DETAILED_UNINHABITED_REGIONS,
@@ -302,30 +321,90 @@ def test_exclusion_mask_speedup(dataset, target_ids):
                 constraints.append(planar)
         return constraints, projection
 
+    def assert_identical(a, b) -> None:
+        (region_a, diag_a), (region_b, diag_b) = a, b
+        assert region_a.area_km2() == region_b.area_km2()
+        assert len(region_a.pieces) == len(region_b.pieces)
+        for piece_a, piece_b in zip(region_a.pieces, region_b.pieces):
+            assert piece_a.weight == piece_b.weight
+            assert piece_a.polygon.coords == piece_b.polygon.coords
+        assert diag_a.dropped_constraints == diag_b.dropped_constraints
+
     straddling = [straddling_system(k) for k in range(len(target_ids))]
-    nonconvex_exclusions = sum(
+    nonconvex_rings = sum(
         1
         for planar, _p in straddling
         for c in planar
         if c.exclusion is not None and not c.exclusion.is_convex()
     )
-    assert nonconvex_exclusions > 0, "detailed catalogue produced no mask work"
+    assert nonconvex_rings > 0, "detailed catalogue produced no non-convex work"
+
+    # The exclusion workload: per system, the piece population the object
+    # engine holds once the positive disks are applied (the exclusions
+    # weigh less, so they come after), and the system's non-convex rings.
+    solver_config = SolverConfig()
+    reference = WeightedRegionSolver(SolverConfig(engine="object"))
+    workload = []
+    for planar, _projection in straddling:
+        pieces = [RegionPiece(universe_polygon(planar, solver_config.universe_margin_km), 0.0)]
+        for constraint in sorted(
+            (c for c in planar if c.exclusion is None), key=lambda c: c.weight, reverse=True
+        ):
+            pieces = reference._prune(reference._apply_constraint(pieces, constraint))
+        rings = [c for c in planar if c.exclusion is not None and not c.exclusion.is_convex()]
+        workload.append(([p.polygon for p in pieces], rings))
+
+    def exclude_object():
+        return [
+            [subtract_cautious(polygon, ring.exclusion) for polygon in polygons]
+            for polygons, rings in workload
+            for ring in rings
+        ]
+
+    def exclude_batched():
+        out = []
+        for polygons, rings in workload:
+            buffer = PieceBuffer.from_polygons([(polygon, 0.0) for polygon in polygons])
+            kernel = VectorSolverKernel(solver_config, SolverDiagnostics())
+            for ring in rings:
+                geometry = geometry_for_constraint(ring, solver_config)
+                parts = [[part] for part in buffer.parts()]
+                out.append(kernel._exclusion_step(parts, geometry, buffer))
+        return out
+
+    def solve_all(engine):
+        config = SolverConfig(engine=engine)
+        out = []
+        for planar, projection in straddling:
+            solver = WeightedRegionSolver(config)
+            out.append((solver.solve(planar, projection), solver.diagnostics))
+        return out
 
     reset_geometry_tables()
-    best = {"masks": float("inf"), "gh": float("inf"), "object": float("inf")}
+    runs = {
+        "exclude_batched": exclude_batched,
+        "exclude_object": exclude_object,
+        "solve_vector": lambda: solve_all("vector"),
+        "solve_object": lambda: solve_all("object"),
+    }
+    best = {name: float("inf") for name in runs}
     results: dict[str, list] = {}
     for _repetition in range(3):
-        for mode in ("masks", "gh", "object"):
-            solver_config = SolverConfig(engine="vector", nonconvex_exclusion=mode)
+        for name, run in runs.items():
             started = time.perf_counter()
-            out = []
-            for planar, projection in straddling:
-                solver = WeightedRegionSolver(solver_config)
-                out.append((solver.solve(planar, projection), solver.diagnostics))
-            best[mode] = min(best[mode], time.perf_counter() - started)
-            results.setdefault(mode, out)
+            out = run()
+            best[name] = min(best[name], time.perf_counter() - started)
+            results.setdefault(name, out)
+    assert len(results["exclude_batched"]) == len(results["exclude_object"])
+    for a, b in zip(results["solve_vector"], results["solve_object"]):
+        assert_identical(a, b)
+    for batched, scalar in zip(results["exclude_batched"], results["exclude_object"]):
+        assert [[tuple(zip(xs.tolist(), ys.tolist())) for xs, ys, _a in kept] for kept in batched] == [
+            [tuple(polygon.coords) for polygon in kept] for kept in scalar
+        ]
 
-    # Fused + geo identity on the real pipeline's detailed-catalogue systems.
+    # Fused == vector == object on the real pipeline's detailed-catalogue
+    # systems.
     config = OctantConfig(geographic_detail="detailed")
     localizer = BatchLocalizer(Octant(dataset, config))
     pipeline_systems = []
@@ -340,58 +419,59 @@ def test_exclusion_mask_speedup(dataset, target_ids):
     # drops most targets would otherwise disable the gate silently.
     assert len(pipeline_systems) >= len(target_ids) - len(target_ids) // 4
     fused = solve_systems(SolverConfig(engine="fused"), pipeline_systems)
-    for (planar, projection), (region_f, diag_f) in zip(pipeline_systems, fused):
-        solver = WeightedRegionSolver(SolverConfig(engine="vector"))
-        region_v = solver.solve(planar, projection)
-        assert region_v.area_km2() == region_f.area_km2()
-        assert len(region_v.pieces) == len(region_f.pieces)
-        for piece_v, piece_f in zip(region_v.pieces, region_f.pieces):
-            assert piece_v.weight == piece_f.weight
-            assert piece_v.polygon.coords == piece_f.polygon.coords
-        assert solver.diagnostics.dropped_constraints == diag_f.dropped_constraints
+    for (planar, projection), fused_outcome in zip(pipeline_systems, fused):
+        for engine in ("vector", "object"):
+            solver = WeightedRegionSolver(SolverConfig(engine=engine))
+            region = solver.solve(planar, projection)
+            assert_identical((region, solver.diagnostics), fused_outcome)
 
     per_target = len(straddling) or 1
-    masks_ms = best["masks"] / per_target * 1000
-    gh_ms = best["gh"] / per_target * 1000
-    object_ms = best["object"] / per_target * 1000
-    speedup = best["object"] / best["masks"] if best["masks"] else float("inf")
-    gh_speedup = best["object"] / best["gh"] if best["gh"] else float("inf")
-    mask_cells = sum(d.mask_cells_clipped for _r, d in results["masks"])
-    fallback_pieces = sum(d.fallback_pieces for _r, d in results["object"])
+    ms = {name: seconds / per_target * 1000 for name, seconds in best.items()}
+    speedup = best["exclude_object"] / best["exclude_batched"]
+    solve_ratio = best["solve_object"] / best["solve_vector"]
+    gh_pieces = sum(d.fallback_pieces for _r, d in results["solve_vector"])
+    exclusion_pieces = sum(len(polygons) * len(rings) for polygons, rings in workload)
 
     print()
     print("=" * 72)
     print(
         f"Non-convex exclusion -- {per_target} boundary-straddling systems, "
-        f"{nonconvex_exclusions} non-convex exclusions (min of 3 interleaved); "
+        f"{nonconvex_rings} non-convex exclusions (min of 3 interleaved); "
         f"identity over {len(pipeline_systems)} pipeline systems"
     )
     print("=" * 72)
-    print(f"  mask path     : {masks_ms:7.2f} ms/system ({mask_cells} cells clipped)")
-    print(f"  batched GH    : {gh_ms:7.2f} ms/system")
-    print(f"  object path   : {object_ms:7.2f} ms/system ({fallback_pieces} fallback pieces)")
-    print(f"  mask speedup  : {speedup:5.2f}x   (batched GH: {gh_speedup:.2f}x)")
+    print(
+        f"  exclusion work: batched {ms['exclude_batched']:6.2f} vs object "
+        f"{ms['exclude_object']:6.2f} ms/system -> {speedup:4.2f}x "
+        f"({exclusion_pieces} piece subtractions)"
+    )
+    print(
+        f"  whole solve   : vector  {ms['solve_vector']:6.2f} vs object "
+        f"{ms['solve_object']:6.2f} ms/system -> {solve_ratio:4.2f}x "
+        f"({gh_pieces} GH pieces)"
+    )
 
     _merge_json(
-        "exclusion_masks",
+        "gh_exclusion",
         {
             "hosts": len(dataset.hosts),
             "systems": per_target,
-            "nonconvex_exclusions": nonconvex_exclusions,
-            "masks_ms_per_system": round(masks_ms, 3),
-            "gh_ms_per_system": round(gh_ms, 3),
-            "object_ms_per_system": round(object_ms, 3),
-            "mask_speedup": round(speedup, 3),
-            "gh_speedup": round(gh_speedup, 3),
-            "mask_cells_clipped": mask_cells,
-            "fallback_pieces": fallback_pieces,
+            "nonconvex_rings": nonconvex_rings,
+            "exclusion_piece_subtractions": exclusion_pieces,
+            "gh_exclusion_ms_per_system": round(ms["exclude_batched"], 3),
+            "object_exclusion_ms_per_system": round(ms["exclude_object"], 3),
+            "gh_speedup": round(speedup, 3),
+            "vector_solve_ms_per_system": round(ms["solve_vector"], 3),
+            "object_solve_ms_per_system": round(ms["solve_object"], 3),
+            "solve_ratio": round(solve_ratio, 3),
+            "gh_pieces": gh_pieces,
             "pipeline_identity_systems": len(pipeline_systems),
         },
     )
 
-    # Drift gate: the mask path must clearly beat the object fallback once
-    # the cohort is big enough to measure; the tracked figure is ~1.5-1.6x,
-    # so the gate trips on a real regression (masks silently routed to the
-    # object path reads 1.0x) without flaking on shared runners.
+    # Drift gate: the batched exclusion path must clearly beat the object
+    # engine's once the cohort is big enough to measure (the tracked figure
+    # is ~2.8x), so routing the vector engine's non-convex exclusions
+    # through scalar code trips it.
     if len(target_ids) >= 20 and len(dataset.hosts) >= 20:
         assert speedup >= 1.3

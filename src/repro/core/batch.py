@@ -160,14 +160,11 @@ class BatchSharedState:
     #: (each re-projects the cached arrays in one vectorized operation).
     #: Shared with the wrapped Octant so both engines warm the same entries;
     #: process-pool workers inherit whatever was cached before the fork.
-    #: The planar layer additionally pre-realizes the convex mask cells of
-    #: non-convex geographic rings on first projection (see
-    #: ``CircleCache.planar_ring``), and because the planar polygons it
-    #: hands out are identity-stable, the kernel's cross-solve
-    #: constraint-geometry tables (``repro.geometry.kernel``) stay warm
-    #: across every solve that shares this state -- including across
-    #: snapshot rebuilds, whose unchanged constraints re-realize the very
-    #: same polygon objects.
+    #: Because the planar polygons it hands out are identity-stable, the
+    #: kernel's cross-solve constraint-geometry tables
+    #: (``repro.geometry.kernel``) stay warm across every solve that shares
+    #: this state -- including across snapshot rebuilds, whose unchanged
+    #: constraints re-realize the very same polygon objects.
     circle_cache: CircleCache = field(default_factory=CircleCache)
     #: The :attr:`MeasurementDataset.version` this state was built from;
     #: :meth:`BatchLocalizer.shared_state` rebuilds when the live dataset
@@ -913,11 +910,9 @@ class BatchLocalizer:
                     # Threads share memory: one whole-cohort preparation
                     # pass feeds every chunk (the same pooling the serial
                     # path does), and the chunk kernels run over the shared
-                    # warm caches.  With the compiled clip backend the
-                    # batched passes release the GIL, so the chunks scale
-                    # across cores without the process pool's pickling tax.
-                    # Process pools re-derive per chunk instead of shipping
-                    # the prepared state through pickling.
+                    # warm caches.  Process pools re-derive per chunk
+                    # instead of shipping the prepared state through
+                    # pickling.
                     unique_all = list(dict.fromkeys(targets))
                     prepared_all = self.prepare_many(unique_all, pool)
                     futures = [
@@ -968,24 +963,10 @@ class BatchLocalizer:
     def _make_executor(self, workers: int):
         kind = self.executor_kind
         if kind == "auto":
-            from ..geometry.kernel_compiled import resolve_backend
-
-            solver_config = self.config.solver
-            if (
-                solver_config.engine == "fused"
-                and resolve_backend(
-                    getattr(solver_config, "kernel_backend", "auto")
-                ).use_compiled
-            ):
-                # The compiled clip kernels release the GIL, so fused
-                # chunks scale across cores on threads -- over the shared
-                # warm caches, with no process-pool pickling tax.  The
-                # pure-NumPy backend holds the GIL through the Python-level
-                # pass dispatch (measured 1.04x at 2 workers), so it keeps
-                # the fork-based pool where available.
-                kind = "thread"
-            else:
-                kind = "process" if hasattr(os, "fork") else "thread"
+            # The NumPy clip kernels hold the GIL through the Python-level
+            # pass dispatch (fused chunks on 2 threads measured 1.04x), so
+            # the fork-based pool is the default where available.
+            kind = "process" if hasattr(os, "fork") else "thread"
         if kind == "process":
             try:
                 import multiprocessing

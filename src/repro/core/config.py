@@ -55,8 +55,12 @@ class SolverConfig:
     #: constraint sequence in lockstep and pool the batched clip passes of
     #: all targets into single NumPy calls, amortizing per-call dispatch
     #: across the cohort (single solves run as a cohort of one).
-    #: ``"object"`` is the legacy per-``Polygon`` path.  All engines produce
-    #: bit-identical estimates (pinned by ``tests/core/test_solver_engines``);
+    #: ``"object"`` is the legacy per-``Polygon`` path, kept as the
+    #: independent reference.  A non-convex exclusion (a detailed coastline
+    #: ring) is subtracted with Greiner-Hormann on every engine: the vector
+    #: and fused engines run the batched row kernel, the object engine the
+    #: scalar ``subtract_polygons``.  All engines produce bit-identical
+    #: estimates (pinned by the engine-equivalence suites);
     #: ``exact_complements`` runs on the object path regardless, which is the
     #: only mode that needs general disjoint complements.
     engine: str = "vector"
@@ -72,52 +76,12 @@ class SolverConfig:
     #: geometry across an unbounded request stream; batch studies rarely
     #: approach it.
     circle_cache_size: int = 4096
-    #: How non-convex exclusions are subtracted.  ``"masks"`` (default)
-    #: folds the pre-realized convex mask cells of the exclusion (ear-clip +
-    #: convex-merge decomposition) through the vectorized convex machinery,
-    #: falling back to the batched Greiner-Hormann row kernel for rings the
-    #: decomposition cannot cover (self-intersecting projections).  ``"gh"``
-    #: always uses the batched Greiner-Hormann row kernel (vectorized
-    #: intersection classification, per-piece traversal).  ``"object"`` is
-    #: the legacy per-piece scalar fallback, kept as the drift-gate baseline
-    #: (``benchmarks/bench_solution_time.py::test_exclusion_mask_speedup``).
-    #: Both solver engines honour the mode identically: ``"masks"`` is a
-    #: shared semantics change (the mask fold fragments differently than
-    #: general clipping), while ``"gh"`` and ``"object"`` are bit-identical
-    #: to each other -- all pinned by the engine-equivalence suites.
-    nonconvex_exclusion: str = "masks"
-    #: Which implementation runs the row clip kernels (the batched
-    #: Sutherland-Hodgman passes and the Greiner-Hormann intersection scan).
-    #: ``"auto"`` (default) uses the compiled backend
-    #: (:mod:`repro.geometry.kernel_compiled`, Numba ``@njit(nogil=True)``)
-    #: when the compiler is importable and falls back to the pure-NumPy
-    #: path otherwise; ``"compiled"`` requests it explicitly (still falling
-    #: back, with the reason recorded in
-    #: :func:`repro.geometry.kernel_compiled.kernel_runtime_stats`);
-    #: ``"numpy"`` pins the NumPy path.  Both backends are bit-identical
-    #: operand for operand (pinned by ``tests/core/test_kernel_backend``);
-    #: the compiled passes additionally release the GIL, which is what lets
-    #: :class:`repro.core.batch.BatchLocalizer`'s thread executor scale
-    #: fused chunks across cores.
-    kernel_backend: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.nonconvex_exclusion not in ("masks", "gh", "object"):
-            raise ValueError(
-                f"unknown nonconvex_exclusion {self.nonconvex_exclusion!r}; "
-                "expected 'masks', 'gh' or 'object'"
-            )
-        if self.kernel_backend not in ("auto", "compiled", "numpy"):
-            raise ValueError(
-                f"unknown kernel_backend {self.kernel_backend!r}; "
-                "expected 'auto', 'compiled' or 'numpy'"
-            )
     #: LRU capacity of the cross-solve constraint-geometry table cache
     #: (:func:`repro.geometry.kernel.geometry_for_constraint`): derived edge
-    #: tables, keyhole rings, wedge coefficients and mask cells keyed by
-    #: realized constraint identity, so repeated solves of the same realized
-    #: system (the serving warm path, interleaved benchmark repetitions)
-    #: skip rebuilding them.  ``0`` disables the cache.  Invalidation is
+    #: tables, keyhole rings, wedge coefficients and Greiner-Hormann clip
+    #: rings keyed by realized constraint identity, so repeated solves of the
+    #: same realized system (the serving warm path, interleaved benchmark
+    #: repetitions) skip rebuilding them.  ``0`` disables the cache.  Invalidation is
     #: structural: changed measurements realize *new* polygon objects, which
     #: miss and age stale entries out.
     geometry_table_cache_size: int = 512
@@ -188,7 +152,7 @@ class OctantConfig:
     #: original convex rings; ``"detailed"`` uses the higher-fidelity
     #: non-convex coastline rings (``repro.network.geodata``), which exclude
     #: strictly more open water/desert while staying sound, and ride the
-    #: solver's vectorized convex-mask exclusion path.
+    #: solver's batched Greiner-Hormann exclusion path.
     geographic_detail: str = "coarse"
     #: Add a weak positive constraint around the WHOIS-registered city.
     use_whois: bool = False

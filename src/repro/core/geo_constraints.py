@@ -83,7 +83,7 @@ def ocean_constraints(
 
     ``detail`` picks the catalogue when ``regions`` is not given:
     ``"coarse"`` (convex rings) or ``"detailed"`` (non-convex coastline
-    rings, served by the solver's convex-mask exclusion path).
+    rings, served by the solver's Greiner-Hormann exclusion path).
     """
     if regions is None:
         regions = _catalogue(detail)[0]

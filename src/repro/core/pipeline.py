@@ -171,10 +171,8 @@ class ConstraintPipeline:
         )
         self.stats = PipelineStats()
         # Counter accumulation is read-modify-write; the batch engine's
-        # scaled thread executor drives one shared pipeline from many
-        # threads concurrently (the compiled clip backend releases the GIL,
-        # so chunk solves genuinely overlap), and unlocked ``+=`` would
-        # quietly lose updates.  Every stats mutation takes this lock; the
+        # thread executor drives one shared pipeline from many threads
+        # concurrently, and unlocked ``+=`` would quietly lose updates.  Every stats mutation takes this lock; the
         # stage caches themselves are lock-free by design (BoundedLRU
         # tolerates races, CircleCache is content-addressed).
         self._stats_lock = threading.Lock()

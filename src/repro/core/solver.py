@@ -75,11 +75,8 @@ class SolverDiagnostics:
     dropped_constraints: list[str] = field(default_factory=list)
 
     # ---- engine / kernel instrumentation ------------------------------- #
-    #: Which engine ran the solve (``"vector"`` or ``"object"``).
+    #: Which engine ran the solve (``"vector"``, ``"fused"`` or ``"object"``).
     engine: str = "object"
-    #: Which clip-kernel backend the engine's row passes ran on
-    #: (``"compiled"`` or ``"numpy"``; stays ``"numpy"`` on the object path).
-    kernel_backend: str = "numpy"
     #: Total wall time of the solve call.
     solve_seconds: float = 0.0
     #: Pieces resolved by the bounding-box rejection alone (no clipping).
@@ -94,13 +91,10 @@ class SolverDiagnostics:
     #: Total vertex lanes processed by the batched clipper.
     vertices_clipped: int = 0
     #: Pieces that left the vectorized framework for a per-piece object
-    #: boolean (Greiner-Hormann territory: non-convex inclusions, exclusion
-    #: rings the convex-mask decomposition cannot cover), and their total
-    #: vertex count -- the residual the mask path exists to shrink.
+    #: boolean or Greiner-Hormann traversal (non-convex inclusions and
+    #: exclusions), and their total vertex count.
     fallback_pieces: int = 0
     fallback_vertices: int = 0
-    #: Convex mask cells applied while folding non-convex exclusions.
-    mask_cells_clipped: int = 0
     #: Cross-solve constraint-geometry table cache hits/misses (this solve).
     geometry_table_hits: int = 0
     geometry_table_misses: int = 0
@@ -109,8 +103,8 @@ class SolverDiagnostics:
     #: solve time.  The fused engine books its shared lockstep spans under
     #: the same phase names (an equal share per active cohort member per
     #: step; geometry-table lookup and the pooled rebuild land in
-    #: ``assemble``), so backend regressions stay attributable per phase
-    #: across engines.
+    #: ``assemble``), so regressions stay attributable per phase across
+    #: engines.
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     # ---- fused cohort instrumentation ---------------------------------- #
@@ -129,12 +123,8 @@ class SolverDiagnostics:
 
     def kernel_summary(self) -> dict[str, object]:
         """Compact counters for ``EstimateResult.details`` reporting."""
-        from ..geometry.kernel_compiled import kernel_runtime_stats
-
-        runtime = kernel_runtime_stats(self.kernel_backend)
         return {
             "engine": self.engine,
-            "kernel_backend": self.kernel_backend,
             "prefilter_bbox": self.prefilter_bbox,
             "prefilter_inside": self.prefilter_inside,
             "prefilter_outside": self.prefilter_outside,
@@ -142,7 +132,6 @@ class SolverDiagnostics:
             "vertices_clipped": self.vertices_clipped,
             "fallback_pieces": self.fallback_pieces,
             "fallback_vertices": self.fallback_vertices,
-            "mask_cells_clipped": self.mask_cells_clipped,
             "geometry_table_hits": self.geometry_table_hits,
             "geometry_table_misses": self.geometry_table_misses,
             "fused_cohort_targets": self.fused_cohort_targets,
@@ -155,14 +144,6 @@ class SolverDiagnostics:
             else 0.0,
             "fused_targets_per_pass": round(self.fused_targets_per_pass, 3),
             "phase_seconds": {k: round(v, 6) for k, v in self.phase_seconds.items()},
-            # Process-wide compiled-backend runtime: JIT compile cost
-            # (first call vs warm) per kernel and nogil pass counts.
-            "kernel_runtime": {
-                "jit": runtime["jit"],
-                "fallback_reason": runtime["fallback_reason"],
-                "nogil_passes": runtime["nogil_passes"],
-                "kernels": runtime["kernels"],
-            },
         }
 
 
@@ -279,10 +260,6 @@ class WeightedRegionSolver:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _universe_polygon(self, constraints: Sequence[PlanarConstraint]) -> Polygon | None:
-        """Back-compat shim over :func:`universe_polygon`."""
-        return universe_polygon(constraints, self.config.universe_margin_km)
-
     def _apply_constraint(
         self, pieces: Sequence[RegionPiece], constraint: PlanarConstraint
     ) -> list[RegionPiece]:
@@ -323,20 +300,14 @@ class WeightedRegionSolver:
 
         satisfied: list[Polygon] = []
         unsatisfied: list[Polygon] = list(outside)
-        use_masks = self.config.nonconvex_exclusion == "masks"
         for piece in inside:
-            kept = subtract_cautious(piece, exclusion, use_masks)
+            kept = subtract_cautious(piece, exclusion)
             satisfied.extend(kept)
             if exact:
                 unsatisfied.extend(intersect_polygons(piece, exclusion))
             elif not outside:
                 unsatisfied.append(piece)
         return satisfied, unsatisfied
-
-    @staticmethod
-    def _subtract_cautious(piece: Polygon, exclusion: Polygon) -> list[Polygon]:
-        """Back-compat shim over :func:`repro.geometry.kernel.subtract_cautious`."""
-        return subtract_cautious(piece, exclusion)
 
     def _prune(self, pieces: list[RegionPiece]) -> list[RegionPiece]:
         """Bound the piece population: drop slivers, keep the heaviest pieces."""

@@ -118,7 +118,6 @@ class CircleCache:
         "boundary_misses",
         "planar_hits",
         "planar_misses",
-        "mask_prewarms",
     )
 
     def __init__(self, capacity: int = 4096):
@@ -128,9 +127,6 @@ class CircleCache:
         self.boundary_misses = 0
         self.planar_hits = 0
         self.planar_misses = 0
-        #: Non-convex rings whose convex mask cells were pre-realized at
-        #: planarization time (see :meth:`planar_ring`).
-        self.mask_prewarms = 0
 
     @property
     def capacity(self) -> int:
@@ -244,13 +240,6 @@ class CircleCache:
         The ring tuple itself is the circle key: geographic constraint rings
         (oceans, uninhabited areas) are module-level constants, so hashing
         the coordinates is cheap relative to re-projecting them.
-
-        A ring that projects to a *non-convex* polygon gets its convex mask
-        cells pre-realized here (once per ``(projection, region)``, the
-        decomposition memo is keyed by the polygon this cache hands out), so
-        the solver's first exclusion pass under this projection finds the
-        geographic mask ready instead of paying the ear-clip + merge on the
-        hot path.
         """
         projection_key = projection.cache_key()
         if projection_key is None:
@@ -262,11 +251,6 @@ class CircleCache:
             return cached
         self.planar_misses += 1
         polygon = polygon_from_geopoints(list(ring), projection)
-        if not polygon.is_convex():
-            from .decompose import convex_cells_for
-
-            convex_cells_for(polygon)
-            self.mask_prewarms += 1
         self._planar.put(key, polygon)
         return polygon
 
@@ -347,7 +331,6 @@ class CircleCache:
             "boundary_misses": self.boundary_misses,
             "planar_hits": self.planar_hits,
             "planar_misses": self.planar_misses,
-            "mask_prewarms": self.mask_prewarms,
         }
 
     def reset_stats(self) -> None:
@@ -356,7 +339,6 @@ class CircleCache:
         self.boundary_misses = 0
         self.planar_hits = 0
         self.planar_misses = 0
-        self.mask_prewarms = 0
 
 
 def disk_polygon(

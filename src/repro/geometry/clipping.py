@@ -90,13 +90,12 @@ def _clip_pass(
     ``_line_intersection`` on :class:`Point2D` operand-for-operand, so the
     output coordinates are bitwise identical to the boxed implementation.
 
-    This function is the conformance reference for *every* batched form of
-    the pass: the NumPy row kernel (``repro.geometry.kernel._clip_pass_rows``)
-    and the compiled per-row loop (``repro.geometry.kernel_compiled._clip_ring``)
-    both replicate its operand order, its ``>= -EPSILON`` side predicate,
-    the ``abs(denom) < 1e-15`` degenerate-edge guard and the
+    This function is the conformance reference for the batched form of the
+    pass: the NumPy row kernel (``repro.geometry.kernel._clip_pass_rows``)
+    replicates its operand order, its ``>= -EPSILON`` side predicate, the
+    ``abs(denom) < 1e-15`` degenerate-edge guard and the
     intersection-then-vertex emission order exactly -- any change here must
-    land in all three (pinned by the randomized equivalence suites).
+    land in both (pinned by the randomized equivalence suites).
     """
     ex = bx - ax
     ey = by - ay

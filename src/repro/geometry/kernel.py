@@ -48,12 +48,9 @@ from .clipping import (
     subtract_polygons,
     subtract_polygons_with_hits,
 )
-from .decompose import convex_cells_for, mask_cache_stats, reset_mask_cache
-from .kernel_compiled import KernelBackend, resolve_backend
 from .point import EPSILON, Point2D
 from .polygon import MERGE_TOLERANCE_KM, Polygon
 from .region import Region, RegionPiece
-from .xp import xp
 
 __all__ = [
     "CohortPieceBuffer",
@@ -110,22 +107,16 @@ _UNCHANGED: list = ["<unchanged>"]
 # --------------------------------------------------------------------------- #
 # Scalar helpers shared with the object path
 # --------------------------------------------------------------------------- #
-def subtract_cautious(
-    piece: Polygon, exclusion: Polygon, use_masks: bool = True
-) -> list[Polygon]:
+def subtract_cautious(piece: Polygon, exclusion: Polygon) -> list[Polygon]:
     """Subtract ``exclusion`` from ``piece`` without fragmenting it.
 
     When the exclusion lies strictly inside the piece, the classic wedge
     decomposition would shatter the result into one piece per exclusion
     edge; a keyholed polygon keeps it as a single piece with identical
-    area and containment behaviour.  A *non-convex* exclusion that
-    decomposes into convex mask cells (``use_masks``, the default) is
-    subtracted as the fold of cautious subtractions of its cells --
-    ``piece \\ (C1 | ... | Ck) == ((piece \\ C1) \\ C2) ... \\ Ck`` -- so the
-    whole operation stays on the robust convex machinery; only rings the
-    decomposition cannot cover (self-intersecting projections) ride general
-    Greiner-Hormann subtraction.  This function is the scalar reference
-    both solver engines replicate (hoisted from ``WeightedRegionSolver``).
+    area and containment behaviour.  Otherwise ``subtract_polygons`` runs:
+    wedge decomposition for a convex exclusion, Greiner-Hormann for a
+    non-convex one.  This function is the scalar reference the vectorized
+    engines replicate (hoisted from ``WeightedRegionSolver``).
     """
     piece_box = piece.bounding_box()
     exclusion_box = exclusion.bounding_box()
@@ -144,19 +135,6 @@ def subtract_cautious(
         and all(piece.contains_point(v) for v in exclusion.vertices)
     ):
         return [piece.with_hole(exclusion)]
-    if use_masks and not exclusion.is_convex():
-        cells = convex_cells_for(exclusion)
-        if cells is not None:
-            parts = [piece]
-            for cell in cells:
-                parts = [
-                    kept
-                    for part in parts
-                    for kept in subtract_cautious(part, cell, use_masks)
-                ]
-                if not parts:
-                    break
-            return parts
     return subtract_polygons(piece, exclusion)
 
 
@@ -201,20 +179,20 @@ def _bboxes_from_packed(
     an inverted box (+inf mins, -inf maxes) -- every bbox intersection test
     rejects them -- and the rest reduce piece by piece.
     """
-    counts = xp.diff(offsets)
+    counts = np.diff(offsets)
     if len(counts) == 0:
-        return xp.zeros((0, 4))
+        return np.zeros((0, 4))
     starts = offsets[:-1]
     if len(xs) and bool((counts > 0).all()):
-        return xp.column_stack(
+        return np.column_stack(
             [
-                xp.minimum.reduceat(xs, starts),
-                xp.minimum.reduceat(ys, starts),
-                xp.maximum.reduceat(xs, starts),
-                xp.maximum.reduceat(ys, starts),
+                np.minimum.reduceat(xs, starts),
+                np.minimum.reduceat(ys, starts),
+                np.maximum.reduceat(xs, starts),
+                np.maximum.reduceat(ys, starts),
             ]
         )
-    boxes = xp.empty((len(counts), 4))
+    boxes = np.empty((len(counts), 4))
     boxes[:, 0] = boxes[:, 1] = np.inf
     boxes[:, 2] = boxes[:, 3] = -np.inf
     for i in range(len(counts)):
@@ -381,11 +359,11 @@ class PieceBuffer:
         buffer and shared between the per-constraint batched stages.
         """
         if self._padded is None:
-            counts = xp.diff(self.offsets)
+            counts = np.diff(self.offsets)
             if len(counts) == 0 or len(self.xs) == 0:
                 width = 1
-                X = xp.zeros((len(counts), width))
-                self._padded = (X, xp.zeros_like(X), counts)
+                X = np.zeros((len(counts), width))
+                self._padded = (X, np.zeros_like(X), counts)
             else:
                 # Vectorized gather from the packed arrays: lane j of piece
                 # i reads ``xs[offsets[i] + j]`` -- the very values the
@@ -393,9 +371,9 @@ class PieceBuffer:
                 width = max(int(counts.max()), 1)
                 lanes = _lanes(width)[None, :]
                 valid = lanes < counts[:, None]
-                pos = xp.where(valid, self.offsets[:-1, None] + lanes, 0)
-                X = xp.where(valid, self.xs[pos], 0.0)
-                Y = xp.where(valid, self.ys[pos], 0.0)
+                pos = np.where(valid, self.offsets[:-1, None] + lanes, 0)
+                X = np.where(valid, self.xs[pos], 0.0)
+                Y = np.where(valid, self.ys[pos], 0.0)
                 self._padded = (X, Y, counts)
         return self._padded
 
@@ -465,22 +443,22 @@ class CohortPieceBuffer:
         if self._xs is not None:
             return
         if self.buffers:
-            self._xs = xp.concatenate([b.xs for b in self.buffers])
-            self._ys = xp.concatenate([b.ys for b in self.buffers])
+            self._xs = np.concatenate([b.xs for b in self.buffers])
+            self._ys = np.concatenate([b.ys for b in self.buffers])
             vertex_bases = np.zeros(len(self.buffers), dtype=np.int64)
             np.cumsum(
                 [len(b.xs) for b in self.buffers[:-1]], out=vertex_bases[1:]
             )
-            self._offsets = xp.concatenate(
+            self._offsets = np.concatenate(
                 [b.offsets[:-1] + base for b, base in zip(self.buffers, vertex_bases)]
                 + [np.array([len(self._xs)], dtype=np.int64)]
             )
-            self._weights = xp.concatenate([b.weights for b in self.buffers])
+            self._weights = np.concatenate([b.weights for b in self.buffers])
         else:
-            self._xs = xp.zeros(0)
-            self._ys = xp.zeros(0)
+            self._xs = np.zeros(0)
+            self._ys = np.zeros(0)
             self._offsets = np.zeros(1, dtype=np.int64)
-            self._weights = xp.zeros(0)
+            self._weights = np.zeros(0)
 
     @property
     def xs(self) -> np.ndarray:
@@ -588,8 +566,8 @@ def _pad_parts(
     """Pack parts into padded row arrays ``(X, Y, counts, signed)``."""
     counts = np.array([len(p[0]) for p in parts], dtype=np.int64)
     width = int(counts.max()) if len(counts) else 0
-    X = xp.zeros((len(parts), max(width, 1)))
-    Y = xp.zeros_like(X)
+    X = np.zeros((len(parts), max(width, 1)))
+    Y = np.zeros_like(X)
     for r, (xs, ys, _signed) in enumerate(parts):
         X[r, : len(xs)] = xs
         Y[r, : len(ys)] = ys
@@ -867,7 +845,6 @@ def _clip_convex_rows(
     parts: Sequence[_Part],
     edges: np.ndarray,
     stats: "_StatsHook | None" = None,
-    backend: KernelBackend | None = None,
 ) -> list[_Part | None]:
     """Batched ``clip_convex``: clip every part against the same convex edges.
 
@@ -875,17 +852,8 @@ def _clip_convex_rows(
     Rows are pre-oriented CCW exactly like ``_ccw_coords``; a row is dead as
     soon as its vertex count drops below 3 (the scalar loop returns ``None``
     before the next pass); the surviving chains go through the scalar-exact
-    finalization (cleaning, sliver threshold).  A compiled ``backend`` runs
-    the same passes as per-row loops (bit-identical; see
-    ``kernel_compiled``); ``None`` keeps the NumPy path.
+    finalization (cleaning, sliver threshold).
     """
-    if backend is not None and backend.use_compiled and len(parts):
-        E = int(edges.shape[0])
-        edge_arr = np.zeros((len(parts), max(E, 1), 4))
-        if E:
-            edge_arr[:, :E, :] = np.asarray(edges, dtype=np.float64)[None, :, :]
-        seq_lens = np.full(len(parts), E, dtype=np.int64)
-        return backend.convex_rows(parts, edge_arr, seq_lens, stats)
     X, Y, counts, signed = _pad_parts(parts)
     X, Y = _reverse_rows(X, Y, counts, ~(signed > 0.0))
     for e in range(edges.shape[0]):
@@ -912,7 +880,6 @@ def _clip_convex_rows_multi(
     parts: Sequence[_Part],
     edge_seqs: Sequence[np.ndarray],
     stats: "_StatsHook | None" = None,
-    backend: KernelBackend | None = None,
 ) -> list[_Part | None]:
     """Batched ``clip_convex`` with one convex edge sequence *per row*.
 
@@ -923,9 +890,7 @@ def _clip_convex_rows_multi(
     arithmetic per row is elementwise, hence bitwise equal to the scalar-edge
     pass :func:`_clip_convex_rows` would run on that row alone.  Rows die at
     <3 vertices exactly where the scalar loop returns ``None``; survivors go
-    through the shared scalar-exact finalization.  A compiled ``backend``
-    instead drives each row through its whole sequence in one GIL-free loop
-    (row independence makes the reordering bit-identical).
+    through the shared scalar-exact finalization.
     """
     if not parts:
         return []
@@ -936,8 +901,6 @@ def _clip_convex_rows_multi(
     for r, seq in enumerate(edge_seqs):
         if len(seq):
             edge_arr[r, : len(seq), :] = seq
-    if backend is not None and backend.use_compiled:
-        return backend.convex_rows(parts, edge_arr, seq_lens, stats)
     X, Y, counts, signed = _pad_parts(parts)
     X, Y = _reverse_rows(X, Y, counts, ~(signed > 0.0))
     for e in range(max_len):
@@ -993,7 +956,6 @@ def _halfplane_chain_rows(
     parts: Sequence[_Part],
     edge_seqs: Sequence[np.ndarray],
     stats: "_StatsHook | None" = None,
-    backend: KernelBackend | None = None,
 ) -> list[_Part | None]:
     """Batched chains of ``clip_halfplane`` calls (one edge sequence per row).
 
@@ -1013,7 +975,7 @@ def _halfplane_chain_rows(
     edge_arr = np.zeros((R, max_len, 4))
     for r, seq in enumerate(edge_seqs):
         edge_arr[r, : len(seq), :] = seq
-    return _halfplane_chain_run(parts, edge_arr, seq_lens, stats, backend)
+    return _halfplane_chain_run(parts, edge_arr, seq_lens, stats)
 
 
 def _halfplane_chain_run(
@@ -1021,11 +983,8 @@ def _halfplane_chain_run(
     edge_arr: np.ndarray,
     seq_lens: np.ndarray,
     stats: "_StatsHook | None" = None,
-    backend: KernelBackend | None = None,
 ) -> list[_Part | None]:
     """The pass loop of :func:`_halfplane_chain_rows` on a prebuilt edge array."""
-    if backend is not None and backend.use_compiled and len(parts):
-        return backend.chain_rows(parts, edge_arr, seq_lens, stats)
     max_len = edge_arr.shape[1]
     R = len(parts)
     X, Y, counts, signed = _pad_parts(parts)
@@ -1533,18 +1492,6 @@ def _with_hole_part(
 # --------------------------------------------------------------------------- #
 # Per-constraint precomputation
 # --------------------------------------------------------------------------- #
-class _CellConstraint:
-    """Constraint shim wrapping one convex mask cell as a pure exclusion."""
-
-    __slots__ = ("inclusion", "exclusion", "weight", "label")
-
-    def __init__(self, exclusion: Polygon, label: str) -> None:
-        self.inclusion = None
-        self.exclusion = exclusion
-        self.weight = 0.0
-        self.label = label
-
-
 class _ConstraintGeometry:
     """Everything the kernel precomputes once per planar constraint.
 
@@ -1573,7 +1520,6 @@ class _ConstraintGeometry:
         "exc_wedge_sides",
         "exc_edges",
         "exc_swapped",
-        "exc_cells",
         "exc_gh_ccw",
     )
 
@@ -1611,7 +1557,6 @@ class _ConstraintGeometry:
         self.exc_wedge_sides = None
         self.exc_edges = None
         self.exc_swapped = None
-        self.exc_cells = None
         self.exc_gh_ccw = None
 
     def ensure_inclusion_tables(self) -> None:
@@ -1672,32 +1617,6 @@ class _ConstraintGeometry:
         )
         self.exc_edges = edges
 
-    def ensure_mask_tables(self) -> "tuple[_ConstraintGeometry, ...] | None":
-        """Convex mask cells of a non-convex exclusion, as cell geometries.
-
-        Returns ``None`` when the exclusion ring is not decomposable (a
-        self-intersecting projection): callers keep the Greiner-Hormann path
-        for those.  The decomposition comes from the shared id-keyed memo
-        (:func:`repro.geometry.decompose.convex_cells_for`) -- the very same
-        cells the scalar reference :func:`subtract_cautious` folds over --
-        and the per-cell geometries (bboxes, wedge tables) are cached here,
-        hence across solves whenever this geometry object is table-cached.
-        """
-        cells = self.exc_cells
-        if cells is None:
-            polygons = convex_cells_for(self.exclusion)
-            if not polygons:
-                cells = ()
-            else:
-                cells = tuple(
-                    _ConstraintGeometry(
-                        _CellConstraint(polygon, f"{self.label}#cell{i}")
-                    )
-                    for i, polygon in enumerate(polygons)
-                )
-            self.exc_cells = cells
-        return cells or None
-
     def ensure_gh_tables(self) -> None:
         """CCW clip-ring coordinates for the batched Greiner-Hormann pass."""
         if self.exc_gh_ccw is None:
@@ -1721,9 +1640,9 @@ def _ccw_coords_array(polygon: Polygon) -> np.ndarray:
 #: ``CircleCache`` hand repeated-target solves the very same polygon
 #: objects, so the serving warm path and ``BatchLocalizer`` re-solves hit
 #: here and skip rebuilding every derived table (edge arrays, keyhole
-#: rings, wedge coefficients, mask cells).  Entries hold the polygons they
-#: key on, so an id can never be recycled while its entry lives; lookups
-#: still re-verify identity, making aliasing impossible.  Invalidation is
+#: rings, wedge coefficients, Greiner-Hormann clip rings).  Entries hold
+#: the polygons they key on, so an id can never be recycled while its entry
+#: lives; lookups still re-verify identity, making aliasing impossible.  Invalidation is
 #: structural: an ingest that changes a constraint produces *new* polygon
 #: objects (the content-addressed circle cache only returns identical
 #: objects for identical geometry), which miss here and age the stale
@@ -1787,29 +1706,22 @@ def geometry_for_constraint(
 
 
 def geometry_table_stats() -> dict[str, object]:
-    """Global table-cache and mask-memo counters (serving ``cache_stats``)."""
+    """Global table-cache counters (serving ``cache_stats``)."""
     cache = _GEOMETRY_TABLES
     return {
         "entries": 0 if cache is None else len(cache),
         "capacity": 0 if cache is None else cache.capacity,
         "hits": _GEOMETRY_TABLE_HITS,
         "misses": _GEOMETRY_TABLE_MISSES,
-        "mask_memo": mask_cache_stats(),
     }
 
 
 def reset_geometry_tables() -> None:
-    """Drop every cached geometry table (tests and cold benchmarks).
-
-    Also drops the decomposition memo: callers use this as the full
-    cold-state reset for the exclusion subsystem, and a warm mask memo
-    would silently exclude the ear-clip + merge cost from "cold" figures.
-    """
+    """Drop every cached geometry table (tests and cold benchmarks)."""
     global _GEOMETRY_TABLES, _GEOMETRY_TABLE_HITS, _GEOMETRY_TABLE_MISSES
     _GEOMETRY_TABLES = None
     _GEOMETRY_TABLE_HITS = 0
     _GEOMETRY_TABLE_MISSES = 0
-    reset_mask_cache()
 
 
 class _StatsHook:
@@ -1890,8 +1802,6 @@ class _ExclusionPlan:
         "chain_parts",
         "chain_seqs",
         "chain_owner",
-        "mask_parts",
-        "mask_owner",
     )
 
     def __init__(self, n_pieces: int) -> None:
@@ -1901,10 +1811,6 @@ class _ExclusionPlan:
         self.chain_parts: list[_Part] = []
         self.chain_seqs: list[np.ndarray] = []
         self.chain_owner: list[int] = []
-        #: Parts whose non-convex exclusion is applied as a convex-cell mask
-        #: fold (run after classification so the cell applications batch).
-        self.mask_parts: list[_Part] = []
-        self.mask_owner: list[int] = []
 
 
 def _distribute_chained(plan: _ExclusionPlan, chained: Sequence) -> None:
@@ -1953,8 +1859,6 @@ class VectorSolverKernel:
         self.config = config
         self.diagnostics = diagnostics
         self._hook = _StatsHook()
-        self._backend = resolve_backend(getattr(config, "kernel_backend", "auto"))
-        diagnostics.kernel_backend = self._backend.name
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -2159,7 +2063,7 @@ class VectorSolverKernel:
                 if clipped is not None:
                     plan.out[piece] = [_part_from_polygon(clipped)]
             return plan.out
-        results = _clip_convex_rows(plan.parts, plan.edges, self._hook, self._backend)
+        results = _clip_convex_rows(plan.parts, plan.edges, self._hook)
         for piece, result in zip(plan.still, results):
             if result is not None:
                 plan.out[piece] = [result]
@@ -2322,36 +2226,16 @@ class VectorSolverKernel:
         Per part the decision tree matches the scalar code: bounding-box
         disjoint keeps the part, a strictly-contained exclusion keyholes it,
         a convex exclusion is wedge-subtracted (all wedges of all parts in
-        one batched chain run), anything else rides the object fallback.
+        one batched chain run), a non-convex one rides the batched
+        Greiner-Hormann row kernel.
         """
         plan = self._exclusion_classify(inside_parts, geometry, buffer)
         if plan.chain_parts:
             chained = _halfplane_chain_rows(
-                plan.chain_parts, plan.chain_seqs, self._hook, self._backend
+                plan.chain_parts, plan.chain_seqs, self._hook
             )
             _distribute_chained(plan, chained)
-        if plan.mask_parts:
-            self._run_masked(plan, geometry)
         return _assemble_exclusion(plan)
-
-    def _run_masked(self, plan: _ExclusionPlan, geometry: _ConstraintGeometry) -> None:
-        """Fold the non-convex exclusion's convex mask cells over the parts.
-
-        Replicates the scalar reference exactly: per part,
-        ``subtract_cautious`` folds ``subtract_cautious(part, cell)`` over
-        the decomposition's cells in order.  Running the fold cell-major
-        (every part against cell 1, then every survivor against cell 2, ...)
-        performs the same per-part operation sequence while letting each
-        cell application ride the batched bbox/keyhole/wedge machinery
-        across all parts at once.
-        """
-        cells = geometry.exc_cells
-        self.diagnostics.mask_cells_clipped += len(cells)
-        current: list[list] = [[part] for part in plan.mask_parts]
-        for cell in cells:
-            current = self._exclusion_step(current, cell)
-        for fi, kept in zip(plan.mask_owner, current):
-            plan.results[fi] = kept
 
     def _exclusion_classify(
         self,
@@ -2362,7 +2246,7 @@ class VectorSolverKernel:
         """Classify every part against the exclusion; defer wedge chains.
 
         Everything except the wedge-chain run happens here (bbox keeps,
-        keyhole containment + batch keyholing, object fallbacks, the
+        keyhole containment + batch keyholing, batched Greiner-Hormann, the
         small-batch scalar path); parts that need the chain runner are
         recorded on the returned plan.  This is the per-target vector path;
         the fused cohort engine runs the same decision tree over stacked
@@ -2491,34 +2375,11 @@ class VectorSolverKernel:
 
         if subtract_idx:
             if not geometry.exc_convex:
-                mode = getattr(self.config, "nonconvex_exclusion", "masks")
-                cells = (
-                    geometry.ensure_mask_tables() if mode == "masks" else None
+                # General subtraction (Greiner-Hormann): batched
+                # intersection classification, per-piece traversal.
+                self._gh_subtract_rows(
+                    flat, subtract_idx, X, Y, counts, geometry, plan
                 )
-                if cells is not None:
-                    # Non-convex exclusion with a convex-cell mask: defer
-                    # the parts so the cell fold runs batched across all of
-                    # them (see _run_masked).
-                    for fi in subtract_idx:
-                        plan.mask_parts.append(flat[fi])
-                        plan.mask_owner.append(fi)
-                elif mode == "object":
-                    # Legacy per-piece scalar fallback, kept as the
-                    # drift-gate baseline the batched paths are measured
-                    # against.
-                    for fi in subtract_idx:
-                        diag.fallback_pieces += 1
-                        diag.fallback_vertices += int(counts[fi])
-                        polys = subtract_polygons(
-                            _polygon_from_part(flat[fi]), exclusion
-                        )
-                        results[fi] = [_part_from_polygon(p) for p in polys]
-                else:
-                    # General subtraction (Greiner-Hormann): batched
-                    # intersection classification, per-piece traversal.
-                    self._gh_subtract_rows(
-                        flat, subtract_idx, X, Y, counts, geometry, plan
-                    )
             elif (
                 len(subtract_idx) < _MIN_BATCH_ROWS
                 and int(counts[subtract_idx].sum()) < _MIN_BATCH_VERTICES
@@ -2582,25 +2443,6 @@ class VectorSolverKernel:
         # preserves the cleaned vertex list, so flipping the stored rows
         # reproduces those coordinates bitwise.
         X, Y = _reverse_rows(X, Y, counts, ~(signed > 0.0))
-        if self._backend.use_compiled:
-            # Compiled per-row scan: same EPSILON gate, in-range predicate,
-            # clamp and hit order as the tensor below, without materializing
-            # the O(R x V x E) intermediate.
-            flags, hits_rows = self._backend.gh_scan(X, Y, counts, clip)
-            for k, fi in enumerate(subtract_idx):
-                diag.fallback_pieces += 1
-                diag.fallback_vertices += int(counts[k])
-                subject = _polygon_from_part(flat[fi])
-                if flags[k] == 2:
-                    polys = subtract_polygons(subject, exclusion)
-                elif flags[k] == 0:
-                    polys = _no_crossing_difference(subject, exclusion)
-                else:
-                    polys = subtract_polygons_with_hits(
-                        subject, exclusion, hits_rows[k]
-                    )
-                results[fi] = [_part_from_polygon(p) for p in polys]
-            return
         R, V = X.shape
         lanes = _lanes(V)[None, :]
         valid = lanes < counts[:, None]
@@ -2851,7 +2693,6 @@ class FusedSolverKernel:
         self.config = config
         #: Pooled pass counters for the whole cohort run.
         self._hook = _StatsHook()
-        self._backend = resolve_backend(getattr(config, "kernel_backend", "auto"))
         self._steps = 0
         self._step_targets = 0
 
@@ -2970,7 +2811,7 @@ class FusedSolverKernel:
             self._rebuild_buffers(rebuilds)
 
         # The cohort step is shared spans; book each target an equal share
-        # per stage so per-target phase sums remain meaningful and backend
+        # per stage so per-target phase sums remain meaningful and
         # regressions stay attributable to a phase, like the vector engine.
         # Geometry-table lookup and the assembly/rebuild tail both land in
         # "assemble" (the vector engine's remainder bucket).
@@ -3075,7 +2916,6 @@ class FusedSolverKernel:
                     [pooled_parts[i] for i in bucket],
                     [pooled_seqs[i] for i in bucket],
                     self._hook,
-                    self._backend,
                 )
                 for i, result in zip(bucket, results):
                     if result is not None:
@@ -3099,38 +2939,15 @@ class FusedSolverKernel:
         of every target pools into a single runner call.
         """
         simple: list[_FusedTargetState] = []
-        masked: list[_FusedTargetState] = []
         for s in group:
             if s.geometry.exc_convex:
                 simple.append(s)
-                continue
-            # Non-convex exclusion.  With mask tables available the cell
-            # fold pools across the cohort axis below; everything else
-            # (Greiner-Hormann / object fallback) rides the whole
-            # per-target path, exactly like the vector engine.
-            mode = getattr(self.config, "nonconvex_exclusion", "masks")
-            cells = s.geometry.ensure_mask_tables() if mode == "masks" else None
-            if cells is None:
+            else:
+                # Non-convex exclusion: the batched Greiner-Hormann row
+                # kernel per target, exactly like the vector engine.
                 s.satisfied = s.kernel._exclusion_step(
                     s.inside_parts, s.geometry, s.buffer
                 )
-                continue
-            # Mirror of VectorSolverKernel._exclusion_step with the
-            # _run_masked fold deferred to the pooled cohort version.
-            plan = s.kernel._exclusion_classify(s.inside_parts, s.geometry, s.buffer)
-            if plan.chain_parts:
-                chained = _halfplane_chain_rows(
-                    plan.chain_parts, plan.chain_seqs, s.kernel._hook,
-                    s.kernel._backend,
-                )
-                _distribute_chained(plan, chained)
-            s.plan = plan
-            masked.append(s)
-        if masked:
-            self._fused_masked(masked)
-            for s in masked:
-                s.satisfied = _assemble_exclusion(s.plan)
-                s.plan = None
         if not simple:
             return
 
@@ -3150,11 +2967,7 @@ class FusedSolverKernel:
             buffer = s.buffer
             if not flat:
                 blocks.append(None)
-            elif (
-                buffer is not None
-                and len(flat) == len(buffer)
-                and _parts_are_buffer(flat, buffer)
-            ):
+            elif len(flat) == len(buffer) and _parts_are_buffer(flat, buffer):
                 blocks.append(buffer.padded())
             else:
                 # Raw part lists are padded straight into the cohort matrix
@@ -3293,65 +3106,12 @@ class FusedSolverKernel:
                         edge_arr,
                         seq_lens,
                         self._hook,
-                        self._backend,
                     )
                     for spec, piece in zip(bucket_specs, chained):
                         if piece is not None:
                             spec[1].results[spec[2]].append(piece)
         for s, plan in zip(simple, plans):
             s.satisfied = _assemble_exclusion(plan)
-
-    def _fused_masked(self, masked: list[_FusedTargetState]) -> None:
-        """Pooled mask-cell folds across the fused cohort axis.
-
-        Replicates :meth:`VectorSolverKernel._run_masked` per target --
-        fold ``subtract_cautious(part, cell)`` over the decomposition's
-        cells in order -- but runs rank ``j`` of *every* target's fold as
-        one cohort exclusion pass, so the cell applications ride the same
-        pooled bbox/keyhole/wedge tensors (and compiled chain passes) as
-        the convex exclusions instead of batching per target.  Per target
-        the operation sequence is unchanged (its cells still apply in
-        order, each through the fused≡vector exclusion step), so bit
-        identity with the per-target fold follows from the row
-        independence of every pooled stage.  Mask cells are convex by
-        construction, so the recursive ``_fused_exclusion`` call below
-        never re-enters this method.
-        """
-        shims: list[_FusedTargetState] = []
-        currents: list[list[list]] = []
-        depth = 0
-        for s in masked:
-            cells = s.geometry.exc_cells
-            s.kernel.diagnostics.mask_cells_clipped += len(cells)
-            currents.append([[part] for part in s.plan.mask_parts])
-            # Shim state: no buffer (the fold's parts are never the piece
-            # buffer's own rows), no constraint cursor -- only the slots
-            # _fused_exclusion reads.
-            shims.append(_FusedTargetState(s.kernel, None, (), None))
-            depth = max(depth, len(cells))
-        for j in range(depth):
-            stage_idx = [
-                i
-                for i, s in enumerate(masked)
-                if j < len(s.geometry.exc_cells) and currents[i]
-            ]
-            if not stage_idx:
-                continue
-            stage = []
-            for i in stage_idx:
-                shim = shims[i]
-                shim.geometry = masked[i].geometry.exc_cells[j]
-                shim.inside_parts = currents[i]
-                stage.append(shim)
-            self._fused_exclusion(stage)
-            for i in stage_idx:
-                currents[i] = shims[i].satisfied
-                shims[i].geometry = None
-                shims[i].inside_parts = None
-                shims[i].satisfied = None
-        for s, current in zip(masked, currents):
-            for fi, kept in zip(s.plan.mask_owner, current):
-                s.plan.results[fi] = kept
 
     def _fused_keyhole(
         self,

@@ -1,783 +1,15 @@
-"""Compiled (GIL-free) backend for the flat-buffer clip kernel core.
+"""Runtime description of the clip kernel.
 
-The NumPy kernel in :mod:`repro.geometry.kernel` spends its time in per-pass
-*dispatch*, not arithmetic (DESIGN_SOLVER_KERNEL.md): every half-plane pass
-costs a fixed number of NumPy trips over small matrices, and the passes hold
-the GIL, so fused cohorts cannot use more than one core.  This module ports
-the row primitives that virtually all clip work funnels through -- the
-Sutherland-Hodgman pass with its three drivers (``_clip_convex_rows``,
-``_clip_convex_rows_multi``, ``_halfplane_chain_run``) and the batched
-Greiner-Hormann intersection scan (``_gh_subtract_rows``) -- to scalar row
-loops compiled with ``numba.njit(nogil=True, cache=True, fastmath=False)``.
-
-Contract and discipline:
-
-* **Bit identity.**  Every arithmetic operand mirrors the scalar reference
-  (``clipping._clip_pass`` -> per-pass clean -> sequential shoelace) in the
-  same order with the same guards (``EPSILON`` sidedness, the ``1e-15``
-  denominator gate, ``MERGE_TOLERANCE_KM`` cleaning, the
-  ``_MIN_PIECE_AREA_KM2`` sliver kill).  ``fastmath=False`` keeps LLVM from
-  contracting multiplies and adds into FMAs or reassociating sums, so the
-  compiled rounding equals NumPy's C loops operation for operation.  The one
-  knowing deviation: the NumPy path's ``cumsum`` shoelace normalizes a
-  ``-0.0`` total to ``+0.0`` when padding lanes follow; a ``+/-0.0`` signed
-  area is always below the sliver threshold, so the row dies either way and
-  the difference is unobservable (see DESIGN_SOLVER_KERNEL.md).
-* **Row independence.**  Each driver processes one row through its *entire*
-  edge sequence before the next row, where the NumPy drivers advance all
-  rows one pass at a time.  Rows never interact (established by the batched
-  kernel's own equivalence suites), so the reordering preserves per-row
-  results bitwise; per-pass stats are reconstructed from per-row
-  participation counts (a row participates at consecutive pass indices from
-  0 until death, hence ``clip_passes = max`` and ``rows_clipped = sum``).
-* **Layout portability.**  Kernels take plain padded C-contiguous
-  ``float64``/``int64`` buffers and return packed coordinate arrays --
-  exactly the struct-of-arrays layout a Cython/C or CUDA port would take,
-  so swapping the JIT for an extension module is a relinking exercise.
-* **GIL release.**  ``nogil=True`` lets the fused chunk threads started by
-  :class:`repro.core.batch.BatchLocalizer` overlap their clip passes on
-  separate cores while sharing one warm geometry/circle cache (no process
-  pickling).  The pure-Python/NumPy paths keep the GIL; only this backend
-  makes the thread executor scale.
-
-Backend selection is explicit: :func:`resolve_backend` maps
-``SolverConfig.kernel_backend`` (``"auto"``/``"compiled"``/``"numpy"``) to a
-:class:`KernelBackend`, falling back to the NumPy path with a recorded
-reason when numba is not importable.  ``OCTANT_KERNEL_FORCE=purepy`` runs
-the *same* kernel bodies uncompiled (the functions are single-source:
-decoration is conditional), which is how the bit-identity suites validate
-the compiled logic on hosts without numba; ``OCTANT_KERNEL_FORCE=numpy``
-disables the backend outright.
+Every row kernel in :mod:`repro.geometry.kernel` runs on NumPy; there is no
+compiled backend.  :func:`kernel_runtime_stats` reports that fixed fact for
+callers that record the environment a measurement ran in.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
-from typing import Sequence
-
-import numpy as np
-
-from .clipping import _MIN_PIECE_AREA_KM2 as MIN_SLIVER_AREA_KM2
-from .point import EPSILON
-from .polygon import MERGE_TOLERANCE_KM
-
-__all__ = [
-    "NUMBA_AVAILABLE",
-    "KernelBackend",
-    "resolve_backend",
-    "reset_backends",
-    "kernel_runtime_stats",
-    "reset_kernel_runtime",
-]
-
-try:  # pragma: no cover - absent in the pinned local environment
-    import numba
-except ImportError:  # pragma: no cover
-    numba = None
-
-NUMBA_AVAILABLE = numba is not None
-
-#: Environment override: ``numpy`` disables the compiled backend outright,
-#: ``purepy`` selects the compiled code path with uncompiled (pure-Python)
-#: kernel bodies -- the test hook that validates the port without numba.
-FORCE_ENV = "OCTANT_KERNEL_FORCE"
-
-_DENOM_GUARD = 1e-15
-_GH_DEGENERATE_TOL = 1e-7
-
-
-# --------------------------------------------------------------------------- #
-# Row kernels (single source: compiled when numba is available)
-# --------------------------------------------------------------------------- #
-def _reverse_ring(wx, wy, c):
-    """Reverse the first ``c`` lanes of a ring in place."""
-    half = c // 2
-    for i in range(half):
-        j = c - 1 - i
-        tx = wx[i]
-        wx[i] = wx[j]
-        wx[j] = tx
-        ty = wy[i]
-        wy[i] = wy[j]
-        wy[j] = ty
-
-
-def _clip_ring(wx, wy, c, ax, ay, bx, by, eps, sides, ox, oy):
-    """One half-plane pass over one ring; mirrors ``clipping._clip_pass``.
-
-    Returns ``(n_out, crossed)``.  When ``crossed`` is False the ring was
-    kept verbatim (``n_out == c``) or emptied (``n_out == 0``) and ``ox``,
-    ``oy`` are untouched; when True the clipped ring is in ``ox``/``oy``.
-    Emit order per lane matches the scalar pass: the edge intersection
-    (subject to the ``1e-15`` denominator gate) precedes the inside vertex.
-    """
-    ex = bx - ax
-    ey = by - ay
-    all_in = True
-    any_in = False
-    for j in range(c):
-        cr = ex * (wy[j] - ay) - ey * (wx[j] - ax)
-        inside = cr >= -eps
-        if inside:
-            sides[j] = 1
-            any_in = True
-        else:
-            sides[j] = 0
-            all_in = False
-    if all_in:
-        return c, False
-    if not any_in:
-        return 0, False
-    n = 0
-    prev = sides[c - 1]
-    for j in range(c):
-        s = sides[j]
-        if s != prev:
-            pj = j - 1 if j > 0 else c - 1
-            px = wx[pj]
-            py = wy[pj]
-            rx = wx[j] - px
-            ry = wy[j] - py
-            denom = rx * ey - ry * ex
-            if not (abs(denom) < _DENOM_GUARD):
-                t = ((ax - px) * ey - (ay - py) * ex) / denom
-                ox[n] = px + rx * t
-                oy[n] = py + ry * t
-                n += 1
-        if s == 1:
-            ox[n] = wx[j]
-            oy[n] = wy[j]
-            n += 1
-        prev = s
-    return n, True
-
-
-def _clean_ring(sx, sy, n, wx, wy, tol):
-    """``_clean_coords`` replica: forward dedup, then pop the closing tail.
-
-    Writes the cleaned ring into ``wx``/``wy`` (safe when ``sx is wx``: the
-    write index never passes the read index) and returns the kept count.
-    Running it on an already-clean ring is the identity, which is why the
-    compiled drivers may clean unconditionally where the NumPy path only
-    cleans rows flagged dirty.
-    """
-    if n == 0:
-        return 0
-    lastx = sx[0]
-    lasty = sy[0]
-    wx[0] = lastx
-    wy[0] = lasty
-    m = 1
-    for j in range(1, n):
-        vx = sx[j]
-        vy = sy[j]
-        if not (abs(vx - lastx) <= tol and abs(vy - lasty) <= tol):
-            wx[m] = vx
-            wy[m] = vy
-            m += 1
-            lastx = vx
-            lasty = vy
-    while m > 1 and abs(wx[m - 1] - wx[0]) <= tol and abs(wy[m - 1] - wy[0]) <= tol:
-        m -= 1
-    return m
-
-
-def _ring_area(wx, wy, m):
-    """Sequential shoelace, term order identical to ``_shoelace``."""
-    total = 0.0
-    for i in range(m):
-        j = i + 1 if i + 1 < m else 0
-        total += wx[i] * wy[j] - wx[j] * wy[i]
-    return total / 2.0
-
-
-def _convex_rows(X, Y, counts, signed, edge_arr, seq_lens, eps, tol, sliver):
-    """Compiled ``_clip_convex_rows``/``_clip_convex_rows_multi`` core.
-
-    Each row is oriented CCW once, clipped through its own edge sequence
-    (raw pass output chains into the next pass -- no inter-pass cleaning,
-    exactly like the NumPy drivers), killed the moment its count drops
-    below 3, and finalized with the scalar-exact clean/measure/sliver
-    check.  Returns packed surviving rings plus per-row participation
-    counters for stats reconstruction.
-    """
-    R, V = X.shape
-    out_cap = R * (V + 8) + 16
-    out_xs = np.empty(out_cap)
-    out_ys = np.empty(out_cap)
-    out_off = np.zeros(R + 1, np.int64)
-    out_signed = np.zeros(R)
-    out_alive = np.zeros(R, np.uint8)
-    row_passes = np.zeros(R, np.int64)
-    row_verts = np.zeros(R, np.int64)
-    pos = 0
-    for r in range(R):
-        c = counts[r]
-        cap = 2 * V + 4
-        wx = np.empty(cap)
-        wy = np.empty(cap)
-        ox = np.empty(cap)
-        oy = np.empty(cap)
-        sides = np.empty(cap, np.uint8)
-        for j in range(c):
-            wx[j] = X[r, j]
-            wy[j] = Y[r, j]
-        if not (signed[r] > 0.0):
-            _reverse_ring(wx, wy, c)
-        n_edges = seq_lens[r]
-        for e in range(n_edges):
-            if c < 3:
-                c = 0
-                break
-            row_passes[r] += 1
-            row_verts[r] += c
-            if 2 * c > cap:
-                cap = 2 * c + 4
-                nwx = np.empty(cap)
-                nwy = np.empty(cap)
-                for j in range(c):
-                    nwx[j] = wx[j]
-                    nwy[j] = wy[j]
-                wx = nwx
-                wy = nwy
-                ox = np.empty(cap)
-                oy = np.empty(cap)
-                sides = np.empty(cap, np.uint8)
-            n, crossed = _clip_ring(
-                wx,
-                wy,
-                c,
-                edge_arr[r, e, 0],
-                edge_arr[r, e, 1],
-                edge_arr[r, e, 2],
-                edge_arr[r, e, 3],
-                eps,
-                sides,
-                ox,
-                oy,
-            )
-            if crossed:
-                tx = wx
-                wx = ox
-                ox = tx
-                ty = wy
-                wy = oy
-                oy = ty
-            c = n
-        if c >= 3:
-            m = _clean_ring(wx, wy, c, wx, wy, tol)
-            area = _ring_area(wx, wy, m)
-            if m >= 3 and not (abs(area) < sliver):
-                need = pos + m
-                if need > out_cap:
-                    out_cap = 2 * need + 16
-                    nxs = np.empty(out_cap)
-                    nys = np.empty(out_cap)
-                    for j in range(pos):
-                        nxs[j] = out_xs[j]
-                        nys[j] = out_ys[j]
-                    out_xs = nxs
-                    out_ys = nys
-                for j in range(m):
-                    out_xs[pos + j] = wx[j]
-                    out_ys[pos + j] = wy[j]
-                pos += m
-                out_signed[r] = area
-                out_alive[r] = 1
-        out_off[r + 1] = pos
-    return out_xs, out_ys, out_off, out_signed, out_alive, row_passes, row_verts
-
-
-def _chain_rows(X, Y, counts, signed, edge_arr, seq_lens, eps, tol, sliver):
-    """Compiled ``_halfplane_chain_run`` core.
-
-    Every pass replicates one scalar ``clip_halfplane``: re-orient the ring
-    CCW from its *current* signed area, clip, then -- only when the ring was
-    flipped or actually crossed the edge -- clean/measure/validate exactly
-    like the per-pass ``_polygon_from_coords``.  Verbatim-kept CCW rows skip
-    the rebuild (cleaning a clean ring is the identity), mirroring the
-    NumPy driver's ``need = flip | changed`` fast path.
-    """
-    R, V = X.shape
-    out_cap = R * (V + 8) + 16
-    out_xs = np.empty(out_cap)
-    out_ys = np.empty(out_cap)
-    out_off = np.zeros(R + 1, np.int64)
-    out_signed = np.zeros(R)
-    out_alive = np.zeros(R, np.uint8)
-    row_passes = np.zeros(R, np.int64)
-    row_verts = np.zeros(R, np.int64)
-    pos = 0
-    for r in range(R):
-        c = counts[r]
-        s = signed[r]
-        alive = c >= 3
-        cap = 2 * V + 4
-        wx = np.empty(cap)
-        wy = np.empty(cap)
-        ox = np.empty(cap)
-        oy = np.empty(cap)
-        sides = np.empty(cap, np.uint8)
-        for j in range(c):
-            wx[j] = X[r, j]
-            wy[j] = Y[r, j]
-        n_edges = seq_lens[r]
-        for k in range(n_edges):
-            if not alive:
-                break
-            row_passes[r] += 1
-            row_verts[r] += c
-            flip = not (s > 0.0)
-            if flip:
-                _reverse_ring(wx, wy, c)
-            if 2 * c > cap:
-                cap = 2 * c + 4
-                nwx = np.empty(cap)
-                nwy = np.empty(cap)
-                for j in range(c):
-                    nwx[j] = wx[j]
-                    nwy[j] = wy[j]
-                wx = nwx
-                wy = nwy
-                ox = np.empty(cap)
-                oy = np.empty(cap)
-                sides = np.empty(cap, np.uint8)
-            n, crossed = _clip_ring(
-                wx,
-                wy,
-                c,
-                edge_arr[r, k, 0],
-                edge_arr[r, k, 1],
-                edge_arr[r, k, 2],
-                edge_arr[r, k, 3],
-                eps,
-                sides,
-                ox,
-                oy,
-            )
-            if n < 3:
-                n = 0
-            if not (flip or crossed):
-                if n == 0:
-                    alive = False
-                    c = 0
-                continue
-            if crossed:
-                m = _clean_ring(ox, oy, n, wx, wy, tol)
-            else:
-                m = _clean_ring(wx, wy, n, wx, wy, tol)
-            area = _ring_area(wx, wy, m)
-            good = m >= 3 and not (abs(area) < sliver)
-            s = area
-            if good:
-                c = m
-            else:
-                c = 0
-            alive = good
-        if alive:
-            need = pos + c
-            if need > out_cap:
-                out_cap = 2 * need + 16
-                nxs = np.empty(out_cap)
-                nys = np.empty(out_cap)
-                for j in range(pos):
-                    nxs[j] = out_xs[j]
-                    nys[j] = out_ys[j]
-                out_xs = nxs
-                out_ys = nys
-            for j in range(c):
-                out_xs[pos + j] = wx[j]
-                out_ys[pos + j] = wy[j]
-            pos += c
-            out_signed[r] = s
-            out_alive[r] = 1
-        out_off[r + 1] = pos
-    return out_xs, out_ys, out_off, out_signed, out_alive, row_passes, row_verts
-
-
-def _gh_scan(X, Y, counts, clipx, clipy, eps, dtol):
-    """Compiled ``_gh_subtract_rows`` intersection scan.
-
-    Per (row, subject lane, clip edge) mirrors ``segment_intersection``
-    operand for operand: the ``EPSILON`` denominator gate, the open
-    in-range predicates, and the [0, 1] clamp.  Hits are emitted in the
-    NumPy scan's ``np.nonzero`` order (subject-lane major), per-row flags
-    classify the routing: 0 = no hit, 1 = clean hits, 2 = degenerate (the
-    scalar fallback re-detects the degeneracy; recorded hits are dropped).
-    """
-    R, V = X.shape
-    E = clipx.shape[0]
-    flags = np.zeros(R, np.uint8)
-    cap = 256
-    h_row = np.empty(cap, np.int64)
-    h_i = np.empty(cap, np.int64)
-    h_j = np.empty(cap, np.int64)
-    h_a = np.empty(cap)
-    h_b = np.empty(cap)
-    nh = 0
-    for r in range(R):
-        c = counts[r]
-        start = nh
-        anyhit = False
-        deg = False
-        for i in range(c):
-            ni = i + 1 if i + 1 < c else 0
-            rx = X[r, ni] - X[r, i]
-            ry = Y[r, ni] - Y[r, i]
-            for j in range(E):
-                nj = j + 1 if j + 1 < E else 0
-                sx = clipx[nj] - clipx[j]
-                sy = clipy[nj] - clipy[j]
-                denom = rx * sy - ry * sx
-                if abs(denom) >= eps:
-                    qpx = clipx[j] - X[r, i]
-                    qpy = clipy[j] - Y[r, i]
-                    alpha = (qpx * sy - qpy * sx) / denom
-                    beta = (qpx * ry - qpy * rx) / denom
-                    if (
-                        alpha > -eps
-                        and alpha < 1.0 + eps
-                        and beta > -eps
-                        and beta < 1.0 + eps
-                    ):
-                        anyhit = True
-                        a_c = min(1.0, max(0.0, alpha))
-                        b_c = min(1.0, max(0.0, beta))
-                        if (
-                            a_c < dtol
-                            or a_c > 1.0 - dtol
-                            or b_c < dtol
-                            or b_c > 1.0 - dtol
-                        ):
-                            deg = True
-                        if nh == cap:
-                            cap = 2 * cap
-                            nrow = np.empty(cap, np.int64)
-                            nii = np.empty(cap, np.int64)
-                            njj = np.empty(cap, np.int64)
-                            na = np.empty(cap)
-                            nb = np.empty(cap)
-                            for q in range(nh):
-                                nrow[q] = h_row[q]
-                                nii[q] = h_i[q]
-                                njj[q] = h_j[q]
-                                na[q] = h_a[q]
-                                nb[q] = h_b[q]
-                            h_row = nrow
-                            h_i = nii
-                            h_j = njj
-                            h_a = na
-                            h_b = nb
-                        h_row[nh] = r
-                        h_i[nh] = i
-                        h_j[nh] = j
-                        h_a[nh] = a_c
-                        h_b[nh] = b_c
-                        nh += 1
-        if deg:
-            flags[r] = 2
-            nh = start
-        elif anyhit:
-            flags[r] = 1
-    return flags, h_row, h_i, h_j, h_a, h_b, nh
-
-
-# Keep handles to the uncompiled bodies (the ``purepy`` force mode and the
-# no-numba fallback exercise exactly these), then rebind the module globals
-# to their jitted versions so the compiled drivers call compiled helpers.
-_PURE_IMPLS = {
-    "convex_rows": _convex_rows,
-    "chain_rows": _chain_rows,
-    "gh_scan": _gh_scan,
-}
-
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised in the numba CI leg
-    _jit = numba.njit(nogil=True, cache=True, fastmath=False)
-    _reverse_ring = _jit(_reverse_ring)
-    _clip_ring = _jit(_clip_ring)
-    _clean_ring = _jit(_clean_ring)
-    _ring_area = _jit(_ring_area)
-    _convex_rows = _jit(_convex_rows)
-    _chain_rows = _jit(_chain_rows)
-    _gh_scan = _jit(_gh_scan)
-    _JIT_IMPLS = {
-        "convex_rows": _convex_rows,
-        "chain_rows": _chain_rows,
-        "gh_scan": _gh_scan,
-    }
-else:
-    _JIT_IMPLS = None
-
-
-# --------------------------------------------------------------------------- #
-# Runtime accounting (observability: cache_stats()["kernel"])
-# --------------------------------------------------------------------------- #
-class _KernelRuntime:
-    """Process-wide counters for compiled-kernel calls (thread-safe)."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.kernels: dict[str, dict[str, float]] = {}
-        self.nogil_passes = 0
-        self.rows_clipped = 0
-
-    def record(self, name: str, seconds: float, passes: int, rows: int) -> None:
-        with self.lock:
-            entry = self.kernels.get(name)
-            if entry is None:
-                # The first call pays JIT compilation (amortized across the
-                # process by numba's on-disk cache); track it apart from the
-                # warm steady state so the split is visible in stats.
-                self.kernels[name] = {
-                    "calls": 1,
-                    "first_call_s": seconds,
-                    "warm_s": 0.0,
-                }
-            else:
-                entry["calls"] += 1
-                entry["warm_s"] += seconds
-            self.nogil_passes += passes
-            self.rows_clipped += rows
-
-
-_RUNTIME = _KernelRuntime()
-
-
-def reset_kernel_runtime() -> None:
-    """Clear the accumulated kernel call counters (tests, benchmarks)."""
-    global _RUNTIME
-    _RUNTIME = _KernelRuntime()
+__all__ = ["kernel_runtime_stats"]
 
 
 def kernel_runtime_stats(requested: str = "auto") -> dict:
-    """Snapshot of backend resolution + compiled-kernel call counters."""
-    backend = resolve_backend(requested)
-    with _RUNTIME.lock:
-        kernels = {
-            name: {
-                "calls": int(entry["calls"]),
-                "first_call_s": round(float(entry["first_call_s"]), 6),
-                "warm_s": round(float(entry["warm_s"]), 6),
-            }
-            for name, entry in _RUNTIME.kernels.items()
-        }
-        nogil_passes = _RUNTIME.nogil_passes
-        rows_clipped = _RUNTIME.rows_clipped
-    return {
-        "backend": backend.name,
-        "requested": backend.requested,
-        "compiled": backend.use_compiled,
-        "jit": backend.jitted,
-        "numba_available": NUMBA_AVAILABLE,
-        "fallback_reason": backend.fallback_reason,
-        "nogil_passes": nogil_passes,
-        "rows_clipped": rows_clipped,
-        "kernels": kernels,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Backend object + resolution
-# --------------------------------------------------------------------------- #
-def _pad_rows(
-    parts: Sequence[tuple],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack parts into padded row arrays; layout identical to ``_pad_parts``."""
-    counts = np.array([len(p[0]) for p in parts], dtype=np.int64)
-    width = int(counts.max()) if len(counts) else 0
-    X = np.zeros((len(parts), max(width, 1)))
-    Y = np.zeros_like(X)
-    for r, (xs, ys, _signed) in enumerate(parts):
-        X[r, : len(xs)] = xs
-        Y[r, : len(ys)] = ys
-    signed = np.array([p[2] for p in parts])
-    return X, Y, counts, signed
-
-
-class KernelBackend:
-    """A resolved clip-kernel backend (compiled row loops or NumPy passes).
-
-    ``use_compiled`` is the routing switch the drivers in ``kernel.py``
-    consult; ``jitted`` distinguishes real numba compilation from the
-    pure-Python force mode that validates the same bodies without it.
-    """
-
-    __slots__ = ("name", "requested", "use_compiled", "jitted", "fallback_reason", "_impls")
-
-    def __init__(
-        self,
-        name: str,
-        requested: str,
-        use_compiled: bool,
-        jitted: bool,
-        fallback_reason: str | None,
-    ) -> None:
-        self.name = name
-        self.requested = requested
-        self.use_compiled = use_compiled
-        self.jitted = jitted
-        self.fallback_reason = fallback_reason
-        self._impls = (_JIT_IMPLS if jitted else _PURE_IMPLS) if use_compiled else None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"KernelBackend(name={self.name!r}, requested={self.requested!r}, "
-            f"jitted={self.jitted}, fallback={self.fallback_reason!r})"
-        )
-
-    # -- driver entry points ------------------------------------------------ #
-    def convex_rows(
-        self,
-        parts: Sequence[tuple],
-        edge_arr: np.ndarray,
-        seq_lens: np.ndarray,
-        stats=None,
-    ) -> list[tuple | None]:
-        """Run the convex driver (shared or per-row edge sequences)."""
-        if not parts:
-            return []
-        X, Y, counts, signed = _pad_rows(parts)
-        return self._run("convex_rows", X, Y, counts, signed, edge_arr, seq_lens, stats)
-
-    def chain_rows(
-        self,
-        parts: Sequence[tuple],
-        edge_arr: np.ndarray,
-        seq_lens: np.ndarray,
-        stats=None,
-    ) -> list[tuple | None]:
-        """Run the half-plane chain driver (one ``clip_halfplane`` per pass)."""
-        if not parts:
-            return []
-        X, Y, counts, signed = _pad_rows(parts)
-        return self._run("chain_rows", X, Y, counts, signed, edge_arr, seq_lens, stats)
-
-    def gh_scan(
-        self,
-        X: np.ndarray,
-        Y: np.ndarray,
-        counts: np.ndarray,
-        clip_ccw: np.ndarray,
-    ) -> tuple[np.ndarray, list[list[tuple[int, int, float, float]] | None]]:
-        """Greiner-Hormann hit scan; returns per-row flags + hit lists.
-
-        ``flags[r]`` is 0 (no hit), 1 (clean hits in the returned list) or
-        2 (degenerate: caller takes the scalar fallback).  Hit tuples are
-        ``(subject_lane, clip_edge, alpha, beta)`` in scan order.
-        """
-        impl = self._impls["gh_scan"]
-        started = time.perf_counter()
-        flags, h_row, h_i, h_j, h_a, h_b, nh = impl(
-            np.ascontiguousarray(X),
-            np.ascontiguousarray(Y),
-            np.ascontiguousarray(counts),
-            np.ascontiguousarray(clip_ccw[:, 0]),
-            np.ascontiguousarray(clip_ccw[:, 1]),
-            EPSILON,
-            _GH_DEGENERATE_TOL,
-        )
-        _RUNTIME.record(
-            "gh_scan", time.perf_counter() - started, 1, int(X.shape[0])
-        )
-        hits: list[list[tuple[int, int, float, float]] | None] = [
-            [] if flags[r] == 1 else None for r in range(len(flags))
-        ]
-        for q in range(nh):
-            bucket = hits[int(h_row[q])]
-            if bucket is not None:
-                bucket.append(
-                    (int(h_i[q]), int(h_j[q]), float(h_a[q]), float(h_b[q]))
-                )
-        return flags, hits
-
-    def _run(self, name, X, Y, counts, signed, edge_arr, seq_lens, stats):
-        impl = self._impls[name]
-        started = time.perf_counter()
-        out_xs, out_ys, out_off, out_signed, out_alive, row_passes, row_verts = impl(
-            X,
-            Y,
-            counts,
-            signed,
-            np.ascontiguousarray(edge_arr, dtype=np.float64),
-            np.ascontiguousarray(seq_lens, dtype=np.int64),
-            EPSILON,
-            MERGE_TOLERANCE_KM,
-            MIN_SLIVER_AREA_KM2,
-        )
-        elapsed = time.perf_counter() - started
-        passes = int(row_passes.max()) if len(row_passes) else 0
-        rows = int(row_passes.sum())
-        _RUNTIME.record(name, elapsed, passes, rows)
-        if stats is not None:
-            # Rows participate at consecutive pass indices starting at 0, so
-            # the NumPy drivers' per-pass counters reconstruct exactly from
-            # per-row participation: a pass ran while any row was still live.
-            stats.clip_passes += passes
-            stats.rows_clipped += rows
-            stats.vertices_clipped += int(row_verts.sum())
-        out: list[tuple | None] = []
-        for r in range(len(out_alive)):
-            if not out_alive[r]:
-                out.append(None)
-                continue
-            lo = int(out_off[r])
-            hi = int(out_off[r + 1])
-            out.append((out_xs[lo:hi].copy(), out_ys[lo:hi].copy(), float(out_signed[r])))
-        return out
-
-
-_RESOLVED: dict[tuple[str, str], KernelBackend] = {}
-_RESOLVE_LOCK = threading.Lock()
-
-
-def resolve_backend(name: str = "auto") -> KernelBackend:
-    """Map a ``SolverConfig.kernel_backend`` value to a concrete backend.
-
-    ``"numpy"`` always selects the NumPy passes.  ``"compiled"`` selects the
-    compiled row loops, falling back to NumPy (with ``fallback_reason`` set)
-    when numba is not importable; ``"auto"`` does the same silently.  The
-    ``OCTANT_KERNEL_FORCE`` environment variable overrides resolution for
-    tests: ``numpy`` disables the backend, ``purepy`` runs the compiled code
-    path with uncompiled kernel bodies.  Resolution is memoized; call
-    :func:`reset_backends` after changing the environment.
-    """
-    force = os.environ.get(FORCE_ENV, "").strip().lower()
-    key = (name, force)
-    backend = _RESOLVED.get(key)
-    if backend is not None:
-        return backend
-    with _RESOLVE_LOCK:
-        backend = _RESOLVED.get(key)
-        if backend is not None:
-            return backend
-        if force == "numpy":
-            backend = KernelBackend(
-                "numpy", name, False, False, f"forced by {FORCE_ENV}=numpy"
-            )
-        elif name == "numpy":
-            backend = KernelBackend("numpy", name, False, False, None)
-        elif name in ("compiled", "auto"):
-            if force == "purepy":
-                backend = KernelBackend(
-                    "compiled", name, True, False, f"{FORCE_ENV}=purepy (uncompiled bodies)"
-                )
-            elif NUMBA_AVAILABLE:
-                backend = KernelBackend("compiled", name, True, True, None)
-            else:
-                backend = KernelBackend(
-                    "numpy", name, False, False, "numba unavailable"
-                )
-        else:
-            raise ValueError(
-                f"unknown kernel_backend {name!r}; expected 'auto', 'compiled' or 'numpy'"
-            )
-        _RESOLVED[key] = backend
-        return backend
-
-
-def reset_backends() -> None:
-    """Drop memoized backend resolutions (the force env may have changed)."""
-    with _RESOLVE_LOCK:
-        _RESOLVED.clear()
+    """The backend the row kernels run on (``requested`` is ignored)."""
+    return {"backend": "numpy", "jit": False}

@@ -11,6 +11,7 @@ from .agents import ProbeAgent, run_agents
 from .dataset import (
     IngestDelta,
     IngestRecord,
+    InvalidMeasurement,
     MeasurementDataset,
     NodeRecord,
     collect_dataset,
@@ -96,6 +97,7 @@ __all__ = [
     "collect_dataset",
     "IngestRecord",
     "IngestDelta",
+    "InvalidMeasurement",
     # streaming measurement plane
     "MeasurementLog",
     "ProbeAgent",

@@ -18,6 +18,7 @@ use information a real deployment would have.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -32,6 +33,7 @@ from .whois import WhoisRecord, WhoisRegistry
 __all__ = [
     "IngestDelta",
     "IngestRecord",
+    "InvalidMeasurement",
     "NodeRecord",
     "MeasurementDataset",
     "PairMatrixView",
@@ -139,6 +141,37 @@ class NodeRecord:
         return NodeRecord(self.node_id, self.ip_address, self.dns_name, location, self.is_host)
 
 
+class InvalidMeasurement(ValueError):
+    """An ingest payload carries a measurement no real probe could produce."""
+
+
+def validate_measurements(
+    pings: Iterable[PingResult] = (),
+    router_pings: Mapping[tuple[str, str], float] | None = None,
+) -> None:
+    """Reject a payload before any of it is applied.
+
+    Every RTT sample must be finite and non-negative, every ping must carry
+    at least one sample, and no host pings itself.  Raises
+    :class:`InvalidMeasurement` naming the first offending measurement.
+    """
+    for ping in pings:
+        if ping.src == ping.dst or not ping.rtts_ms or not all(map(_valid_rtt, ping.rtts_ms)):
+            raise InvalidMeasurement(
+                f"ping {ping.src!r} -> {ping.dst!r} with samples {ping.rtts_ms!r}: "
+                "needs two distinct hosts and finite, non-negative RTT samples"
+            )
+    for (host_id, router_id), rtt in (router_pings or {}).items():
+        if not _valid_rtt(rtt):
+            raise InvalidMeasurement(
+                f"router ping {host_id!r} -> {router_id!r} has RTT {rtt!r}"
+            )
+
+
+def _valid_rtt(rtt: float) -> bool:
+    return math.isfinite(rtt) and rtt >= 0.0
+
+
 @dataclass(frozen=True)
 class IngestRecord:
     """One :meth:`MeasurementDataset.ingest` payload, captured for replay.
@@ -166,10 +199,17 @@ class IngestRecord:
         routers: Iterable[NodeRecord] = (),
         router_pings: Mapping[tuple[str, str], float] | None = None,
     ) -> "IngestRecord":
-        """Freeze one ingest payload (tuples, so the record hashes/pickles)."""
+        """Freeze one ingest payload (tuples, so the record hashes/pickles).
+
+        Validates the payload first (:func:`validate_measurements`), so a
+        bad measurement is rejected where it is produced, not later inside
+        whatever applies the record.
+        """
+        pings = tuple(pings)
+        validate_measurements(pings, router_pings)
         return cls(
             hosts=tuple(hosts),
-            pings=tuple(pings),
+            pings=pings,
             traceroutes=tuple(traceroutes),
             routers=tuple(routers),
             router_pings=tuple(sorted((router_pings or {}).items())),
@@ -654,12 +694,16 @@ class MeasurementDataset:
 
         Returns the set of touched host ids (also recorded in the bounded
         mutation log that backs :meth:`touched_since`).  Raises
-        :class:`RuntimeError` on snapshots.
+        :class:`RuntimeError` on snapshots and :class:`InvalidMeasurement`
+        on a payload :func:`validate_measurements` rejects; either way the
+        dataset is left untouched.
         """
         if self._frozen:
             raise RuntimeError(
                 "cannot ingest into a snapshot; ingest on the live dataset"
             )
+        ping_list = list(pings)
+        validate_measurements(ping_list, router_pings)
         if self._cow_pending:
             # A snapshot shares the current containers: replace them with
             # shallow copies so the snapshot keeps its view (copy-on-write).
@@ -697,7 +741,6 @@ class MeasurementDataset:
         # Per canonical pair: combined min-RTT before the batch lands, so the
         # delta records only pairs whose *value* an estimator could observe
         # changing (a re-probe landing on the same minimum is a no-op).
-        ping_list = list(pings)
         old_pair_min: dict[tuple[str, str], float | None] = {}
         for ping in ping_list:
             key = (ping.src, ping.dst) if ping.src < ping.dst else (ping.dst, ping.src)

@@ -238,8 +238,8 @@ class GeoRegion:
     kept the polygon algebra on its robust fast path; the *detailed*
     catalogue (``DETAILED_OCEAN_REGIONS`` / ``DETAILED_UNINHABITED_REGIONS``)
     follows coastlines with non-convex rings -- excluding strictly more open
-    water and desert -- and relies on the solver's vectorized convex-mask
-    decomposition of non-convex exclusions.  Both err on the side of smaller
+    water and desert -- and relies on the solver's batched Greiner-Hormann
+    subtraction of non-convex exclusions.  Both err on the side of smaller
     regions, which keeps the constraints sound (they never exclude land a
     target could occupy).
     """
@@ -431,7 +431,7 @@ UNINHABITED_REGIONS: tuple[GeoRegion, ...] = (
 #: coastlines instead of inscribing a convex core, so it excludes strictly
 #: more open water than its coarse counterpart while staying clear of land.
 #: Selected by ``OctantConfig.geographic_detail="detailed"``; the solver
-#: subtracts them through the convex-mask decomposition path.
+#: subtracts them through the batched Greiner-Hormann exclusion path.
 DETAILED_OCEAN_REGIONS: tuple[GeoRegion, ...] = (
     _region(
         "north-atlantic-detailed",

@@ -60,7 +60,6 @@ from ..core.octant import Octant
 from ..core.pipeline import PipelineStats
 from ..geometry import CircleCache
 from ..geometry.kernel import geometry_table_stats
-from ..geometry.kernel_compiled import kernel_runtime_stats
 from ..network.dataset import IngestDelta, IngestRecord, MeasurementDataset
 from ..network.dns import UndnsParser
 from ..network.log import MeasurementLog
@@ -1211,10 +1210,8 @@ class LocalizationService:
 
         Everything a load balancer or the sharded tier's orchestrator wants
         before sending a request: admission headroom (queue depth vs.
-        capacity), breaker states, the snapshot version answers would pin,
-        and which clip-kernel backend the solve path is running on (a worker
-        that fell back from the compiled backend is ready but slower --
-        routers may prefer a peer).
+        capacity), breaker states and the snapshot version answers would
+        pin.
         """
         breakers = self._breakers.snapshot()
         open_breakers = sorted(
@@ -1230,9 +1227,6 @@ class LocalizationService:
             "queue_headroom": max(0, self.max_queue - queue_depth),
             "workers": self.workers,
             "breakers_open": open_breakers,
-            "kernel_backend": kernel_runtime_stats(
-                getattr(self.config.solver, "kernel_backend", "auto")
-            ).get("backend"),
             "degraded_answers": self.stats.degraded_answers,
             "deadline_failures": self.stats.deadline_failures,
             # Write-plane lag: how far the compactor is behind the newest
@@ -1329,14 +1323,10 @@ class LocalizationService:
             "prepared_misses": prepared_misses,
             "circle_cache": self.circle_cache.stats(),
             # Process-wide cross-solve geometry tables (edge/keyhole/wedge
-            # arrays + convex mask cells keyed by realized constraint
-            # identity); the serving warm path should be hit-dominated.
+            # arrays + Greiner-Hormann clip rings keyed by realized
+            # constraint identity); the serving warm path should be
+            # hit-dominated.
             "geometry_tables": geometry_table_stats(),
-            # Clip-kernel backend runtime: which backend the row passes run
-            # on, JIT compile cost (first call vs warm), nogil pass counts.
-            "kernel": kernel_runtime_stats(
-                getattr(self.config.solver, "kernel_backend", "auto")
-            ),
             "pipeline": pipeline,
             "fused": self._fused_stats_snapshot(),
             "resilience": self._resilience_stats_snapshot(),

@@ -1,28 +1,32 @@
-"""Vectorized non-convex exclusion: masks, batched GH, geometry tables.
+"""Non-convex exclusion: batched Greiner-Hormann, geometry tables, threads.
 
 Non-convex negative constraints (the paper's ocean/uninhabited regions,
-Section 2.5) used to ride a per-piece Greiner-Hormann object fallback.  They
-are now applied as a fold of pre-realized convex mask cells -- one shared
-semantics implemented by the scalar reference (``subtract_cautious``) and
-replicated bit-identically by both vectorized engines -- with a batched
-Greiner-Hormann row kernel for rings the decomposition cannot cover.  This
-suite pins:
+Section 2.5) are subtracted with Greiner-Hormann on every engine: the vector
+and fused engines run the batched row kernel (vectorized intersection
+classification, per-piece traversal), the object engine the scalar
+``subtract_polygons`` reference.  This suite pins:
 
-* vector-vs-object bit identity on randomized non-convex-heavy systems
-  (masks on), including disconnected and antimeridian-crossing regions;
-* the same identity with masks disabled (the batched GH classification
-  against the scalar GH loop);
+* vector-vs-object bit identity on randomized non-convex-heavy systems,
+  including disconnected, antimeridian-crossing and self-intersecting
+  regions and the detailed geographic catalogue;
 * fused-vs-vector cohort identity on non-convex-heavy cohorts (including a
   cohort of one and fuse-width-boundary chunking through the batch engine);
 * the cross-solve ``_ConstraintGeometry`` table cache: warm hits are
-  bit-identical, a measurement ingest can never serve stale geometry, and
-  the new kernel counters surface through ``kernel_summary``.
+  bit-identical, a measurement ingest can never serve stale geometry, the
+  kernel counters surface through ``kernel_summary``, and concurrent
+  threads see consistent tables.
+
+The module and ``test_masked_*`` names date from the convex-mask fold that
+non-convex exclusions used to ride; the cases now pin the single batched
+Greiner-Hormann path against the object engine.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -36,9 +40,9 @@ from repro.geometry import (
     disk_polygon,
 )
 from repro.geometry.kernel import (
+    geometry_for_constraint,
     geometry_table_stats,
     reset_geometry_tables,
-    subtract_cautious,
 )
 
 CENTER = GeoPoint(40.0, -95.0)
@@ -89,7 +93,11 @@ def random_nonconvex_system(rng: random.Random) -> list[PlanarConstraint]:
 
 
 def assert_engines_identical(constraints, config_kwargs=None):
-    """Vector vs object bit identity on every estimate metric."""
+    """Vector vs object bit identity on every estimate metric.
+
+    Returns the vector solver and region; the object engine is the
+    independent scalar reference.
+    """
     kwargs = dict(config_kwargs or {})
     vector = WeightedRegionSolver(SolverConfig(engine="vector", **kwargs))
     obj = WeightedRegionSolver(SolverConfig(engine="object", **kwargs))
@@ -127,7 +135,7 @@ def assert_cohort_identical(cohort, config_kwargs=None):
 
 
 # --------------------------------------------------------------------------- #
-# Mask-fold equivalence (non-convex-heavy systems)
+# Batched Greiner-Hormann vs the scalar reference (non-convex-heavy systems)
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("seed", range(12))
 def test_masked_nonconvex_equivalence(seed):
@@ -150,108 +158,60 @@ def test_masked_nonconvex_equivalence_slivers(seed):
     )
 
 
-def test_disconnected_nonconvex_regions():
-    """Two far-apart non-convex exclusions (the paper's disconnected case)."""
+@pytest.mark.parametrize("seed", range(8))
+def test_gh_fallback_equivalence(seed):
+    """A second randomized family: the batched GH classification vs the
+    scalar GH loop of the object engine."""
+    rng = random.Random(9300 + seed)
+    assert_engines_identical(random_nonconvex_system(rng))
+
+
+def _straddling_system() -> list[PlanarConstraint]:
+    """Two far-apart non-convex exclusions straddling the base disk's edge.
+
+    Low-weight exclusions apply *after* the disks have shrunk the pieces,
+    and they straddle the base disk's boundary: neither bbox rejection nor
+    the keyhole (strictly-contained) shortcut can resolve them, so the
+    subtraction must run -- through the Greiner-Hormann row kernel.
+    """
     rng = random.Random(42)
-    # Low-weight exclusions apply *after* the disks have shrunk the pieces,
-    # and they straddle the base disk's boundary: neither bbox rejection nor
-    # the keyhole (strictly-contained) shortcut can resolve them, so the
-    # subtraction must run -- through the mask fold.
-    constraints = [
+    return [
         positive(disk_at(0, 0, 1200.0), 1.0, "base"),
         negative(nonconvex_ring(rng, -1150.0, -400.0, 350.0), 0.5, "west"),
         negative(nonconvex_ring(rng, 1150.0, 400.0, 350.0), 0.5, "east"),
         positive(disk_at(45.0, 300.0, 600.0), 0.7, "aux"),
     ]
-    solver, _ = assert_engines_identical(constraints)
-    assert solver.diagnostics.mask_cells_clipped > 0
 
 
-def test_mask_counters_surface_in_kernel_summary():
-    rng = random.Random(7)
-    solver, _ = assert_engines_identical(random_nonconvex_system(rng))
-    summary = solver.diagnostics.kernel_summary()
+def test_disconnected_nonconvex_regions():
+    """Two far-apart non-convex exclusions (the paper's disconnected case)."""
+    solver, region = assert_engines_identical(_straddling_system())
+    assert solver.diagnostics.fallback_pieces > 0
+    assert region.pieces
+
+
+def test_gh_fallback_counters():
+    """Boundary-straddling exclusions hit the GH row kernel and say so."""
+    solver, _ = assert_engines_identical(_straddling_system())
+    diagnostics = solver.diagnostics
+    assert diagnostics.fallback_pieces > 0
+    assert diagnostics.fallback_vertices > 0
+    summary = diagnostics.kernel_summary()
     for key in (
         "fallback_pieces",
         "fallback_vertices",
-        "mask_cells_clipped",
         "geometry_table_hits",
         "geometry_table_misses",
     ):
         assert key in summary
-    assert summary["mask_cells_clipped"] > 0
-
-
-def test_mask_fold_matches_gh_region_area():
-    """Mask fold and Greiner-Hormann compute the same difference region.
-
-    Fragmentation (hence piece lists) may differ, but the subtracted area
-    must agree: the mask cells partition the exclusion exactly.
-    """
-    rng = random.Random(11)
-    piece = disk_at(0, 0, 700.0)
-    exclusion = nonconvex_ring(rng, 120.0, -80.0, 350.0)
-    masked = subtract_cautious(piece, exclusion, True)
-    general = subtract_cautious(piece, exclusion, False)
-    masked_area = sum(p.area() for p in masked)
-    general_area = sum(p.area() for p in general)
-    assert masked_area == pytest.approx(general_area, rel=1e-6)
-
-
-# --------------------------------------------------------------------------- #
-# Batched Greiner-Hormann (masks off, or non-decomposable rings)
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("seed", range(8))
-def test_gh_fallback_equivalence(seed):
-    """Masks disabled: the batched GH classification vs the scalar GH loop."""
-    rng = random.Random(9300 + seed)
-    assert_engines_identical(
-        random_nonconvex_system(rng), {"nonconvex_exclusion": "gh"}
-    )
-
-
-def test_gh_fallback_counters():
-    """Boundary-straddling non-convex exclusions must hit the GH row kernel."""
-    rng = random.Random(42)
-    constraints = [
-        positive(disk_at(0, 0, 1200.0), 1.0, "base"),
-        negative(nonconvex_ring(rng, -1150.0, -400.0, 350.0), 0.5, "west"),
-        negative(nonconvex_ring(rng, 1150.0, 400.0, 350.0), 0.5, "east"),
-        positive(disk_at(45.0, 300.0, 600.0), 0.7, "aux"),
-    ]
-    solver, _ = assert_engines_identical(constraints, {"nonconvex_exclusion": "gh"})
-    assert solver.diagnostics.fallback_pieces > 0
-    assert solver.diagnostics.fallback_vertices > 0
-    assert solver.diagnostics.mask_cells_clipped == 0
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_batched_gh_matches_legacy_object_fallback(seed):
-    """``"gh"`` (batched row kernel) vs ``"object"`` (legacy per-piece loop)
-    on the same vector engine must agree bit for bit -- the sharpest pin on
-    the precomputed-intersection ring assembly."""
-    rng = random.Random(9400 + seed)
-    constraints = random_nonconvex_system(rng)
-    batched = WeightedRegionSolver(
-        SolverConfig(engine="vector", nonconvex_exclusion="gh")
-    )
-    legacy = WeightedRegionSolver(
-        SolverConfig(engine="vector", nonconvex_exclusion="object")
-    )
-    region_b = batched.solve(constraints, PROJ)
-    region_l = legacy.solve(constraints, PROJ)
-    assert region_b.area_km2() == region_l.area_km2()
-    assert len(region_b.pieces) == len(region_l.pieces)
-    for piece_b, piece_l in zip(region_b.pieces, region_l.pieces):
-        assert piece_b.weight == piece_l.weight
-        assert piece_b.polygon.coords == piece_l.polygon.coords
+    assert summary["fallback_pieces"] == diagnostics.fallback_pieces
 
 
 def test_antimeridian_ring_equivalence():
     """A non-convex ring crossing the antimeridian, far from the projection
     centre: the projected exclusion must still solve bit-identically on both
-    engines (the azimuthal projection keeps it simple, so it rides the mask
-    fold; the point of the case is the extreme coordinates)."""
+    engines (the azimuthal projection keeps it simple; the point of the case
+    is the extreme coordinates)."""
     from repro.core import GeoRegionConstraint, Polarity
 
     ring = tuple(
@@ -275,10 +235,8 @@ def test_antimeridian_ring_equivalence():
 
 
 def test_self_intersecting_ring_rides_gh():
-    """A bowtie exclusion (a projection fold) refuses decomposition and must
-    agree bit for bit through the batched Greiner-Hormann path."""
-    from repro.geometry.decompose import convex_decompose
-
+    """A bowtie exclusion (a projection fold) must agree bit for bit through
+    the batched Greiner-Hormann path."""
     bowtie = Polygon(
         [
             Point2D(-300.0, -250.0),
@@ -287,7 +245,7 @@ def test_self_intersecting_ring_rides_gh():
             Point2D(-300.0, 250.0),
         ]
     )
-    assert convex_decompose(bowtie) is None
+    assert not bowtie.is_convex()
     constraints = [
         positive(disk_at(0, 0, 700.0), 1.0, "base"),
         negative(bowtie, 0.5, "fold"),
@@ -298,7 +256,7 @@ def test_self_intersecting_ring_rides_gh():
 
 
 def test_detailed_geo_regions_are_nonconvex_and_identical():
-    """The detailed catalogue rings exercise the mask path end to end."""
+    """The detailed catalogue rings: fused == vector == object."""
     from repro.core import GeoRegionConstraint, Polarity
     from repro.network.geodata import DETAILED_OCEAN_REGIONS
 
@@ -314,6 +272,7 @@ def test_detailed_geo_regions_are_nonconvex_and_identical():
         constraints.append(planar)
     assert nonconvex > 0  # detailed regions must stay non-convex when projected
     assert_engines_identical(constraints)
+    assert_cohort_identical([constraints])
 
 
 # --------------------------------------------------------------------------- #
@@ -328,7 +287,10 @@ def test_fused_cohort_nonconvex_identity(size):
 
 
 def test_fused_chunk_boundary_through_batch_engine():
-    """fuse_width chunking with detailed (non-convex) geographic regions."""
+    """fuse_width chunking with detailed (non-convex) geographic regions.
+
+    The fused batch answers must equal the vector and the object engines'.
+    """
     from repro import BatchLocalizer, Octant, collect_dataset
     from repro.core.config import OctantConfig, SolverConfig
     from repro.network.planetlab import small_deployment
@@ -340,19 +302,20 @@ def test_fused_chunk_boundary_through_batch_engine():
         solver=SolverConfig(engine="fused", fuse_width=4),
     )
     fused = BatchLocalizer(Octant(dataset, config)).localize_all()
-    vector_config = config.with_overrides(solver=SolverConfig(engine="vector"))
-    vector = BatchLocalizer(Octant(dataset, vector_config)).localize_all()
-    assert set(fused) == set(vector)
-    for target, estimate_f in fused.items():
-        estimate_v = vector[target]
-        if estimate_v.point is None:
-            assert estimate_f.point is None
-            continue
-        assert (estimate_f.point.lat, estimate_f.point.lon) == (
-            estimate_v.point.lat,
-            estimate_v.point.lon,
-        )
-        assert estimate_f.region.area_km2() == estimate_v.region.area_km2()
+    for engine in ("vector", "object"):
+        other_config = config.with_overrides(solver=SolverConfig(engine=engine))
+        other = BatchLocalizer(Octant(dataset, other_config)).localize_all()
+        assert set(fused) == set(other)
+        for target, estimate_f in fused.items():
+            estimate_o = other[target]
+            if estimate_o.point is None:
+                assert estimate_f.point is None
+                continue
+            assert (estimate_f.point.lat, estimate_f.point.lon) == (
+                estimate_o.point.lat,
+                estimate_o.point.lon,
+            )
+            assert estimate_f.region.area_km2() == estimate_o.region.area_km2()
 
 
 # --------------------------------------------------------------------------- #
@@ -462,3 +425,81 @@ class TestIngestInvalidation:
         assert signature(after) == signature(reference)
         # The ingest changed the landmark set, so the answer moved too.
         assert signature(after) != signature(before)
+
+
+# --------------------------------------------------------------------------- #
+# Warm-cache thread safety (the thread executor's view)
+# --------------------------------------------------------------------------- #
+class TestWarmCacheThreadSafety:
+    def test_geometry_table_hammer(self):
+        """Concurrent geometry_for_constraint over one shared cache.
+
+        The thread fan-out path solves fused chunks over *shared* warm
+        caches; every thread resolves the same constraints through the
+        process-global geometry table LRU.  All threads must observe
+        consistent tables (identity or bit-equal rebuilds) with no
+        exceptions, including the lazily-built Greiner-Hormann clip ring of
+        a concave exclusion (``ensure_gh_tables`` mutates the shared entry).
+        """
+        concave = Polygon(
+            [
+                Point2D(-500.0, -500.0),
+                Point2D(500.0, -500.0),
+                Point2D(500.0, 500.0),
+                Point2D(0.0, 0.0),
+                Point2D(-500.0, 500.0),
+            ]
+        )
+        constraints = [
+            positive(disk_at(b, 250.0, 350.0), label=f"pos{b}")
+            for b in (0.0, 90.0, 180.0, 270.0)
+        ] + [PlanarConstraint(None, concave, 1.0, "concave")]
+        config = SolverConfig()
+        reset_geometry_tables()
+
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(8)
+
+        def hammer(worker: int):
+            try:
+                barrier.wait(timeout=30)
+                rng = random.Random(worker)
+                for _ in range(200):
+                    constraint = rng.choice(constraints)
+                    geometry = geometry_for_constraint(constraint, config)
+                    assert geometry.inclusion is constraint.inclusion
+                    assert geometry.exclusion is constraint.exclusion
+                    if constraint.exclusion is concave:
+                        geometry.ensure_gh_tables()
+                        assert len(geometry.exc_gh_ccw) == len(concave)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(hammer, range(8)))
+        assert not errors, errors
+
+        # Every worker converged on the shared cached entries: one more
+        # lookup per constraint is a pure hit.
+        for constraint in constraints:
+            first = geometry_for_constraint(constraint, config)
+            again = geometry_for_constraint(constraint, config)
+            assert first is again
+
+    def test_thread_fanout_matches_serial(self):
+        """Fused chunks across threads: identical estimates, shared caches."""
+        from repro import BatchLocalizer, Octant, OctantConfig, collect_dataset
+        from repro.network.planetlab import small_deployment
+
+        dataset = collect_dataset(small_deployment(host_count=8, seed=5))
+        targets = dataset.host_ids[:6]
+        config = OctantConfig(solver=SolverConfig(engine="fused", fuse_width=2))
+        serial = BatchLocalizer(Octant(dataset, config)).localize_all(targets)
+        threaded = BatchLocalizer(
+            Octant(dataset, config), max_workers=4, executor_kind="thread"
+        ).localize_all(targets)
+        for target in targets:
+            a, b = serial[target], threaded[target]
+            assert (a.point.lat, a.point.lon) == (b.point.lat, b.point.lon)
+            assert a.constraints_used == b.constraints_used
+            assert a.region.area_km2() == b.region.area_km2()

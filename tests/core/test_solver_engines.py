@@ -343,14 +343,17 @@ class TestPieceBuffer:
 # --------------------------------------------------------------------------- #
 class TestUniversePolygon:
     def test_matches_legacy_method(self):
+        """The universe is the union of constraint extents plus the margin."""
         constraints = [
             positive(disk_at(0, 0, 300.0)),
             negative(disk_at(90.0, 500.0, 200.0)),
         ]
-        solver = WeightedRegionSolver()
-        hoisted = universe_polygon(constraints, solver.config.universe_margin_km)
-        legacy = solver._universe_polygon(constraints)
-        assert hoisted.coords == legacy.coords
+        margin = WeightedRegionSolver().config.universe_margin_km
+        hoisted = universe_polygon(constraints, margin)
+        box = constraints[0].inclusion.bounding_box().union(
+            constraints[1].exclusion.bounding_box()
+        )
+        assert hoisted.coords == Polygon.rectangle(box.expanded(margin)).coords
 
     def test_no_geometry_returns_none(self):
         assert universe_polygon([], 500.0) is None
