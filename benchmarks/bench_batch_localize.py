@@ -4,14 +4,13 @@ The paper's evaluation is leave-one-out, so the single-target API pays a full
 ``prepare()`` -- height estimation, per-landmark calibration, router
 localization -- for *every* target (each target sees a different landmark
 set; the LRU never hits).  The batch engine computes full-cohort shared state
-once, derives each target's leave-one-out view by masking, and optionally
-fans targets out across workers.
+once, derives each target's leave-one-out view by masking, and solves the
+cohort in chunks.
 
 This benchmark records both paths' throughput over the shared deployment and
 pins the contract that matters: the batch estimates are **identical** to the
 sequential ones.  Sizing is controlled by the usual environment knobs
-(``OCTANT_BENCH_HOSTS=30`` reproduces the tracked 30-host cohort;
-``OCTANT_BENCH_WORKERS`` sets the fan-out, default ``auto``).
+(``OCTANT_BENCH_HOSTS=30`` reproduces the tracked 30-host cohort).
 """
 
 from __future__ import annotations
@@ -33,7 +32,10 @@ from repro.core.config import SolverConfig
 #: the active kernel backend, tracking the compiled nogil clip core.
 #: v4: ``fused_worker_scaling`` drops the backend name and JIT flag (the
 #: row kernels run on NumPy only).
-SCHEMA_VERSION = 4
+#: v5: worker fan-out is gone from the batch engine: ``batch_localize``
+#: drops ``workers``, ``batch_parallel_ms_per_target`` and
+#: ``speedup_parallel``, and the ``fused_worker_scaling`` section is removed.
+SCHEMA_VERSION = 5
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -75,17 +77,14 @@ def _engine_signature(estimate):
 @pytest.mark.benchmark(group="batch-localize")
 def test_batch_localize_throughput(dataset, target_ids):
     config = OctantConfig()
-    workers = os.environ.get("OCTANT_BENCH_WORKERS", "auto")
-    if workers not in ("auto",):
-        workers = int(workers)
     fused_config = OctantConfig(solver=SolverConfig(engine="fused"))
 
     # Interleaved minimum-of-2 per path (fresh engines each repetition, so
     # every measurement pays the same cold caches): single-core scheduling
     # noise hits whichever path is running, and the interleaving keeps it
     # from biasing one path's tracked number.
-    t_sequential = t_batch_serial = t_batch_parallel = t_batch_fused = float("inf")
-    sequential = batch_serial = batch_parallel = batch_fused = None
+    t_sequential = t_batch_serial = t_batch_fused = float("inf")
+    sequential = batch_serial = batch_fused = None
     fused_stats = None
     for _repetition in range(2):
         # -- single-target path: one localize() per target, prepare thrash - #
@@ -102,15 +101,6 @@ def test_batch_localize_throughput(dataset, target_ids):
         t_batch_serial = min(t_batch_serial, time.perf_counter() - started)
         batch_serial = batch_serial or result
 
-        # -- batch path with worker fan-out -------------------------------- #
-        batch_workers_engine = BatchLocalizer(
-            Octant(dataset, config), max_workers=workers
-        )
-        started = time.perf_counter()
-        result = batch_workers_engine.localize_all(target_ids)
-        t_batch_parallel = min(t_batch_parallel, time.perf_counter() - started)
-        batch_parallel = batch_parallel or result
-
         # -- batch path through the fused cohort engine -------------------- #
         batch_fused_engine = BatchLocalizer(Octant(dataset, fused_config))
         started = time.perf_counter()
@@ -123,9 +113,6 @@ def test_batch_localize_throughput(dataset, target_ids):
 
     per_target = len(target_ids) or 1
     speedup_serial = t_sequential / t_batch_serial if t_batch_serial else float("inf")
-    speedup_parallel = (
-        t_sequential / t_batch_parallel if t_batch_parallel else float("inf")
-    )
 
     print()
     print("=" * 72)
@@ -142,11 +129,6 @@ def test_batch_localize_throughput(dataset, target_ids):
         f"  batch, serial derive          : {t_batch_serial:7.2f}s "
         f"({t_batch_serial / per_target * 1000:6.0f} ms/target)  "
         f"speedup {speedup_serial:4.2f}x"
-    )
-    print(
-        f"  batch, workers={workers!s:<6}        : {t_batch_parallel:7.2f}s "
-        f"({t_batch_parallel / per_target * 1000:6.0f} ms/target)  "
-        f"speedup {speedup_parallel:4.2f}x"
     )
     speedup_fused = t_sequential / t_batch_fused if t_batch_fused else float("inf")
     print(
@@ -177,7 +159,6 @@ def test_batch_localize_throughput(dataset, target_ids):
     for target in target_ids:
         want = _estimate_signature(sequential[target])
         assert _estimate_signature(batch_serial[target]) == want
-        assert _estimate_signature(batch_parallel[target]) == want
         assert _estimate_signature(batch_fused[target]) == want
 
     _merge_json(
@@ -185,15 +166,10 @@ def test_batch_localize_throughput(dataset, target_ids):
         {
             "hosts": len(dataset.hosts),
             "targets": per_target,
-            "workers": str(workers),
             "sequential_ms_per_target": round(t_sequential / per_target * 1000, 3),
             "batch_serial_ms_per_target": round(t_batch_serial / per_target * 1000, 3),
-            "batch_parallel_ms_per_target": round(
-                t_batch_parallel / per_target * 1000, 3
-            ),
             "batch_fused_ms_per_target": round(t_batch_fused / per_target * 1000, 3),
             "speedup_serial": round(speedup_serial, 3),
-            "speedup_parallel": round(speedup_parallel, 3),
             "speedup_fused": round(speedup_fused, 3),
             "stage_ms_per_target": stage_ms_per_target,
         },
@@ -201,98 +177,11 @@ def test_batch_localize_throughput(dataset, target_ids):
 
     # Throughput guard: the batch engine must never be meaningfully slower
     # than the thrashing single-target loop (it shares the solver; the win
-    # is the amortized preparation plus worker scaling on multi-core hosts).
-    # Only enforced at a size where per-target work dwarfs executor startup;
-    # at CI smoke sizes the ratios are noise and only the identity contract
-    # above is meaningful.
+    # is the amortized, cohort-batched preparation).  Only enforced at a
+    # size where per-target work dwarfs fixed setup; at CI smoke sizes the
+    # ratio is noise and only the identity contract above is meaningful.
     if len(target_ids) >= 20:
         assert speedup_serial > 0.85
-        assert speedup_parallel > 0.85
-
-
-@pytest.mark.benchmark(group="batch-localize")
-def test_fused_worker_scaling(dataset, target_ids):
-    """Thread fan-out of fused chunks: ms/target and parallel efficiency.
-
-    Every batched clip pass executes under the GIL -- NumPy releases it only
-    inside individual ufunc calls, and the kernel's time is dominated by the
-    Python dispatch glue *between* those calls -- so fanning fused chunks
-    across threads buys little (1.04x at 2 workers when first measured).
-    The section records ms/target at 1/2/4 workers plus parallel efficiency
-    (speedup / workers) so a change to that picture shows up; there is no
-    scaling floor.
-
-    Identity is asserted across every worker count: fan-out must never
-    change an estimate.
-    """
-    worker_counts = (1, 2, 4)
-    # Cut the cohort into four chunks regardless of size so 2 and 4 workers
-    # both have enough parallel slack (the default fuse_width=16 would leave
-    # a 20-target smoke cohort with just two lopsided chunks).
-    width = max(1, (len(target_ids) + 3) // 4)
-    config = OctantConfig(solver=SolverConfig(engine="fused", fuse_width=width))
-
-    # Warm the process-wide caches outside the timed region, so they do not
-    # land entirely on the workers=1 baseline.
-    BatchLocalizer(Octant(dataset, config)).localize_all(
-        target_ids[: min(4, len(target_ids))]
-    )
-
-    timings: dict[int, float] = {w: float("inf") for w in worker_counts}
-    results: dict[int, dict] = {}
-    for _repetition in range(2):
-        for workers in worker_counts:
-            engine = BatchLocalizer(
-                Octant(dataset, config),
-                max_workers=workers,
-                executor_kind="thread",
-            )
-            started = time.perf_counter()
-            out = engine.localize_all(target_ids)
-            timings[workers] = min(timings[workers], time.perf_counter() - started)
-            results.setdefault(workers, out)
-
-    for target in target_ids:
-        want = _estimate_signature(results[worker_counts[0]][target])
-        for workers in worker_counts[1:]:
-            assert _estimate_signature(results[workers][target]) == want, target
-
-    per_target = len(target_ids) or 1
-    base = timings[worker_counts[0]]
-    scaling = {
-        str(workers): {
-            "ms_per_target": round(timings[workers] / per_target * 1000, 3),
-            "speedup": round(base / timings[workers], 3) if timings[workers] else None,
-            "efficiency": round(base / (timings[workers] * workers), 3)
-            if timings[workers]
-            else None,
-        }
-        for workers in worker_counts
-    }
-
-    print()
-    print("=" * 72)
-    print(
-        f"Fused chunk thread scaling -- {len(dataset.hosts)} hosts, "
-        f"{per_target} targets, fuse_width={width}"
-    )
-    print("=" * 72)
-    for workers in worker_counts:
-        row = scaling[str(workers)]
-        print(
-            f"  workers={workers}: {row['ms_per_target']:7.1f} ms/target  "
-            f"speedup {row['speedup']:4.2f}x  efficiency {row['efficiency']:4.2f}"
-        )
-
-    _merge_json(
-        "fused_worker_scaling",
-        {
-            "hosts": len(dataset.hosts),
-            "targets": per_target,
-            "fuse_width": width,
-            "workers": scaling,
-        },
-    )
 
 
 @pytest.mark.benchmark(group="batch-localize")

@@ -8,9 +8,8 @@ The deployment size defaults to 20 hosts so the whole benchmark suite runs in
 a few minutes; set ``OCTANT_BENCH_HOSTS=51`` to reproduce the paper's full
 51-node study (the numbers reported in EXPERIMENTS.md were produced that way),
 and ``OCTANT_BENCH_TARGETS`` to bound how many targets the heavier benchmarks
-localize.  ``OCTANT_BENCH_WORKERS`` (default ``auto``) sets the batch
-engine's worker fan-out in ``bench_batch_localize.py``; the tracked
-batch-vs-sequential speedup figure is measured at ``OCTANT_BENCH_HOSTS=30``.
+localize.  The tracked batch-vs-sequential speedup figure in
+``bench_batch_localize.py`` is measured at ``OCTANT_BENCH_HOSTS=30``.
 """
 
 from __future__ import annotations

@@ -27,10 +27,13 @@ changes between targets:
    **identical** to ``Octant.localize(target)`` -- a property pinned by
    ``tests/core/test_batch.py``.
 
-3. **Parallel fan-out.**  Independent targets are dispatched across a
-   ``concurrent.futures`` executor (threads, or forked processes where
-   available) and merged back in input order, so results are deterministic
-   regardless of completion order.
+3. **One serial cohort path.**  :meth:`BatchLocalizer.localize_all` runs
+   one whole-cohort batched preparation, then solves the cohort in chunks of
+   ``SolverConfig.fuse_width`` targets and merges them in input order, for
+   every solver engine.  There is no worker fan-out: thread and fork-pool
+   fan-out never beat this serial path on the NumPy kernels (see
+   ``DESIGN_BATCH.md``).  Concurrency lives in the serving tier, which
+   drives one shared localizer from its executor threads.
 
 Per-target failures (a target with fewer than 3 reachable landmarks, a host
 without ground truth) are recorded as failed estimates -- ``point=None`` with
@@ -39,10 +42,8 @@ the reason under ``details["error"]`` -- instead of aborting the whole study.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -158,8 +159,7 @@ class BatchSharedState:
     #: Geodesic circle boundaries keyed ``(lat, lon, radius_km, segments)``:
     #: projection-independent, so one cohort-wide cache serves every target
     #: (each re-projects the cached arrays in one vectorized operation).
-    #: Shared with the wrapped Octant so both engines warm the same entries;
-    #: process-pool workers inherit whatever was cached before the fork.
+    #: Shared with the wrapped Octant so both engines warm the same entries.
     #: Because the planar polygons it hands out are identity-stable, the
     #: kernel's cross-solve constraint-geometry tables
     #: (``repro.geometry.kernel``) stay warm across every solve that shares
@@ -173,30 +173,6 @@ class BatchSharedState:
     dataset_version: int = 0
 
 
-# --------------------------------------------------------------------------- #
-# Process-pool plumbing: the localizer is shipped to each worker once (via
-# the initializer) instead of being pickled with every submitted task.
-# --------------------------------------------------------------------------- #
-_WORKER_LOCALIZER: "BatchLocalizer | None" = None
-
-
-def _init_worker(localizer: "BatchLocalizer") -> None:
-    global _WORKER_LOCALIZER
-    _WORKER_LOCALIZER = localizer
-
-
-def _worker_localize(target_id: str, landmark_pool: tuple[str, ...] | None) -> LocationEstimate:
-    assert _WORKER_LOCALIZER is not None
-    return _WORKER_LOCALIZER.localize_one(target_id, landmark_pool)
-
-
-def _worker_solve_chunk(
-    target_ids: tuple[str, ...], landmark_pool: tuple[str, ...] | None
-) -> dict[str, LocationEstimate]:
-    assert _WORKER_LOCALIZER is not None
-    return _WORKER_LOCALIZER.solve_many(target_ids, landmark_pool)
-
-
 class BatchLocalizer:
     """Leave-one-out localization of many targets with shared preparation.
 
@@ -205,11 +181,10 @@ class BatchLocalizer:
     replaced by the incremental derivation.  Results are identical to calling
     ``octant.localize(target)`` per target.
 
-    ``max_workers`` controls the fan-out: ``None`` or ``1`` runs inline (no
-    executor), ``0`` or ``"auto"`` uses the CPU count, any other integer is
-    used as given.  ``executor_kind`` selects ``"thread"`` or ``"process"``
-    workers; ``"auto"`` picks processes when fork is available (the work is
-    CPU-bound pure Python) and threads otherwise.
+    :meth:`localize_all` runs serially in the calling thread.  The
+    per-target entry points (:meth:`localize_one`, :meth:`solve_many`) are
+    thread-safe: the serving executor drives one shared localizer from many
+    threads, and locks guard the shared state and caches.
 
     ``prepared_cache_size`` (default 0: disabled) bounds an LRU of derived
     per-target :class:`PreparedLandmarks`, keyed by
@@ -225,8 +200,6 @@ class BatchLocalizer:
         source: Octant | MeasurementDataset,
         config: OctantConfig | None = None,
         parser: UndnsParser | None = None,
-        max_workers: int | str | None = None,
-        executor_kind: str = "auto",
         prepared_cache_size: int = 0,
     ):
         if isinstance(source, Octant):
@@ -236,14 +209,10 @@ class BatchLocalizer:
         self.dataset = self.octant.dataset
         self.config = self.octant.config
         self.parser = self.octant.parser
-        self.max_workers = max_workers
-        self.executor_kind = executor_kind
         self.prepared_cache_size = prepared_cache_size
         #: Optional fault-injection plan scoped to this localizer's work
-        #: (chaos testing of batch studies without touching global state).
-        #: Picklable, so it ships to process-pool workers with the rest of
-        #: the localizer; each worker re-rolls the same deterministic
-        #: schedule from the plan's seed.
+        #: (chaos testing of batch studies without touching global state);
+        #: draws are keyed by target, so the schedule is deterministic.
         self.fault_plan: FaultPlan | None = None
         self._shared: BatchSharedState | None = None
         self._shared_lock = threading.Lock()
@@ -873,174 +842,41 @@ class BatchLocalizer:
     ) -> dict[str, LocationEstimate]:
         """Leave-one-out localization of every host (or the given targets).
 
-        Fan-out across workers when configured; the merge is ordered by the
-        input target list, so results are deterministic regardless of worker
-        scheduling.  Under ``engine="fused"`` the cohort is cut into chunks
-        of ``SolverConfig.fuse_width`` targets, each chunk solved in one
-        fused kernel run (:meth:`solve_many`); the chunks -- not individual
-        targets -- fan out across the executor.
+        One whole-cohort :meth:`prepare_many` pass derives every target's
+        leave-one-out state (the batched stage estimators pool across the
+        cohort at once); the cohort is then cut into chunks of
+        ``SolverConfig.fuse_width`` targets, each solved by one
+        :meth:`solve_many` call over the prepared state.  The merge is
+        ordered by the input target list, and every engine takes this path:
+        the estimates are identical to :meth:`localize_one` per target.
         """
         targets = list(target_ids) if target_ids is not None else self.dataset.host_ids
         pool = tuple(landmark_pool) if landmark_pool is not None else None
-        workers = self._resolve_workers(len(targets))
-        solver_config = self.config.solver
-        fused = (
-            solver_config.engine == "fused" and not solver_config.exact_complements
-        )
-        if fused:
-            width = max(1, solver_config.fuse_width)
-            chunks = [
-                tuple(targets[i : i + width]) for i in range(0, len(targets), width)
-            ]
-            if workers <= 1 or len(chunks) == 1:
-                # One whole-cohort preparation pass: the batched stage
-                # estimators pool across every target at once, and the
-                # per-chunk kernel runs below reuse the prepared state
-                # instead of re-deriving it fuse_width targets at a time.
-                unique_all = list(dict.fromkeys(targets))
-                prepared_all = self.prepare_many(unique_all, pool)
-                merged: dict[str, LocationEstimate] = {}
-                for chunk in chunks:
-                    merged.update(self.solve_many(chunk, pool, _prepared=prepared_all))
-                return {t: merged[t] for t in targets}
-            self.shared_state()
-            executor = self._make_executor(workers)
-            try:
-                if isinstance(executor, ThreadPoolExecutor):
-                    # Threads share memory: one whole-cohort preparation
-                    # pass feeds every chunk (the same pooling the serial
-                    # path does), and the chunk kernels run over the shared
-                    # warm caches.  Process pools re-derive per chunk
-                    # instead of shipping the prepared state through
-                    # pickling.
-                    unique_all = list(dict.fromkeys(targets))
-                    prepared_all = self.prepare_many(unique_all, pool)
-                    futures = [
-                        executor.submit(
-                            self.solve_many, chunk, pool, _prepared=prepared_all
-                        )
-                        for chunk in chunks
-                    ]
-                else:
-                    futures = [
-                        executor.submit(self._dispatch_chunk, chunk, pool)
-                        for chunk in chunks
-                    ]
-                merged = {}
-                for future in futures:
-                    merged.update(future.result())
-            finally:
-                executor.shutdown()
-            return {t: merged[t] for t in targets}
-
-        if workers <= 1:
-            return {t: self.localize_one(t, pool) for t in targets}
-
-        # Build the shared state before dispatch so every worker inherits it
-        # instead of redundantly recomputing the matrices.
-        self.shared_state()
-        executor = self._make_executor(workers)
-        try:
-            futures = [
-                executor.submit(self._dispatch, target, pool) for target in targets
-            ]
-            results = [future.result() for future in futures]
-        finally:
-            executor.shutdown()
-        return dict(zip(targets, results))
-
-    # ------------------------------------------------------------------ #
-    # Executor plumbing
-    # ------------------------------------------------------------------ #
-    def _resolve_workers(self, task_count: int) -> int:
-        workers = self.max_workers
-        if workers in (None, 1):
-            return 1
-        if workers in (0, "auto"):
-            workers = os.cpu_count() or 1
-        return max(1, min(int(workers), task_count))
-
-    def _make_executor(self, workers: int):
-        kind = self.executor_kind
-        if kind == "auto":
-            # The NumPy clip kernels hold the GIL through the Python-level
-            # pass dispatch (fused chunks on 2 threads measured 1.04x), so
-            # the fork-based pool is the default where available.
-            kind = "process" if hasattr(os, "fork") else "thread"
-        if kind == "process":
-            try:
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-
-                context = multiprocessing.get_context(
-                    "fork" if hasattr(os, "fork") else None
-                )
-                self._dispatch = _worker_localize_proxy
-                self._dispatch_chunk = _worker_solve_chunk_proxy
-                return ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=context,
-                    initializer=_init_worker,
-                    initargs=(self,),
-                )
-            except (ImportError, OSError, ValueError):
-                pass  # fall through to threads
-        self._dispatch = self.localize_one
-        self._dispatch_chunk = self.solve_many
-        return ThreadPoolExecutor(max_workers=workers)
-
-    # Default dispatch (inline/threads); replaced per-executor in _make_executor.
-    def _dispatch(self, target_id, landmark_pool):  # pragma: no cover - rebound
-        return self.localize_one(target_id, landmark_pool)
-
-    def _dispatch_chunk(self, target_ids, landmark_pool):  # pragma: no cover - rebound
-        return self.solve_many(target_ids, landmark_pool)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # Bound-method/dispatch state is executor-local, never shipped, and
-        # locks are not picklable (workers recreate their own).
-        state.pop("_dispatch", None)
-        state.pop("_dispatch_chunk", None)
-        state.pop("_shared_lock", None)
-        state.pop("_prepared_lock", None)
-        state.pop("_tables_lock", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._shared_lock = threading.Lock()
-        self._prepared_lock = threading.Lock()
-        self._tables_lock = threading.Lock()
-
-
-def _worker_localize_proxy(target_id: str, landmark_pool: tuple[str, ...] | None):
-    return _worker_localize(target_id, landmark_pool)
-
-
-def _worker_solve_chunk_proxy(
-    target_ids: tuple[str, ...], landmark_pool: tuple[str, ...] | None
-):
-    return _worker_solve_chunk(target_ids, landmark_pool)
+        unique = list(dict.fromkeys(targets))
+        width = max(1, self.config.solver.fuse_width)
+        merged: dict[str, LocationEstimate] = {}
+        with self._fault_scope():
+            prepared = self.prepare_many(unique, pool)
+            for start in range(0, len(unique), width):
+                chunk = unique[start : start + width]
+                merged.update(self.solve_many(chunk, pool, _prepared=prepared))
+        return {t: merged[t] for t in targets}
 
 
 def localize_many(
     localizer: object,
     target_ids: Sequence[str],
     method: str = "unknown",
-    max_workers: int | str | None = None,
 ) -> dict[str, LocationEstimate]:
     """Localize many targets with any method, capturing per-target failures.
 
     Octant localizers are routed through :class:`BatchLocalizer` (shared
-    preparation, optional ``max_workers`` fan-out); baseline methods fall
+    whole-cohort preparation); baseline methods fall
     back to a plain loop.  Either way a target that cannot be localized
     yields a failed estimate instead of aborting the study.
     """
     if isinstance(localizer, Octant):
-        return BatchLocalizer(localizer, max_workers=max_workers).localize_all(
-            target_ids
-        )
+        return BatchLocalizer(localizer).localize_all(target_ids)
     results: dict[str, LocationEstimate] = {}
     for target in target_ids:
         try:

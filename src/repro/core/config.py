@@ -64,11 +64,12 @@ class SolverConfig:
     #: ``exact_complements`` runs on the object path regardless, which is the
     #: only mode that needs general disjoint complements.
     engine: str = "vector"
-    #: Cohort width of the fused engine: the batch evaluation engine chunks
-    #: leave-one-out cohorts into fused solves of this many targets (chunks
-    #: fan out across executor workers), and the serving layer coalesces up
-    #: to this many queued requests into one fused solve per executor
-    #: dispatch.  Ignored by the other engines.
+    #: Cohort chunk width: the batch evaluation engine
+    #: (``BatchLocalizer.localize_all``) solves leave-one-out cohorts in
+    #: chunks of this many targets under every engine (one lockstep kernel
+    #: run per chunk under ``"fused"``, per-system solves otherwise), and
+    #: the fused serving layer coalesces up to this many queued requests
+    #: into one fused solve per executor dispatch.
     fuse_width: int = 16
     #: LRU capacity of the shared circle-geometry cache (applies to each of
     #: its layers: geodesic boundaries, and planar ``(projection, circle)``

@@ -460,14 +460,12 @@ class Octant:
     def localize_all(
         self,
         target_ids: Sequence[str] | None = None,
-        max_workers: int | str | None = None,
-        executor_kind: str = "auto",
     ) -> dict[str, LocationEstimate]:
         """Leave-one-out localization of every host (or the given targets).
 
         Runs through the batch engine: full-cohort shared state is computed
-        once, each target's leave-one-out view is derived incrementally, and
-        targets optionally fan out across workers (``max_workers``).  A
+        once, each target's leave-one-out view is derived in one batched
+        cohort pass, and the cohort is solved in chunks.  A
         target that cannot be localized (fewer than 3 reachable landmarks,
         missing ground truth) is recorded as a failed estimate --
         ``point=None`` with the reason under ``details["error"]`` -- instead
@@ -475,10 +473,7 @@ class Octant:
         """
         from .batch import BatchLocalizer  # deferred: batch imports this module
 
-        localizer = BatchLocalizer(
-            self, max_workers=max_workers, executor_kind=executor_kind
-        )
-        return localizer.localize_all(target_ids)
+        return BatchLocalizer(self).localize_all(target_ids)
 
     # ------------------------------------------------------------------ #
     # Helpers

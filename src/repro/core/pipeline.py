@@ -170,20 +170,12 @@ class ConstraintPipeline:
             planar_memo if planar_memo is not None else BoundedLRU(256)
         )
         self.stats = PipelineStats()
-        # Counter accumulation is read-modify-write; the batch engine's
-        # thread executor drives one shared pipeline from many threads
-        # concurrently, and unlocked ``+=`` would quietly lose updates.  Every stats mutation takes this lock; the
-        # stage caches themselves are lock-free by design (BoundedLRU
-        # tolerates races, CircleCache is content-addressed).
-        self._stats_lock = threading.Lock()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_stats_lock", None)  # locks are not picklable
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+        # Counter accumulation is read-modify-write; the serving executor
+        # (``LocalizationService``) drives one shared pipeline from many
+        # threads concurrently, and unlocked ``+=`` would quietly lose
+        # updates.  Every stats mutation takes this lock; the stage caches
+        # themselves are lock-free by design (BoundedLRU tolerates races,
+        # CircleCache is content-addressed).
         self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -497,6 +489,6 @@ class ConstraintPipeline:
         return region, diagnostics
 
     def count_runs(self, n: int) -> None:
-        """Thread-safe run-counter bump (batch chunk solves share one pipeline)."""
+        """Thread-safe run-counter bump (serving threads share one pipeline)."""
         with self._stats_lock:
             self.stats.runs += n

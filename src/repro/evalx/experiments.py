@@ -178,12 +178,11 @@ def run_accuracy_study(
     dataset: MeasurementDataset,
     method_factories: Mapping[str, MethodFactory] | None = None,
     target_ids: Sequence[str] | None = None,
-    max_workers: int | str | None = None,
 ) -> AccuracyStudy:
     """Leave-one-out localization of every target with every method.
 
     Octant methods run through the batch engine (shared full-cohort
-    preparation, optional ``max_workers`` fan-out); baseline methods run
+    preparation); baseline methods run
     target by target.  A target a method cannot localize is recorded as a
     failed result (infinite error, empty region) instead of aborting the
     study.
@@ -195,9 +194,7 @@ def run_accuracy_study(
     for method_name, factory in factories.items():
         localizer = factory(dataset)
         started = time.perf_counter()
-        estimates = localize_many(
-            localizer, targets, method=method_name, max_workers=max_workers
-        )
+        estimates = localize_many(localizer, targets, method=method_name)
         elapsed_each = (time.perf_counter() - started) / max(1, len(targets))
         for target in targets:
             estimate = estimates[target]

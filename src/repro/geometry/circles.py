@@ -104,8 +104,8 @@ class CircleCache:
     Because every entry is immutable and deterministic, a shared instance is
     safe under concurrent use (the :class:`~repro._lru.BoundedLRU` layers
     tolerate racing inserts/evicts; hit/miss counters may undercount under
-    races, which only affects reporting) and pickles into process-pool
-    workers with whatever it has accumulated.  ``capacity`` bounds each
+    races, which only affects reporting): the serving executor's threads
+    share one instance through the batch localizer.  ``capacity`` bounds each
     layer independently so an online service cannot leak geometry without
     bound (``SolverConfig.circle_cache_size`` is the usual source of the
     bound).

@@ -128,6 +128,10 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
+            raise ValueError(
+                f"coordinates must be finite: lat={self.lat!r}, lon={self.lon!r}"
+            )
         if not (-90.0 <= self.lat <= 90.0):
             raise ValueError(f"latitude out of range [-90, 90]: {self.lat!r}")
         if not (-180.0 <= self.lon <= 180.0):

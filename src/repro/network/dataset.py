@@ -148,19 +148,33 @@ class InvalidMeasurement(ValueError):
 def validate_measurements(
     pings: Iterable[PingResult] = (),
     router_pings: Mapping[tuple[str, str], float] | None = None,
+    traceroutes: Iterable[TracerouteResult] = (),
 ) -> None:
     """Reject a payload before any of it is applied.
 
-    Every RTT sample must be finite and non-negative, every ping must carry
-    at least one sample, and no host pings itself.  Raises
-    :class:`InvalidMeasurement` naming the first offending measurement.
+    Every RTT sample must be finite and non-negative, every ping and every
+    traceroute hop must carry at least one sample, and no host pings or
+    traceroutes itself.  Raises :class:`InvalidMeasurement` naming the
+    first offending measurement.
     """
     for ping in pings:
-        if ping.src == ping.dst or not ping.rtts_ms or not all(map(_valid_rtt, ping.rtts_ms)):
+        if ping.src == ping.dst or not _valid_samples(ping.rtts_ms):
             raise InvalidMeasurement(
                 f"ping {ping.src!r} -> {ping.dst!r} with samples {ping.rtts_ms!r}: "
                 "needs two distinct hosts and finite, non-negative RTT samples"
             )
+    for trace in traceroutes:
+        if trace.src == trace.dst:
+            raise InvalidMeasurement(
+                f"traceroute {trace.src!r} -> {trace.dst!r}: needs two distinct hosts"
+            )
+        for hop in trace.hops:
+            if not _valid_samples(hop.rtts_ms):
+                raise InvalidMeasurement(
+                    f"traceroute {trace.src!r} -> {trace.dst!r} hop "
+                    f"{hop.hop_number} ({hop.node_id!r}) with samples "
+                    f"{hop.rtts_ms!r}: needs finite, non-negative RTT samples"
+                )
     for (host_id, router_id), rtt in (router_pings or {}).items():
         if not _valid_rtt(rtt):
             raise InvalidMeasurement(
@@ -170,6 +184,10 @@ def validate_measurements(
 
 def _valid_rtt(rtt: float) -> bool:
     return math.isfinite(rtt) and rtt >= 0.0
+
+
+def _valid_samples(rtts_ms: tuple[float, ...]) -> bool:
+    return bool(rtts_ms) and all(map(_valid_rtt, rtts_ms))
 
 
 @dataclass(frozen=True)
@@ -206,11 +224,12 @@ class IngestRecord:
         whatever applies the record.
         """
         pings = tuple(pings)
-        validate_measurements(pings, router_pings)
+        traceroutes = tuple(traceroutes)
+        validate_measurements(pings, router_pings, traceroutes)
         return cls(
             hosts=tuple(hosts),
             pings=pings,
-            traceroutes=tuple(traceroutes),
+            traceroutes=traceroutes,
             routers=tuple(routers),
             router_pings=tuple(sorted((router_pings or {}).items())),
         )
@@ -703,7 +722,8 @@ class MeasurementDataset:
                 "cannot ingest into a snapshot; ingest on the live dataset"
             )
         ping_list = list(pings)
-        validate_measurements(ping_list, router_pings)
+        trace_list = list(traceroutes)
+        validate_measurements(ping_list, router_pings, trace_list)
         if self._cow_pending:
             # A snapshot shares the current containers: replace them with
             # shallow copies so the snapshot keeps its view (copy-on-write).
@@ -755,7 +775,7 @@ class MeasurementDataset:
             for key, old in old_pair_min.items()
             if self.min_rtt_ms(*key) != old
         }
-        for trace in traceroutes:
+        for trace in trace_list:
             self.traceroutes[(trace.src, trace.dst)] = trace
             touched.add(trace.src)
             touched.add(trace.dst)

@@ -278,7 +278,9 @@ class FaultPlan:
         return ";".join(parts)
 
     # Counters hold a lock, which does not pickle; the plan itself (specs +
-    # seed) ships to process-pool workers, each restarting its own counters.
+    # seed) ships to each cluster worker inside its spawn bootstrap
+    # (``repro.serving.worker.WorkerBootstrap``), and every worker restarts
+    # its own counters.
     def __getstate__(self):
         return {"specs": self.specs, "seed": self.seed}
 

@@ -24,7 +24,7 @@ three properties the offline path never needed:
 The localization work itself is CPU-bound pure Python, so the executor
 threads provide *concurrency* (the event loop stays responsive, requests
 overlap with ingests) rather than parallel speedup; scale-out across
-processes is the batch engine's process pool or sharding, not this service.
+processes is the sharded tier (``repro.serving.cluster``), not this service.
 
 **Resilience** (see ``DESIGN_RESILIENCE.md``).  Every request carries a
 :class:`~repro.resilience.deadline.Deadline` and a

@@ -6,6 +6,9 @@ coordinates, region area, selected weight, constraint counts) to the
 sequential ``Octant.localize`` path that re-runs ``prepare()`` from scratch.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import pytest
 
 from repro import BatchLocalizer, Octant, OctantConfig, collect_dataset, small_deployment
@@ -37,13 +40,22 @@ def dataset():
 
 class TestBatchSequentialEquality:
     def test_full_config_identical(self, dataset):
-        sequential = Octant(dataset, OctantConfig())
-        batch = BatchLocalizer(Octant(dataset, OctantConfig()))
-        results = batch.localize_all()
-        assert list(results) == dataset.host_ids
-        for target in dataset.host_ids:
-            expected = sequential.localize(target)
-            assert estimate_signature(results[target]) == estimate_signature(expected)
+        """Every engine's localize_all matches sequential Octant.localize.
+
+        The engines share one batch path (cohort prepare, chunked solve), so
+        each is compared against the from-scratch sequential reference.
+        """
+        base = OctantConfig()
+        for engine in ("vector", "fused", "object"):
+            config = replace(base, solver=replace(base.solver, engine=engine))
+            sequential = Octant(dataset, config)
+            results = BatchLocalizer(Octant(dataset, config)).localize_all()
+            assert list(results) == dataset.host_ids
+            for target in dataset.host_ids:
+                expected = sequential.localize(target)
+                assert estimate_signature(results[target]) == estimate_signature(
+                    expected
+                ), (engine, target)
 
     def test_latency_only_config_identical(self, dataset):
         config = OctantConfig.latency_only()
@@ -92,15 +104,20 @@ class TestBatchSequentialEquality:
             assert position == sequential.router_positions[rid]
 
     def test_workers_deterministic(self, dataset):
+        """Concurrent localize_one on one shared localizer matches serial.
+
+        Mirrors the serving executor: many threads drive one warm
+        ``BatchLocalizer`` (shared state, prepared cache, circle cache).
+        """
         serial = BatchLocalizer(Octant(dataset, OctantConfig())).localize_all()
-        threaded = BatchLocalizer(
-            Octant(dataset, OctantConfig()), max_workers=3, executor_kind="thread"
-        ).localize_all()
-        assert list(serial) == list(threaded)
-        for target in serial:
-            assert estimate_signature(serial[target]) == estimate_signature(
-                threaded[target]
-            )
+        shared = BatchLocalizer(
+            Octant(dataset, OctantConfig()), prepared_cache_size=64
+        )
+        targets = dataset.host_ids * 2  # repeats exercise the warm caches
+        with ThreadPoolExecutor(3) as pool:
+            threaded = list(pool.map(shared.localize_one, targets))
+        for target, estimate in zip(targets, threaded):
+            assert estimate_signature(estimate) == estimate_signature(serial[target])
 
 
 def _synthetic_dataset(pairs):

@@ -475,7 +475,7 @@ class TestWarmCacheThreadSafety:
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
+        with ThreadPoolExecutor(8) as pool:
             list(pool.map(hammer, range(8)))
         assert not errors, errors
 
@@ -487,7 +487,12 @@ class TestWarmCacheThreadSafety:
             assert first is again
 
     def test_thread_fanout_matches_serial(self):
-        """Fused chunks across threads: identical estimates, shared caches."""
+        """Fused chunks solved concurrently on one shared localizer.
+
+        The serving executor's shape: several threads run fused
+        ``solve_many`` chunks over one warm ``BatchLocalizer`` and its
+        shared caches; every estimate equals serial ``localize_all``.
+        """
         from repro import BatchLocalizer, Octant, OctantConfig, collect_dataset
         from repro.network.planetlab import small_deployment
 
@@ -495,9 +500,13 @@ class TestWarmCacheThreadSafety:
         targets = dataset.host_ids[:6]
         config = OctantConfig(solver=SolverConfig(engine="fused", fuse_width=2))
         serial = BatchLocalizer(Octant(dataset, config)).localize_all(targets)
-        threaded = BatchLocalizer(
-            Octant(dataset, config), max_workers=4, executor_kind="thread"
-        ).localize_all(targets)
+        shared = BatchLocalizer(Octant(dataset, config))
+        chunks = [targets[i : i + 2] for i in range(0, len(targets), 2)]
+        threaded: dict = {}
+        with ThreadPoolExecutor(4) as pool:
+            for result in pool.map(shared.solve_many, chunks):
+                threaded.update(result)
+        assert list(threaded) == targets
         for target in targets:
             a, b = serial[target], threaded[target]
             assert (a.point.lat, a.point.lon) == (b.point.lat, b.point.lon)

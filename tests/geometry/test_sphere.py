@@ -77,6 +77,21 @@ class TestGeoPoint:
         with pytest.raises(ValueError):
             GeoPoint(91.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "lat, lon",
+        [
+            (math.nan, 0.0),
+            (10.0, math.nan),
+            (10.0, math.inf),
+            (10.0, -math.inf),
+            (math.inf, 0.0),
+        ],
+    )
+    def test_rejects_non_finite_coordinates(self, lat, lon):
+        with pytest.raises(ValueError, match="must be finite") as excinfo:
+            GeoPoint(lat, lon)
+        assert f"lat={lat!r}, lon={lon!r}" in str(excinfo.value)
+
     def test_normalizes_out_of_range_longitude(self):
         p = GeoPoint(0.0, 200.0)
         assert p.lon == pytest.approx(-160.0)
