@@ -73,15 +73,9 @@ def test_single_target_solution_time(benchmark, dataset):
     estimate = benchmark(lambda: octant.localize(target))
 
     # Tracked figures: an explicit minimum-of-5 localize loop (robust to
-    # scheduler noise, matching the cohort benchmark's min-of-N discipline).
-    # The first call after dropping the cross-solve geometry tables is the
-    # cold figure; the minimum is warm -- the serving-relevant number, with
-    # the constraint-geometry tables and planar memo hit.
-    from repro.geometry.kernel import reset_geometry_tables
-
-    reset_geometry_tables()
+    # scheduler noise, matching the cohort benchmark's min-of-N discipline),
+    # with the planar memo warm -- the serving-relevant number.
     runs = [octant.localize(target) for _ in range(5)]
-    cold_solver_s = float(runs[0].details.get("solver_seconds", 0.0))
     solver_seconds = min(
         float(run.details.get("solver_seconds", 0.0)) for run in runs
     )
@@ -99,7 +93,7 @@ def test_single_target_solution_time(benchmark, dataset):
     print(f"  constraints used: {estimate.constraints_used}")
     print(f"  region area     : {estimate.region_area_square_miles():.0f} sq mi")
     print(f"  localize time   : {per_target_s:.3f} s ({targets_per_sec:.1f} targets/sec)")
-    print(f"  solver time     : {solver_seconds:.3f} s (cold {cold_solver_s:.3f} s)")
+    print(f"  solver time     : {solver_seconds:.3f} s")
 
     _merge_json(
         "single_target",
@@ -109,7 +103,6 @@ def test_single_target_solution_time(benchmark, dataset):
             "constraints_used": estimate.constraints_used,
             "per_target_localize_s": round(per_target_s, 6),
             "per_target_solver_s": round(solver_seconds, 6),
-            "per_target_solver_cold_s": round(cold_solver_s, 6),
             "targets_per_sec": round(targets_per_sec, 3),
             "kernel": estimate.details.get("kernel"),
         },
@@ -285,7 +278,6 @@ def test_gh_exclusion_speedup(dataset, target_ids):
         PieceBuffer,
         VectorSolverKernel,
         geometry_for_constraint,
-        reset_geometry_tables,
         subtract_cautious,
     )
     from repro.network.geodata import (
@@ -367,7 +359,7 @@ def test_gh_exclusion_speedup(dataset, target_ids):
             buffer = PieceBuffer.from_polygons([(polygon, 0.0) for polygon in polygons])
             kernel = VectorSolverKernel(solver_config, SolverDiagnostics())
             for ring in rings:
-                geometry = geometry_for_constraint(ring, solver_config)
+                geometry = geometry_for_constraint(ring)
                 parts = [[part] for part in buffer.parts()]
                 out.append(kernel._exclusion_step(parts, geometry, buffer))
         return out
@@ -380,7 +372,6 @@ def test_gh_exclusion_speedup(dataset, target_ids):
             out.append((solver.solve(planar, projection), solver.diagnostics))
         return out
 
-    reset_geometry_tables()
     runs = {
         "exclude_batched": exclude_batched,
         "exclude_object": exclude_object,

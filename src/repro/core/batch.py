@@ -17,23 +17,26 @@ changes between targets:
    router positions (which depend only on DNS records, never on the landmark
    set) and the router observation index.
 
-2. **Incremental per-target derivation.**  Each target's leave-one-out
+2. **Cohort derivation.**  Each target's leave-one-out
    :class:`PreparedLandmarks` is derived by *masking* the held-out host's
    samples out of the shared state and re-running only the mask-sensitive
    estimators (the height fix-point, pseudo-target heights, convex-hull
-   calibration, latency-only router positions), feeding them the precomputed
-   matrices.  The estimators are the same functions the sequential path
-   calls, applied to bit-identical inputs, so every derived estimate is
+   calibration, latency-only router positions) once over the whole cohort
+   (:meth:`BatchLocalizer.prepare_many`).  Every batched estimator is
+   bit-identical to its scalar reference, so every derived estimate is
    **identical** to ``Octant.localize(target)`` -- a property pinned by
    ``tests/core/test_batch.py``.
 
-3. **One serial cohort path.**  :meth:`BatchLocalizer.localize_all` runs
-   one whole-cohort batched preparation, then solves the cohort in chunks of
-   ``SolverConfig.fuse_width`` targets and merges them in input order, for
-   every solver engine.  There is no worker fan-out: thread and fork-pool
-   fan-out never beat this serial path on the NumPy kernels (see
-   ``DESIGN_BATCH.md``).  Concurrency lives in the serving tier, which
-   drives one shared localizer from its executor threads.
+3. **One solve path.**  :meth:`BatchLocalizer.solve_many` is the only body
+   that turns prepared state into estimates.  A single request
+   (:meth:`BatchLocalizer.localize_one`) is a cohort of one through it, and
+   :meth:`BatchLocalizer.localize_all` runs one whole-cohort preparation,
+   then solves the cohort in chunks of ``SolverConfig.fuse_width`` targets
+   and merges them in input order, for every solver engine.  There is no
+   worker fan-out: thread and fork-pool fan-out never beat this serial path
+   on the NumPy kernels (see ``DESIGN_BATCH.md``).  Concurrency lives in the
+   serving tier, which drives one shared localizer from its executor
+   threads.
 
 Per-target failures (a target with fewer than 3 reachable landmarks, a host
 without ground truth) are recorded as failed estimates -- ``point=None`` with
@@ -55,25 +58,11 @@ from ..network.dns import UndnsParser
 from ..resilience.deadline import checkpoint, resilience_scope
 from ..resilience.errors import classify_error
 from ..resilience.faults import FaultPlan
-from .calibration import (
-    CalibrationSet,
-    build_calibration_set,
-    build_calibration_sets_many,
-)
+from .calibration import CalibrationSet, build_calibration_sets_many
 from .config import OctantConfig
 from .estimate import LocationEstimate
-from .heights import (
-    HeightModel,
-    TargetHeightTables,
-    estimate_landmark_heights,
-    estimate_landmark_heights_many,
-)
-from .octant import (
-    Octant,
-    PreparedLandmarks,
-    pseudo_target_heights,
-    pseudo_target_heights_tabled,
-)
+from .heights import HeightModel, TargetHeightTables, estimate_landmark_heights_many
+from .octant import Octant, PreparedLandmarks, pseudo_target_heights_tabled
 from .piecewise import (
     RouterLocalizer,
     RouterPosition,
@@ -160,11 +149,6 @@ class BatchSharedState:
     #: projection-independent, so one cohort-wide cache serves every target
     #: (each re-projects the cached arrays in one vectorized operation).
     #: Shared with the wrapped Octant so both engines warm the same entries.
-    #: Because the planar polygons it hands out are identity-stable, the
-    #: kernel's cross-solve constraint-geometry tables
-    #: (``repro.geometry.kernel``) stay warm across every solve that shares
-    #: this state -- including across snapshot rebuilds, whose unchanged
-    #: constraints re-realize the very same polygon objects.
     circle_cache: CircleCache = field(default_factory=CircleCache)
     #: The :attr:`MeasurementDataset.version` this state was built from;
     #: :meth:`BatchLocalizer.shared_state` rebuilds when the live dataset
@@ -178,7 +162,9 @@ class BatchLocalizer:
 
     Wraps (or builds) an :class:`Octant` and reuses its constraint
     construction and solver end to end; only the per-target preparation is
-    replaced by the incremental derivation.  Results are identical to calling
+    replaced by the cohort derivation (:meth:`prepare_many`).  Every entry
+    point solves through one body, :meth:`solve_many`'s: a single request is
+    a cohort of one.  Results are identical to calling
     ``octant.localize(target)`` per target.
 
     :meth:`localize_all` runs serially in the calling thread.  The
@@ -274,114 +260,18 @@ class BatchLocalizer:
     def prepare_for_target(
         self, target_id: str, landmark_pool: Sequence[str] | None = None
     ) -> PreparedLandmarks:
-        """Derive the target's leave-one-out state by masking shared state.
+        """One target's leave-one-out state: :meth:`prepare_many` of one.
 
         ``landmark_pool`` restricts the landmark population (the Figure 4
         sweep); by default every other host is a landmark, the paper's
         leave-one-out methodology.  Raises :class:`ValueError` when fewer
-        than 3 landmarks remain.  With ``prepared_cache_size`` enabled,
-        repeated requests for the same target at the same dataset version
-        return the cached derivation (bit-identical: the derivation is a
-        pure function of the masked shared state).
+        than 3 landmarks remain and :class:`KeyError` for a landmark
+        without ground truth.
         """
-        checkpoint("prepare", target_id)
-        if self.prepared_cache_size <= 0:
-            return self._derive_prepared(target_id, landmark_pool)
-        key = (
-            self.dataset.version,
-            target_id,
-            # Sorted, like the derivation itself: permuted pools are the
-            # same landmark set and must share one cache entry.
-            tuple(sorted(landmark_pool)) if landmark_pool is not None else None,
-        )
-        with self._prepared_lock:
-            cached = self._prepared_cache.get(key)
-            if cached is not None:
-                self.prepared_hits += 1
-                return cached
-            self.prepared_misses += 1
-        prepared = self._derive_prepared(target_id, landmark_pool)
-        with self._prepared_lock:
-            self._prepared_cache.put(key, prepared)
-        return prepared
-
-    def _derive_prepared(
-        self, target_id: str, landmark_pool: Sequence[str] | None = None
-    ) -> PreparedLandmarks:
-        shared = self.shared_state()
-        dataset = self.dataset
-        pool = sorted(landmark_pool) if landmark_pool is not None else dataset.host_ids
-        key = tuple(lid for lid in pool if lid != target_id)
-        if len(key) < 3:
-            raise ValueError("localization needs at least 3 landmarks")
-
-        located = shared.locations
-        try:
-            locations = {lid: located[lid] for lid in key}
-        except KeyError as exc:
-            raise KeyError(f"no ground-truth location recorded for {exc.args[0]!r}")
-
-        if landmark_pool is None:
-            # Leave-one-out over the full cohort: pairs among the landmarks
-            # are the total measured pairs minus the held-out host's degree.
-            pair_count = len(shared.rtt_matrix) - shared.pair_degree.get(target_id, 0)
-        else:
-            members = set(key)
-            pair_count = sum(
-                1 for (a, b) in shared.rtt_matrix if a in members and b in members
-            )
-
-        heights: HeightModel | None = None
-        if self.config.use_heights and pair_count >= len(key):
-            # The full matrix plus the masked location map is the exclusion
-            # mask: pairs touching the held-out host are filtered inside the
-            # estimator (see heights._pairwise_excess_table).
-            heights = estimate_landmark_heights(
-                locations,
-                shared.rtt_matrix,
-                distance_km=dataset.cached_distance_km,
-            )
-
-        calibrations = CalibrationSet()
-        if self.config.use_calibration:
-            pseudo: dict[str, float] = {}
-            if heights is not None:
-                pseudo = pseudo_target_heights(
-                    key, locations, heights, dataset.cached_min_rtt_ms
-                )
-            calibrations = build_calibration_set(
-                key,
-                locations,
-                dataset.cached_min_rtt_ms,
-                heights=heights,
-                pseudo_heights=pseudo,
-                distance_km=dataset.cached_distance_km,
-                cutoff_percentile=self.config.calibration_cutoff_percentile,
-                sentinel_ms=self.config.calibration_sentinel_ms,
-                slack=self.config.calibration_slack,
-            )
-
-        router_positions: dict[str, RouterPosition] = {}
-        if self.config.use_piecewise:
-            localizer = RouterLocalizer(
-                dataset,
-                self.config,
-                calibrations,
-                heights,
-                self.parser,
-                dns_cache=shared.dns_cache,
-                router_observations=shared.router_observations,
-                circle_cache=shared.circle_cache,
-            )
-            router_positions = localizer.localize_routers(list(key))
-
-        return PreparedLandmarks(
-            landmark_ids=key,
-            locations=locations,
-            heights=heights,
-            calibrations=calibrations,
-            router_positions=router_positions,
-        )
+        outcome = self.prepare_many([target_id], landmark_pool)[target_id]
+        if isinstance(outcome, _PrepareFailure):
+            raise outcome.error
+        return outcome
 
     def _height_tables(
         self, shared: BatchSharedState, pool: Sequence[str]
@@ -490,22 +380,21 @@ class BatchLocalizer:
     ) -> dict[str, "PreparedLandmarks | _PrepareFailure"]:
         """Derive many targets' leave-one-out state through batched stages.
 
-        The cohort-axis counterpart of :meth:`prepare_for_target`: each
-        mask-sensitive estimator runs once over the whole cohort -- masked
-        tensor reductions for the height fix-point
+        Each mask-sensitive estimator runs once over the whole cohort --
+        masked tensor reductions for the height fix-point
         (:func:`estimate_landmark_heights_many`), table-driven pseudo-target
         heights, pooled calibration gathers
         (:func:`build_calibration_sets_many`) and cohort-pooled router disk
         realization (:func:`localize_routers_many`) -- instead of once per
         target.  Every batched stage is bit-identical to its scalar
         reference, so each returned :class:`PreparedLandmarks` equals what
-        :meth:`prepare_for_target` would derive; stage wall times are
-        recorded on the pipeline's :class:`PipelineStats`.
+        :meth:`Octant.prepare` computes for the same landmark set; stage
+        wall times are recorded on the pipeline's :class:`PipelineStats`.
 
-        A target the scalar path would fail with :class:`ValueError` /
-        :class:`KeyError` is returned as a :class:`_PrepareFailure` carrying
-        that exception plus the target's share of the pooled stage time it
-        consumed before failing.
+        A target :meth:`Octant.prepare` would fail with
+        :class:`ValueError` / :class:`KeyError` is returned as a
+        :class:`_PrepareFailure` carrying that exception plus the target's
+        share of the pooled stage time it consumed before failing.
         """
         for target in dict.fromkeys(target_ids):
             checkpoint("prepare", target)
@@ -723,20 +612,18 @@ class BatchLocalizer:
         landmark_pool: Sequence[str] | None = None,
         engine: str | None = None,
     ) -> LocationEstimate:
-        """Localize one target via the incremental derivation, capturing failure.
+        """Localize one target: a cohort of one through :meth:`solve_many`.
 
-        Only the preparation step is failure-captured (too few reachable
-        landmarks, missing ground truth); an exception from the localization
-        itself would be an internal invariant violation and must surface, not
-        be recorded as an ordinary per-target failure.  ``engine`` overrides
-        the configured solver engine for this call (degradation ladder).
+        The estimate, failures included, is the one ``solve_many([target_id])``
+        returns.  ``engine`` overrides the configured solver engine for this
+        call (degradation ladder).
         """
         with self._fault_scope():
-            try:
-                prepared = self.prepare_for_target(target_id, landmark_pool)
-            except (ValueError, KeyError) as exc:
-                return failed_estimate(target_id, "octant", exc)
-            return self.octant.localize(target_id, prepared=prepared, engine=engine)
+            # The inner body, not the public method: a tracer that wraps
+            # both entry points must record one span per request.
+            return self._solve_many_inner([target_id], landmark_pool, engine=engine)[
+                target_id
+            ]
 
     def solve_many(
         self,
@@ -750,16 +637,17 @@ class BatchLocalizer:
 
         The cohort rides the batched pipeline end to end: one
         :meth:`prepare_many` pass derives every target's leave-one-out state
-        through the cohort-axis estimators (failures captured per target
-        exactly like :meth:`localize_one`), constraint assembly runs per
-        target with the cohort-shared target-height tables, planarization is
-        pooled through :meth:`ConstraintPipeline.planarize_many`, and the
-        whole cohort's weighted-region systems run through
+        through the cohort-axis estimators (a preparation failure becomes
+        that target's failed estimate), constraint assembly runs per target
+        with the cohort-shared target-height tables, planarization is pooled
+        through :meth:`ConstraintPipeline.planarize_many`, and the whole
+        cohort's weighted-region systems run through
         :meth:`ConstraintPipeline.solve_many` in a single kernel invocation.
         Under ``engine="fused"`` that is one lockstep run whose batched clip
-        passes span every target; other engines fall back to per-system
-        solves -- either way the estimates are identical to calling
-        :meth:`localize_one` per target.
+        passes span every target; other engines solve per system.  Every
+        stage checkpoint is keyed by target id, so seeded fault schedules
+        draw per target whatever the cohort.  The estimates equal
+        ``Octant.localize`` per target.
         """
         with self._fault_scope():
             return self._solve_many_inner(
@@ -794,10 +682,10 @@ class BatchLocalizer:
         for target in unique:
             outcome = prepared_map[target]
             if isinstance(outcome, _PrepareFailure):
-                # Only the preparation step is failure-captured, exactly
-                # like localize_one: an exception from presolve (assembly /
-                # planarization) is an internal invariant violation and
-                # must surface, not become a quiet failed estimate.
+                # Only the preparation step is failure-captured: an
+                # exception from presolve (assembly / planarization) is an
+                # internal invariant violation and must surface, not become
+                # a quiet failed estimate.
                 estimates[target] = failed_estimate(
                     target, "octant", outcome.error, stats=outcome.stats or None
                 )
@@ -813,7 +701,8 @@ class BatchLocalizer:
         if presolved:
             planarize_started = time.perf_counter()
             planar_systems = self.octant.pipeline.planarize_many(
-                [(p.constraints, p.projection) for p in presolved]
+                [(p.constraints, p.projection) for p in presolved],
+                keys=[p.target_id for p in presolved],
             )
             planarize_share = (time.perf_counter() - planarize_started) / len(
                 presolved
@@ -825,7 +714,7 @@ class BatchLocalizer:
             solved = self.octant.pipeline.solve_many(
                 [(p.planar, p.projection) for p in presolved],
                 engine=engine,
-                key=tuple(p.target_id for p in presolved),
+                keys=[p.target_id for p in presolved],
             )
             solve_share = (time.perf_counter() - solve_started) / len(presolved)
             self.octant.pipeline.count_runs(len(presolved))

@@ -23,6 +23,9 @@ class SolverConfig:
     The solver maintains a set of weighted region pieces and refines it with
     one constraint at a time; these knobs bound the work it does and define
     how the final estimate region is selected from the weighted pieces.
+    The only cross-solve geometry cache is the circle cache sized here; each
+    solve builds its own constraint-geometry tables (``DESIGN_SOLVER_KERNEL.md``
+    says why).
     """
 
     #: Maximum number of weighted pieces kept after each constraint is applied.
@@ -77,15 +80,6 @@ class SolverConfig:
     #: geometry across an unbounded request stream; batch studies rarely
     #: approach it.
     circle_cache_size: int = 4096
-    #: LRU capacity of the cross-solve constraint-geometry table cache
-    #: (:func:`repro.geometry.kernel.geometry_for_constraint`): derived edge
-    #: tables, keyhole rings, wedge coefficients and Greiner-Hormann clip
-    #: rings keyed by realized constraint identity, so repeated solves of the
-    #: same realized system (the serving warm path, interleaved benchmark
-    #: repetitions) skip rebuilding them.  ``0`` disables the cache.  Invalidation is
-    #: structural: changed measurements realize *new* polygon objects, which
-    #: miss and age stale entries out.
-    geometry_table_cache_size: int = 512
 
 
 @dataclass(frozen=True)

@@ -319,19 +319,16 @@ class Octant:
         target_id: str,
         landmark_ids: Sequence[str] | None = None,
         prepared: PreparedLandmarks | None = None,
-        engine: str | None = None,
     ) -> LocationEstimate:
         """Localize one target and return its estimate.
 
         ``prepared`` optionally injects per-landmark state derived elsewhere
-        (the batch engine's incremental leave-one-out derivation); it must
-        have been computed from a landmark set that excludes the target.
-        ``engine`` overrides the configured solver engine for this call only
-        (the serving degradation ladder's fallback rungs).
+        (the batch engine's cohort derivation); it must have been computed
+        from a landmark set that excludes the target.
         """
         presolved = self.presolve(target_id, landmark_ids, prepared)
         region, diagnostics = self.pipeline.solve(
-            presolved.planar, presolved.projection, engine=engine, key=target_id
+            presolved.planar, presolved.projection, key=target_id
         )
         self.pipeline.stats.runs += 1
         return self.postsolve(presolved, region, diagnostics)

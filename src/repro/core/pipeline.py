@@ -25,8 +25,8 @@ machinery:
    default).
 
 Each stage records its wall time in :class:`PipelineStats`; the serving layer
-surfaces those together with the geometry-cache hit/miss counters as its
-warm/cold statistics.
+surfaces those together with the circle-cache and planar-memo hit/miss
+counters as its warm/cold statistics.
 """
 
 from __future__ import annotations
@@ -78,11 +78,6 @@ class PipelineStats:
     constraints_planarized: int = 0
     planar_memo_hits: int = 0
     planar_memo_misses: int = 0
-    #: Cross-solve constraint-geometry table cache traffic of this
-    #: pipeline's solves (see ``repro.geometry.kernel``); repeated-target
-    #: serving should be hit-dominated once warm.
-    geometry_table_hits: int = 0
-    geometry_table_misses: int = 0
 
     def merge(self, other: "PipelineStats") -> None:
         """Fold another pipeline's accumulated counters into this one.
@@ -101,8 +96,6 @@ class PipelineStats:
         self.constraints_planarized += other.constraints_planarized
         self.planar_memo_hits += other.planar_memo_hits
         self.planar_memo_misses += other.planar_memo_misses
-        self.geometry_table_hits += other.geometry_table_hits
-        self.geometry_table_misses += other.geometry_table_misses
 
     def snapshot(self) -> dict[str, float]:
         """A flat dict view for reporting (serving stats, benchmarks)."""
@@ -118,8 +111,6 @@ class PipelineStats:
             "constraints_planarized": self.constraints_planarized,
             "planar_memo_hits": self.planar_memo_hits,
             "planar_memo_misses": self.planar_memo_misses,
-            "geometry_table_hits": self.geometry_table_hits,
-            "geometry_table_misses": self.geometry_table_misses,
         }
 
 
@@ -324,6 +315,7 @@ class ConstraintPipeline:
     def planarize_many(
         self,
         systems: Sequence[tuple[ConstraintSet, Projection]],
+        keys: Sequence[object] | None = None,
     ) -> list[list[PlanarConstraint]]:
         """Planarize a cohort of constraint systems with pooled geometry.
 
@@ -335,6 +327,8 @@ class ConstraintPipeline:
         planarized by the scalar :meth:`planarize`, which finds every circle
         already cached — results are bitwise identical to per-target calls
         because the warm path realizes exactly the scalar geometry.
+        ``keys`` labels each system's resilience checkpoint (typically the
+        target ids, in system order).
         """
         started = time.perf_counter()
         boundary_jobs: dict[int, tuple[CircleCache, list]] = {}
@@ -385,9 +379,11 @@ class ConstraintPipeline:
         with self._stats_lock:
             self.stats.planarize_seconds += time.perf_counter() - started
 
+        if keys is None:
+            keys = [None] * len(systems)
         return [
-            self.planarize(constraints, projection)
-            for constraints, projection in systems
+            self.planarize(constraints, projection, key=key)
+            for (constraints, projection), key in zip(systems, keys)
         ]
 
     @staticmethod
@@ -412,7 +408,6 @@ class ConstraintPipeline:
         self,
         planar: Sequence[PlanarConstraint],
         projection: Projection,
-        engine: str | None = None,
         key: object = None,
     ) -> tuple[Region, SolverDiagnostics]:
         """Run the weighted accumulation and return region + diagnostics.
@@ -420,32 +415,22 @@ class ConstraintPipeline:
         Dispatches on ``SolverConfig.engine`` (a ``"fused"`` engine solves a
         single system as a cohort of one); cohort callers should prefer
         :meth:`solve_many`, which amortizes the fused kernel's batched
-        passes across every system of the cohort.  ``engine`` overrides the
-        configured engine for this solve only -- the degradation ladder uses
-        it to retry a failed solve on a lower rung without rebuilding the
-        pipeline (all engines are bit-identical, so a fallback answer equals
-        the primary one).
+        passes across every system of the cohort.  ``key`` labels the
+        resilience checkpoint.
         """
         checkpoint("solve", key)
         started = time.perf_counter()
-        config = self.config.solver
-        if engine is not None and engine != config.engine:
-            config = replace(config, engine=engine)
-        solver = WeightedRegionSolver(config)
+        solver = WeightedRegionSolver(self.config.solver)
         region = solver.solve(planar, projection)
         with self._stats_lock:
             self.stats.solve_seconds += time.perf_counter() - started
-            self.stats.geometry_table_hits += solver.diagnostics.geometry_table_hits
-            self.stats.geometry_table_misses += (
-                solver.diagnostics.geometry_table_misses
-            )
         return region, solver.diagnostics
 
     def solve_many(
         self,
         systems: Sequence[tuple[Sequence[PlanarConstraint], Projection]],
         engine: str | None = None,
-        key: object = None,
+        keys: Sequence[object] = (),
     ) -> list[tuple[Region, SolverDiagnostics]]:
         """Solve a cohort of realized constraint systems.
 
@@ -455,9 +440,12 @@ class ConstraintPipeline:
         engines solve each system independently.  Results are bit-identical
         to calling :meth:`solve` per system, in input order.  ``engine``
         overrides the configured engine for this cohort only (degradation
-        ladder); ``key`` labels the resilience checkpoint.
+        ladder: all engines are bit-identical, so a fallback answer equals
+        the primary one); ``keys`` label one resilience checkpoint each
+        (typically the target ids), fired before the pooled solve.
         """
-        checkpoint("solve", key)
+        for key in keys or (None,):
+            checkpoint("solve", key)
         started = time.perf_counter()
         config = self.config.solver
         if engine is not None and engine != config.engine:
@@ -465,9 +453,6 @@ class ConstraintPipeline:
         results = solve_systems(config, list(systems))
         with self._stats_lock:
             self.stats.solve_seconds += time.perf_counter() - started
-            for _region, diagnostics in results:
-                self.stats.geometry_table_hits += diagnostics.geometry_table_hits
-                self.stats.geometry_table_misses += diagnostics.geometry_table_misses
         return results
 
     # ------------------------------------------------------------------ #
@@ -479,12 +464,11 @@ class ConstraintPipeline:
         prepared: "PreparedLandmarks",
         target_height_ms: float,
         projection: Projection,
-        engine: str | None = None,
     ) -> tuple[Region, SolverDiagnostics]:
         """Assemble, planarize and solve one target's constraint system."""
         constraints = self.assemble(target_id, prepared, target_height_ms)
         planar = self.planarize(constraints, projection, key=target_id)
-        region, diagnostics = self.solve(planar, projection, engine=engine, key=target_id)
+        region, diagnostics = self.solve(planar, projection, key=target_id)
         self.count_runs(1)
         return region, diagnostics
 

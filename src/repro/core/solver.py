@@ -95,14 +95,11 @@ class SolverDiagnostics:
     #: exclusions), and their total vertex count.
     fallback_pieces: int = 0
     fallback_vertices: int = 0
-    #: Cross-solve constraint-geometry table cache hits/misses (this solve).
-    geometry_table_hits: int = 0
-    geometry_table_misses: int = 0
     #: Wall time per kernel phase; the phases (``inclusion``, ``exclusion``,
     #: ``assemble``, ``select``) are disjoint, so their sum approximates the
     #: solve time.  The fused engine books its shared lockstep spans under
     #: the same phase names (an equal share per active cohort member per
-    #: step; geometry-table lookup and the pooled rebuild land in
+    #: step; geometry-table builds and the pooled rebuild land in
     #: ``assemble``), so regressions stay attributable per phase across
     #: engines.
     phase_seconds: dict[str, float] = field(default_factory=dict)
@@ -132,8 +129,6 @@ class SolverDiagnostics:
             "vertices_clipped": self.vertices_clipped,
             "fallback_pieces": self.fallback_pieces,
             "fallback_vertices": self.fallback_vertices,
-            "geometry_table_hits": self.geometry_table_hits,
-            "geometry_table_misses": self.geometry_table_misses,
             "fused_cohort_targets": self.fused_cohort_targets,
             "fused_pass_count": self.fused_pass_count,
             "fused_rows_clipped": self.fused_rows_clipped,

@@ -36,7 +36,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .._lru import BoundedLRU
 from .clipping import (
     _MIN_PIECE_AREA_KM2 as MIN_SLIVER_AREA_KM2,
 )
@@ -58,8 +57,6 @@ __all__ = [
     "PieceBuffer",
     "VectorSolverKernel",
     "geometry_for_constraint",
-    "geometry_table_stats",
-    "reset_geometry_tables",
     "subtract_cautious",
 ]
 
@@ -1493,13 +1490,10 @@ def _with_hole_part(
 # Per-constraint precomputation
 # --------------------------------------------------------------------------- #
 class _ConstraintGeometry:
-    """Everything the kernel precomputes once per planar constraint.
+    """Everything the kernel precomputes once per planar constraint per solve.
 
-    Instances may be shared across solves (and solver threads) through the
-    cross-solve table cache (:func:`geometry_for_constraint`): every lazy
-    ``ensure_*`` method derives pure functions of the immutable constraint
-    polygons and publishes its guard field *last*, so a racing reader either
-    sees the complete tables or rebuilds identical values.
+    Every lazy ``ensure_*`` method derives pure functions of the immutable
+    constraint polygons, so the tables are the same whenever they are built.
     """
 
     __slots__ = (
@@ -1580,7 +1574,6 @@ class _ConstraintGeometry:
             dists = np.where(lengths > 0, cross_c / lengths, np.inf)
         apothem = max(float(dists.min()) - _APOTHEM_SHAVE_KM, 0.0)
         self.inc_apothem2 = apothem * apothem
-        # Guard field last: shared instances may race (see class docstring).
         self.inc_edges = edges
 
     def ensure_keyhole_tables(self) -> None:
@@ -1631,97 +1624,14 @@ def _ccw_coords_array(polygon: Polygon) -> np.ndarray:
     return np.ascontiguousarray(coords[::-1])
 
 
-# --------------------------------------------------------------------------- #
-# Cross-solve constraint-geometry table cache
-# --------------------------------------------------------------------------- #
-#: Geometry tables keyed by realized constraint identity.  The key is the
-#: *identity* of the constraint's planar polygons (plus weight and label,
-#: which ``_ConstraintGeometry`` bakes in): the planarize memo and the
-#: ``CircleCache`` hand repeated-target solves the very same polygon
-#: objects, so the serving warm path and ``BatchLocalizer`` re-solves hit
-#: here and skip rebuilding every derived table (edge arrays, keyhole
-#: rings, wedge coefficients, Greiner-Hormann clip rings).  Entries hold
-#: the polygons they key on, so an id can never be recycled while its entry
-#: lives; lookups still re-verify identity, making aliasing impossible.  Invalidation is
-#: structural: an ingest that changes a constraint produces *new* polygon
-#: objects (the content-addressed circle cache only returns identical
-#: objects for identical geometry), which miss here and age the stale
-#: entry out of the LRU -- a version stamp would add nothing.
-_GEOMETRY_TABLES: BoundedLRU[_ConstraintGeometry] | None = None
-_GEOMETRY_TABLE_HITS = 0
-_GEOMETRY_TABLE_MISSES = 0
+def geometry_for_constraint(constraint) -> _ConstraintGeometry:
+    """The kernel's precomputed tables for one planar constraint.
 
-
-def _geometry_table_cache(capacity: int) -> BoundedLRU[_ConstraintGeometry]:
-    global _GEOMETRY_TABLES
-    cache = _GEOMETRY_TABLES
-    if cache is None:
-        cache = BoundedLRU(capacity)
-        _GEOMETRY_TABLES = cache
-    elif capacity > cache.capacity:
-        # Configs only ever grow the shared bound; shrinking mid-flight
-        # would evict another pipeline's warm entries.
-        cache.capacity = capacity
-    return cache
-
-
-def geometry_for_constraint(
-    constraint, config, diagnostics=None
-) -> _ConstraintGeometry:
-    """The constraint's geometry tables, cached across solves.
-
-    Bounded by ``SolverConfig.geometry_table_cache_size`` (``0`` disables
-    caching and always builds fresh tables).  A hit returns the shared
-    ``_ConstraintGeometry`` whose lazily-built tables are pure functions of
-    the constraint polygons -- bit-identical to rebuilding, with the build
-    cost paid once per realized constraint instead of once per solve.
+    Built fresh for every solve: a cohort's warm reads cycle through more
+    realized constraints than a bounded cross-solve cache can hold (see
+    ``DESIGN_SOLVER_KERNEL.md``).
     """
-    global _GEOMETRY_TABLE_HITS, _GEOMETRY_TABLE_MISSES
-    capacity = int(getattr(config, "geometry_table_cache_size", 0) or 0)
-    if capacity <= 0:
-        return _ConstraintGeometry(constraint)
-    cache = _geometry_table_cache(capacity)
-    key = (
-        id(constraint.inclusion),
-        id(constraint.exclusion),
-        constraint.weight,
-        constraint.label,
-    )
-    cached = cache.get(key)
-    if (
-        cached is not None
-        and cached.inclusion is constraint.inclusion
-        and cached.exclusion is constraint.exclusion
-    ):
-        _GEOMETRY_TABLE_HITS += 1
-        if diagnostics is not None:
-            diagnostics.geometry_table_hits += 1
-        return cached
-    _GEOMETRY_TABLE_MISSES += 1
-    if diagnostics is not None:
-        diagnostics.geometry_table_misses += 1
-    geometry = _ConstraintGeometry(constraint)
-    cache.put(key, geometry)
-    return geometry
-
-
-def geometry_table_stats() -> dict[str, object]:
-    """Global table-cache counters (serving ``cache_stats``)."""
-    cache = _GEOMETRY_TABLES
-    return {
-        "entries": 0 if cache is None else len(cache),
-        "capacity": 0 if cache is None else cache.capacity,
-        "hits": _GEOMETRY_TABLE_HITS,
-        "misses": _GEOMETRY_TABLE_MISSES,
-    }
-
-
-def reset_geometry_tables() -> None:
-    """Drop every cached geometry table (tests and cold benchmarks)."""
-    global _GEOMETRY_TABLES, _GEOMETRY_TABLE_HITS, _GEOMETRY_TABLE_MISSES
-    _GEOMETRY_TABLES = None
-    _GEOMETRY_TABLE_HITS = 0
-    _GEOMETRY_TABLE_MISSES = 0
+    return _ConstraintGeometry(constraint)
 
 
 class _StatsHook:
@@ -1877,7 +1787,7 @@ class VectorSolverKernel:
             sub_before = diag.phase_seconds.get("inclusion", 0.0) + diag.phase_seconds.get(
                 "exclusion", 0.0
             )
-            geometry = geometry_for_constraint(constraint, self.config, diag)
+            geometry = geometry_for_constraint(constraint)
             parts, weights = self._apply_constraint(buffer, geometry)
             new_buffer = self._integrate_parts(buffer, geometry, parts, weights)
             self._record_assemble(started, sub_before)
@@ -2742,9 +2652,7 @@ class FusedSolverKernel:
         self._steps += 1
         self._step_targets += len(active)
         for s in active:
-            s.geometry = geometry_for_constraint(
-                s.ordered[s.cursor], self.config, s.kernel.diagnostics
-            )
+            s.geometry = geometry_for_constraint(s.ordered[s.cursor])
         geom_done = time.perf_counter()
 
         # ---- inclusion stage ------------------------------------------ #
@@ -2813,7 +2721,7 @@ class FusedSolverKernel:
         # The cohort step is shared spans; book each target an equal share
         # per stage so per-target phase sums remain meaningful and
         # regressions stay attributable to a phase, like the vector engine.
-        # Geometry-table lookup and the assembly/rebuild tail both land in
+        # Geometry-table builds and the assembly/rebuild tail both land in
         # "assemble" (the vector engine's remainder bucket).
         n = len(active)
         inc_share = (inc_done - geom_done) / n

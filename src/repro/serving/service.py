@@ -59,7 +59,6 @@ from ..core.estimate import LocationEstimate
 from ..core.octant import Octant
 from ..core.pipeline import PipelineStats
 from ..geometry import CircleCache
-from ..geometry.kernel import geometry_table_stats
 from ..network.dataset import IngestDelta, IngestRecord, MeasurementDataset
 from ..network.dns import UndnsParser
 from ..network.log import MeasurementLog
@@ -1322,11 +1321,6 @@ class LocalizationService:
             "prepared_hits": prepared_hits,
             "prepared_misses": prepared_misses,
             "circle_cache": self.circle_cache.stats(),
-            # Process-wide cross-solve geometry tables (edge/keyhole/wedge
-            # arrays + Greiner-Hormann clip rings keyed by realized
-            # constraint identity); the serving warm path should be
-            # hit-dominated.
-            "geometry_tables": geometry_table_stats(),
             "pipeline": pipeline,
             "fused": self._fused_stats_snapshot(),
             "resilience": self._resilience_stats_snapshot(),

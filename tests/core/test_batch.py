@@ -1,7 +1,7 @@
 """Tests for the batch leave-one-out localization engine.
 
 The central property: for every target, :class:`BatchLocalizer`'s
-incrementally-derived leave-one-out estimate is *identical* (point
+cohort-derived leave-one-out estimate is *identical* (point
 coordinates, region area, selected weight, constraint counts) to the
 sequential ``Octant.localize`` path that re-runs ``prepare()`` from scratch.
 """
@@ -16,6 +16,7 @@ from repro.core.batch import failed_estimate, localize_many
 from repro.geometry import GeoPoint
 from repro.network.dataset import MeasurementDataset, NodeRecord
 from repro.network.probes import PingResult
+from repro.resilience.faults import FaultPlan
 
 
 def estimate_signature(estimate):
@@ -301,3 +302,46 @@ class TestFailureCapture:
         results = localize_many(Flaky(), dataset.host_ids[:2], method="flaky")
         assert all(r.point is None for r in results.values())
         assert all("cannot localize" in r.details["error"] for r in results.values())
+
+
+class _RecordingPlan(FaultPlan):
+    """A fault plan that injects nothing and records every stage crossing."""
+
+    def __init__(self):
+        super().__init__([])
+        self.crossings: list[tuple[str, object]] = []
+
+    def fire(self, stage, key=None):
+        self.crossings.append((stage, key))
+
+
+class TestFaultScheduleKeys:
+    """Seeded fault draws are keyed ``(stage, key)``: every checkpoint a
+    request crosses must carry its target id, whatever cohort it rides in."""
+
+    def test_localize_one_crossings(self, dataset):
+        localizer = BatchLocalizer(dataset)
+        localizer.fault_plan = _RecordingPlan()
+        target = dataset.host_ids[0]
+        for engine in (None, "fused", "object"):
+            localizer.fault_plan.crossings.clear()
+            localizer.localize_one(target, engine=engine)
+            assert localizer.fault_plan.crossings == [
+                ("prepare", target),
+                ("prepare", target),
+                ("assemble", target),
+                ("planarize", target),
+                ("solve", target),
+            ]
+
+    def test_solve_many_crossings_keyed_per_target(self, dataset):
+        localizer = BatchLocalizer(dataset)
+        localizer.fault_plan = _RecordingPlan()
+        cohort = dataset.host_ids[:3]
+        localizer.solve_many(cohort)
+        crossings = localizer.fault_plan.crossings
+        for stage, count in (
+            ("prepare", 2), ("assemble", 1), ("planarize", 1), ("solve", 1)
+        ):
+            keys = [key for s, key in crossings if s == stage]
+            assert sorted(keys) == sorted(cohort * count), stage

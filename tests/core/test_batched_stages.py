@@ -225,10 +225,10 @@ class TestPiecewiseStage:
     def test_localize_routers_many_matches_scalar(self, dataset, localizer):
         shared = localizer.shared_state()
         rosters = loo_rosters(dataset, shared)
-        prepared = {
-            target: localizer.prepare_for_target(target)
-            for target, _key, _locs in rosters
-        }
+        # Router-localizer inputs from the from-scratch reference, so the
+        # batched stage is not checked against its own cohort derivation.
+        reference = Octant(dataset, localizer.config, localizer.parser)
+        prepared = {target: reference.prepare(key) for target, key, _locs in rosters}
         localizers = [
             RouterLocalizer(
                 dataset,

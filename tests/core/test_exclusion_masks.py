@@ -1,4 +1,4 @@
-"""Non-convex exclusion: batched Greiner-Hormann, geometry tables, threads.
+"""Non-convex exclusion: batched Greiner-Hormann, ingest, threads.
 
 Non-convex negative constraints (the paper's ocean/uninhabited regions,
 Section 2.5) are subtracted with Greiner-Hormann on every engine: the vector
@@ -11,10 +11,9 @@ classification, per-piece traversal), the object engine the scalar
   regions and the detailed geographic catalogue;
 * fused-vs-vector cohort identity on non-convex-heavy cohorts (including a
   cohort of one and fuse-width-boundary chunking through the batch engine);
-* the cross-solve ``_ConstraintGeometry`` table cache: warm hits are
-  bit-identical, a measurement ingest can never serve stale geometry, the
-  kernel counters surface through ``kernel_summary``, and concurrent
-  threads see consistent tables.
+* a measurement ingest never serves stale geometry, the GH counters
+  surface through ``kernel_summary``, and fused chunks solved from
+  concurrent threads match the serial batch.
 
 The module and ``test_masked_*`` names date from the convex-mask fold that
 non-convex exclusions used to ride; the cases now pin the single batched
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -38,11 +36,6 @@ from repro.geometry import (
     Point2D,
     Polygon,
     disk_polygon,
-)
-from repro.geometry.kernel import (
-    geometry_for_constraint,
-    geometry_table_stats,
-    reset_geometry_tables,
 )
 
 CENTER = GeoPoint(40.0, -95.0)
@@ -197,12 +190,7 @@ def test_gh_fallback_counters():
     assert diagnostics.fallback_pieces > 0
     assert diagnostics.fallback_vertices > 0
     summary = diagnostics.kernel_summary()
-    for key in (
-        "fallback_pieces",
-        "fallback_vertices",
-        "geometry_table_hits",
-        "geometry_table_misses",
-    ):
+    for key in ("fallback_pieces", "fallback_vertices"):
         assert key in summary
     assert summary["fallback_pieces"] == diagnostics.fallback_pieces
 
@@ -319,68 +307,16 @@ def test_fused_chunk_boundary_through_batch_engine():
 
 
 # --------------------------------------------------------------------------- #
-# Cross-solve geometry table cache
+# Measurement ingest
 # --------------------------------------------------------------------------- #
-class TestGeometryTables:
-    def test_warm_solve_hits_and_is_identical(self):
-        reset_geometry_tables()
-        rng = random.Random(55)
-        constraints = random_nonconvex_system(rng)
-        cold = WeightedRegionSolver(SolverConfig(engine="vector"))
-        warm = WeightedRegionSolver(SolverConfig(engine="vector"))
-        region_cold = cold.solve(constraints, PROJ)
-        region_warm = warm.solve(constraints, PROJ)
-        assert cold.diagnostics.geometry_table_misses == len(constraints)
-        assert cold.diagnostics.geometry_table_hits == 0
-        assert warm.diagnostics.geometry_table_hits == len(constraints)
-        assert warm.diagnostics.geometry_table_misses == 0
-        assert region_cold.area_km2() == region_warm.area_km2()
-        for piece_c, piece_w in zip(region_cold.pieces, region_warm.pieces):
-            assert piece_c.weight == piece_w.weight
-            assert piece_c.polygon.coords == piece_w.polygon.coords
-        stats = geometry_table_stats()
-        assert stats["entries"] >= len(constraints)
-        assert stats["hits"] >= len(constraints)
-
-    def test_zero_capacity_disables_cache(self):
-        reset_geometry_tables()
-        constraints = [positive(disk_at(0, 0, 300.0))]
-        solver = WeightedRegionSolver(
-            SolverConfig(engine="vector", geometry_table_cache_size=0)
-        )
-        solver.solve(constraints, PROJ)
-        assert solver.diagnostics.geometry_table_hits == 0
-        assert solver.diagnostics.geometry_table_misses == 0
-        assert geometry_table_stats()["entries"] == 0
-
-    def test_equal_valued_but_distinct_polygons_miss(self):
-        """Identity keying: a rebuilt (non-cached) polygon must not hit."""
-        reset_geometry_tables()
-        first = [positive(disk_at(0, 0, 300.0))]
-        second = [positive(disk_at(0, 0, 300.0))]  # equal values, new objects
-        s1 = WeightedRegionSolver(SolverConfig(engine="vector"))
-        s2 = WeightedRegionSolver(SolverConfig(engine="vector"))
-        s1.solve(first, PROJ)
-        s2.solve(second, PROJ)
-        assert s2.diagnostics.geometry_table_hits == 0
-        assert s2.diagnostics.geometry_table_misses == 1
-
-    def test_pipeline_stats_surface_table_counters(self):
-        from repro.core.pipeline import PipelineStats
-
-        snapshot = PipelineStats().snapshot()
-        assert "geometry_table_hits" in snapshot
-        assert "geometry_table_misses" in snapshot
-
-
 class TestIngestInvalidation:
     def test_post_ingest_solve_never_serves_stale_geometry(self):
         """After ``ingest()`` the answer equals a cold-cache rebuild.
 
-        Invalidation is structural -- changed measurements realize new
-        polygon objects, which miss the identity-keyed table cache -- so a
-        warm process and a cold process must agree bit for bit on the
-        post-ingest dataset.
+        Changed measurements realize new constraints, which miss the
+        content-addressed circle cache and planar memo, so a warm process
+        and a cold process must agree bit for bit on the post-ingest
+        dataset.
         """
         from repro import BatchLocalizer, Octant, collect_dataset
         from repro.network.planetlab import small_deployment
@@ -417,8 +353,7 @@ class TestIngestInvalidation:
         assert live.version > version_before
         after = localizer.localize_one(target)
 
-        # Cold reference: identical dataset history, empty geometry tables.
-        reset_geometry_tables()
+        # Cold reference: identical dataset history, fresh caches.
         live_cold = collect_dataset(deployment, host_ids=ids[:8])
         live_cold.ingest(hosts=payload_hosts, pings=payload_pings)
         reference = BatchLocalizer(Octant(live_cold)).localize_one(target)
@@ -431,61 +366,6 @@ class TestIngestInvalidation:
 # Warm-cache thread safety (the thread executor's view)
 # --------------------------------------------------------------------------- #
 class TestWarmCacheThreadSafety:
-    def test_geometry_table_hammer(self):
-        """Concurrent geometry_for_constraint over one shared cache.
-
-        The thread fan-out path solves fused chunks over *shared* warm
-        caches; every thread resolves the same constraints through the
-        process-global geometry table LRU.  All threads must observe
-        consistent tables (identity or bit-equal rebuilds) with no
-        exceptions, including the lazily-built Greiner-Hormann clip ring of
-        a concave exclusion (``ensure_gh_tables`` mutates the shared entry).
-        """
-        concave = Polygon(
-            [
-                Point2D(-500.0, -500.0),
-                Point2D(500.0, -500.0),
-                Point2D(500.0, 500.0),
-                Point2D(0.0, 0.0),
-                Point2D(-500.0, 500.0),
-            ]
-        )
-        constraints = [
-            positive(disk_at(b, 250.0, 350.0), label=f"pos{b}")
-            for b in (0.0, 90.0, 180.0, 270.0)
-        ] + [PlanarConstraint(None, concave, 1.0, "concave")]
-        config = SolverConfig()
-        reset_geometry_tables()
-
-        errors: list[BaseException] = []
-        barrier = threading.Barrier(8)
-
-        def hammer(worker: int):
-            try:
-                barrier.wait(timeout=30)
-                rng = random.Random(worker)
-                for _ in range(200):
-                    constraint = rng.choice(constraints)
-                    geometry = geometry_for_constraint(constraint, config)
-                    assert geometry.inclusion is constraint.inclusion
-                    assert geometry.exclusion is constraint.exclusion
-                    if constraint.exclusion is concave:
-                        geometry.ensure_gh_tables()
-                        assert len(geometry.exc_gh_ccw) == len(concave)
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        with ThreadPoolExecutor(8) as pool:
-            list(pool.map(hammer, range(8)))
-        assert not errors, errors
-
-        # Every worker converged on the shared cached entries: one more
-        # lookup per constraint is a pure hit.
-        for constraint in constraints:
-            first = geometry_for_constraint(constraint, config)
-            again = geometry_for_constraint(constraint, config)
-            assert first is again
-
     def test_thread_fanout_matches_serial(self):
         """Fused chunks solved concurrently on one shared localizer.
 
