@@ -35,7 +35,12 @@ from repro.core.config import SolverConfig
 #: v5: worker fan-out is gone from the batch engine: ``batch_localize``
 #: drops ``workers``, ``batch_parallel_ms_per_target`` and
 #: ``speedup_parallel``, and the ``fused_worker_scaling`` section is removed.
-SCHEMA_VERSION = 5
+#: v6: the vector engine is gone.  ``batch_localize`` drops the
+#: ``batch_serial_*``/``speedup_serial`` path (it ran the default engine,
+#: now the same fused path as ``batch_fused_*``); ``solver_engines``
+#: records ``fused_ms_per_target``/``fused_speedup`` against the object
+#: engine.
+SCHEMA_VERSION = 6
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -77,14 +82,13 @@ def _engine_signature(estimate):
 @pytest.mark.benchmark(group="batch-localize")
 def test_batch_localize_throughput(dataset, target_ids):
     config = OctantConfig()
-    fused_config = OctantConfig(solver=SolverConfig(engine="fused"))
 
     # Interleaved minimum-of-2 per path (fresh engines each repetition, so
     # every measurement pays the same cold caches): single-core scheduling
     # noise hits whichever path is running, and the interleaving keeps it
     # from biasing one path's tracked number.
-    t_sequential = t_batch_serial = t_batch_fused = float("inf")
-    sequential = batch_serial = batch_fused = None
+    t_sequential = t_batch_fused = float("inf")
+    sequential = batch_fused = None
     fused_stats = None
     for _repetition in range(2):
         # -- single-target path: one localize() per target, prepare thrash - #
@@ -94,15 +98,8 @@ def test_batch_localize_throughput(dataset, target_ids):
         t_sequential = min(t_sequential, time.perf_counter() - started)
         sequential = sequential or result
 
-        # -- batch path, serial: shared state + masked derivation ---------- #
-        batch_serial_engine = BatchLocalizer(Octant(dataset, config))
-        started = time.perf_counter()
-        result = batch_serial_engine.localize_all(target_ids)
-        t_batch_serial = min(t_batch_serial, time.perf_counter() - started)
-        batch_serial = batch_serial or result
-
-        # -- batch path through the fused cohort engine -------------------- #
-        batch_fused_engine = BatchLocalizer(Octant(dataset, fused_config))
+        # -- batch path: shared state, masked derivation, fused chunks ----- #
+        batch_fused_engine = BatchLocalizer(Octant(dataset, config))
         started = time.perf_counter()
         result = batch_fused_engine.localize_all(target_ids)
         elapsed = time.perf_counter() - started
@@ -112,7 +109,6 @@ def test_batch_localize_throughput(dataset, target_ids):
         batch_fused = batch_fused or result
 
     per_target = len(target_ids) or 1
-    speedup_serial = t_sequential / t_batch_serial if t_batch_serial else float("inf")
 
     print()
     print("=" * 72)
@@ -124,11 +120,6 @@ def test_batch_localize_throughput(dataset, target_ids):
     print(
         f"  single-target (prepare thrash): {t_sequential:7.2f}s "
         f"({t_sequential / per_target * 1000:6.0f} ms/target)"
-    )
-    print(
-        f"  batch, serial derive          : {t_batch_serial:7.2f}s "
-        f"({t_batch_serial / per_target * 1000:6.0f} ms/target)  "
-        f"speedup {speedup_serial:4.2f}x"
     )
     speedup_fused = t_sequential / t_batch_fused if t_batch_fused else float("inf")
     print(
@@ -158,7 +149,6 @@ def test_batch_localize_throughput(dataset, target_ids):
     # engine included -- its chunked solve_many must be indistinguishable).
     for target in target_ids:
         want = _estimate_signature(sequential[target])
-        assert _estimate_signature(batch_serial[target]) == want
         assert _estimate_signature(batch_fused[target]) == want
 
     _merge_json(
@@ -167,9 +157,7 @@ def test_batch_localize_throughput(dataset, target_ids):
             "hosts": len(dataset.hosts),
             "targets": per_target,
             "sequential_ms_per_target": round(t_sequential / per_target * 1000, 3),
-            "batch_serial_ms_per_target": round(t_batch_serial / per_target * 1000, 3),
             "batch_fused_ms_per_target": round(t_batch_fused / per_target * 1000, 3),
-            "speedup_serial": round(speedup_serial, 3),
             "speedup_fused": round(speedup_fused, 3),
             "stage_ms_per_target": stage_ms_per_target,
         },
@@ -181,7 +169,7 @@ def test_batch_localize_throughput(dataset, target_ids):
     # size where per-target work dwarfs fixed setup; at CI smoke sizes the
     # ratio is noise and only the identity contract above is meaningful.
     if len(target_ids) >= 20:
-        assert speedup_serial > 0.85
+        assert speedup_fused > 0.85
 
 
 @pytest.mark.benchmark(group="batch-localize")
@@ -264,7 +252,7 @@ def test_fused_pipeline_drift_gate(dataset, target_ids):
 
 @pytest.mark.benchmark(group="solver-engine")
 def test_solver_engine_speedup(dataset, target_ids):
-    """Vector vs object solver engine: identity always, speedup at size.
+    """Default (fused) vs object solver engine: identity always, speedup at size.
 
     Two measurements:
 
@@ -274,8 +262,8 @@ def test_solver_engine_speedup(dataset, target_ids):
        drift gate CI runs on a tiny cohort.
     2. **Weighted-solver time.**  Each target's planar constraint system is
        built once (through the batch engine, so both solvers see identical
-       inputs) and then solved by each engine; the solve() wall time is the
-       metric the vectorized flat-buffer kernel targets.  Interleaved
+       inputs) and then solved by each engine, one system at a time; the
+       solve() wall time is the metric the NumPy kernel targets.  Interleaved
        minimum-of-N repetitions keep single-core scheduling noise out of the
        ratio.  The tracked figure (30-host cohort, single core) is a >=3x
        reduction; the assertion below uses a noise margin.
@@ -285,14 +273,13 @@ def test_solver_engine_speedup(dataset, target_ids):
 
     # -- end-to-end identity under both engines -------------------------- #
     results = {}
-    for engine in ("vector", "object", "fused"):
+    for engine in ("object", "fused"):
         config = OctantConfig(solver=SolverConfig(engine=engine))
         results[engine] = BatchLocalizer(Octant(dataset, config)).localize_all(
             target_ids
         )
     for target in target_ids:
         want = _engine_signature(results["object"][target])
-        assert _engine_signature(results["vector"][target]) == want
         assert _engine_signature(results["fused"][target]) == want
 
     # -- solver-only timing on identical constraint systems -------------- #
@@ -326,10 +313,10 @@ def test_solver_engine_speedup(dataset, target_ids):
         ]
         systems.append((planar, projection))
 
-    solver_seconds = {"vector": float("inf"), "object": float("inf")}
+    solver_seconds = {"fused": float("inf"), "object": float("inf")}
     regions = {}
     for _repetition in range(3):
-        for engine in ("vector", "object"):
+        for engine in ("fused", "object"):
             solver_config = SolverConfig(engine=engine)
             total = 0.0
             out = []
@@ -342,7 +329,7 @@ def test_solver_engine_speedup(dataset, target_ids):
             regions.setdefault(engine, out)
 
     # Solver-level identity: same pieces, weights and coordinates.
-    for region_v, region_o in zip(regions["vector"], regions["object"]):
+    for region_v, region_o in zip(regions["fused"], regions["object"]):
         assert region_v.area_km2() == region_o.area_km2()
         assert len(region_v.pieces) == len(region_o.pieces)
         for piece_v, piece_o in zip(region_v.pieces, region_o.pieces):
@@ -350,11 +337,11 @@ def test_solver_engine_speedup(dataset, target_ids):
             assert piece_v.polygon.coords == piece_o.polygon.coords
 
     per_target = len(systems) or 1
-    vector_ms = solver_seconds["vector"] / per_target * 1000
+    fused_ms = solver_seconds["fused"] / per_target * 1000
     object_ms = solver_seconds["object"] / per_target * 1000
     speedup = (
-        solver_seconds["object"] / solver_seconds["vector"]
-        if solver_seconds["vector"]
+        solver_seconds["object"] / solver_seconds["fused"]
+        if solver_seconds["fused"]
         else float("inf")
     )
 
@@ -366,7 +353,7 @@ def test_solver_engine_speedup(dataset, target_ids):
     )
     print("=" * 72)
     print(f"  object engine : {object_ms:7.1f} ms/target solver time")
-    print(f"  vector engine : {vector_ms:7.1f} ms/target solver time")
+    print(f"  fused engine  : {fused_ms:7.1f} ms/target solver time")
     print(f"  speedup       : {speedup:5.2f}x")
 
     _merge_json(
@@ -375,8 +362,8 @@ def test_solver_engine_speedup(dataset, target_ids):
             "hosts": len(dataset.hosts),
             "targets": per_target,
             "object_ms_per_target": round(object_ms, 3),
-            "vector_ms_per_target": round(vector_ms, 3),
-            "vector_speedup": round(speedup, 3),
+            "fused_ms_per_target": round(fused_ms, 3),
+            "fused_speedup": round(speedup, 3),
         },
     )
 

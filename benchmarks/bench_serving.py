@@ -9,8 +9,10 @@ than the batch per-target cost.  This benchmark measures:
 1. **Cold pass** -- every tracked target localized once through a freshly
    started :class:`~repro.serving.LocalizationService` (empty caches).
 2. **Warm pass** -- the same targets requested again on the same service;
-   answers must be bit-identical and the tracked contract is warm latency
-   >= 2x faster than cold at the 30-host cohort (``OCTANT_BENCH_HOSTS=30``).
+   answers must be bit-identical, every warm request must hit the prepared
+   cache and the planar memo, and from 20 targets up the warm ms/target
+   must stay within 1.25x of the committed ``warm_ms_per_target`` (tracked
+   at the 30-host cohort, ``OCTANT_BENCH_HOSTS=30``).
 3. **Ingest throughput** -- a stream of refreshed ping measurements absorbed
    by the live dataset (incremental matrix extension + snapshot swap per
    batch), reported as batches/sec and pings/sec.
@@ -22,8 +24,10 @@ Results land in ``BENCH_serving.json`` (override with
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -40,9 +44,33 @@ def _signature(estimate):
     )
 
 
+#: Slack of the warm-latency bound over the committed ``warm_ms_per_target``.
+WARM_BOUND_SLACK = 1.25
+
+
+def _committed_warm_bound() -> tuple[int, float] | None:
+    """``(hosts, warm_ms_per_target)`` from the checked-out artifact, if any."""
+    path = Path(os.environ.get("OCTANT_SERVING_BENCH_JSON", "BENCH_serving.json"))
+    try:
+        section = json.loads(path.read_text())["warm_vs_cold"]
+        return int(section["hosts"]), float(section["warm_ms_per_target"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 @pytest.mark.benchmark(group="serving")
 def test_serving_warm_vs_cold(dataset, target_ids):
-    """Warm repeated-target requests must beat cold ones at tracked size."""
+    """Warm repeated-target requests stay cheap: identity, hits, a bound.
+
+    The warm pass must answer bit-identically, hit the prepared cache and
+    the planar memo on every request, and -- from 20 targets up -- cost at
+    most ``WARM_BOUND_SLACK`` times the committed warm ms/target.  A cohort
+    no larger than the committed one has no more landmarks per target, so
+    the committed figure bounds it; a larger cohort is not gated.  The
+    bound is on warm latency alone: a warm/cold ratio would punish a
+    cold-path win.
+    """
+    committed = _committed_warm_bound()
 
     async def run_passes():
         async with LocalizationService(dataset, workers=1) as service:
@@ -87,12 +115,19 @@ def test_serving_warm_vs_cold(dataset, target_ids):
     # The contract: identical estimates from the warm path.
     for target in target_ids:
         assert _signature(warm[target]) == _signature(cold[target])
+
+    # Latency gate against the committed artifact; CI smoke sizes are noise.
+    warm_ms = t_warm / per_target * 1000
+    if (
+        len(target_ids) >= 20
+        and committed is not None
+        and len(dataset.hosts) <= committed[0]
+    ):
+        bound_ms = committed[1] * WARM_BOUND_SLACK
+        print(f"  warm bound: {warm_ms:.1f} <= {bound_ms:.1f} ms/target")
+        assert warm_ms <= bound_ms
     assert stats["pipeline"]["planar_memo_hits"] >= per_target
     assert stats["prepared_hits"] >= per_target
-
-    # Latency gate, tracked at the 30-host cohort; CI smoke sizes are noise.
-    if len(target_ids) >= 20:
-        assert speedup >= 2.0
 
     payload = {
         "hosts": len(dataset.hosts),
@@ -100,7 +135,7 @@ def test_serving_warm_vs_cold(dataset, target_ids):
         "cold_s": round(t_cold, 4),
         "warm_s": round(t_warm, 4),
         "cold_ms_per_target": round(t_cold / per_target * 1000, 3),
-        "warm_ms_per_target": round(t_warm / per_target * 1000, 3),
+        "warm_ms_per_target": round(warm_ms, 3),
         "warm_speedup": round(speedup, 3),
         "cache": stats,
     }
@@ -181,7 +216,9 @@ def test_serving_ingest_throughput(dataset):
 
 
 #: Bump when the shape of BENCH_serving.json changes.
-SCHEMA_VERSION = 2
+#: v3: ``fused_micro_batch`` compares against a ``fuse_width=1`` service
+#: (``one_at_a_time_burst_s``) instead of the retired vector engine.
+SCHEMA_VERSION = 3
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -195,13 +232,14 @@ def test_serving_fused_micro_batch(dataset, target_ids):
 
     A one-worker service under a full-cohort burst coalesces queued
     requests into fused dispatches (up to ``SolverConfig.fuse_width``); the
-    answers must match the vector-engine service bit-for-bit and the
-    fuse-width histogram shows the amortization an operator would see.
+    answers must match a ``fuse_width=1`` service (one request per
+    dispatch) bit-for-bit and the fuse-width histogram shows the
+    amortization an operator would see.
     """
     from repro import OctantConfig
     from repro.core.config import SolverConfig
 
-    fused_config = OctantConfig(solver=SolverConfig(engine="fused"))
+    one_config = OctantConfig(solver=SolverConfig(fuse_width=1))
 
     async def burst(config):
         async with LocalizationService(dataset, config, workers=1) as service:
@@ -210,8 +248,8 @@ def test_serving_fused_micro_batch(dataset, target_ids):
             elapsed = time.perf_counter() - started
             return results, elapsed, service.cache_stats()
 
-    vector_results, t_vector, _ = asyncio.run(burst(None))
-    fused_results, t_fused, stats = asyncio.run(burst(fused_config))
+    one_results, t_one, _ = asyncio.run(burst(one_config))
+    fused_results, t_fused, stats = asyncio.run(burst(None))
 
     per_target = len(target_ids) or 1
     fused = stats["fused"]
@@ -223,8 +261,8 @@ def test_serving_fused_micro_batch(dataset, target_ids):
     )
     print("=" * 72)
     print(
-        f"  vector burst: {t_vector:6.2f}s   fused burst: {t_fused:6.2f}s "
-        f"({t_vector / t_fused if t_fused else float('inf'):4.2f}x)"
+        f"  one-at-a-time burst: {t_one:6.2f}s   fused burst: {t_fused:6.2f}s "
+        f"({t_one / t_fused if t_fused else float('inf'):4.2f}x)"
     )
     print(
         f"  dispatch widths: {fused['width_histogram']}  "
@@ -232,9 +270,7 @@ def test_serving_fused_micro_batch(dataset, target_ids):
     )
 
     for target in target_ids:
-        assert _signature(fused_results[target]) == _signature(
-            vector_results[target]
-        )
+        assert _signature(fused_results[target]) == _signature(one_results[target])
     # The burst outpaces the single worker, so coalescing must engage.
     if per_target >= 4:
         assert any(width > 1 for width in fused["width_histogram"])
@@ -244,9 +280,9 @@ def test_serving_fused_micro_batch(dataset, target_ids):
         {
             "hosts": len(dataset.hosts),
             "targets": per_target,
-            "vector_burst_s": round(t_vector, 4),
+            "one_at_a_time_burst_s": round(t_one, 4),
             "fused_burst_s": round(t_fused, 4),
-            "burst_speedup": round(t_vector / t_fused, 3) if t_fused else None,
+            "burst_speedup": round(t_one / t_fused, 3) if t_fused else None,
             "width_histogram": fused["width_histogram"],
             "fused_batches": fused["batches"],
             "pooled_passes": fused["passes"],

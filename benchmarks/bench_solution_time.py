@@ -9,21 +9,21 @@ tracking tooling can diff runs without parsing stdout:
 * ``single_target`` -- one end-to-end localization (constraint construction,
   projection, weighted region solve, point extraction) against the shared
   deployment.
-* ``cohort_engines`` -- the amortized per-target *solver* time of the fused
-  cohort engine vs the per-target vector engine on identical planar
-  constraint systems (the whole tracked cohort solved in one
+* ``cohort_engines`` -- the amortized per-target *solver* time of one fused
+  cohort vs cohorts of one on identical planar constraint systems (the
+  whole tracked cohort solved in one
   :func:`repro.core.solver.solve_systems` lockstep run vs one
-  ``WeightedRegionSolver`` per target), with bit-identity asserted, the
+  ``solve_systems`` call per system), with bit-identity asserted, the
   fused pass counters recorded, and the per-phase wall-time split
-  (exclusion/assemble/inclusion/select, plus the fused lockstep span)
-  aggregated *per engine* so phase-level wins are tracked for both.  The
-  tracked figure is measured at ``OCTANT_BENCH_HOSTS=30``.
-* ``gh_exclusion`` -- the vector engine's batched Greiner-Hormann
+  (exclusion/assemble/inclusion/select) aggregated per side so phase-level
+  wins are tracked for both.  The tracked figure is measured at
+  ``OCTANT_BENCH_HOSTS=30``.
+* ``gh_exclusion`` -- the fused kernel's batched Greiner-Hormann
   subtraction of non-convex exclusions vs ``engine="object"`` (the scalar
   reference) on the same systems under the *detailed* (non-convex)
-  geographic region catalogue, with fused == vector == object identity
-  asserted on those geo-heavy systems.  CI gates the batched path >=1.3x
-  over the object engine at the 20-host smoke cohort.
+  geographic region catalogue, with fused == object identity asserted on
+  those geo-heavy systems.  CI gates the batched path >=1.3x over the
+  object engine at the 20-host smoke cohort.
 """
 
 from __future__ import annotations
@@ -42,7 +42,10 @@ from repro import BatchLocalizer, Octant
 #: v5: ``exclusion_masks`` is replaced by ``gh_exclusion`` (batched
 #: Greiner-Hormann vs the object engine); the kernel summary drops the
 #: backend name, the compiled-runtime block and the mask-cell counter.
-SCHEMA_VERSION = 5
+#: v6: the vector engine is gone.  ``cohort_engines`` compares one fused
+#: cohort with cohorts of one (``one_at_a_time_*`` keys) and
+#: ``gh_exclusion`` records ``fused_solve_ms_per_system``.
+SCHEMA_VERSION = 6
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -114,18 +117,18 @@ def test_single_target_solution_time(benchmark, dataset):
 
 @pytest.mark.benchmark(group="solution-time")
 def test_cohort_engine_speedup(dataset, target_ids):
-    """Fused cohort solve vs per-target vector solve on identical systems.
+    """One fused cohort vs cohorts of one on identical systems.
 
     Builds every target's planar constraint system once (through the batch
-    engine, so both engines see bit-identical inputs), then times
-    interleaved minimum-of-N runs of (a) one ``WeightedRegionSolver`` per
-    target under ``engine="vector"`` and (b) the whole cohort through one
-    fused ``solve_systems`` lockstep run.  Identity is asserted on every
-    pinned metric; the amortized per-target speedup is the tracked number
-    (30-host cohort) and the CI smoke drift gate.
+    engine, so both sides see bit-identical inputs), then times
+    interleaved minimum-of-N runs of (a) ``solve_systems`` called once per
+    system -- a cohort of one, the single-request path -- and (b) the whole
+    cohort through one ``solve_systems`` lockstep run.  Identity is
+    asserted on every pinned metric; the amortized per-target speedup is
+    the tracked number (30-host cohort) and the CI smoke drift gate.
     """
     from repro.core.config import SolverConfig
-    from repro.core.solver import WeightedRegionSolver, solve_systems
+    from repro.core.solver import solve_systems
 
     localizer = BatchLocalizer(Octant(dataset))
     systems = []
@@ -141,24 +144,22 @@ def test_cohort_engine_speedup(dataset, target_ids):
     if dropped:
         print(f"  (presolve dropped {dropped} of {len(target_ids)} targets)")
 
-    best = {"vector": float("inf"), "fused": float("inf")}
+    config = SolverConfig()
+    best = {"one_at_a_time": float("inf"), "fused": float("inf")}
     results: dict[str, list] = {}
     for _repetition in range(3):
-        for engine in ("vector", "fused"):
+        for side in ("one_at_a_time", "fused"):
             started = time.perf_counter()
-            if engine == "fused":
-                out = solve_systems(SolverConfig(engine="fused"), systems)
+            if side == "fused":
+                out = solve_systems(config, systems)
             else:
-                out = []
-                for planar, projection in systems:
-                    solver = WeightedRegionSolver(SolverConfig(engine="vector"))
-                    out.append((solver.solve(planar, projection), solver.diagnostics))
-            best[engine] = min(best[engine], time.perf_counter() - started)
-            results.setdefault(engine, out)
+                out = [solve_systems(config, [system])[0] for system in systems]
+            best[side] = min(best[side], time.perf_counter() - started)
+            results.setdefault(side, out)
 
-    # Bit-identity on every pinned metric, fused vs vector.
+    # Bit-identity on every pinned metric, one cohort vs cohorts of one.
     for (region_v, diag_v), (region_f, diag_f) in zip(
-        results["vector"], results["fused"]
+        results["one_at_a_time"], results["fused"]
     ):
         assert region_v.area_km2() == region_f.area_km2()
         assert len(region_v.pieces) == len(region_f.pieces)
@@ -170,15 +171,12 @@ def test_cohort_engine_speedup(dataset, target_ids):
         assert diag_v.max_weight == diag_f.max_weight
 
     per_target = len(systems) or 1
-    vector_ms = best["vector"] / per_target * 1000
+    alone_ms = best["one_at_a_time"] / per_target * 1000
     fused_ms = best["fused"] / per_target * 1000
-    speedup = best["vector"] / best["fused"] if best["fused"] else float("inf")
+    speedup = best["one_at_a_time"] / best["fused"] if best["fused"] else float("inf")
     fused_diag = results["fused"][0][1] if results["fused"] else None
 
-    phase_seconds = {
-        "vector": _phase_split(results["vector"]),
-        "fused": _phase_split(results["fused"]),
-    }
+    phase_seconds = {side: _phase_split(outcomes) for side, outcomes in results.items()}
 
     print()
     print("=" * 72)
@@ -187,11 +185,11 @@ def test_cohort_engine_speedup(dataset, target_ids):
         f"{per_target} targets (single core, min of 3 interleaved)"
     )
     print("=" * 72)
-    print(f"  vector engine : {vector_ms:7.2f} ms/target solve time")
-    print(f"  fused engine  : {fused_ms:7.2f} ms/target amortized")
+    print(f"  one at a time : {alone_ms:7.2f} ms/target solve time")
+    print(f"  fused cohort  : {fused_ms:7.2f} ms/target amortized")
     print(f"  speedup       : {speedup:5.2f}x")
-    for engine in ("vector", "fused"):
-        print(f"  {engine} phases: {phase_seconds[engine]}")
+    for side, phases in phase_seconds.items():
+        print(f"  {side} phases: {phases}")
     if fused_diag is not None:
         print(
             f"  pooled passes : {fused_diag.fused_pass_count} "
@@ -204,7 +202,7 @@ def test_cohort_engine_speedup(dataset, target_ids):
         {
             "hosts": len(dataset.hosts),
             "targets": per_target,
-            "vector_ms_per_target": round(vector_ms, 3),
+            "one_at_a_time_ms_per_target": round(alone_ms, 3),
             "fused_ms_per_target": round(fused_ms, 3),
             "fused_speedup": round(speedup, 3),
             "phase_seconds": phase_seconds,
@@ -218,15 +216,12 @@ def test_cohort_engine_speedup(dataset, target_ids):
         },
     )
 
-    # Drift gate: the fused engine must amortize once the cohort is big
-    # enough for pooling to matter; below that only identity is meaningful.
-    # The tracked 30-host figure is ~1.25-1.3x: the PR 5 exclusion work
-    # (vector-side wedge-kill prefilter, the scalar-subtraction batching
-    # fix) sped the *per-target vector baseline* up by ~20%, which shrank
-    # the ratio even though the fused engine itself also got faster in
-    # absolute terms (BENCH_solver.json tracks both).  The gate sits a
-    # noise margin below the tracked ratio; a real regression (pooling
-    # silently disabled reads ~1.0x) still trips it.  Gated on the
+    # Drift gate: a cohort must amortize once it is big enough for pooling
+    # to matter; below that only identity is meaningful.  The baseline is
+    # the same kernel one system at a time, the single-request path.  The
+    # tracked 30-host figure is ~1.3-1.6x; the gate sits a noise margin
+    # below it, and a real regression (pooling silently disabled reads
+    # ~1.0x) still trips it.  Gated on the
     # *requested* cohort so dropped presolves cannot silently shrink the
     # run below the threshold and disable the gate.  This guards the
     # *solver-level* pooling only; the end-to-end fused-pipeline floor
@@ -239,7 +234,7 @@ def test_cohort_engine_speedup(dataset, target_ids):
 
 @pytest.mark.benchmark(group="solution-time")
 def test_gh_exclusion_speedup(dataset, target_ids):
-    """Batched Greiner-Hormann (vector engine) vs the object engine.
+    """Batched Greiner-Hormann (fused kernel) vs the object engine.
 
     Two workloads, both built from the *detailed* (non-convex coastline)
     geographic region catalogue:
@@ -252,15 +247,16 @@ def test_gh_exclusion_speedup(dataset, target_ids):
       regions keyhole into the pristine universe piece and never reach it).
       The gated figure is the exclusion work itself: each system's
       non-convex exclusions are subtracted from its piece population (the
-      object engine's population after the positive disks) by the vector
-      engine's batched exclusion step and by the object engine's per-piece
+      object engine's population after the positive disks) by the fused
+      kernel's exclusion stage (a cohort of one) and by the object engine's
+      per-piece
       ``subtract_cautious``, interleaved minimum-of-N, outputs asserted
       bit-identical.  Whole-solve times of both engines are recorded
       beside it; the positive disks dominate them, so their ratio says
       little about the exclusion path.
     * **Identity: the real pipeline.**  Every cohort target's actual
-      detailed-catalogue system is solved fused, vector and object and
-      asserted bit-identical.
+      detailed-catalogue system is solved fused (one cohort, and one
+      system at a time) and object, and asserted bit-identical.
 
     The drift gate (batched >=1.3x over object at >=20 hosts) keeps the win
     from silently rotting.
@@ -275,8 +271,9 @@ def test_gh_exclusion_speedup(dataset, target_ids):
     )
     from repro.geometry import AzimuthalEquidistantProjection, RegionPiece, disk_polygon
     from repro.geometry.kernel import (
+        FusedSolverKernel,
         PieceBuffer,
-        VectorSolverKernel,
+        _TargetState,
         geometry_for_constraint,
         subtract_cautious,
     )
@@ -355,13 +352,15 @@ def test_gh_exclusion_speedup(dataset, target_ids):
 
     def exclude_batched():
         out = []
+        kernel = FusedSolverKernel(solver_config)
         for polygons, rings in workload:
             buffer = PieceBuffer.from_polygons([(polygon, 0.0) for polygon in polygons])
-            kernel = VectorSolverKernel(solver_config, SolverDiagnostics())
             for ring in rings:
-                geometry = geometry_for_constraint(ring)
-                parts = [[part] for part in buffer.parts()]
-                out.append(kernel._exclusion_step(parts, geometry, buffer))
+                state = _TargetState(SolverDiagnostics(), buffer, [ring], None)
+                state.geometry = geometry_for_constraint(ring)
+                state.inside_parts = [[part] for part in buffer.parts()]
+                kernel._fused_exclusion([state])
+                out.append(state.satisfied)
         return out
 
     def solve_all(engine):
@@ -375,7 +374,7 @@ def test_gh_exclusion_speedup(dataset, target_ids):
     runs = {
         "exclude_batched": exclude_batched,
         "exclude_object": exclude_object,
-        "solve_vector": lambda: solve_all("vector"),
+        "solve_fused": lambda: solve_all("fused"),
         "solve_object": lambda: solve_all("object"),
     }
     best = {name: float("inf") for name in runs}
@@ -387,15 +386,15 @@ def test_gh_exclusion_speedup(dataset, target_ids):
             best[name] = min(best[name], time.perf_counter() - started)
             results.setdefault(name, out)
     assert len(results["exclude_batched"]) == len(results["exclude_object"])
-    for a, b in zip(results["solve_vector"], results["solve_object"]):
+    for a, b in zip(results["solve_fused"], results["solve_object"]):
         assert_identical(a, b)
     for batched, scalar in zip(results["exclude_batched"], results["exclude_object"]):
         assert [[tuple(zip(xs.tolist(), ys.tolist())) for xs, ys, _a in kept] for kept in batched] == [
             [tuple(polygon.coords) for polygon in kept] for kept in scalar
         ]
 
-    # Fused == vector == object on the real pipeline's detailed-catalogue
-    # systems.
+    # One fused cohort == fused one at a time == object on the real
+    # pipeline's detailed-catalogue systems.
     config = OctantConfig(geographic_detail="detailed")
     localizer = BatchLocalizer(Octant(dataset, config))
     pipeline_systems = []
@@ -411,7 +410,7 @@ def test_gh_exclusion_speedup(dataset, target_ids):
     assert len(pipeline_systems) >= len(target_ids) - len(target_ids) // 4
     fused = solve_systems(SolverConfig(engine="fused"), pipeline_systems)
     for (planar, projection), fused_outcome in zip(pipeline_systems, fused):
-        for engine in ("vector", "object"):
+        for engine in ("fused", "object"):
             solver = WeightedRegionSolver(SolverConfig(engine=engine))
             region = solver.solve(planar, projection)
             assert_identical((region, solver.diagnostics), fused_outcome)
@@ -419,8 +418,8 @@ def test_gh_exclusion_speedup(dataset, target_ids):
     per_target = len(straddling) or 1
     ms = {name: seconds / per_target * 1000 for name, seconds in best.items()}
     speedup = best["exclude_object"] / best["exclude_batched"]
-    solve_ratio = best["solve_object"] / best["solve_vector"]
-    gh_pieces = sum(d.fallback_pieces for _r, d in results["solve_vector"])
+    solve_ratio = best["solve_object"] / best["solve_fused"]
+    gh_pieces = sum(d.fallback_pieces for _r, d in results["solve_fused"])
     exclusion_pieces = sum(len(polygons) * len(rings) for polygons, rings in workload)
 
     print()
@@ -437,7 +436,7 @@ def test_gh_exclusion_speedup(dataset, target_ids):
         f"({exclusion_pieces} piece subtractions)"
     )
     print(
-        f"  whole solve   : vector  {ms['solve_vector']:6.2f} vs object "
+        f"  whole solve   : fused   {ms['solve_fused']:6.2f} vs object "
         f"{ms['solve_object']:6.2f} ms/system -> {solve_ratio:4.2f}x "
         f"({gh_pieces} GH pieces)"
     )
@@ -452,7 +451,7 @@ def test_gh_exclusion_speedup(dataset, target_ids):
             "gh_exclusion_ms_per_system": round(ms["exclude_batched"], 3),
             "object_exclusion_ms_per_system": round(ms["exclude_object"], 3),
             "gh_speedup": round(speedup, 3),
-            "vector_solve_ms_per_system": round(ms["solve_vector"], 3),
+            "fused_solve_ms_per_system": round(ms["solve_fused"], 3),
             "object_solve_ms_per_system": round(ms["solve_object"], 3),
             "solve_ratio": round(solve_ratio, 3),
             "gh_pieces": gh_pieces,
@@ -462,7 +461,7 @@ def test_gh_exclusion_speedup(dataset, target_ids):
 
     # Drift gate: the batched exclusion path must clearly beat the object
     # engine's once the cohort is big enough to measure (the tracked figure
-    # is ~2.8x), so routing the vector engine's non-convex exclusions
+    # is ~2.8x), so routing the fused kernel's non-convex exclusions
     # through scalar code trips it.
     if len(target_ids) >= 20 and len(dataset.hosts) >= 20:
         assert speedup >= 1.3

@@ -4,8 +4,8 @@ This package reproduces *Octant: A Comprehensive Framework for the
 Geolocalization of Internet Hosts* (Wong, Stoyanov, Sirer).  The public API is
 organized in four layers:
 
-* :mod:`repro.geometry` -- spherical math, Bezier-bounded areas, polygon
-  boolean algebra and weighted regions.
+* :mod:`repro.geometry` -- spherical math, polygon boolean algebra and
+  weighted regions.
 * :mod:`repro.network`  -- the synthetic Internet substrate (topology, delay
   model, ping/traceroute, DNS and WHOIS) plus measurement datasets.
 * :mod:`repro.core`     -- the Octant framework itself: constraints,

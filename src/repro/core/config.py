@@ -13,7 +13,11 @@ from dataclasses import dataclass, field, replace
 
 from ..resilience.config import ResilienceConfig
 
-__all__ = ["OctantConfig", "SolverConfig"]
+__all__ = ["SOLVER_ENGINES", "OctantConfig", "SolverConfig"]
+
+#: The solver engines :attr:`SolverConfig.engine` accepts: the NumPy cohort
+#: kernel and the object reference.
+SOLVER_ENGINES = ("fused", "object")
 
 
 @dataclass(frozen=True)
@@ -49,30 +53,29 @@ class SolverConfig:
     #: which produces the same lattice of constraint intersections the paper
     #: describes while staying fast enough for the full evaluation.
     exact_complements: bool = False
-    #: Which solver engine runs the weighted accumulation.  ``"vector"`` (the
-    #: default) applies constraints through the NumPy flat-buffer kernel
-    #: (:mod:`repro.geometry.kernel`): batched Sutherland-Hodgman passes over
-    #: the whole piece population with a fully-inside/fully-outside prefilter.
-    #: ``"fused"`` adds a *target* axis on top of it: cohort workloads (batch
-    #: leave-one-out studies, micro-batched serving) advance every target's
-    #: constraint sequence in lockstep and pool the batched clip passes of
-    #: all targets into single NumPy calls, amortizing per-call dispatch
-    #: across the cohort (single solves run as a cohort of one).
-    #: ``"object"`` is the legacy per-``Polygon`` path, kept as the
+    #: Which solver engine runs the weighted accumulation (one of
+    #: :data:`SOLVER_ENGINES`).  ``"fused"`` (the default) is the NumPy
+    #: cohort kernel (:class:`repro.geometry.kernel.FusedSolverKernel`):
+    #: batched Sutherland-Hodgman passes over the whole piece population with
+    #: a fully-inside/fully-outside prefilter, plus a *target* axis -- cohort
+    #: workloads (batch leave-one-out studies, micro-batched serving) advance
+    #: every target's constraint sequence in lockstep and pool the batched
+    #: passes of all targets into single NumPy calls.  A single solve is a
+    #: cohort of one.  ``"object"`` is the per-``Polygon`` path, kept as the
     #: independent reference.  A non-convex exclusion (a detailed coastline
-    #: ring) is subtracted with Greiner-Hormann on every engine: the vector
-    #: and fused engines run the batched row kernel, the object engine the
-    #: scalar ``subtract_polygons``.  All engines produce bit-identical
-    #: estimates (pinned by the engine-equivalence suites);
-    #: ``exact_complements`` runs on the object path regardless, which is the
-    #: only mode that needs general disjoint complements.
-    engine: str = "vector"
-    #: Cohort chunk width: the batch evaluation engine
+    #: ring) is subtracted with Greiner-Hormann on both: the fused engine
+    #: runs the batched row kernel, the object engine the scalar
+    #: ``subtract_polygons``.  Both produce bit-identical estimates (pinned
+    #: by the engine-equivalence suites); ``exact_complements`` runs on the
+    #: object path regardless, which is the only mode that needs general
+    #: disjoint complements.
+    engine: str = "fused"
+    #: Cohort width: the batch evaluation engine
     #: (``BatchLocalizer.localize_all``) solves leave-one-out cohorts in
-    #: chunks of this many targets under every engine (one lockstep kernel
-    #: run per chunk under ``"fused"``, per-system solves otherwise), and
-    #: the fused serving layer coalesces up to this many queued requests
-    #: into one fused solve per executor dispatch.
+    #: chunks of this many targets (one lockstep kernel run per chunk under
+    #: ``"fused"``, per-system solves under ``"object"``), and the serving
+    #: layer coalesces up to this many queued requests into one fused solve
+    #: per executor dispatch.
     fuse_width: int = 16
     #: LRU capacity of the shared circle-geometry cache (applies to each of
     #: its layers: geodesic boundaries, and planar ``(projection, circle)``
@@ -80,6 +83,13 @@ class SolverConfig:
     #: geometry across an unbounded request stream; batch studies rarely
     #: approach it.
     circle_cache_size: int = 4096
+
+    def __post_init__(self) -> None:
+        if self.engine not in SOLVER_ENGINES:
+            raise ValueError(
+                f"unknown solver engine {self.engine!r}; "
+                f"expected one of {SOLVER_ENGINES}"
+            )
 
 
 @dataclass(frozen=True)

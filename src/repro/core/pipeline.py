@@ -21,8 +21,8 @@ machinery:
    constructed, keeping cached and uncached runs bit-identical (pinned by
    ``tests/core/test_solver_engines.py``).
 3. **Solve** (:meth:`ConstraintPipeline.solve`) -- the weighted accumulation
-   through :class:`~repro.core.solver.WeightedRegionSolver` (vector kernel by
-   default).
+   through :class:`~repro.core.solver.WeightedRegionSolver` (the fused NumPy
+   kernel by default).
 
 Each stage records its wall time in :class:`PipelineStats`; the serving layer
 surfaces those together with the circle-cache and planar-memo hit/miss
@@ -436,11 +436,11 @@ class ConstraintPipeline:
 
         Under ``engine="fused"`` the whole cohort advances in lockstep
         through one :class:`~repro.geometry.kernel.FusedSolverKernel` run
-        (single NumPy passes clip every target's pieces at once); other
-        engines solve each system independently.  Results are bit-identical
+        (single NumPy passes clip every target's pieces at once); the object
+        engine solves each system independently.  Results are bit-identical
         to calling :meth:`solve` per system, in input order.  ``engine``
         overrides the configured engine for this cohort only (degradation
-        ladder: all engines are bit-identical, so a fallback answer equals
+        ladder: the engines are bit-identical, so a fallback answer equals
         the primary one); ``keys`` label one resilience checkpoint each
         (typically the target ids), fired before the pooled solve.
         """

@@ -22,10 +22,12 @@ weighted and unweighted solving.
 
 Two engines implement the accumulation (``SolverConfig.engine``):
 
-* ``"vector"`` (default) -- the NumPy flat-buffer kernel in
-  :mod:`repro.geometry.kernel`: the piece population lives in packed
-  coordinate arrays and every constraint is applied in batched vectorized
-  passes with a fully-inside/fully-outside prefilter.
+* ``"fused"`` (default) -- the NumPy cohort kernel
+  :class:`~repro.geometry.kernel.FusedSolverKernel`: each target's piece
+  population lives in packed coordinate arrays, every constraint is applied
+  in batched vectorized passes with a fully-inside/fully-outside prefilter,
+  and a cohort of targets advances in lockstep so the k-th constraint of
+  every target shares those passes.  A single solve is a cohort of one.
 * ``"object"`` -- the original one-``Polygon``-at-a-time path, kept as the
   executable specification the kernel is pinned against.
 
@@ -49,7 +51,7 @@ from ..geometry import (
     intersect_polygons,
     subtract_polygons,
 )
-from ..geometry.kernel import FusedSolverKernel, VectorSolverKernel, subtract_cautious
+from ..geometry.kernel import FusedSolverKernel, subtract_cautious
 from .config import SolverConfig
 from .constraints import PlanarConstraint
 
@@ -75,7 +77,7 @@ class SolverDiagnostics:
     dropped_constraints: list[str] = field(default_factory=list)
 
     # ---- engine / kernel instrumentation ------------------------------- #
-    #: Which engine ran the solve (``"vector"``, ``"fused"`` or ``"object"``).
+    #: Which engine ran the solve (``"fused"`` or ``"object"``).
     engine: str = "object"
     #: Total wall time of the solve call.
     solve_seconds: float = 0.0
@@ -86,9 +88,10 @@ class SolverDiagnostics:
     prefilter_inside: int = 0
     #: Pieces classified fully-outside / fully-excluded (clip skipped).
     prefilter_outside: int = 0
-    #: Pieces that actually went through batched clipping passes.
+    #: Pieces that actually went through clipping (batched or scalar).
     pieces_clipped: int = 0
-    #: Total vertex lanes processed by the batched clipper.
+    #: Total vertex lanes processed by the batched clipper (cohort-level,
+    #: like the fused pass counters below).
     vertices_clipped: int = 0
     #: Pieces that left the vectorized framework for a per-piece object
     #: boolean or Greiner-Hormann traversal (non-convex inclusions and
@@ -97,11 +100,10 @@ class SolverDiagnostics:
     fallback_vertices: int = 0
     #: Wall time per kernel phase; the phases (``inclusion``, ``exclusion``,
     #: ``assemble``, ``select``) are disjoint, so their sum approximates the
-    #: solve time.  The fused engine books its shared lockstep spans under
-    #: the same phase names (an equal share per active cohort member per
-    #: step; geometry-table builds and the pooled rebuild land in
-    #: ``assemble``), so regressions stay attributable per phase across
-    #: engines.
+    #: solve time.  Shared lockstep spans are booked as an equal share per
+    #: active cohort member per step (geometry-table builds and the pooled
+    #: rebuild land in ``assemble``), so regressions stay attributable per
+    #: phase whatever the cohort width.
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     # ---- fused cohort instrumentation ---------------------------------- #
@@ -188,14 +190,14 @@ class WeightedRegionSolver:
         started = time.perf_counter()
         self.diagnostics = SolverDiagnostics()
         if self.config.engine == "fused" and not self.config.exact_complements:
-            # A single solve is a cohort of one; results are bit-identical
-            # to ``engine="vector"`` (the fused kernel drives the very same
-            # per-target machinery), so the engine can be flipped globally.
+            # A single solve is a cohort of one.
             ((region, diagnostics),) = solve_systems(
                 self.config, [(constraints, projection, universe)]
             )
             self.diagnostics = diagnostics
             return region
+        # The object engine -- and exact-complement mode, which needs general
+        # disjoint complements only the object path implements.
         usable = [c for c in constraints if c is not None]
         if not usable:
             return Region.empty(projection)
@@ -203,16 +205,6 @@ class WeightedRegionSolver:
         base = universe or universe_polygon(usable, self.config.universe_margin_km)
         if base is None:
             return Region.empty(projection)
-
-        # Exact-complement mode needs general disjoint complements, which only
-        # the object path implements; everything else runs on the kernel.
-        use_vector = self.config.engine == "vector" and not self.config.exact_complements
-        if use_vector:
-            self.diagnostics.engine = "vector"
-            kernel = VectorSolverKernel(self.config, self.diagnostics)
-            region = kernel.solve(usable, projection, base)
-            self.diagnostics.solve_seconds = time.perf_counter() - started
-            return region
 
         self.diagnostics.engine = "object"
         region = self._solve_object(usable, projection, base)
@@ -345,7 +337,7 @@ def solve_systems(
     ``engine="fused"`` (and not ``exact_complements``) every non-degenerate
     system advances through one :class:`FusedSolverKernel` lockstep run --
     the k-th constraint of every target applied in shared batched passes;
-    any other engine solves each system independently.  Returns one
+    the object engine solves each system independently.  Returns one
     ``(region, diagnostics)`` pair per system, in input order; results are
     bit-identical to solving each system alone.
     """

@@ -2,20 +2,18 @@
 
 Everything the constraint solver needs to reason about areas on the globe:
 spherical primitives (:class:`GeoPoint`, great-circle math), the projection
-between the globe and the local working plane, Bezier curves and paths (the
-paper's compact boundary representation), simple polygons with boolean
-algebra, disks/annuli, and the weighted :class:`Region` abstraction that holds
-an estimated location region.
+between the globe and the local working plane, simple polygons with boolean
+algebra (the flattened form of the paper's Bezier-bounded regions),
+disks/annuli, and the weighted :class:`Region` abstraction that holds an
+estimated location region.
 """
 
 from .bbox import BoundingBox
-from .bezier import KAPPA, BezierPath, CubicBezier
 from .circles import (
     DEFAULT_CIRCLE_SEGMENTS,
     CircleCache,
     annulus_polygon,
     dilate_polygon,
-    disk_bezier,
     disk_polygon,
     erode_polygon,
     geodesic_circle_points,
@@ -105,10 +103,6 @@ __all__ = [
     "upper_hull",
     "lower_hull",
     "is_point_in_convex_hull",
-    # bezier
-    "CubicBezier",
-    "BezierPath",
-    "KAPPA",
     # polygons and clipping
     "Polygon",
     "clip_convex",
@@ -128,7 +122,6 @@ __all__ = [
     "CircleCache",
     "geodesic_circle_points",
     "disk_polygon",
-    "disk_bezier",
     "planar_circle_polygon",
     "annulus_polygon",
     "dilate_polygon",

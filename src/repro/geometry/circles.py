@@ -11,8 +11,8 @@ plane.  This module constructs them in both representations:
 * :func:`geodesic_circle_points` -- points of a circle of constant
   great-circle radius around a geographic centre (computed with destination
   points so the circle is correct on the sphere, not merely in projection).
-* :func:`disk_polygon` / :func:`disk_bezier` -- planar polygon / Bezier-path
-  representation of such a disk under a given projection.
+* :func:`disk_polygon` -- planar polygon representation of such a disk
+  under a given projection.
 * :func:`annulus_polygon` -- the ring between an outer (positive) and inner
   (negative) bound from the same landmark, keyholed into a simple polygon.
 * :func:`dilate_polygon` / :func:`erode_polygon` -- approximate Minkowski
@@ -29,7 +29,6 @@ import numpy as np
 
 from .._lru import BoundedLRU
 
-from .bezier import KAPPA, BezierPath, CubicBezier
 from .convexhull import convex_hull
 from .point import Point2D
 from .polygon import Polygon
@@ -41,7 +40,6 @@ __all__ = [
     "CircleCache",
     "geodesic_circle_points",
     "disk_polygon",
-    "disk_bezier",
     "annulus_polygon",
     "planar_circle_polygon",
     "dilate_polygon",
@@ -361,43 +359,6 @@ def disk_polygon(
         return cache.planar_disk(center, radius_km, projection, segments)
     boundary = geodesic_circle_points(center, radius_km, segments)
     return Polygon(projection.forward_many(boundary)).ensure_ccw()
-
-
-def disk_bezier(
-    center: GeoPoint,
-    radius_km: float,
-    projection: Projection,
-    arcs: int = 8,
-) -> BezierPath:
-    """Bezier-bounded representation of the geodesic disk under ``projection``.
-
-    The disk boundary is sampled at ``arcs`` geodesic points and each arc is
-    fitted with a cubic segment whose control points follow the local tangent
-    directions -- the compact representation the paper advocates.
-    """
-    if arcs < 3:
-        raise ValueError(f"need at least 3 arcs, got {arcs!r}")
-    boundary = geodesic_circle_points(center, radius_km, arcs)
-    planar = projection.forward_many(boundary)
-    center_planar = projection.forward(center)
-
-    segments: list[CubicBezier] = []
-    # The KAPPA handle length is exact for quarter-circle arcs; scale it to
-    # the actual arc angle for other segment counts.
-    arc_angle = 2.0 * math.pi / arcs
-    handle = (4.0 / 3.0) * math.tan(arc_angle / 4.0)
-    for i in range(arcs):
-        p0 = planar[i]
-        p3 = planar[(i + 1) % arcs]
-        r0 = p0 - center_planar
-        r3 = p3 - center_planar
-        # Tangents are perpendicular to the local radius, oriented CCW.
-        t0 = r0.perpendicular()
-        t3 = r3.perpendicular()
-        p1 = p0 + t0 * handle
-        p2 = p3 - t3 * handle
-        segments.append(CubicBezier(p0, p1, p2, p3))
-    return BezierPath(segments)
 
 
 def planar_circle_polygon(

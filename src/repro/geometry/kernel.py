@@ -18,6 +18,9 @@ over a struct-of-arrays *flat buffer*:
   for them entirely (see ``DESIGN_SOLVER_KERNEL.md`` for the correctness
   argument: every shortcut is taken only when the object path's outcome is
   provably bit-identical).
+* :class:`FusedSolverKernel` drives it: a cohort of targets advances in
+  lockstep, the k-th constraint of every target sharing the batched passes;
+  a single solve is a cohort of one.
 
 Bit-level identity with the object path is the design contract, pinned by
 ``tests/core/test_solver_engines.py``: every vectorized expression mirrors
@@ -31,6 +34,7 @@ back to the very object-path functions it would otherwise replace.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Sequence
 
@@ -52,10 +56,8 @@ from .polygon import MERGE_TOLERANCE_KM, Polygon
 from .region import Region, RegionPiece
 
 __all__ = [
-    "CohortPieceBuffer",
     "FusedSolverKernel",
     "PieceBuffer",
-    "VectorSolverKernel",
     "geometry_for_constraint",
     "subtract_cautious",
 ]
@@ -81,11 +83,12 @@ _APOTHEM_SHAVE_KM = 1e-4
 _Part = tuple[np.ndarray, np.ndarray, float]
 
 #: Batched clipping pays NumPy dispatch overhead per pass; below this many
-#: rows the scalar object-path functions are faster on the small vertex
-#: counts the solver sees, and using them is trivially bit-identical (they
-#: *are* the reference implementation).  Above ``_MIN_BATCH_VERTICES`` total
-#: vertices the batch wins regardless of row count: scalar per-vertex loops
-#: on large keyholed rings cost milliseconds each.
+#: rows (pooled over a cohort step) the scalar object-path functions are
+#: faster on the small vertex counts the solver sees, and using them is
+#: trivially bit-identical (they *are* the reference implementation).
+#: Above ``_MIN_BATCH_VERTICES`` total vertices the batch wins regardless of
+#: row count: scalar per-vertex loops on large keyholed rings cost
+#: milliseconds each.
 _MIN_BATCH_ROWS = 3
 _MIN_BATCH_VERTICES = 150
 
@@ -95,9 +98,10 @@ _MIN_BATCH_VERTICES = 150
 #: edges the batch wins even for a single small part.
 _MAX_SCALAR_WEDGE_EDGES = 8
 
-#: Sentinel returned by ``_apply_constraint`` when the constraint left the
-#: piece population exactly as it was (no satisfied parts, no sliver drops):
-#: the caller keeps the current buffer instead of rebuilding it.
+#: Sentinel returned by ``FusedSolverKernel._assemble_split`` when the
+#: constraint left the piece population exactly as it was (no satisfied
+#: parts, no sliver drops): the caller keeps the current buffer instead of
+#: rebuilding it.
 _UNCHANGED: list = ["<unchanged>"]
 
 
@@ -375,165 +379,6 @@ class PieceBuffer:
         return self._padded
 
 
-class CohortPieceBuffer:
-    """Segment-indexed stack of many targets' piece populations.
-
-    The fused cohort engine runs its prefilter passes over *every* target's
-    pieces at once; this buffer concatenates the per-target
-    :class:`PieceBuffer` flat arrays into one cohort-wide layout:
-
-    * ``xs``/``ys`` -- packed vertex coordinates, target-major then
-      piece-major (each target's packing is preserved verbatim).
-    * ``offsets`` -- per-piece vertex ranges rebased into the cohort arrays.
-    * ``segments`` -- target ``t`` owns pieces
-      ``segments[t]:segments[t + 1]``.
-    * ``piece_target`` -- per-piece owning target id (the broadcast index
-      for per-target constraint parameters).
-    * ``cursors`` -- snapshot of each target's constraint cursor at build
-      time (which constraint of its sequence the lockstep is applying).
-
-    Per-target decisions stay per-target: the cohort arrays only carry the
-    row-wise arithmetic, whose values are bitwise what each target's own
-    buffer would produce (concatenation never mixes rows).
-    """
-
-    __slots__ = (
-        "buffers",
-        "segments",
-        "piece_target",
-        "bboxes",
-        "cursors",
-        "_xs",
-        "_ys",
-        "_offsets",
-        "_weights",
-    )
-
-    def __init__(
-        self,
-        buffers: Sequence[PieceBuffer],
-        cursors: Sequence[int] | None = None,
-    ):
-        self.buffers = list(buffers)
-        counts = np.array([len(b) for b in self.buffers], dtype=np.int64)
-        self.segments = np.zeros(len(self.buffers) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.segments[1:])
-        self.piece_target = np.repeat(np.arange(len(self.buffers)), counts)
-        if self.buffers and len(self.piece_target):
-            self.bboxes = np.vstack([b.bboxes for b in self.buffers])
-        else:
-            self.bboxes = np.zeros((0, 4))
-        self.cursors = (
-            np.asarray(cursors, dtype=np.int64)
-            if cursors is not None
-            else np.zeros(len(self.buffers), dtype=np.int64)
-        )
-        # The coordinate stack is built on first use: the per-step fused
-        # prefilters read only boxes/segments/ids, so a lockstep step that
-        # never touches vertices skips the cohort-wide concatenation.
-        self._xs: np.ndarray | None = None
-        self._ys: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
-        self._weights: np.ndarray | None = None
-
-    def _ensure_coords(self) -> None:
-        if self._xs is not None:
-            return
-        if self.buffers:
-            self._xs = np.concatenate([b.xs for b in self.buffers])
-            self._ys = np.concatenate([b.ys for b in self.buffers])
-            vertex_bases = np.zeros(len(self.buffers), dtype=np.int64)
-            np.cumsum(
-                [len(b.xs) for b in self.buffers[:-1]], out=vertex_bases[1:]
-            )
-            self._offsets = np.concatenate(
-                [b.offsets[:-1] + base for b, base in zip(self.buffers, vertex_bases)]
-                + [np.array([len(self._xs)], dtype=np.int64)]
-            )
-            self._weights = np.concatenate([b.weights for b in self.buffers])
-        else:
-            self._xs = np.zeros(0)
-            self._ys = np.zeros(0)
-            self._offsets = np.zeros(1, dtype=np.int64)
-            self._weights = np.zeros(0)
-
-    @property
-    def xs(self) -> np.ndarray:
-        self._ensure_coords()
-        return self._xs
-
-    @property
-    def ys(self) -> np.ndarray:
-        self._ensure_coords()
-        return self._ys
-
-    @property
-    def offsets(self) -> np.ndarray:
-        self._ensure_coords()
-        return self._offsets
-
-    @property
-    def weights(self) -> np.ndarray:
-        self._ensure_coords()
-        return self._weights
-
-    def __len__(self) -> int:
-        return len(self.piece_target)
-
-    def target_pieces(self, t: int) -> slice:
-        """The cohort piece range owned by target ``t``."""
-        return slice(int(self.segments[t]), int(self.segments[t + 1]))
-
-    def broadcast_pieces(self, values: np.ndarray) -> np.ndarray:
-        """Per-target values replicated to one entry per cohort piece."""
-        return np.asarray(values)[self.piece_target]
-
-    def broadcast_vertices(self, values: np.ndarray) -> np.ndarray:
-        """Per-target values replicated to one entry per packed vertex."""
-        vertex_counts = np.diff(self.offsets)
-        return np.repeat(np.asarray(values)[self.piece_target], vertex_counts)
-
-    def union_boxes(self) -> np.ndarray:
-        """Per-target union bounding box ``(T, 4)``.
-
-        Mirrors the per-target ``boxes[:, k].min()/max()`` reductions of the
-        vector engine's whole-population fast path; targets with no pieces
-        get an inverted box (+inf mins, -inf maxes).
-        """
-        T = len(self.buffers)
-        out = np.empty((T, 4))
-        out[:, 0] = out[:, 1] = np.inf
-        out[:, 2] = out[:, 3] = -np.inf
-        nonempty = np.nonzero(np.diff(self.segments) > 0)[0]
-        if len(nonempty):
-            starts = self.segments[nonempty]
-            out[nonempty, 0] = np.minimum.reduceat(self.bboxes[:, 0], starts)
-            out[nonempty, 1] = np.minimum.reduceat(self.bboxes[:, 1], starts)
-            out[nonempty, 2] = np.maximum.reduceat(self.bboxes[:, 2], starts)
-            out[nonempty, 3] = np.maximum.reduceat(self.bboxes[:, 3], starts)
-        return out
-
-    def piece_max(self, per_vertex: np.ndarray) -> np.ndarray:
-        """Per-piece maximum of a packed per-vertex metric.
-
-        ``reduceat`` over the piece offsets, hardened against zero-vertex
-        pieces (which get ``-inf``); the values per piece are bitwise what
-        ``np.maximum.reduceat`` on the owning target's own buffer yields.
-        """
-        n = len(self)
-        if n == 0:
-            return np.zeros(0)
-        counts = np.diff(self.offsets)
-        if len(per_vertex) and bool((counts > 0).all()):
-            return np.maximum.reduceat(per_vertex, self.offsets[:-1])
-        out = np.full(n, -np.inf)
-        for i in range(n):
-            lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-            if hi > lo:
-                out[i] = per_vertex[lo:hi].max()
-        return out
-
-
 # --------------------------------------------------------------------------- #
 # Batched row primitives (padded representation)
 # --------------------------------------------------------------------------- #
@@ -585,27 +430,6 @@ def _reverse_rows(
     Xr = np.where(flip[:, None], X[rows, rev_idx], X)
     Yr = np.where(flip[:, None], Y[rows, rev_idx], Y)
     return Xr, Yr
-
-
-def _signed_areas_rows(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Shoelace signed area per row, bitwise equal to the scalar loop.
-
-    Terms are accumulated with ``np.cumsum`` -- a sequential scan, so the
-    rounding matches ``total += ax*by - bx*ay`` exactly; padding lanes
-    contribute an exact ``0.0``.
-    """
-    R, V = X.shape
-    lanes = _lanes(V)[None, :]
-    valid = lanes < counts[:, None]
-    next_idx = np.where(lanes == counts[:, None] - 1, 0, lanes + 1)
-    next_idx = np.where(valid, next_idx, 0)
-    rows = _rows_col(R)
-    NX = X[rows, next_idx]
-    NY = Y[rows, next_idx]
-    terms = np.where(valid, X * NY - NX * Y, 0.0)
-    if V == 0:
-        return np.zeros(R)
-    return np.cumsum(terms, axis=1)[:, -1] / 2.0
 
 
 def _clip_pass_rows(
@@ -949,39 +773,23 @@ def _clip_convex_rows_multi(
     return _finalize_rows(X, Y, counts, counts >= 3)
 
 
-def _halfplane_chain_rows(
-    parts: Sequence[_Part],
-    edge_seqs: Sequence[np.ndarray],
-    stats: "_StatsHook | None" = None,
-) -> list[_Part | None]:
-    """Batched chains of ``clip_halfplane`` calls (one edge sequence per row).
-
-    Each pass replicates one ``clip_halfplane``: re-orient to CCW, clip
-    against the row's next edge, then clean/validate/measure exactly like the
-    per-pass ``_polygon_from_coords`` the scalar code runs.  Used for the
-    wedge decomposition of convex subtraction, where every wedge is an
-    independent chain ``[outside(edge_i), inside(edge_0..i-1)]``.  Rows are
-    compacted to the active subset per pass, so finished or dead chains cost
-    nothing.
-    """
-    if not parts:
-        return []
-    seq_lens = np.array([len(s) for s in edge_seqs], dtype=np.int64)
-    max_len = int(seq_lens.max())
-    R = len(parts)
-    edge_arr = np.zeros((R, max_len, 4))
-    for r, seq in enumerate(edge_seqs):
-        edge_arr[r, : len(seq), :] = seq
-    return _halfplane_chain_run(parts, edge_arr, seq_lens, stats)
-
-
 def _halfplane_chain_run(
     parts: Sequence[_Part],
     edge_arr: np.ndarray,
     seq_lens: np.ndarray,
     stats: "_StatsHook | None" = None,
 ) -> list[_Part | None]:
-    """The pass loop of :func:`_halfplane_chain_rows` on a prebuilt edge array."""
+    """Batched chains of ``clip_halfplane`` calls (one edge sequence per row).
+
+    Row ``r`` runs the first ``seq_lens[r]`` edges of ``edge_arr[r]``.  Each
+    pass replicates one ``clip_halfplane``: re-orient to CCW, clip against
+    the row's next edge, then clean/validate/measure exactly like the
+    per-pass ``_polygon_from_coords`` the scalar code runs.  Used for the
+    wedge decomposition of convex subtraction, where every wedge is an
+    independent chain ``[outside(edge_i), inside(edge_0..i-1)]``.  Rows are
+    compacted to the active subset per pass, so finished or dead chains cost
+    nothing.
+    """
     max_len = edge_arr.shape[1]
     R = len(parts)
     X, Y, counts, signed = _pad_parts(parts)
@@ -1072,86 +880,34 @@ def _halfplane_chain_run(
 
 
 # --------------------------------------------------------------------------- #
+# Per-row constraint tables
+# --------------------------------------------------------------------------- #
+def _stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """1-D per-target arrays as one zero-padded table, one row per array.
+
+    A single array is its own one-row table (a view, no padding).
+    """
+    if len(arrays) == 1:
+        return arrays[0][None, :]
+    table = np.zeros((len(arrays), max(len(a) for a in arrays)))
+    for k, a in enumerate(arrays):
+        table[k, : len(a)] = a
+    return table
+
+
+def _table_rows(table: np.ndarray, rows) -> np.ndarray:
+    """The rows of a per-row table; a one-row table is shared by every row.
+
+    A cohort's constraint tables hold one row per target.  When a single
+    target owns every row its table row broadcasts against the row axis
+    instead of being gathered once per row: each row reads the same values.
+    """
+    return table if len(table) == 1 else table[rows]
+
+
+# --------------------------------------------------------------------------- #
 # Vectorized containment (keyhole precondition)
 # --------------------------------------------------------------------------- #
-def _contain_all_queries(
-    parts: Sequence[_Part],
-    X: np.ndarray,
-    Y: np.ndarray,
-    counts: np.ndarray,
-    boxes: np.ndarray,
-    qx: np.ndarray,
-    qy: np.ndarray,
-) -> np.ndarray:
-    """For every part: does it contain *all* query points?
-
-    Vectorized replica of ``all(piece.contains_point(v) for v in queries)``.
-    ``contains_point`` returns True either when the even-odd parity says
-    inside or when the point sits on the boundary (``include_boundary``);
-    parity True therefore decides True without the (expensive) boundary
-    distance scan.  Only queries with parity False fall back to the exact
-    scalar predicate -- rare, because keyhole exclusions lie strictly inside
-    their piece.  ``X/Y/counts/boxes`` are the parts' padded rows and
-    bounding boxes, shared with the caller to avoid re-padding.
-    """
-    P, V = X.shape
-    lanes = _lanes(V)[None, :]
-    valid = lanes < counts[:, None]
-    tol = MERGE_TOLERANCE_KM
-
-    # Bounding-box gate per (part, query).
-    in_box = (
-        (boxes[:, 0][:, None] - tol <= qx[None, :])
-        & (qx[None, :] <= boxes[:, 2][:, None] + tol)
-        & (boxes[:, 1][:, None] - tol <= qy[None, :])
-        & (qy[None, :] <= boxes[:, 3][:, None] + tol)
-    )
-
-    # Even-odd parity, vectorized over (part, query, edge); the crossing
-    # predicate and the intersection abscissa mirror the scalar loop.
-    rowsP = _rows_col(P)
-    prev_idx = np.where(lanes == 0, np.maximum(counts[:, None] - 1, 0), lanes - 1)
-    PX = X[rowsP, prev_idx]
-    PY = Y[rowsP, prev_idx]
-    vy = Y[:, None, :]
-    vyj = PY[:, None, :]
-    vx = X[:, None, :]
-    vxj = PX[:, None, :]
-    py = qy[None, :, None]
-    px = qx[None, :, None]
-    crosses = ((vy > py) != (vyj > py)) & valid[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_int = (vxj - vx) * (py - vy) / (vyj - vy) + vx
-    hits = crosses & (px < x_int)
-    parity = (hits.sum(axis=2) % 2).astype(bool)
-
-    decided_true = in_box & parity
-    result = np.empty(P, dtype=bool)
-    all_true = decided_true.all(axis=1)
-    for p in range(P):
-        if all_true[p]:
-            result[p] = True
-            continue
-        # Some query has parity False (or sits outside the box): re-check
-        # those with the exact scalar predicate, in vertex order like the
-        # scalar all() scan.
-        polygon = None
-        ok = True
-        for q in range(len(qx)):
-            if decided_true[p, q]:
-                continue
-            if not in_box[p, q]:
-                ok = False
-                break
-            if polygon is None:
-                polygon = _polygon_from_part(parts[p])
-            if not polygon.contains_point(Point2D(float(qx[q]), float(qy[q]))):
-                ok = False
-                break
-        result[p] = ok
-    return result
-
-
 def _contain_all_queries_rows(
     parts: Sequence[_Part],
     X: np.ndarray,
@@ -1160,16 +916,22 @@ def _contain_all_queries_rows(
     boxes: np.ndarray,
     QX: np.ndarray,
     QY: np.ndarray,
-    q_valid: np.ndarray,
+    q_len: np.ndarray,
 ) -> np.ndarray:
-    """:func:`_contain_all_queries` with one query set *per row*.
+    """For every part: does it contain *all* of its row's query points?
 
-    The fused cohort engine pools keyhole candidates of many targets; each
-    row's queries are its own target's exclusion vertices, padded to the
-    cohort-wide maximum (``q_valid`` masks the padding).  Every parity and
-    box expression is elementwise per (part, query), hence bitwise equal to
-    the per-target tensor; the exact scalar fallback runs per part exactly
-    like the original.
+    Vectorized replica of ``all(piece.contains_point(v) for v in queries)``.
+    ``contains_point`` returns True either when the even-odd parity says
+    inside or when the point sits on the boundary (``include_boundary``);
+    parity True therefore decides True without the (expensive) boundary
+    distance scan.  Only queries with parity False fall back to the exact
+    scalar predicate -- rare, because keyhole exclusions lie strictly inside
+    their piece.  ``X/Y/counts/boxes`` are the parts' padded rows and
+    bounding boxes.  ``QX``/``QY`` hold each row's queries (its target's
+    exclusion vertices) padded to the widest set, ``q_len`` the real counts;
+    a one-row table serves every row (:func:`_table_rows`).  Every parity
+    and box expression is elementwise per (part, query), so pooling rows of
+    many targets never changes a row's answer.
     """
     P, V = X.shape
     lanes = _lanes(V)[None, :]
@@ -1199,24 +961,32 @@ def _contain_all_queries_rows(
     hits = crosses & (px < x_int)
     parity = (hits.sum(axis=2) % 2).astype(bool)
 
-    decided_true = (in_box & parity) | ~q_valid
+    decided_true = in_box & parity
+    if bool((q_len == QX.shape[1]).all()):
+        all_true = decided_true.all(axis=1)
+    else:
+        q_pad = _lanes(QX.shape[1])[None, :] >= q_len[:, None]
+        all_true = (decided_true | q_pad).all(axis=1)
     result = np.empty(P, dtype=bool)
-    all_true = decided_true.all(axis=1)
     for p in range(P):
         if all_true[p]:
             result[p] = True
             continue
+        # Some query has parity False (or sits outside the box): re-check
+        # those with the exact scalar predicate, in vertex order like the
+        # scalar all() scan.
+        k = p if len(QX) > 1 else 0
         polygon = None
         ok = True
-        for q in range(QX.shape[1]):
-            if not q_valid[p, q] or decided_true[p, q]:
+        for q in range(int(q_len[k])):
+            if decided_true[p, q]:
                 continue
             if not in_box[p, q]:
                 ok = False
                 break
             if polygon is None:
                 polygon = _polygon_from_part(parts[p])
-            if not polygon.contains_point(Point2D(float(QX[p, q]), float(QY[p, q]))):
+            if not polygon.contains_point(Point2D(float(QX[k, q]), float(QY[k, q]))):
                 ok = False
                 break
         result[p] = ok
@@ -1226,46 +996,6 @@ def _contain_all_queries_rows(
 # --------------------------------------------------------------------------- #
 # Keyhole construction (vectorized bridge search)
 # --------------------------------------------------------------------------- #
-def _keyhole_bridges(
-    X: np.ndarray,
-    Y: np.ndarray,
-    counts: np.ndarray,
-    wanted: np.ndarray,
-    inner_rev_x: np.ndarray,
-    inner_rev_y: np.ndarray,
-) -> list[tuple[int, int] | None]:
-    """Bridge vertex pairs for many keyhole parts in one tensor.
-
-    The squared-distance expression matches the scalar scan elementwise and
-    ``argmin`` over the row-major flattened (outer, inner) grid reproduces
-    its first-minimum tie-breaking; padding lanes are +inf and never win.
-    Only rows flagged in ``wanted`` are needed; the result is valid for
-    CCW-oriented rings only (callers re-derive for reversed rings).
-    """
-    bridges: list[tuple[int, int] | None] = [None] * len(counts)
-    rows = np.nonzero(wanted)[0]
-    if len(rows) == 0:
-        return bridges
-    # Only the wanted rows pay for the distance tensor.
-    wX = X[rows]
-    wY = Y[rows]
-    wc = counts[rows]
-    width = max(int(wc.max()), 1)
-    wX = wX[:, :width]
-    wY = wY[:, :width]
-    valid = _lanes(width)[None, :] < wc[:, None]
-    dox = wX[:, :, None] - inner_rev_x[None, None, :]
-    doy = wY[:, :, None] - inner_rev_y[None, None, :]
-    d2 = dox * dox + doy * doy
-    d2 = np.where(valid[:, :, None], d2, np.inf)
-    flat_idx = d2.reshape(len(rows), -1).argmin(axis=1)
-    ni = len(inner_rev_x)
-    for pos, k in enumerate(rows.tolist()):
-        bridges[k] = divmod(int(flat_idx[pos]), ni)
-    return bridges
-
-
-
 def _keyhole_bridges_rows(
     X: np.ndarray,
     Y: np.ndarray,
@@ -1274,16 +1004,22 @@ def _keyhole_bridges_rows(
     INX: np.ndarray,
     INY: np.ndarray,
     ni_rows: np.ndarray,
-) -> list[tuple[int, int] | None]:
-    """:func:`_keyhole_bridges` with one inner ring *per row*.
+) -> np.ndarray:
+    """Bridge vertex pairs ``(R, 2)`` for many keyhole parts in one tensor.
 
-    ``INX``/``INY`` hold each row's clockwise inner-ring coordinates padded
-    to the cohort maximum; ``ni_rows`` the real lengths.  Padding lanes are
-    +inf and never win the argmin, and because padding only appends entries
-    after each real (outer, inner) run, the row-major first-minimum
-    tie-break order over the real pairs is exactly the unpadded scan's.
+    The squared-distance expression matches the scalar scan elementwise and
+    ``argmin`` over the row-major flattened (outer, inner) grid reproduces
+    its first-minimum tie-breaking.  Only rows flagged in ``wanted`` are
+    needed (the others get ``-1``); the result is valid for CCW-oriented
+    rings only (callers re-derive for reversed rings).  ``INX``/``INY`` hold
+    each row's
+    clockwise inner-ring coordinates padded to the widest ring (or one row
+    for all, :func:`_table_rows`); ``ni_rows`` the real lengths.  Padding
+    lanes are +inf and never win the argmin, and because padding only
+    appends entries after each real (outer, inner) run, the tie-break order
+    over the real pairs is exactly the unpadded scan's.
     """
-    bridges: list[tuple[int, int] | None] = [None] * len(counts)
+    bridges = np.full((len(counts), 2), -1, dtype=np.int64)
     rows = np.nonzero(wanted)[0]
     if len(rows) == 0:
         return bridges
@@ -1294,17 +1030,18 @@ def _keyhole_bridges_rows(
     wX = wX[:, :width]
     wY = wY[:, :width]
     valid = _lanes(width)[None, :] < wc[:, None]
-    inx = INX[rows]
-    iny = INY[rows]
+    inx = _table_rows(INX, rows)
+    iny = _table_rows(INY, rows)
     ni_pad = inx.shape[1]
-    inner_valid = _lanes(ni_pad)[None, :] < ni_rows[rows][:, None]
     dox = wX[:, :, None] - inx[:, None, :]
     doy = wY[:, :, None] - iny[:, None, :]
     d2 = dox * dox + doy * doy
-    d2 = np.where(valid[:, :, None] & inner_valid[:, None, :], d2, np.inf)
+    d2 = np.where(valid[:, :, None], d2, np.inf)
+    ni = _table_rows(ni_rows, rows)
+    if bool((ni < ni_pad).any()):
+        d2 = np.where(_lanes(ni_pad)[None, None, :] < ni[:, None, None], d2, np.inf)
     flat_idx = d2.reshape(len(rows), -1).argmin(axis=1)
-    for pos, k in enumerate(rows.tolist()):
-        bridges[k] = divmod(int(flat_idx[pos]), ni_pad)
+    bridges[rows, 0], bridges[rows, 1] = np.divmod(flat_idx, ni_pad)
     return bridges
 
 
@@ -1313,28 +1050,32 @@ def _with_hole_batch_rows(
     kY: np.ndarray,
     kcounts: np.ndarray,
     rows: np.ndarray,
-    bridges: Sequence[tuple[int, int] | None],
+    bridges: np.ndarray,
     INX: np.ndarray,
     INY: np.ndarray,
     ni_rows: np.ndarray,
 ) -> list[_Part]:
-    """:func:`_with_hole_batch` with one inner ring *per row*.
+    """Batched ``Polygon.with_hole`` for many CCW outer rings at once.
 
-    The ring-combination gather runs with per-row inner lengths (modulus by
-    the row's own ``ni``); every emitted coordinate is the same gather the
-    per-target batch performs, and the shared clean + sequential-shoelace
-    finalization is row-independent.
+    ``rows`` indexes the keyhole subset's padded arrays; every flagged row
+    must be CCW-stored with a precomputed bridge.  The combined ring
+    ``outer_rot + [outer_rot[0]] + inner_rot + [inner_rot[0]]`` is gathered
+    for all rows in one shot (lanes ``[0, cnt]`` walk the rotated outer
+    ring, lane ``cnt`` wrapping back to the bridge vertex; the inner ring
+    follows likewise, modulo the row's own ``ni``), then cleaned (vectorized
+    detection, scalar fallback) and measured with the shared sequential
+    shoelace.  The inner-ring tables are per row or shared
+    (:func:`_table_rows`).
     """
     P = len(rows)
     counts_r = kcounts[rows]
-    ni_r = ni_rows[rows]
-    widths = counts_r + ni_r + 2
+    ni_col = _table_rows(ni_rows, rows)[:, None]
+    widths = counts_r + ni_col[:, 0] + 2
     W = int(widths.max())
     lanes = _lanes(W)[None, :]
     cnt = counts_r[:, None]
-    ni_col = ni_r[:, None]
-    oi = np.array([bridges[r][0] for r in rows])[:, None]
-    ij = np.array([bridges[r][1] for r in rows])[:, None]
+    oi = bridges[rows, 0][:, None]
+    ij = bridges[rows, 1][:, None]
 
     outer_zone = lanes <= cnt
     outer_src = (oi + lanes) % cnt
@@ -1342,62 +1083,11 @@ def _with_hole_batch_rows(
     rowsP = _rows_col(P)
     gx_outer = kX[rows][rowsP, outer_src]
     gy_outer = kY[rows][rowsP, outer_src]
-    inx = INX[rows]
-    iny = INY[rows]
-    gx_inner = inx[rowsP, inner_src]
-    gy_inner = iny[rowsP, inner_src]
-    comb_x = np.where(outer_zone, gx_outer, gx_inner)
-    comb_y = np.where(outer_zone, gy_outer, gy_inner)
-
-    comb_x, comb_y, widths, signed = _clean_and_measure_rows(comb_x, comb_y, widths)
-    out: list[_Part] = []
-    for k in range(P):
-        w = int(widths[k])
-        if w < 3:
-            raise ValueError("keyholed polygon degenerated below a triangle")
-        out.append((comb_x[k, :w].copy(), comb_y[k, :w].copy(), float(signed[k])))
-    return out
-
-
-def _with_hole_batch(
-    kX: np.ndarray,
-    kY: np.ndarray,
-    kcounts: np.ndarray,
-    rows: np.ndarray,
-    bridges: Sequence[tuple[int, int] | None],
-    inner_rev_x: np.ndarray,
-    inner_rev_y: np.ndarray,
-) -> list[_Part]:
-    """Batched ``Polygon.with_hole`` for many CCW outer rings at once.
-
-    ``rows`` indexes the keyhole subset's padded arrays; every flagged row
-    must be CCW-stored with a precomputed bridge.  The combined ring
-    ``outer_rot + [outer_rot[0]] + inner_rot + [inner_rot[0]]`` is gathered
-    for all rows in one shot (the bridge lanes are the natural wrap of the
-    rotation modulus), then cleaned (vectorized detection, scalar fallback)
-    and measured with the shared sequential shoelace.
-    """
-    P = len(rows)
-    ni = len(inner_rev_x)
-    counts_r = kcounts[rows]
-    widths = counts_r + ni + 2
-    W = int(widths.max())
-    lanes = _lanes(W)[None, :]
-    cnt = counts_r[:, None]
-    oi = np.array([bridges[r][0] for r in rows])[:, None]
-    ij = np.array([bridges[r][1] for r in rows])[:, None]
-
-    # Lane -> source index: lanes [0, cnt] walk the rotated outer ring
-    # (lane == cnt wraps back to the bridge vertex), lanes (cnt, cnt+ni+1]
-    # walk the rotated inner ring likewise.
-    outer_zone = lanes <= cnt
-    outer_src = (oi + lanes) % cnt
-    inner_src = (ij + (lanes - cnt - 1)) % ni
-    rowsP = _rows_col(P)
-    gx_outer = kX[rows][rowsP, outer_src]
-    gy_outer = kY[rows][rowsP, outer_src]
-    gx_inner = inner_rev_x[inner_src]
-    gy_inner = inner_rev_y[inner_src]
+    inx = _table_rows(INX, rows)
+    iny = _table_rows(INY, rows)
+    inner_row = rowsP if len(inx) > 1 else 0
+    gx_inner = inx[inner_row, inner_src]
+    gy_inner = iny[inner_row, inner_src]
     comb_x = np.where(outer_zone, gx_outer, gx_inner)
     comb_y = np.where(outer_zone, gy_outer, gy_inner)
 
@@ -1415,31 +1105,24 @@ def _with_hole_part(
     part: _Part,
     inner_rev_x: np.ndarray,
     inner_rev_y: np.ndarray,
-    bridge: tuple[int, int] | None = None,
 ) -> _Part:
-    """Replica of ``Polygon.with_hole`` on raw arrays.
+    """Replica of ``Polygon.with_hole`` on raw arrays, for one part.
 
+    The batched keyholing covers CCW-stored rings; a CW-stored one comes
+    here, because its bridge scan runs on the re-oriented ring.
     ``inner_rev_*`` are the hole's CCW coordinates already reversed to
     clockwise traversal (precomputed once per constraint).  The bridge is the
     closest (outer vertex, inner vertex) pair compared on squared distance;
     ``np.argmin`` returns the first minimizer in row-major order, matching
-    the scalar scan's strict-improvement update order.  Callers that batch
-    the bridge search across parts pass the ``(outer, inner)`` vertex pair
-    in; it must have been computed on the CCW-oriented ring.
+    the scalar scan's strict-improvement update order.
     """
     xs, ys, signed = part
     if not signed > 0.0:
         xs, ys = xs[::-1], ys[::-1]
-        bridge = None  # the scan order changes with the ring orientation
-
-    if bridge is None:
-        dox = xs[:, None] - inner_rev_x[None, :]
-        doy = ys[:, None] - inner_rev_y[None, :]
-        d2 = dox * dox + doy * doy
-        flat = int(np.argmin(d2))
-        oi, ij = divmod(flat, len(inner_rev_x))
-    else:
-        oi, ij = bridge
+    dox = xs[:, None] - inner_rev_x[None, :]
+    doy = ys[:, None] - inner_rev_y[None, :]
+    d2 = dox * dox + doy * doy
+    oi, ij = divmod(int(np.argmin(d2)), len(inner_rev_x))
 
     # outer loop ... bridge out ... inner loop ... bridge back, assembled
     # directly into the output buffers.
@@ -1508,7 +1191,8 @@ class _ConstraintGeometry:
         "inc_apothem2",
         "exc_convex",
         "exc_bbox",
-        "exc_coords",
+        "exc_qx",
+        "exc_qy",
         "exc_rev_x",
         "exc_rev_y",
         "exc_wedge_sides",
@@ -1545,7 +1229,8 @@ class _ConstraintGeometry:
         else:
             self.exc_convex = False
             self.exc_bbox = None
-        self.exc_coords = None
+        self.exc_qx = None
+        self.exc_qy = None
         self.exc_rev_x = None
         self.exc_rev_y = None
         self.exc_wedge_sides = None
@@ -1577,15 +1262,22 @@ class _ConstraintGeometry:
         self.inc_edges = edges
 
     def ensure_keyhole_tables(self) -> None:
-        """Query points and clockwise ring for keyhole containment/bridging."""
-        if self.exc_coords is not None:
+        """Query points and clockwise ring for keyhole containment/bridging.
+
+        The query points are the exclusion's vertices in stored order (the
+        scalar containment scan's order); the ring is its CCW coordinates
+        reversed.
+        """
+        if self.exc_qx is not None:
             return
         exc = self.exclusion
         ccw = _ccw_coords_array(exc)
         rev = ccw[::-1]
         self.exc_rev_x = np.ascontiguousarray(rev[:, 0])
         self.exc_rev_y = np.ascontiguousarray(rev[:, 1])
-        self.exc_coords = np.asarray(exc.coords)
+        coords = np.asarray(exc.coords)
+        self.exc_qx = np.ascontiguousarray(coords[:, 0])
+        self.exc_qy = np.ascontiguousarray(coords[:, 1])
 
     def ensure_wedge_tables(self) -> None:
         """Edge tables for the batched wedge decomposition."""
@@ -1647,30 +1339,6 @@ class _StatsHook:
         self.rows_clipped = 0
 
 
-class _InclusionPre:
-    """Cohort-precomputed prefilter inputs for one target (fused path).
-
-    Each field is the slice of a cohort-wide array belonging to one target;
-    every expression producing them is an elementwise map over that target's
-    own rows, so the values are bitwise what the per-target code computes.
-    """
-
-    __slots__ = ("disjoint", "union_box", "max_d2")
-
-    def __init__(
-        self,
-        disjoint: np.ndarray,
-        union_box: tuple,
-        max_d2: np.ndarray | None = None,
-    ) -> None:
-        self.disjoint = disjoint
-        self.union_box = union_box
-        #: Optional precomputed per-piece centre-distance metric; ``None``
-        #: lets the classifier compute it lazily (most targets resolve on
-        #: the union fast path and never need it).
-        self.max_d2 = max_d2
-
-
 class _InclusionPlan:
     """Outcome of the convex-inclusion prefilter classification.
 
@@ -1679,7 +1347,7 @@ class _InclusionPlan:
     filtered ``edges`` rows).
     """
 
-    __slots__ = ("out", "still", "parts", "edges", "still_verts")
+    __slots__ = ("out", "still", "parts", "edges")
 
     def __init__(
         self,
@@ -1687,47 +1355,27 @@ class _InclusionPlan:
         still: list | tuple = (),
         parts: list | tuple = (),
         edges: np.ndarray | None = None,
-        still_verts: int = 0,
     ) -> None:
         self.out = out
         self.still = list(still)
         self.parts = list(parts)
         self.edges = edges
-        self.still_verts = still_verts
 
 
 class _ExclusionPlan:
-    """Outcome of the exclusion classification for one constraint.
+    """Outcome of the exclusion stage for one target and one constraint.
 
-    ``results[fi]`` is the kept parts for flat part ``fi`` (``None`` while
-    pending); parts whose wedge chains are still to run are recorded in the
-    ``chain_*`` lists so a pooled runner (vector: this target's, fused: the
-    whole cohort's) can execute them and distribute back.
+    The target's intermediate parts are flattened; ``owners[fi]`` is the
+    piece flat part ``fi`` came from and ``results[fi]`` its kept parts
+    (``None`` while pending).
     """
 
-    __slots__ = (
-        "n_pieces",
-        "owners",
-        "results",
-        "chain_parts",
-        "chain_seqs",
-        "chain_owner",
-    )
+    __slots__ = ("n_pieces", "owners", "results")
 
     def __init__(self, n_pieces: int) -> None:
         self.n_pieces = n_pieces
         self.owners: list[int] = []
         self.results: list[list | None] = []
-        self.chain_parts: list[_Part] = []
-        self.chain_seqs: list[np.ndarray] = []
-        self.chain_owner: list[int] = []
-
-
-def _distribute_chained(plan: _ExclusionPlan, chained: Sequence) -> None:
-    """Fold pooled wedge-chain results back into the plan's result slots."""
-    for fi, piece in zip(plan.chain_owner, chained):
-        if piece is not None:
-            plan.results[fi].append(piece)
 
 
 def _parts_are_buffer(flat: list, buffer: "PieceBuffer") -> bool:
@@ -1753,166 +1401,270 @@ def _assemble_exclusion(plan: _ExclusionPlan) -> list[list]:
     return out
 
 
+def _row_boxes(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-row bounding boxes ``(R, 4)`` of padded rows (valid lanes only)."""
+    valid = _lanes(X.shape[1])[None, :] < counts[:, None]
+    inf = np.inf
+    return np.column_stack(
+        [
+            np.where(valid, X, inf).min(axis=1),
+            np.where(valid, Y, inf).min(axis=1),
+            np.where(valid, X, -inf).max(axis=1),
+            np.where(valid, Y, -inf).max(axis=1),
+        ]
+    )
+
+
+def _row_buckets(lengths: np.ndarray, single: bool) -> list[tuple]:
+    """Row selections ``(selector, positions)`` for a pooled runner.
+
+    Width buckets (:func:`_bucket_rows`), each as an index array plus the
+    same indices as a list.  A one-target pool is one selection of every
+    row -- a slice, so the runner reads the pooled arrays without gathering
+    them.
+    """
+    if single:
+        return [(slice(None), range(len(lengths)))]
+    return [
+        (np.asarray(bucket), bucket) for bucket in _bucket_rows(lengths.tolist())
+    ]
+
+
+def _bucket_rows(lengths: Sequence[int], floor: int = 16) -> list[list[int]]:
+    """Partition row indices into vertex-count buckets for pooled runners.
+
+    Pooled padded matrices are as wide as their widest row; one keyholed
+    100-vertex piece of one target would make *every* target's rows pay
+    100 lanes of padded arithmetic.  Sorting rows by length and cutting a
+    new bucket whenever a row exceeds twice the bucket's opening width
+    keeps the padding waste bounded while preserving large pooled batches.
+    Per-row results are row-independent, so the partition cannot change any
+    output.  A one-target pool is not bucketed (:func:`_row_buckets`): its
+    pieces share their history, and the extra calls cost more than the
+    padding they save.
+    """
+    order = sorted(range(len(lengths)), key=lambda i: lengths[i])
+    buckets: list[list[int]] = []
+    current: list[int] = []
+    limit = 0
+    for idx in order:
+        n = lengths[idx]
+        if current and n > limit:
+            buckets.append(current)
+            current = []
+        if not current:
+            limit = max(n, floor) * 2
+        current.append(idx)
+    if current:
+        buckets.append(current)
+    return buckets
+
+
 # --------------------------------------------------------------------------- #
 # The kernel
 # --------------------------------------------------------------------------- #
-class VectorSolverKernel:
-    """Runs the weighted accumulation on a :class:`PieceBuffer`.
+class _TargetState:
+    """One target's solver state inside a cohort run."""
 
-    The kernel owns no policy: constraint ordering, pruning and selection
-    replicate the object engine decision for decision (stable Python sorts
-    over the buffer's cached weight/area scalars), and every geometric
-    shortcut is bit-identity-safe (see module docstring).
+    __slots__ = (
+        "diagnostics",
+        "buffer",
+        "ordered",
+        "cursor",
+        "projection",
+        "geometry",
+        "inside_parts",
+        "satisfied",
+    )
+
+    def __init__(self, diagnostics, buffer, ordered, projection) -> None:
+        self.diagnostics = diagnostics
+        self.buffer: PieceBuffer = buffer
+        self.ordered = ordered
+        self.cursor = 0
+        self.projection = projection
+        self.geometry: _ConstraintGeometry | None = None
+        self.inside_parts: list[list] | None = None
+        self.satisfied: list[list] | None = None
+
+
+class FusedSolverKernel:
+    """Lockstep multi-target weighted accumulation over one cohort.
+
+    The one NumPy implementation of the weighted accumulation; a single
+    solve is a cohort of one.  Batch evaluation and high-traffic serving
+    are cohort-shaped: many targets solve structurally identical
+    weighted-region systems, and on the tiny matrices the solver sees NumPy
+    *dispatch* dominates arithmetic.  Every target's constraint sequence
+    (ordered by weight, exactly like the object engine) therefore advances
+    in lockstep, and the k-th constraint of every active target is applied
+    in shared batched passes:
+
+    * the inclusion's bbox rejection runs once over every target's stacked
+      piece boxes, with per-row constraint bounds taken by target id (the
+      centre-distance and side-matrix classification stay per target);
+    * the surviving pieces of *all* targets clip through one pooled convex
+      clip;
+    * the exclusion's bbox / keyhole classification, keyhole containment,
+      bridge search and keyholing run over the stacked rows of every
+      target, and the wedge chains of *all* targets' convex subtractions
+      pool into one :func:`_halfplane_chain_run` per width bucket.
+
+    Each stage has one decision tree, whatever the cohort width.  What the
+    width does choose is how a stage's input is fed to the row primitives:
+    a one-target pool broadcasts its constraint tables instead of gathering
+    them per row and skips width bucketing, and a pool too small to
+    amortize batched passes runs the scalar reference functions (bit-
+    identical by construction).  Pooling never changes an answer: every
+    pooled primitive is row-independent (elementwise arithmetic, per-row
+    scans, scatter by row; padding width and cross-row short-circuits never
+    change a row's values), so a target's output does not depend on its
+    cohort -- pinned by the cohort suites in
+    ``tests/core/test_solver_engines.py``, and against the object engine
+    by the engine-equivalence suites.
     """
 
-    def __init__(self, config, diagnostics) -> None:
+    def __init__(self, config) -> None:
         self.config = config
-        self.diagnostics = diagnostics
+        #: Pooled pass counters for the whole cohort run.
         self._hook = _StatsHook()
+        self._steps = 0
+        self._step_targets = 0
 
     # ------------------------------------------------------------------ #
     # Entry point
     # ------------------------------------------------------------------ #
-    def solve(self, constraints: Sequence, projection, base: Polygon) -> Region:
-        diag = self.diagnostics
-        buffer = PieceBuffer.from_polygons([(base, 0.0)])
-        ordered = sorted(constraints, key=lambda c: c.weight, reverse=True)
+    def solve_many(self, systems: Sequence[tuple]) -> list[Region]:
+        """Solve many systems in lockstep.
 
-        for constraint in ordered:
-            started = time.perf_counter()
-            # The inclusion/exclusion stages record their own phases inside
-            # _apply_constraint; "assemble" is the remainder of this span
-            # (geometry precompute, part bookkeeping, prune, buffer build),
-            # so the per-phase breakdown sums to the true solve time.
-            sub_before = diag.phase_seconds.get("inclusion", 0.0) + diag.phase_seconds.get(
-                "exclusion", 0.0
-            )
-            geometry = geometry_for_constraint(constraint)
-            parts, weights = self._apply_constraint(buffer, geometry)
-            new_buffer = self._integrate_parts(buffer, geometry, parts, weights)
-            self._record_assemble(started, sub_before)
-            if new_buffer is not None:
-                buffer = new_buffer
-        return self._finalize(buffer, projection)
-
-    def _integrate_parts(
-        self,
-        buffer: PieceBuffer,
-        geometry: _ConstraintGeometry,
-        parts: list,
-        weights: list,
-    ) -> PieceBuffer | None:
-        """Prune + rebuild bookkeeping after one constraint's split.
-
-        Returns the population to carry forward (the same buffer object on
-        the ``_UNCHANGED`` fast path), or ``None`` when the constraint wiped
-        out every piece and is skipped.  Shared with the fused driver so the
-        diagnostics counters and pruning decisions have one implementation.
+        ``systems`` holds ``(constraints, projection, base, diagnostics)``
+        per target; returns one :class:`Region` per system, in order.  The
+        diagnostics objects receive the per-target solve counters plus the
+        cohort-level pass counters.
         """
-        diag = self.diagnostics
-        if not parts:
-            diag.constraints_skipped += 1
-            diag.dropped_constraints.append(geometry.label)
-            return None
-        if parts is not _UNCHANGED:
-            # Prune on the raw part lists before building the buffer, so
-            # each constraint pays for exactly one buffer construction.
-            # (The _UNCHANGED sentinel keeps the current buffer: pruning is
-            # a no-op on an already-pruned population.)
-            max_pieces = self.config.max_pieces
-            if len(parts) > max_pieces:
-                ranked = sorted(
-                    range(len(parts)),
-                    key=lambda i: (weights[i], abs(parts[i][2])),
-                    reverse=True,
-                )[:max_pieces]
-                parts = [parts[i] for i in ranked]
-                weights = [weights[i] for i in ranked]
-            buffer = PieceBuffer.from_parts(parts, weights)
-        diag.constraints_applied += 1
-        diag.max_pieces_seen = max(diag.max_pieces_seen, len(buffer))
-        return buffer
+        states: list[_TargetState] = []
+        for constraints, projection, base, diagnostics in systems:
+            diagnostics.engine = "fused"
+            buffer = PieceBuffer.from_polygons([(base, 0.0)])
+            ordered = sorted(constraints, key=lambda c: c.weight, reverse=True)
+            states.append(_TargetState(diagnostics, buffer, ordered, projection))
 
-    def _finalize(self, buffer: PieceBuffer, projection) -> Region:
-        """Selection + diagnostics stamping shared by both drivers."""
-        diag = self.diagnostics
+        while True:
+            active = [s for s in states if s.cursor < len(s.ordered)]
+            if not active:
+                break
+            self._apply_step(active)
+            for s in active:
+                s.cursor += 1
+
+        mean_targets = self._step_targets / self._steps if self._steps else 0.0
+        regions: list[Region] = []
+        for s in states:
+            diag = s.diagnostics
+            diag.fused_cohort_targets = len(states)
+            diag.fused_pass_count = self._hook.clip_passes
+            diag.fused_rows_clipped = self._hook.rows_clipped
+            diag.fused_targets_per_pass = mean_targets
+            diag.vertices_clipped = self._hook.vertices_clipped
+            regions.append(self._finalize(s))
+        return regions
+
+    # ------------------------------------------------------------------ #
+    # One lockstep step: the k-th constraint of every active target
+    # ------------------------------------------------------------------ #
+    def _apply_step(self, active: list[_TargetState]) -> None:
         started = time.perf_counter()
-        selected = self._select(buffer)
-        pieces = [
-            RegionPiece(buffer.polygon(i), float(buffer.weights[i])) for i in selected
-        ]
-        diag.phase_seconds["select"] = (
-            diag.phase_seconds.get("select", 0.0) + time.perf_counter() - started
-        )
-        diag.final_piece_count = len(pieces)
-        diag.max_weight = max((float(w) for w in buffer.weights), default=0.0)
-        diag.selected_weight = max((p.weight for p in pieces), default=0.0)
-        diag.vertices_clipped = self._hook.vertices_clipped
-        return Region(pieces, projection)
+        self._steps += 1
+        self._step_targets += len(active)
+        for s in active:
+            s.geometry = geometry_for_constraint(s.ordered[s.cursor])
+        geom_done = time.perf_counter()
 
-    def _record_assemble(self, started: float, sub_before: float) -> None:
-        """Book the constraint span minus its inclusion/exclusion sub-phases."""
-        diag = self.diagnostics
-        sub_delta = (
-            diag.phase_seconds.get("inclusion", 0.0)
-            + diag.phase_seconds.get("exclusion", 0.0)
-            - sub_before
-        )
-        diag.phase_seconds["assemble"] = (
-            diag.phase_seconds.get("assemble", 0.0)
-            + (time.perf_counter() - started)
-            - sub_delta
-        )
+        # ---- inclusion stage ------------------------------------------ #
+        fusable: list[_TargetState] = []
+        for s in active:
+            geometry = s.geometry
+            if geometry.inclusion is None:
+                s.inside_parts = [[p] for p in s.buffer.parts()]
+            elif not geometry.inc_convex:
+                s.inside_parts = self._nonconvex_inclusion(s)
+            else:
+                fusable.append(s)
+        if fusable:
+            self._fused_inclusion(fusable)
+        inc_done = time.perf_counter()
 
-    # ------------------------------------------------------------------ #
-    # One constraint over the whole buffer
-    # ------------------------------------------------------------------ #
-    def _apply_constraint(
-        self, buffer: PieceBuffer, geometry: _ConstraintGeometry
-    ) -> tuple[list, list]:
-        """Split every piece by the constraint (non-exact semantics).
+        # ---- exclusion stage ------------------------------------------ #
+        excluding: list[_TargetState] = []
+        for s in active:
+            if s.geometry.exclusion is None:
+                s.satisfied = s.inside_parts
+            else:
+                excluding.append(s)
+        if excluding:
+            self._fused_exclusion(excluding)
+        exc_done = time.perf_counter()
 
-        Mirrors ``WeightedRegionSolver._apply_constraint``: per piece, the
-        satisfied parts gain the constraint weight and the original piece is
-        kept as the unsatisfied fallback; slivers below the configured area
-        are dropped.
-        """
-        diag = self.diagnostics
-        n = len(buffer)
+        # ---- per-target assembly and pruning, pooled rebuild ---------- #
+        # Pruning runs on the raw part lists before any buffer is built, and
+        # the per-target buffer constructions pool into one concatenation
+        # plus one set of bbox reductions.
+        rebuilds: list[tuple[_TargetState, list, list]] = []
+        max_pieces = self.config.max_pieces
+        for s in active:
+            parts, weights = self._assemble_split(s)
+            diag = s.diagnostics
+            if not parts:
+                # The constraint wiped out everything; skip it rather than
+                # collapsing the solution.
+                diag.constraints_skipped += 1
+                diag.dropped_constraints.append(s.geometry.label)
+            elif parts is _UNCHANGED:
+                diag.constraints_applied += 1
+                diag.max_pieces_seen = max(diag.max_pieces_seen, len(s.buffer))
+            else:
+                if len(parts) > max_pieces:
+                    ranked = sorted(
+                        range(len(parts)),
+                        key=lambda i: (weights[i], abs(parts[i][2])),
+                        reverse=True,
+                    )[:max_pieces]
+                    parts = [parts[i] for i in ranked]
+                    weights = [weights[i] for i in ranked]
+                rebuilds.append((s, parts, weights))
+                diag.constraints_applied += 1
+                diag.max_pieces_seen = max(diag.max_pieces_seen, len(parts))
+            s.geometry = None
+            s.inside_parts = None
+            s.satisfied = None
+        if rebuilds:
+            self._rebuild_buffers(rebuilds)
 
-        if geometry.inclusion is not None:
-            started = time.perf_counter()
-            inside_parts = self._inclusion_step(buffer, geometry)
-            diag.phase_seconds["inclusion"] = (
-                diag.phase_seconds.get("inclusion", 0.0) + time.perf_counter() - started
-            )
-        else:
-            inside_parts = [[p] for p in buffer.parts()]
+        # The cohort step is shared spans; book each target an equal share
+        # per stage so per-target phase sums remain meaningful and
+        # regressions stay attributable to a phase.  Geometry-table builds
+        # and the assembly/rebuild tail both land in "assemble".
+        n = len(active)
+        inc_share = (inc_done - geom_done) / n
+        exc_share = (exc_done - inc_done) / n
+        asm_share = ((geom_done - started) + (time.perf_counter() - exc_done)) / n
+        for s in active:
+            phases = s.diagnostics.phase_seconds
+            phases["inclusion"] = phases.get("inclusion", 0.0) + inc_share
+            phases["exclusion"] = phases.get("exclusion", 0.0) + exc_share
+            phases["assemble"] = phases.get("assemble", 0.0) + asm_share
 
-        if geometry.exclusion is not None:
-            started = time.perf_counter()
-            satisfied = self._exclusion_step(inside_parts, geometry, buffer)
-            diag.phase_seconds["exclusion"] = (
-                diag.phase_seconds.get("exclusion", 0.0) + time.perf_counter() - started
-            )
-        else:
-            satisfied = inside_parts
-
-        return self._assemble_split(buffer, geometry, satisfied)
-
-    def _assemble_split(
-        self,
-        buffer: PieceBuffer,
-        geometry: _ConstraintGeometry,
-        satisfied: list[list],
-    ) -> tuple[list, list]:
+    def _assemble_split(self, s: _TargetState) -> tuple[list, list]:
         """Weighted parts + fallbacks from one constraint's satisfied sides.
 
-        Shared by the vector and fused drivers: satisfied parts gain the
-        constraint weight, originals remain as the unsatisfied fallback,
-        slivers are dropped, and a constraint that satisfied nothing while
-        every original survives returns the ``_UNCHANGED`` sentinel.
+        Mirrors ``WeightedRegionSolver._apply_constraint`` (non-exact
+        semantics): satisfied parts gain the constraint weight, originals
+        remain as the unsatisfied fallback, slivers are dropped, and a
+        constraint that satisfied nothing while every original survives
+        returns the ``_UNCHANGED`` sentinel.
         """
+        buffer = s.buffer
+        satisfied = s.satisfied
         n = len(buffer)
         min_area = self.config.min_piece_area_km2
         if n > 0 and not any(satisfied) and bool((buffer.areas >= min_area).all()):
@@ -1923,8 +1675,9 @@ class VectorSolverKernel:
         weights: list[float] = []
         bparts = buffer.parts()
         buffer_weights = buffer.weights.tolist()
+        weight = s.geometry.weight
         for i in range(n):
-            gained = buffer_weights[i] + geometry.weight
+            gained = buffer_weights[i] + weight
             for part in satisfied[i]:
                 if abs(part[2]) >= min_area:
                     parts.append(part)
@@ -1936,81 +1689,188 @@ class VectorSolverKernel:
                 weights.append(buffer_weights[i])
         return parts, weights
 
-    # ------------------------------------------------------------------ #
-    # Inclusion: batched convex clip with prefilter
-    # ------------------------------------------------------------------ #
-    def _inclusion_step(
-        self, buffer: PieceBuffer, geometry: _ConstraintGeometry
-    ) -> list[list]:
-        inclusion = geometry.inclusion
-        assert inclusion is not None
+    def _rebuild_buffers(
+        self, rebuilds: list[tuple[_TargetState, list, list]]
+    ) -> None:
+        """Pooled post-constraint buffer rebuild for many targets.
 
-        if not geometry.inc_convex:
-            # Non-convex inclusion: Greiner-Hormann territory; run the exact
-            # object-path boolean per piece.
-            diag = self.diagnostics
-            out: list[list] = []
-            for i in range(len(buffer)):
-                diag.fallback_pieces += 1
-                diag.fallback_vertices += int(
-                    buffer.offsets[i + 1] - buffer.offsets[i]
-                )
-                polys = intersect_polygons(buffer.polygon(i), inclusion)
-                out.append([_part_from_polygon(p) for p in polys])
-            return out
+        One concatenation packs every target's surviving parts; the
+        per-piece bounding boxes reduce over the pooled arrays (the same
+        per-piece spans the per-target constructor reduces, so the values
+        are bitwise equal); each target receives its slice views.
+        """
+        all_parts: list[_Part] = []
+        for _s, parts, _w in rebuilds:
+            all_parts.extend(parts)
+        counts = np.array([len(p[0]) for p in all_parts], dtype=np.int64)
+        offsets = np.zeros(len(all_parts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        xs = np.concatenate([p[0] for p in all_parts])
+        ys = np.concatenate([p[1] for p in all_parts])
+        signed = np.array([p[2] for p in all_parts])
+        bboxes = _bboxes_from_packed(xs, ys, offsets)
+        piece_pos = 0
+        for s, parts, weights in rebuilds:
+            n = len(parts)
+            lo = int(offsets[piece_pos])
+            hi = int(offsets[piece_pos + n])
+            s.buffer = PieceBuffer.from_arrays(
+                xs[lo:hi],
+                ys[lo:hi],
+                offsets[piece_pos : piece_pos + n + 1] - lo,
+                np.asarray(weights, dtype=float),
+                signed[piece_pos : piece_pos + n],
+                bboxes[piece_pos : piece_pos + n],
+            )
+            piece_pos += n
 
-        plan = self._inclusion_classify(buffer, geometry)
-        if not plan.still:
-            return plan.out
+    # ------------------------------------------------------------------ #
+    # Selection (stable scalar sort over cached metrics)
+    # ------------------------------------------------------------------ #
+    def _finalize(self, s: _TargetState) -> Region:
+        """Selection + diagnostics stamping for one target."""
+        diag = s.diagnostics
+        buffer = s.buffer
+        started = time.perf_counter()
+        selected = self._select(buffer)
+        pieces = [
+            RegionPiece(buffer.polygon(i), float(buffer.weights[i])) for i in selected
+        ]
+        diag.phase_seconds["select"] = (
+            diag.phase_seconds.get("select", 0.0) + time.perf_counter() - started
+        )
+        diag.final_piece_count = len(pieces)
+        diag.max_weight = max((float(w) for w in buffer.weights), default=0.0)
+        diag.selected_weight = max((p.weight for p in pieces), default=0.0)
+        return Region(pieces, s.projection)
+
+    def _select(self, buffer: PieceBuffer) -> list[int]:
+        """Replica of ``WeightedRegionSolver._select`` on the buffer."""
+        if len(buffer) == 0:
+            return []
+        weights = buffer.weights.tolist()
+        areas = buffer.areas.tolist()
+        ranked = sorted(
+            range(len(buffer)), key=lambda i: (weights[i], -areas[i]), reverse=True
+        )
+        config = self.config
+        selected: list[int] = []
+        accumulated = 0.0
+        top_weight = weights[ranked[0]]
+        for i in ranked:
+            if selected and accumulated >= config.target_region_area_km2:
+                break
+            if selected and weights[i] < top_weight and accumulated > 0:
+                if accumulated >= config.target_region_area_km2 / 4.0:
+                    break
+            selected.append(i)
+            accumulated += areas[i]
+        return selected
+
+    # ------------------------------------------------------------------ #
+    # Inclusion: cohort prefilters + pooled convex clip
+    # ------------------------------------------------------------------ #
+    def _nonconvex_inclusion(self, s: _TargetState) -> list[list]:
+        """Non-convex inclusion: the exact object-path boolean per piece."""
+        diag = s.diagnostics
+        buffer = s.buffer
+        inclusion = s.geometry.inclusion
+        out: list[list] = []
+        for i in range(len(buffer)):
+            diag.fallback_pieces += 1
+            diag.fallback_vertices += int(buffer.offsets[i + 1] - buffer.offsets[i])
+            polys = intersect_polygons(buffer.polygon(i), inclusion)
+            out.append([_part_from_polygon(p) for p in polys])
+        return out
+
+    def _fused_inclusion(self, group: list[_TargetState]) -> None:
+        # Replica of BoundingBox.intersects(piece_box, clip_box), one pass
+        # over every target's pieces with per-row constraint bounds.  Runs
+        # before any table construction so constraints whose geometry
+        # misses every piece stay as cheap as the box comparisons.
+        sizes = [len(s.buffer) for s in group]
+        binfo = np.array(
+            [
+                [
+                    s.geometry.inc_bbox.min_x,
+                    s.geometry.inc_bbox.min_y,
+                    s.geometry.inc_bbox.max_x,
+                    s.geometry.inc_bbox.max_y,
+                ]
+                for s in group
+            ]
+        )
+        if len(group) == 1:
+            boxes = group[0].buffer.bboxes
+        else:
+            boxes = np.vstack([s.buffer.bboxes for s in group])
+            binfo = binfo[np.repeat(np.arange(len(group)), sizes)]
+        disjoint = (
+            (boxes[:, 2] < binfo[:, 0])
+            | (binfo[:, 2] < boxes[:, 0])
+            | (boxes[:, 3] < binfo[:, 1])
+            | (binfo[:, 3] < boxes[:, 1])
+        )
+        starts = [0, *itertools.accumulate(sizes)]
+
+        plans: list[_InclusionPlan] = []
+        pooled_parts: list[_Part] = []
+        owner: list[tuple[int, int]] = []
+        for t, s in enumerate(group):
+            plan = self._inclusion_classify(s, disjoint[starts[t] : starts[t + 1]])
+            plans.append(plan)
+            pooled_parts.extend(plan.parts)
+            owner.extend((t, j) for j in range(len(plan.parts)))
+        if not pooled_parts:
+            for s, plan in zip(group, plans):
+                s.inside_parts = plan.out
+            return
+
         if (
-            len(plan.still) < _MIN_BATCH_ROWS
-            and plan.still_verts < _MIN_BATCH_VERTICES
+            len(pooled_parts) < _MIN_BATCH_ROWS
+            and sum(len(p[0]) for p in pooled_parts) < _MIN_BATCH_VERTICES
         ):
             # Too few (and small enough) pieces to amortize batched passes:
             # run the scalar reference clipper (bit-identical by construction).
-            for piece in plan.still:
-                clipped = clip_convex(buffer.polygon(piece), inclusion)
+            for t, j in owner:
+                s, plan = group[t], plans[t]
+                piece = plan.still[j]
+                clipped = clip_convex(s.buffer.polygon(piece), s.geometry.inclusion)
                 if clipped is not None:
                     plan.out[piece] = [_part_from_polygon(clipped)]
-            return plan.out
-        results = _clip_convex_rows(plan.parts, plan.edges, self._hook)
-        for piece, result in zip(plan.still, results):
-            if result is not None:
-                plan.out[piece] = [result]
-        return plan.out
+        else:
+            # One target: every row clips against the same edge table.
+            single = len({t for t, _j in owner}) == 1
+            lengths = np.array([len(p[0]) for p in pooled_parts])
+            for _sel, rows in _row_buckets(lengths, single):
+                parts = [pooled_parts[i] for i in rows]
+                if single:
+                    edges = plans[owner[0][0]].edges
+                    results = _clip_convex_rows(parts, edges, self._hook)
+                else:
+                    edge_seqs = [plans[owner[i][0]].edges for i in rows]
+                    results = _clip_convex_rows_multi(parts, edge_seqs, self._hook)
+                for i, result in zip(rows, results):
+                    if result is not None:
+                        t, j = owner[i]
+                        plan = plans[t]
+                        plan.out[plan.still[j]] = [result]
+        for s, plan in zip(group, plans):
+            s.inside_parts = plan.out
 
     def _inclusion_classify(
-        self,
-        buffer: PieceBuffer,
-        geometry: _ConstraintGeometry,
-        pre: "_InclusionPre | None" = None,
-    ) -> "_InclusionPlan":
-        """Prefilter classification of every piece against a convex inclusion.
+        self, s: _TargetState, disjoint: np.ndarray
+    ) -> _InclusionPlan:
+        """Prefilter classification of one target's pieces (convex inclusion).
 
-        Shared by the per-target vector path and the fused cohort path: the
-        decisions (bbox rejection, whole-population fast path, centre
-        distance, side matrix) are identical line for line; ``pre``
-        optionally injects the cohort-computed row arrays (bitwise equal to
-        the per-target expressions below, since every one of them is an
-        elementwise map over this target's own rows).
+        ``disjoint`` (per-piece bbox rejection) comes from the cohort pass;
+        the decisions past it (whole-population fast path, centre distance,
+        side matrix) are per target.
         """
+        buffer = s.buffer
+        geometry = s.geometry
         n = len(buffer)
-        diag = self.diagnostics
-        bbox = geometry.inc_bbox
-        boxes = buffer.bboxes
-
-        # Replica of BoundingBox.intersects(piece_box, clip_box).  Runs
-        # before any table construction so constraints whose geometry misses
-        # every piece stay as cheap as the box comparisons.
-        if pre is not None:
-            disjoint = pre.disjoint
-        else:
-            disjoint = (
-                (boxes[:, 2] < bbox.min_x)
-                | (bbox.max_x < boxes[:, 0])
-                | (boxes[:, 3] < bbox.min_y)
-                | (bbox.max_y < boxes[:, 1])
-            )
+        diag = s.diagnostics
         diag.prefilter_bbox += int(disjoint.sum())
 
         out: list[list] = [[] for _ in range(n)]
@@ -2027,13 +1887,11 @@ class VectorSolverKernel:
         # piece can be bbox-disjoint in that situation, so the earlier
         # rejection never fired.)
         cx, cy = geometry.inc_center
-        if pre is not None:
-            ux0, uy0, ux1, uy1 = pre.union_box
-        else:
-            ux0 = float(boxes[:, 0].min())
-            uy0 = float(boxes[:, 1].min())
-            ux1 = float(boxes[:, 2].max())
-            uy1 = float(boxes[:, 3].max())
+        boxes = buffer.bboxes
+        ux0 = float(boxes[:, 0].min())
+        uy0 = float(boxes[:, 1].min())
+        ux1 = float(boxes[:, 2].max())
+        uy1 = float(boxes[:, 3].max())
         far = max(
             (ux0 - cx) * (ux0 - cx),
             (ux1 - cx) * (ux1 - cx),
@@ -2048,14 +1906,10 @@ class VectorSolverKernel:
         # Centre-distance prefilter: every vertex within the (shaved)
         # apothem of the clip centroid is strictly inside every clip edge,
         # so the clipper would return the piece unchanged.
-        if pre is not None and pre.max_d2 is not None:
-            max_d2 = pre.max_d2
-        else:
-            dx = buffer.xs - cx
-            dy = buffer.ys - cy
-            d2 = dx * dx + dy * dy
-            starts = buffer.offsets[:-1]
-            max_d2 = np.maximum.reduceat(d2, starts)
+        dx = buffer.xs - cx
+        dy = buffer.ys - cy
+        d2 = dx * dx + dy * dy
+        max_d2 = np.maximum.reduceat(d2, buffer.offsets[:-1])
         center_inside = max_d2[candidates] <= geometry.inc_apothem2
 
         bparts = buffer.parts()
@@ -2105,9 +1959,6 @@ class VectorSolverKernel:
             return _InclusionPlan(out)
 
         diag.pieces_clipped += len(still)
-        still_verts = int(
-            sum(buffer.offsets[i + 1] - buffer.offsets[i] for i in still)
-        )
 
         # Edge filtering: an edge every remaining vertex is inside (with the
         # float-safety margin) clips nothing for any piece -- intermediate
@@ -2118,217 +1969,278 @@ class VectorSolverKernel:
         needed = near.any(axis=(0, 2))
 
         parts = [_ccw_part(bparts[i]) for i in still]
-        return _InclusionPlan(
-            out, still, parts, geometry.inc_edges[needed], still_verts
-        )
+        return _InclusionPlan(out, still, parts, edges[needed])
 
     # ------------------------------------------------------------------ #
-    # Exclusion: cautious subtraction with vectorized shortcuts
+    # Exclusion: cohort classification + pooled keyholes, GH, wedges
     # ------------------------------------------------------------------ #
-    def _exclusion_step(
-        self,
-        inside_parts: list[list],
-        geometry: _ConstraintGeometry,
-        buffer: PieceBuffer | None = None,
-    ) -> list[list]:
-        """``subtract_cautious`` over every intermediate part, batched.
+    def _fused_exclusion(self, group: list[_TargetState]) -> None:
+        """``subtract_cautious`` for every part of every target at once.
 
         Per part the decision tree matches the scalar code: bounding-box
         disjoint keeps the part, a strictly-contained exclusion keyholes it,
-        a convex exclusion is wedge-subtracted (all wedges of all parts in
-        one batched chain run), a non-convex one rides the batched
-        Greiner-Hormann row kernel.
+        a convex exclusion is wedge-subtracted, a non-convex one rides the
+        batched Greiner-Hormann row kernel.  The bbox/keyhole
+        classification, keyhole containment, bridge search, batched
+        keyholing and wedge sidedness run once over the stacked rows of
+        every target, with per-row constraint parameters taken by target
+        id, and every wedge chain of every target pools into one runner.
         """
-        plan = self._exclusion_classify(inside_parts, geometry, buffer)
-        if plan.chain_parts:
-            chained = _halfplane_chain_rows(
-                plan.chain_parts, plan.chain_seqs, self._hook
-            )
-            _distribute_chained(plan, chained)
-        return _assemble_exclusion(plan)
-
-    def _exclusion_classify(
-        self,
-        inside_parts: list[list],
-        geometry: _ConstraintGeometry,
-        buffer: PieceBuffer | None = None,
-    ) -> _ExclusionPlan:
-        """Classify every part against the exclusion; defer wedge chains.
-
-        Everything except the wedge-chain run happens here (bbox keeps,
-        keyhole containment + batch keyholing, batched Greiner-Hormann, the
-        small-batch scalar path); parts that need the chain runner are
-        recorded on the returned plan.  This is the per-target vector path;
-        the fused cohort engine runs the same decision tree over stacked
-        cohort rows in ``FusedSolverKernel._fused_exclusion`` (kept as a
-        deliberate mirror -- every expression there must match this one).
-        """
-        exclusion = geometry.exclusion
-        assert exclusion is not None
-        bbox = geometry.exc_bbox
-        diag = self.diagnostics
         tol = 1e-6
-
-        plan = _ExclusionPlan(len(inside_parts))
-        flat: list[_Part] = []
-        owners = plan.owners
-        for pi, parts in enumerate(inside_parts):
-            for part in parts:
-                flat.append(part)
-                owners.append(pi)
-        if not flat:
-            return plan
-
-        # Pad once; every stage below (bbox classification, containment,
-        # wedge sidedness) reads the same row arrays.  In the dominant case
+        plans: list[_ExclusionPlan] = []
+        flats: list[list[_Part]] = []
+        # Per target: padded rows and per-row boxes.  In the dominant case
         # -- every piece passed the inclusion fully-inside, so the parts are
         # the buffer's own coordinate slices, unreversed -- the buffer's
-        # cached padded rows *and* cached bounding boxes are reused outright
-        # (the padded-row min/max over valid lanes reduces the same vertex
-        # set, so the cached values are bitwise equal).
-        if (
-            buffer is not None
-            and len(flat) == len(buffer)
-            and _parts_are_buffer(flat, buffer)
-        ):
-            X, Y, counts = buffer.padded()
-            minx = buffer.bboxes[:, 0]
-            miny = buffer.bboxes[:, 1]
-            maxx = buffer.bboxes[:, 2]
-            maxy = buffer.bboxes[:, 3]
+        # cached padded rows *and* bounding boxes are reused outright (the
+        # padded-row min/max over valid lanes reduces the same vertex set,
+        # so the cached values are bitwise equal).
+        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        sizes: list[int] = []
+        for s in group:
+            plan = _ExclusionPlan(len(s.inside_parts))
+            flat: list[_Part] = []
+            owners = plan.owners
+            for pi, parts in enumerate(s.inside_parts):
+                for part in parts:
+                    flat.append(part)
+                    owners.append(pi)
+            plan.results = [None] * len(flat)
+            plans.append(plan)
+            flats.append(flat)
+            sizes.append(len(flat))
+            buffer = s.buffer
+            if not flat:
+                continue
+            if len(flat) == len(buffer) and _parts_are_buffer(flat, buffer):
+                blocks.append((*buffer.padded(), buffer.bboxes))
+            else:
+                bX, bY, bc, _signed = _pad_parts(flat)
+                blocks.append((bX, bY, bc, _row_boxes(bX, bY, bc)))
+
+        total = sum(sizes)
+        if total == 0:
+            for s, plan in zip(group, plans):
+                s.satisfied = _assemble_exclusion(plan)
+            return
+        if len(blocks) == 1:
+            X, Y, counts, boxes = blocks[0]
         else:
-            X, Y, counts, _signed = _pad_parts(flat)
-            lanes = _lanes(X.shape[1])[None, :]
-            valid = lanes < counts[:, None]
-            inf = np.inf
-            minx = np.where(valid, X, inf).min(axis=1)
-            miny = np.where(valid, Y, inf).min(axis=1)
-            maxx = np.where(valid, X, -inf).max(axis=1)
-            maxy = np.where(valid, Y, -inf).max(axis=1)
-        # Replica of piece_box.intersects(exclusion_box).
-        disjoint = (
-            (maxx < bbox.min_x)
-            | (bbox.max_x < minx)
-            | (maxy < bbox.min_y)
-            | (bbox.max_y < miny)
+            width = max(b[0].shape[1] for b in blocks)
+            X = np.zeros((total, width))
+            Y = np.zeros_like(X)
+            pos = 0
+            for bX, bY, bc, _boxes in blocks:
+                X[pos : pos + len(bc), : bX.shape[1]] = bX
+                Y[pos : pos + len(bc), : bY.shape[1]] = bY
+                pos += len(bc)
+            counts = np.concatenate([b[2] for b in blocks])
+            boxes = np.vstack([b[3] for b in blocks])
+        row_target = np.repeat(np.arange(len(group)), sizes)
+        starts = [0, *itertools.accumulate(sizes[:-1])]
+
+        # Replica of piece_box.intersects(exclusion_box) plus the keyhole
+        # precondition (exclusion bbox inside the piece bbox, with the
+        # scalar path's tolerance), per-row constraint bounds.
+        binfo = np.array(
+            [
+                [
+                    s.geometry.exc_bbox.min_x,
+                    s.geometry.exc_bbox.min_y,
+                    s.geometry.exc_bbox.max_x,
+                    s.geometry.exc_bbox.max_y,
+                ]
+                for s in group
+            ]
         )
-        # Keyhole precondition: exclusion bbox inside the piece bbox (with
-        # the scalar path's tolerance).
+        rb = _table_rows(binfo, row_target)
+        minx, miny, maxx, maxy = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
+        disjoint = (
+            (maxx < rb[:, 0])
+            | (rb[:, 2] < minx)
+            | (maxy < rb[:, 1])
+            | (rb[:, 3] < miny)
+        )
         keyhole_able = (
             ~disjoint
-            & (minx - tol <= bbox.min_x)
-            & (miny - tol <= bbox.min_y)
-            & (bbox.max_x <= maxx + tol)
-            & (bbox.max_y <= maxy + tol)
+            & (minx - tol <= rb[:, 0])
+            & (miny - tol <= rb[:, 1])
+            & (rb[:, 2] <= maxx + tol)
+            & (rb[:, 3] <= maxy + tol)
         )
 
-        plan.results = [None] * len(flat)
-        results = plan.results
-        keyhole_idx: list[int] = []
-        subtract_idx: list[int] = []
-        for fi, part in enumerate(flat):
-            if disjoint[fi]:
-                results[fi] = [part]
-                diag.prefilter_bbox += 1
-            elif keyhole_able[fi]:
-                keyhole_idx.append(fi)
+        row_target_l = row_target.tolist()
+        disjoint_l = disjoint.tolist()
+        keyhole_l = keyhole_able.tolist()
+        keyhole_rows: list[int] = []
+        subtract_rows: list[int] = []
+        for row in range(total):
+            t = row_target_l[row]
+            if disjoint_l[row]:
+                plans[t].results[row - starts[t]] = [flats[t][row - starts[t]]]
+                group[t].diagnostics.prefilter_bbox += 1
+            elif keyhole_l[row]:
+                keyhole_rows.append(row)
             else:
-                subtract_idx.append(fi)
+                subtract_rows.append(row)
 
-        if keyhole_idx:
+        if keyhole_rows:
+            subtract_rows.extend(
+                self._fused_keyhole(
+                    group, plans, flats, X, Y, counts, boxes,
+                    row_target, starts, keyhole_rows,
+                )
+            )
+            subtract_rows.sort()
+
+        if subtract_rows:
+            convex_rows: list[int] = []
+            gh_rows: dict[int, list[int]] = {}
+            for row in subtract_rows:
+                t = row_target_l[row]
+                if group[t].geometry.exc_convex:
+                    convex_rows.append(row)
+                else:
+                    gh_rows.setdefault(t, []).append(row)
+            for t, rows in gh_rows.items():
+                # Each target subtracts its own clip ring.
+                self._gh_subtract_rows(
+                    group[t], flats[t], plans[t], rows, starts[t], X, Y, counts
+                )
+            if convex_rows:
+                self._convex_subtract(
+                    group, plans, flats, X, Y, counts, row_target, starts, convex_rows
+                )
+        for s, plan in zip(group, plans):
+            s.satisfied = _assemble_exclusion(plan)
+
+    def _fused_keyhole(
+        self,
+        group: list[_TargetState],
+        plans: list[_ExclusionPlan],
+        flats: list[list[_Part]],
+        X: np.ndarray,
+        Y: np.ndarray,
+        counts: np.ndarray,
+        boxes: np.ndarray,
+        row_target: np.ndarray,
+        starts: list[int],
+        keyhole_rows: list[int],
+    ) -> list[int]:
+        """Pooled keyhole stage; returns rows that fall through to subtraction."""
+        kro = np.asarray(keyhole_rows)
+        rt = row_target[kro]
+        rt_l = rt.tolist()
+        involved = sorted(set(rt_l))
+        geoms = [group[t].geometry for t in involved]
+        for geometry in geoms:
             geometry.ensure_keyhole_tables()
-            boxes = np.column_stack([minx, miny, maxx, maxy])
-            kX = X[keyhole_idx]
-            kY = Y[keyhole_idx]
-            kcounts = counts[keyhole_idx]
-            contained = _contain_all_queries(
-                [flat[fi] for fi in keyhole_idx],
+        # Query points (exclusion vertices) and clockwise inner rings, one
+        # table row per involved target (both have the ring's vertex
+        # count), expanded to one row per candidate unless a single target
+        # owns them all.
+        ring_len = np.array([len(g.exc_qx) for g in geoms])
+        QX = _stack_rows([g.exc_qx for g in geoms])
+        QY = _stack_rows([g.exc_qy for g in geoms])
+        INX = _stack_rows([g.exc_rev_x for g in geoms])
+        INY = _stack_rows([g.exc_rev_y for g in geoms])
+        if len(geoms) > 1:
+            slot = np.searchsorted(involved, rt)
+            QX, QY, INX, INY, ring_len = (
+                a[slot] for a in (QX, QY, INX, INY, ring_len)
+            )
+
+        kcounts = counts[kro]
+        narrow = max(int(kcounts.max()), 1)
+        kX = X[kro][:, :narrow]
+        kY = Y[kro][:, :narrow]
+        parts_k = [flats[t][row - starts[t]] for t, row in zip(rt_l, keyhole_rows)]
+        k_boxes = boxes[kro]
+        contained = np.empty(len(kro), dtype=bool)
+        bridges = np.empty((len(kro), 2), dtype=np.int64)
+        for sel, positions in _row_buckets(kcounts, len(geoms) == 1):
+            b_counts = kcounts[sel]
+            bw = max(int(b_counts.max()), 1)
+            bX = kX[sel][:, :bw]
+            bY = kY[sel][:, :bw]
+            b_len = _table_rows(ring_len, sel)
+            contained[sel] = _contain_all_queries_rows(
+                [parts_k[i] for i in positions],
+                bX,
+                bY,
+                b_counts,
+                k_boxes[sel],
+                _table_rows(QX, sel),
+                _table_rows(QY, sel),
+                b_len,
+            )
+            bridges[sel] = _keyhole_bridges_rows(
+                bX,
+                bY,
+                b_counts,
+                contained[sel],
+                _table_rows(INX, sel),
+                _table_rows(INY, sel),
+                b_len,
+            )
+        batch_rows: list[int] = []
+        fall_through: list[int] = []
+        contained_l = contained.tolist()
+        for k, row in enumerate(keyhole_rows):
+            t = rt_l[k]
+            if contained_l[k]:
+                group[t].diagnostics.prefilter_inside += 1
+                if parts_k[k][2] > 0.0:
+                    batch_rows.append(k)
+                else:
+                    # CW-stored ring: the bridge scan order depends on
+                    # orientation, so this (rare) part goes scalar.
+                    geometry = group[t].geometry
+                    plans[t].results[row - starts[t]] = [
+                        _with_hole_part(
+                            parts_k[k], geometry.exc_rev_x, geometry.exc_rev_y
+                        )
+                    ]
+            else:
+                fall_through.append(row)
+        if batch_rows:
+            keyholed = _with_hole_batch_rows(
                 kX,
                 kY,
                 kcounts,
-                boxes[keyhole_idx],
-                geometry.exc_coords[:, 0],
-                geometry.exc_coords[:, 1],
+                np.asarray(batch_rows),
+                bridges,
+                INX,
+                INY,
+                ring_len,
             )
-            bridges = _keyhole_bridges(
-                kX, kY, kcounts, contained, geometry.exc_rev_x, geometry.exc_rev_y
-            )
-            batch_rows: list[int] = []
-            for k, fi in enumerate(keyhole_idx):
-                if contained[k]:
-                    diag.prefilter_inside += 1
-                    if flat[fi][2] > 0.0:
-                        batch_rows.append(k)
-                    else:
-                        # CW-stored ring: the bridge scan order depends on
-                        # orientation, so this (rare) part goes scalar.
-                        results[fi] = [
-                            _with_hole_part(
-                                flat[fi], geometry.exc_rev_x, geometry.exc_rev_y
-                            )
-                        ]
-                else:
-                    subtract_idx.append(fi)
-            if batch_rows:
-                keyholed = _with_hole_batch(
-                    kX,
-                    kY,
-                    kcounts,
-                    np.asarray(batch_rows),
-                    bridges,
-                    geometry.exc_rev_x,
-                    geometry.exc_rev_y,
-                )
-                for k, part in zip(batch_rows, keyholed):
-                    results[keyhole_idx[k]] = [part]
-            subtract_idx.sort()
-
-        if subtract_idx:
-            if not geometry.exc_convex:
-                # General subtraction (Greiner-Hormann): batched
-                # intersection classification, per-piece traversal.
-                self._gh_subtract_rows(
-                    flat, subtract_idx, X, Y, counts, geometry, plan
-                )
-            elif (
-                len(subtract_idx) < _MIN_BATCH_ROWS
-                and int(counts[subtract_idx].sum()) < _MIN_BATCH_VERTICES
-                and len(exclusion) <= _MAX_SCALAR_WEDGE_EDGES
-            ):
-                # Too few parts to amortize the wedge tensors -- and small
-                # enough that the scalar per-vertex loops win.  Big keyholed
-                # rings batch even alone (a scalar wedge decomposition on a
-                # multi-hundred-vertex ring costs milliseconds), and so do
-                # many-edged exclusions: the scalar decomposition runs
-                # O(edges^2) half-plane passes, the batch O(edges).
-                diag.pieces_clipped += len(subtract_idx)
-                for fi in subtract_idx:
-                    polys = subtract_convex(_polygon_from_part(flat[fi]), exclusion)
-                    results[fi] = [_part_from_polygon(p) for p in polys]
-            else:
-                self._collect_wedge_chains(
-                    flat, subtract_idx, X, Y, counts, geometry, plan
-                )
-        return plan
+            for k, part in zip(batch_rows, keyholed):
+                t = rt_l[k]
+                row = keyhole_rows[k]
+                plans[t].results[row - starts[t]] = [part]
+        return fall_through
 
     def _gh_subtract_rows(
         self,
+        s: _TargetState,
         flat: list[_Part],
-        subtract_idx: list[int],
-        flatX: np.ndarray,
-        flatY: np.ndarray,
-        flat_counts: np.ndarray,
-        geometry: _ConstraintGeometry,
         plan: _ExclusionPlan,
+        rows: list[int],
+        start: int,
+        cohortX: np.ndarray,
+        cohortY: np.ndarray,
+        cohort_counts: np.ndarray,
     ) -> None:
-        """Batched Greiner-Hormann subtraction over many parts at once.
+        """Batched Greiner-Hormann subtraction over one target's parts.
 
-        The O(subject_edges x clip_edges) intersection scan -- the dominant
-        cost of ``subtract_polygons`` on the small rings the solver sees --
-        runs as one (part, lane, clip-edge) tensor mirroring
-        ``segment_intersection`` operand for operand (same ``EPSILON`` gate,
-        same in-range predicate, same clamping).  Per part the classification
-        then routes exactly like the scalar ``_greiner_hormann`` difference:
+        ``rows`` index the cohort's padded arrays; flat part ``row - start``
+        is the target's own.  The O(subject_edges x clip_edges) intersection
+        scan -- the dominant cost of ``subtract_polygons`` on the small
+        rings the solver sees -- runs as one (part, lane, clip-edge) tensor
+        mirroring ``segment_intersection`` operand for operand (same
+        ``EPSILON`` gate, same in-range predicate, same clamping).  Per part
+        the classification then routes exactly like the scalar
+        ``_greiner_hormann`` difference:
 
         * a degenerate hit anywhere -> the full scalar path (its
           perturb-and-retry loop re-detects the degeneracy identically);
@@ -2338,17 +2250,19 @@ class VectorSolverKernel:
           the scalar scan's (subject edge, clip edge) order so the linked
           rings are node-for-node identical.
         """
-        diag = self.diagnostics
+        diag = s.diagnostics
+        geometry = s.geometry
         exclusion = geometry.exclusion
         geometry.ensure_gh_tables()
         clip = geometry.exc_gh_ccw
         results = plan.results
-        idx = np.asarray(subtract_idx)
-        counts = flat_counts[idx]
+        fis = [row - start for row in rows]
+        idx = np.asarray(rows)
+        counts = cohort_counts[idx]
         narrow = max(int(counts.max()), 1)
-        X = flatX[idx][:, :narrow]
-        Y = flatY[idx][:, :narrow]
-        signed = np.array([flat[fi][2] for fi in subtract_idx])
+        X = cohortX[idx][:, :narrow]
+        Y = cohortY[idx][:, :narrow]
+        signed = np.array([flat[fi][2] for fi in fis])
         # The scalar path scans subject.ensure_ccw().vertices; reversal
         # preserves the cleaned vertex list, so flipping the stored rows
         # reproduces those coordinates bitwise.
@@ -2356,11 +2270,11 @@ class VectorSolverKernel:
         R, V = X.shape
         lanes = _lanes(V)[None, :]
         valid = lanes < counts[:, None]
-        rows = _rows_col(R)
+        rows_col = _rows_col(R)
         next_idx = np.where(lanes == counts[:, None] - 1, 0, lanes + 1)
         next_idx = np.where(valid, next_idx, 0)
-        rx = X[rows, next_idx] - X
-        ry = Y[rows, next_idx] - Y
+        rx = X[rows_col, next_idx] - X
+        ry = Y[rows_col, next_idx] - Y
         q1x = clip[:, 0]
         q1y = clip[:, 1]
         q2x = np.roll(clip[:, 0], -1)
@@ -2392,7 +2306,7 @@ class VectorSolverKernel:
         )
         hit_any = hit.any(axis=(1, 2))
         degenerate_any = degenerate.any(axis=(1, 2))
-        for k, fi in enumerate(subtract_idx):
+        for k, fi in enumerate(fis):
             diag.fallback_pieces += 1
             diag.fallback_vertices += int(counts[k])
             subject = _polygon_from_part(flat[fi])
@@ -2409,735 +2323,77 @@ class VectorSolverKernel:
                 polys = subtract_polygons_with_hits(subject, exclusion, hits)
             results[fi] = [_part_from_polygon(p) for p in polys]
 
-    def _collect_wedge_chains(
+    def _convex_subtract(
         self,
-        flat: list[_Part],
-        subtract_idx: list[int],
-        flatX: np.ndarray,
-        flatY: np.ndarray,
-        flat_counts: np.ndarray,
-        geometry: _ConstraintGeometry,
-        plan: _ExclusionPlan,
-    ) -> None:
-        """Batched ``subtract_convex`` over many parts at once.
-
-        Wedge ``i`` of the decomposition starts by clipping the part to the
-        outside of exclusion edge ``i``; when every vertex is inside that
-        half-plane (sidedness expression false for all, evaluated with the
-        exact swapped-endpoint arithmetic of ``keep_left=False``), the wedge
-        yields nothing and is skipped -- the scalar fast path, evaluated for
-        all (part, wedge) pairs in one tensor.  Every surviving pair becomes
-        one chain row for the batched half-plane runner.
-        """
-        diag = self.diagnostics
-        geometry.ensure_wedge_tables()
-        ex, ey, rbx, rby = geometry.exc_wedge_sides
-        X = flatX[subtract_idx]
-        Y = flatY[subtract_idx]
-        counts = flat_counts[subtract_idx]
-        valid = _lanes(X.shape[1])[None, None, :] < counts[:, None, None]
-        side = ex[None, :, None] * (Y[:, None, :] - rby[None, :, None]) - ey[
-            None, :, None
-        ] * (X[:, None, :] - rbx[None, :, None])
-        nontrivial = ((side >= -EPSILON) & valid).any(axis=2)
-
-        # The wedge's inner clips keep the part inside edges 0..i-1; an edge
-        # every part vertex is inside (with the float-safety margin) clips
-        # nothing -- chain intermediates are convex combinations of the
-        # part's vertices -- so it is dropped from that part's sequences.
-        edges = geometry.exc_edges
-        ex_k = edges[:, 2] - edges[:, 0]
-        ey_k = edges[:, 3] - edges[:, 1]
-        side_k = ex_k[None, :, None] * (Y[:, None, :] - edges[:, 1][None, :, None]) - ey_k[
-            None, :, None
-        ] * (X[:, None, :] - edges[:, 0][None, :, None])
-        keep_needed = ((side_k < (-EPSILON + _PREFILTER_MARGIN)) & valid).any(axis=2)
-
-        # Wedge-kill prefilter (same argument as the fused engine's): wedge
-        # i's chain clips the part to the inside of edges 0..i-1.  When every
-        # part vertex lies strictly outside edge j (with the float-safety
-        # margin), so does every chain intermediate -- convex combinations of
-        # the part's vertices -- and the inside(edge_j) clip provably empties
-        # the chain, so any wedge after an all-out edge is skipped before a
-        # single pass runs (the scalar decomposition runs it and gets None).
-        all_out = ((side_k < -(EPSILON + _PREFILTER_MARGIN)) | ~valid).all(axis=2)
-        prior_out = np.cumsum(all_out, axis=1) - all_out
-        nontrivial = nontrivial & ~(prior_out > 0)
-
-        results = plan.results
-        for k, fi in enumerate(subtract_idx):
-            wedges = np.nonzero(nontrivial[k])[0]
-            if len(wedges) == 0:
-                # Every wedge clips to nothing: the part lies within the
-                # exclusion and vanishes.
-                diag.prefilter_outside += 1
-                results[fi] = []
-                continue
-            diag.pieces_clipped += 1
-            inner_needed = np.nonzero(keep_needed[k])[0]
-            for i in wedges:
-                swapped = np.array(
-                    [edges[i, 2], edges[i, 3], edges[i, 0], edges[i, 1]]
-                )[None, :]
-                inner = inner_needed[inner_needed < i]
-                plan.chain_parts.append(flat[fi])
-                plan.chain_seqs.append(np.concatenate([swapped, edges[inner]], axis=0))
-                plan.chain_owner.append(fi)
-            results[fi] = []
-
-    # ------------------------------------------------------------------ #
-    # Selection (stable scalar sort over cached metrics)
-    # ------------------------------------------------------------------ #
-    def _select(self, buffer: PieceBuffer) -> list[int]:
-        if len(buffer) == 0:
-            return []
-        weights = buffer.weights.tolist()
-        areas = buffer.areas.tolist()
-        ranked = sorted(
-            range(len(buffer)), key=lambda i: (weights[i], -areas[i]), reverse=True
-        )
-        config = self.config
-        selected: list[int] = []
-        accumulated = 0.0
-        top_weight = weights[ranked[0]]
-        for i in ranked:
-            if selected and accumulated >= config.target_region_area_km2:
-                break
-            if selected and weights[i] < top_weight and accumulated > 0:
-                if accumulated >= config.target_region_area_km2 / 4.0:
-                    break
-            selected.append(i)
-            accumulated += areas[i]
-        return selected
-
-
-def _bucket_rows(lengths: Sequence[int], floor: int = 16) -> list[list[int]]:
-    """Partition row indices into vertex-count buckets for pooled runners.
-
-    Pooled padded matrices are as wide as their widest row; one keyholed
-    100-vertex piece would make *every* row pay 100 lanes of padded
-    arithmetic.  Sorting rows by length and cutting a new bucket whenever a
-    row exceeds twice the bucket's opening width keeps the padding waste
-    bounded while preserving large pooled batches.  Per-row results are
-    row-independent, so the partition cannot change any output.
-    """
-    order = sorted(range(len(lengths)), key=lambda i: lengths[i])
-    buckets: list[list[int]] = []
-    current: list[int] = []
-    limit = 0
-    for idx in order:
-        n = lengths[idx]
-        if current and n > limit:
-            buckets.append(current)
-            current = []
-        if not current:
-            limit = max(n, floor) * 2
-        current.append(idx)
-    if current:
-        buckets.append(current)
-    return buckets
-
-
-# --------------------------------------------------------------------------- #
-# The fused cohort kernel
-# --------------------------------------------------------------------------- #
-class _FusedTargetState:
-    """One target's solver state inside a fused cohort run."""
-
-    __slots__ = (
-        "kernel",
-        "buffer",
-        "ordered",
-        "cursor",
-        "projection",
-        "geometry",
-        "inside_parts",
-        "satisfied",
-        "plan",
-    )
-
-    def __init__(self, kernel, buffer, ordered, projection) -> None:
-        self.kernel: VectorSolverKernel = kernel
-        self.buffer: PieceBuffer = buffer
-        self.ordered = ordered
-        self.cursor = 0
-        self.projection = projection
-        self.geometry: _ConstraintGeometry | None = None
-        self.inside_parts: list[list] | None = None
-        self.satisfied: list[list] | None = None
-        self.plan = None
-
-
-class FusedSolverKernel:
-    """Lockstep multi-target weighted accumulation over one cohort.
-
-    Batch evaluation and high-traffic serving are cohort-shaped: many
-    targets solve structurally identical weighted-region systems, and after
-    the PR 2 vectorization each target still pays NumPy *dispatch* per clip
-    pass -- on the tiny matrices the solver sees, dispatch dominates
-    arithmetic.  This kernel adds the missing *target* axis: every target's
-    constraint sequence (ordered by weight, exactly like the vector engine)
-    advances in lockstep, and the k-th constraint of every active target is
-    applied in shared batched passes:
-
-    * the bbox / centre-distance prefilters run once over a
-      :class:`CohortPieceBuffer` stacking all targets' pieces, with
-      per-row constraint parameters (boxes, centres) broadcast by target id;
-    * the surviving pieces of *all* targets clip through a single
-      :func:`_clip_convex_rows_multi` call with per-row edge tables;
-    * the wedge chains of *all* targets' convex subtractions pool into one
-      :func:`_halfplane_chain_rows` run.
-
-    Per-target decision logic is not duplicated: classification, part
-    assembly, pruning and selection are the very
-    :class:`VectorSolverKernel` methods, driven per target.  Bit-identity
-    with ``engine="vector"`` follows because every pooled primitive is
-    row-independent (elementwise arithmetic, per-row scans, scatter by row;
-    padding width and cross-row short-circuits never change a row's
-    values), so concatenating targets' rows into one call cannot change any
-    row's output -- pinned by the cohort equivalence suite in
-    ``tests/core/test_solver_engines.py``.
-    """
-
-    def __init__(self, config) -> None:
-        self.config = config
-        #: Pooled pass counters for the whole cohort run.
-        self._hook = _StatsHook()
-        self._steps = 0
-        self._step_targets = 0
-
-    # ------------------------------------------------------------------ #
-    # Entry point
-    # ------------------------------------------------------------------ #
-    def solve_many(self, systems: Sequence[tuple]) -> list[Region]:
-        """Solve many systems in lockstep.
-
-        ``systems`` holds ``(constraints, projection, base, diagnostics)``
-        per target; returns one :class:`Region` per system, in order.  The
-        diagnostics objects receive the same counters the vector engine
-        records plus the cohort-level fused pass counters.
-        """
-        states: list[_FusedTargetState] = []
-        for constraints, projection, base, diagnostics in systems:
-            diagnostics.engine = "fused"
-            kernel = VectorSolverKernel(self.config, diagnostics)
-            buffer = PieceBuffer.from_polygons([(base, 0.0)])
-            ordered = sorted(constraints, key=lambda c: c.weight, reverse=True)
-            states.append(_FusedTargetState(kernel, buffer, ordered, projection))
-
-        while True:
-            active = [s for s in states if s.cursor < len(s.ordered)]
-            if not active:
-                break
-            self._apply_step(active)
-            for s in active:
-                s.cursor += 1
-
-        mean_targets = self._step_targets / self._steps if self._steps else 0.0
-        regions: list[Region] = []
-        for s in states:
-            diag = s.kernel.diagnostics
-            diag.fused_cohort_targets = len(states)
-            diag.fused_pass_count = self._hook.clip_passes
-            diag.fused_rows_clipped = self._hook.rows_clipped
-            diag.fused_targets_per_pass = mean_targets
-            regions.append(s.kernel._finalize(s.buffer, s.projection))
-        return regions
-
-    # ------------------------------------------------------------------ #
-    # One lockstep step: the k-th constraint of every active target
-    # ------------------------------------------------------------------ #
-    def _apply_step(self, active: list[_FusedTargetState]) -> None:
-        started = time.perf_counter()
-        self._steps += 1
-        self._step_targets += len(active)
-        for s in active:
-            s.geometry = geometry_for_constraint(s.ordered[s.cursor])
-        geom_done = time.perf_counter()
-
-        # ---- inclusion stage ------------------------------------------ #
-        fusable: list[_FusedTargetState] = []
-        for s in active:
-            geometry = s.geometry
-            if geometry.inclusion is None:
-                s.inside_parts = [[p] for p in s.buffer.parts()]
-            elif not geometry.inc_convex:
-                # Greiner-Hormann territory: the per-target object fallback,
-                # exactly like the vector engine.
-                s.inside_parts = s.kernel._inclusion_step(s.buffer, geometry)
-            else:
-                fusable.append(s)
-        if fusable:
-            self._fused_inclusion(fusable)
-        inc_done = time.perf_counter()
-
-        # ---- exclusion stage ------------------------------------------ #
-        excluding: list[_FusedTargetState] = []
-        for s in active:
-            if s.geometry.exclusion is None:
-                s.satisfied = s.inside_parts
-            else:
-                excluding.append(s)
-        if excluding:
-            self._fused_exclusion(excluding)
-        exc_done = time.perf_counter()
-
-        # ---- per-target assembly and pruning, pooled rebuild ---------- #
-        # Mirrors VectorSolverKernel._integrate_parts decision for decision,
-        # but the per-target ``PieceBuffer.from_parts`` constructions pool
-        # into one cohort concatenation + one set of bbox reductions.
-        rebuilds: list[tuple[_FusedTargetState, list, list]] = []
-        max_pieces = self.config.max_pieces
-        for s in active:
-            parts, weights = s.kernel._assemble_split(
-                s.buffer, s.geometry, s.satisfied
-            )
-            diag = s.kernel.diagnostics
-            if not parts:
-                diag.constraints_skipped += 1
-                diag.dropped_constraints.append(s.geometry.label)
-            elif parts is _UNCHANGED:
-                diag.constraints_applied += 1
-                diag.max_pieces_seen = max(diag.max_pieces_seen, len(s.buffer))
-            else:
-                if len(parts) > max_pieces:
-                    ranked = sorted(
-                        range(len(parts)),
-                        key=lambda i: (weights[i], abs(parts[i][2])),
-                        reverse=True,
-                    )[:max_pieces]
-                    parts = [parts[i] for i in ranked]
-                    weights = [weights[i] for i in ranked]
-                rebuilds.append((s, parts, weights))
-                diag.constraints_applied += 1
-                diag.max_pieces_seen = max(diag.max_pieces_seen, len(parts))
-            s.geometry = None
-            s.inside_parts = None
-            s.satisfied = None
-            s.plan = None
-        if rebuilds:
-            self._rebuild_buffers(rebuilds)
-
-        # The cohort step is shared spans; book each target an equal share
-        # per stage so per-target phase sums remain meaningful and
-        # regressions stay attributable to a phase, like the vector engine.
-        # Geometry-table builds and the assembly/rebuild tail both land in
-        # "assemble" (the vector engine's remainder bucket).
-        n = len(active)
-        inc_share = (inc_done - geom_done) / n
-        exc_share = (exc_done - inc_done) / n
-        asm_share = ((geom_done - started) + (time.perf_counter() - exc_done)) / n
-        for s in active:
-            phases = s.kernel.diagnostics.phase_seconds
-            phases["inclusion"] = phases.get("inclusion", 0.0) + inc_share
-            phases["exclusion"] = phases.get("exclusion", 0.0) + exc_share
-            phases["assemble"] = phases.get("assemble", 0.0) + asm_share
-
-    def _rebuild_buffers(
-        self, rebuilds: list[tuple[_FusedTargetState, list, list]]
-    ) -> None:
-        """Pooled post-constraint buffer rebuild for many targets.
-
-        One concatenation packs every target's surviving parts; the
-        per-piece bounding boxes reduce over the pooled arrays (the same
-        per-piece spans the per-target constructor reduces, so the values
-        are bitwise equal); each target receives its slice views.
-        """
-        all_parts: list[_Part] = []
-        for _s, parts, _w in rebuilds:
-            all_parts.extend(parts)
-        counts = np.array([len(p[0]) for p in all_parts], dtype=np.int64)
-        offsets = np.zeros(len(all_parts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        xs = np.concatenate([p[0] for p in all_parts])
-        ys = np.concatenate([p[1] for p in all_parts])
-        signed = np.array([p[2] for p in all_parts])
-        bboxes = _bboxes_from_packed(xs, ys, offsets)
-        piece_pos = 0
-        for s, parts, weights in rebuilds:
-            n = len(parts)
-            lo = int(offsets[piece_pos])
-            hi = int(offsets[piece_pos + n])
-            s.buffer = PieceBuffer.from_arrays(
-                xs[lo:hi],
-                ys[lo:hi],
-                offsets[piece_pos : piece_pos + n + 1] - lo,
-                np.asarray(weights, dtype=float),
-                signed[piece_pos : piece_pos + n],
-                bboxes[piece_pos : piece_pos + n],
-            )
-            piece_pos += n
-
-    # ------------------------------------------------------------------ #
-    # Fused inclusion: cohort prefilters + pooled convex clip
-    # ------------------------------------------------------------------ #
-    def _fused_inclusion(self, group: list[_FusedTargetState]) -> None:
-        cohort = CohortPieceBuffer(
-            [s.buffer for s in group], [s.cursor for s in group]
-        )
-        boxes = cohort.bboxes
-        if len(cohort):
-            binfo = np.array(
-                [
-                    [
-                        s.geometry.inc_bbox.min_x,
-                        s.geometry.inc_bbox.min_y,
-                        s.geometry.inc_bbox.max_x,
-                        s.geometry.inc_bbox.max_y,
-                    ]
-                    for s in group
-                ]
-            )
-            row_box = binfo[cohort.piece_target]
-            # Replica of the per-target bbox rejection, one pass for the
-            # whole cohort (same comparisons, per-row constraint bounds).
-            disjoint = (
-                (boxes[:, 2] < row_box[:, 0])
-                | (row_box[:, 2] < boxes[:, 0])
-                | (boxes[:, 3] < row_box[:, 1])
-                | (row_box[:, 3] < boxes[:, 1])
-            )
-        else:
-            disjoint = np.zeros(0, dtype=bool)
-        union = cohort.union_boxes()
-
-        pooled_parts: list[_Part] = []
-        pooled_seqs: list[np.ndarray] = []
-        owner: list[tuple[_InclusionPlan, int]] = []
-        for t, s in enumerate(group):
-            pieces = cohort.target_pieces(t)
-            pre = _InclusionPre(
-                disjoint[pieces],
-                tuple(float(v) for v in union[t]),
-                None,
-            )
-            plan = s.kernel._inclusion_classify(s.buffer, s.geometry, pre)
-            s.plan = plan
-            for j, part in enumerate(plan.parts):
-                pooled_parts.append(part)
-                pooled_seqs.append(plan.edges)
-                owner.append((plan, j))
-        if pooled_parts:
-            lengths = [len(p[0]) for p in pooled_parts]
-            for bucket in _bucket_rows(lengths):
-                results = _clip_convex_rows_multi(
-                    [pooled_parts[i] for i in bucket],
-                    [pooled_seqs[i] for i in bucket],
-                    self._hook,
-                )
-                for i, result in zip(bucket, results):
-                    if result is not None:
-                        plan, j = owner[i]
-                        plan.out[plan.still[j]] = [result]
-        for s in group:
-            s.inside_parts = s.plan.out
-            s.plan = None
-
-    # ------------------------------------------------------------------ #
-    # Fused exclusion: cohort-pooled classification + pooled wedge chains
-    # ------------------------------------------------------------------ #
-    def _fused_exclusion(self, group: list[_FusedTargetState]) -> None:
-        """``subtract_cautious`` for every part of every target at once.
-
-        Mirrors :meth:`VectorSolverKernel._exclusion_classify` decision for
-        decision, but every tensor stage -- bbox/keyhole classification,
-        keyhole containment, bridge search, batched keyholing, wedge
-        sidedness -- runs once over the stacked cohort rows with per-row
-        constraint parameters gathered by target id, and every wedge chain
-        of every target pools into a single runner call.
-        """
-        simple: list[_FusedTargetState] = []
-        for s in group:
-            if s.geometry.exc_convex:
-                simple.append(s)
-            else:
-                # Non-convex exclusion: the batched Greiner-Hormann row
-                # kernel per target, exactly like the vector engine.
-                s.satisfied = s.kernel._exclusion_step(
-                    s.inside_parts, s.geometry, s.buffer
-                )
-        if not simple:
-            return
-
-        tol = 1e-6
-        plans: list[_ExclusionPlan] = []
-        flats: list[list[_Part]] = []
-        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = []
-        for s in simple:
-            plan = _ExclusionPlan(len(s.inside_parts))
-            flat: list[_Part] = []
-            owners = plan.owners
-            for pi, parts in enumerate(s.inside_parts):
-                for part in parts:
-                    flat.append(part)
-                    owners.append(pi)
-            plan.results = [None] * len(flat)
-            buffer = s.buffer
-            if not flat:
-                blocks.append(None)
-            elif len(flat) == len(buffer) and _parts_are_buffer(flat, buffer):
-                blocks.append(buffer.padded())
-            else:
-                # Raw part lists are padded straight into the cohort matrix
-                # below (no intermediate per-target padding).
-                blocks.append(flat)
-            plans.append(plan)
-            flats.append(flat)
-
-        sizes = [0 if b is None else (len(b[2]) if isinstance(b, tuple) else len(b)) for b in blocks]
-        total = sum(sizes)
-        if total == 0:
-            for s, plan in zip(simple, plans):
-                s.satisfied = _assemble_exclusion(plan)
-            return
-        width = 1
-        for block in blocks:
-            if block is None:
-                continue
-            if isinstance(block, tuple):
-                width = max(width, block[0].shape[1])
-            else:
-                width = max(width, max(len(p[0]) for p in block))
-        X = np.zeros((total, width))
-        Y = np.zeros_like(X)
-        counts = np.zeros(total, dtype=np.int64)
-        row_target = np.zeros(total, dtype=np.int64)
-        starts: list[int] = []
-        pos = 0
-        for t, block in enumerate(blocks):
-            starts.append(pos)
-            if block is None:
-                continue
-            if isinstance(block, tuple):
-                bX, bY, bc = block
-                n = len(bc)
-                X[pos : pos + n, : bX.shape[1]] = bX
-                Y[pos : pos + n, : bY.shape[1]] = bY
-                counts[pos : pos + n] = bc
-            else:
-                n = len(block)
-                for r, (pxs, pys, _signed) in enumerate(block):
-                    X[pos + r, : len(pxs)] = pxs
-                    Y[pos + r, : len(pys)] = pys
-                    counts[pos + r] = len(pxs)
-            row_target[pos : pos + n] = t
-            pos += n
-
-        # Cohort bbox classification: the per-row min/max reduce the same
-        # vertex sets the per-target path reduces (exact min/max, so the
-        # values are bitwise equal), and the comparisons replicate
-        # piece_box.intersects(exclusion_box) plus the keyhole precondition.
-        lanes = _lanes(width)[None, :]
-        valid = lanes < counts[:, None]
-        inf = np.inf
-        minx = np.where(valid, X, inf).min(axis=1)
-        miny = np.where(valid, Y, inf).min(axis=1)
-        maxx = np.where(valid, X, -inf).max(axis=1)
-        maxy = np.where(valid, Y, -inf).max(axis=1)
-        binfo = np.array(
-            [
-                [
-                    s.geometry.exc_bbox.min_x,
-                    s.geometry.exc_bbox.min_y,
-                    s.geometry.exc_bbox.max_x,
-                    s.geometry.exc_bbox.max_y,
-                ]
-                for s in simple
-            ]
-        )
-        rb = binfo[row_target]
-        disjoint = (
-            (maxx < rb[:, 0])
-            | (rb[:, 2] < minx)
-            | (maxy < rb[:, 1])
-            | (rb[:, 3] < miny)
-        )
-        keyhole_able = (
-            ~disjoint
-            & (minx - tol <= rb[:, 0])
-            & (miny - tol <= rb[:, 1])
-            & (rb[:, 2] <= maxx + tol)
-            & (rb[:, 3] <= maxy + tol)
-        )
-
-        diags = [s.kernel.diagnostics for s in simple]
-        row_target_l = row_target.tolist()
-        disjoint_l = disjoint.tolist()
-        keyhole_l = keyhole_able.tolist()
-        keyhole_rows: list[int] = []
-        subtract_rows: list[int] = []
-        for row in range(total):
-            t = row_target_l[row]
-            if disjoint_l[row]:
-                plans[t].results[row - starts[t]] = [flats[t][row - starts[t]]]
-                diags[t].prefilter_bbox += 1
-            elif keyhole_l[row]:
-                keyhole_rows.append(row)
-            else:
-                subtract_rows.append(row)
-
-        if keyhole_rows:
-            subtract_more = self._fused_keyhole(
-                simple, plans, flats, diags,
-                X, Y, counts, np.column_stack([minx, miny, maxx, maxy]),
-                row_target, starts, keyhole_rows,
-            )
-            subtract_rows.extend(subtract_more)
-            subtract_rows.sort()
-
-        if subtract_rows:
-            specs = self._fused_wedges(
-                simple, plans, flats, diags,
-                X, Y, counts, row_target, starts, subtract_rows,
-            )
-            if specs:
-                # Bucket chain rows by part width so one big keyholed ring
-                # does not widen every wedge's padded lanes.
-                lengths = [len(spec[0][0]) for spec in specs]
-                for bucket in _bucket_rows(lengths):
-                    bucket_specs = [specs[i] for i in bucket]
-                    seq_lens = np.array(
-                        [1 + len(spec[5]) for spec in bucket_specs], dtype=np.int64
-                    )
-                    edge_arr = np.zeros((len(bucket_specs), int(seq_lens.max()), 4))
-                    for r, (_part, _plan, _fi, t, i, inner) in enumerate(
-                        bucket_specs
-                    ):
-                        geometry = simple[t].geometry
-                        edge_arr[r, 0, :] = geometry.exc_swapped[i]
-                        if inner:
-                            edge_arr[r, 1 : 1 + len(inner), :] = geometry.exc_edges[
-                                inner
-                            ]
-                    chained = _halfplane_chain_run(
-                        [spec[0] for spec in bucket_specs],
-                        edge_arr,
-                        seq_lens,
-                        self._hook,
-                    )
-                    for spec, piece in zip(bucket_specs, chained):
-                        if piece is not None:
-                            spec[1].results[spec[2]].append(piece)
-        for s, plan in zip(simple, plans):
-            s.satisfied = _assemble_exclusion(plan)
-
-    def _fused_keyhole(
-        self,
-        simple: list[_FusedTargetState],
+        group: list[_TargetState],
         plans: list[_ExclusionPlan],
         flats: list[list[_Part]],
-        diags: list,
         X: np.ndarray,
         Y: np.ndarray,
         counts: np.ndarray,
-        boxes: np.ndarray,
         row_target: np.ndarray,
         starts: list[int],
-        keyhole_rows: list[int],
-    ) -> list[int]:
-        """Pooled keyhole stage; returns rows that fall through to wedges."""
-        kro = np.asarray(keyhole_rows)
-        rt = row_target[kro]
-        involved = sorted(set(rt.tolist()))
-        for t in involved:
-            simple[t].geometry.ensure_keyhole_tables()
-        T = len(simple)
-        q_max = max(len(simple[t].geometry.exc_coords) for t in involved)
-        TQX = np.zeros((T, q_max))
-        TQY = np.zeros((T, q_max))
-        t_qn = np.zeros(T, dtype=np.int64)
-        TINX = np.zeros((T, q_max))
-        TINY = np.zeros((T, q_max))
-        t_ni = np.zeros(T, dtype=np.int64)
-        for t in involved:
-            geometry = simple[t].geometry
-            qn = len(geometry.exc_coords)
-            TQX[t, :qn] = geometry.exc_coords[:, 0]
-            TQY[t, :qn] = geometry.exc_coords[:, 1]
-            t_qn[t] = qn
-            ni = len(geometry.exc_rev_x)
-            TINX[t, :ni] = geometry.exc_rev_x
-            TINY[t, :ni] = geometry.exc_rev_y
-            t_ni[t] = ni
+        rows: list[int],
+    ) -> None:
+        """``subtract_convex`` for the pooled rows of every target.
 
-        kcounts = counts[kro]
-        narrow = max(int(kcounts.max()), 1)
-        kX = X[kro][:, :narrow]
-        kY = Y[kro][:, :narrow]
-        parts_k = [flats[t][row - starts[t]] for t, row in zip(rt.tolist(), keyhole_rows)]
-        q_valid = _lanes(q_max)[None, :] < t_qn[rt][:, None]
-        k_boxes = boxes[kro]
-        QXr = TQX[rt]
-        QYr = TQY[rt]
-        INXr = TINX[rt]
-        INYr = TINY[rt]
-        nir = t_ni[rt]
-        # Bucket the (part, query, vertex) tensors by row width: one wide
-        # keyholed piece must not widen every candidate's padded lanes.
-        contained = np.empty(len(kro), dtype=bool)
-        bridges: list[tuple[int, int] | None] = [None] * len(kro)
-        for bucket in _bucket_rows([int(c) for c in kcounts]):
-            idx = np.asarray(bucket)
-            bw = max(int(kcounts[idx].max()), 1)
-            bX = kX[idx][:, :bw]
-            bY = kY[idx][:, :bw]
-            contained[idx] = _contain_all_queries_rows(
-                [parts_k[i] for i in bucket],
-                bX,
-                bY,
-                kcounts[idx],
-                k_boxes[idx],
-                QXr[idx],
-                QYr[idx],
-                q_valid[idx],
+        A pool too small to amortize the wedge tensors -- few, small parts
+        against few-edged exclusions -- runs the scalar reference per part.
+        Big keyholed rings batch even alone (a scalar wedge decomposition on
+        a multi-hundred-vertex ring costs milliseconds), and so do
+        many-edged exclusions: the scalar decomposition runs O(edges^2)
+        half-plane passes, the batch O(edges).  Everything else goes through
+        the pooled wedge classification and chain runs.
+        """
+        targets = row_target[rows].tolist()
+        if (
+            len(rows) < _MIN_BATCH_ROWS
+            and int(counts[rows].sum()) < _MIN_BATCH_VERTICES
+            and all(
+                len(group[t].geometry.exclusion) <= _MAX_SCALAR_WEDGE_EDGES
+                for t in targets
             )
-            b_bridges = _keyhole_bridges_rows(
-                bX, bY, kcounts[idx], contained[idx], INXr[idx], INYr[idx], nir[idx]
+        ):
+            for row, t in zip(rows, targets):
+                fi = row - starts[t]
+                group[t].diagnostics.pieces_clipped += 1
+                polys = subtract_convex(
+                    _polygon_from_part(flats[t][fi]), group[t].geometry.exclusion
+                )
+                plans[t].results[fi] = [_part_from_polygon(p) for p in polys]
+            return
+        specs = self._fused_wedges(
+            group, plans, flats, X, Y, counts, row_target, starts, rows
+        )
+        if not specs:
+            return
+        # Bucket chain rows by part width so one big keyholed ring does not
+        # widen every wedge's padded lanes.
+        lengths = np.array([len(spec[0][0]) for spec in specs])
+        single = len({spec[3] for spec in specs}) == 1
+        for _sel, positions in _row_buckets(lengths, single):
+            bucket_specs = [specs[i] for i in positions]
+            seq_lens = np.array(
+                [1 + len(spec[5]) for spec in bucket_specs], dtype=np.int64
             )
-            for pos, i in enumerate(bucket):
-                bridges[i] = b_bridges[pos]
-        batch_rows: list[int] = []
-        fall_through: list[int] = []
-        for k, row in enumerate(keyhole_rows):
-            t = int(rt[k])
-            if contained[k]:
-                diags[t].prefilter_inside += 1
-                if parts_k[k][2] > 0.0:
-                    batch_rows.append(k)
-                else:
-                    # CW-stored ring: the bridge scan order depends on
-                    # orientation, so this (rare) part goes scalar.
-                    geometry = simple[t].geometry
-                    plans[t].results[row - starts[t]] = [
-                        _with_hole_part(
-                            parts_k[k], geometry.exc_rev_x, geometry.exc_rev_y
-                        )
-                    ]
-            else:
-                fall_through.append(row)
-        if batch_rows:
-            keyholed = _with_hole_batch_rows(
-                kX,
-                kY,
-                kcounts,
-                np.asarray(batch_rows),
-                bridges,
-                INXr,
-                INYr,
-                nir,
+            edge_arr = np.zeros((len(bucket_specs), int(seq_lens.max()), 4))
+            for r, (_part, _plan, _fi, t, i, inner) in enumerate(bucket_specs):
+                geometry = group[t].geometry
+                edge_arr[r, 0, :] = geometry.exc_swapped[i]
+                if inner:
+                    edge_arr[r, 1 : 1 + len(inner), :] = geometry.exc_edges[inner]
+            chained = _halfplane_chain_run(
+                [spec[0] for spec in bucket_specs], edge_arr, seq_lens, self._hook
             )
-            for k, part in zip(batch_rows, keyholed):
-                t = int(rt[k])
-                row = keyhole_rows[k]
-                plans[t].results[row - starts[t]] = [part]
-        return fall_through
+            for spec, piece in zip(bucket_specs, chained):
+                if piece is not None:
+                    spec[1].results[spec[2]].append(piece)
 
     def _fused_wedges(
         self,
-        simple: list[_FusedTargetState],
+        group: list[_TargetState],
         plans: list[_ExclusionPlan],
         flats: list[list[_Part]],
-        diags: list,
         X: np.ndarray,
         Y: np.ndarray,
         counts: np.ndarray,
@@ -3147,58 +2403,59 @@ class FusedSolverKernel:
     ) -> list[tuple]:
         """Pooled wedge classification.
 
-        Returns one chain spec ``(part, plan, fi, target, wedge, inner)``
-        per surviving (part, wedge) pair; the caller buckets them by part
-        width and runs pooled chain calls."""
+        Wedge ``i`` of the decomposition starts by clipping the part to the
+        outside of exclusion edge ``i``; when every vertex is inside that
+        half-plane (sidedness expression false for all, evaluated with the
+        exact swapped-endpoint arithmetic of ``keep_left=False``), the wedge
+        yields nothing and is skipped -- the scalar fast path, evaluated for
+        all (part, wedge) pairs in one tensor.  Returns one chain spec
+        ``(part, plan, fi, target, wedge, inner)`` per surviving (part,
+        wedge) pair; the caller buckets them by part width and runs pooled
+        chain calls.
+        """
         sro = np.asarray(subtract_rows)
         rt = row_target[sro]
         involved = sorted(set(rt.tolist()))
-        for t in involved:
-            simple[t].geometry.ensure_wedge_tables()
-        T = len(simple)
-        w_max = max(simple[t].geometry.exc_edges.shape[0] for t in involved)
-        TEX = np.zeros((T, w_max))
-        TEY = np.zeros((T, w_max))
-        TRBX = np.zeros((T, w_max))
-        TRBY = np.zeros((T, w_max))
-        TKEX = np.zeros((T, w_max))
-        TKEY = np.zeros((T, w_max))
-        TKAX = np.zeros((T, w_max))
-        TKAY = np.zeros((T, w_max))
-        t_wn = np.zeros(T, dtype=np.int64)
-        for t in involved:
-            geometry = simple[t].geometry
-            ex, ey, rbx, rby = geometry.exc_wedge_sides
-            wn = len(ex)
-            TEX[t, :wn] = ex
-            TEY[t, :wn] = ey
-            TRBX[t, :wn] = rbx
-            TRBY[t, :wn] = rby
-            edges = geometry.exc_edges
-            TKEX[t, :wn] = edges[:, 2] - edges[:, 0]
-            TKEY[t, :wn] = edges[:, 3] - edges[:, 1]
-            TKAX[t, :wn] = edges[:, 0]
-            TKAY[t, :wn] = edges[:, 1]
-            t_wn[t] = wn
+        geoms = [group[t].geometry for t in involved]
+        for geometry in geoms:
+            geometry.ensure_wedge_tables()
+        # Per involved target: the wedge's swapped-endpoint sidedness
+        # coefficients (ex, ey, reference point) and the keep-left edge
+        # coefficients (ex, ey, start point), one table row per target,
+        # expanded to one row per part unless a single target owns them all.
+        columns = [[g.exc_wedge_sides[k] for g in geoms] for k in range(4)] + [
+            [g.exc_edges[:, 2] - g.exc_edges[:, 0] for g in geoms],
+            [g.exc_edges[:, 3] - g.exc_edges[:, 1] for g in geoms],
+            [g.exc_edges[:, 0] for g in geoms],
+            [g.exc_edges[:, 1] for g in geoms],
+        ]
+        tables = [_stack_rows(column) for column in columns]
+        w_len = np.array([len(g.exc_edges) for g in geoms])
+        if len(geoms) > 1:
+            slot = np.searchsorted(involved, rt)
+            tables = [table[slot] for table in tables]
+            w_len = w_len[slot]
+        TEX, TEY, TRBX, TRBY, TKEX, TKEY, TKAX, TKAY = (
+            table[:, :, None] for table in tables
+        )
 
         sc = counts[sro]
         narrow = max(int(sc.max()), 1)
         sX = X[sro][:, :narrow]
         sY = Y[sro][:, :narrow]
         lane_valid = _lanes(narrow)[None, :] < sc[:, None]
-        wedge_valid = _lanes(w_max)[None, :] < t_wn[rt][:, None]
+        wedge_valid = _lanes(tables[0].shape[1])[None, :] < w_len[:, None]
         # The swapped-endpoint sidedness of the wedge's outside clip and the
-        # keep-left sidedness of its inner clips, with per-row wedge tables;
-        # both expressions mirror the per-target tensors operand for operand.
-        side = TEX[rt][:, :, None] * (sY[:, None, :] - TRBY[rt][:, :, None]) - TEY[
-            rt
-        ][:, :, None] * (sX[:, None, :] - TRBX[rt][:, :, None])
+        # keep-left sidedness of its inner clips, with per-row wedge tables.
+        side = TEX * (sY[:, None, :] - TRBY) - TEY * (sX[:, None, :] - TRBX)
         nontrivial = (
             ((side >= -EPSILON) & lane_valid[:, None, :]).any(axis=2) & wedge_valid
         )
-        side_k = TKEX[rt][:, :, None] * (sY[:, None, :] - TKAY[rt][:, :, None]) - TKEY[
-            rt
-        ][:, :, None] * (sX[:, None, :] - TKAX[rt][:, :, None])
+        # The wedge's inner clips keep the part inside edges 0..i-1; an edge
+        # every part vertex is inside (with the float-safety margin) clips
+        # nothing -- chain intermediates are convex combinations of the
+        # part's vertices -- so it is dropped from that part's sequences.
+        side_k = TKEX * (sY[:, None, :] - TKAY) - TKEY * (sX[:, None, :] - TKAX)
         keep_needed = (
             ((side_k < (-EPSILON + _PREFILTER_MARGIN)) & lane_valid[:, None, :]).any(
                 axis=2
@@ -3225,10 +2482,8 @@ class FusedSolverKernel:
 
         # One pooled nonzero per matrix; rows come out grouped and wedge
         # indices ascending within each row, exactly the per-part scans.
-        nz_rows = np.nonzero(nontrivial)[0].tolist()
-        nz_wedges = np.nonzero(nontrivial)[1].tolist()
-        kn_rows = np.nonzero(keep_needed)[0].tolist()
-        kn_wedges = np.nonzero(keep_needed)[1].tolist()
+        nz_rows, nz_wedges = (a.tolist() for a in np.nonzero(nontrivial))
+        kn_rows, kn_wedges = (a.tolist() for a in np.nonzero(keep_needed))
         rt_l = rt.tolist()
         ni = 0
         kk = 0
@@ -3250,16 +2505,16 @@ class FusedSolverKernel:
             if not wedges:
                 # Every wedge clips to nothing: the part lies within the
                 # exclusion and vanishes.
-                diags[t].prefilter_outside += 1
+                group[t].diagnostics.prefilter_outside += 1
                 plan.results[fi] = []
                 continue
-            diags[t].pieces_clipped += 1
+            group[t].diagnostics.pieces_clipped += 1
             part = flats[t][fi]
             p = 0
             n_keeps = len(keeps)
             for i in wedges:
                 # keeps is ascending, wedges is ascending: advance a pointer
-                # instead of refiltering inner_needed per wedge.
+                # instead of refiltering the needed edges per wedge.
                 while p < n_keeps and keeps[p] < i:
                     p += 1
                 specs.append((part, plan, fi, t, i, keeps[:p]))

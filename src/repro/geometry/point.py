@@ -4,7 +4,7 @@ Octant performs its region algebra (intersection, union, subtraction of
 constraint areas) in a local planar coordinate system obtained by projecting
 latitude/longitude onto a plane (see :mod:`repro.geometry.projection`).  This
 module provides the planar :class:`Point2D` primitive and the handful of
-vector operations the polygon and Bezier machinery needs.
+vector operations the polygon machinery needs.
 """
 
 from __future__ import annotations

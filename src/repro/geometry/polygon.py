@@ -1,8 +1,9 @@
 """Simple planar polygons.
 
 A :class:`Polygon` is a simple (non-self-intersecting) closed polygon given by
-its vertex list.  Polygons are the workhorse representation produced by
-flattening Bezier-bounded region boundaries; the boolean algebra over them
+its vertex list.  Polygons are the workhorse region representation: the paper
+bounds regions with Bezier curves, and this reproduction works with their
+flattened polygonal form throughout; the boolean algebra over them
 lives in :mod:`repro.geometry.clipping` and the weighted multi-piece region
 abstraction in :mod:`repro.geometry.region`.
 

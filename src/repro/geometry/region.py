@@ -3,8 +3,9 @@
 The output of an Octant localization -- and the intermediate state of the
 solver -- is a :class:`Region`: a set of planar polygon pieces, each carrying
 a weight that captures how strongly the constraint system believes the target
-lies in that piece.  Regions may be non-convex and disconnected, exactly the
-generality the paper obtains from its Bezier-bounded representation.
+lies in that piece.  Regions may be non-convex and disconnected, the same
+generality the paper obtains from its Bezier-bounded representation (here the
+piece boundaries are polygons).
 
 A region is tied to the projection it was built under so that its pieces can
 be mapped back to geographic coordinates (for the final point estimate, for

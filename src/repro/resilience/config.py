@@ -30,9 +30,9 @@ class ResilienceConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Per-``stage:engine`` circuit breakers consulted before each ladder rung.
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    #: Enable the graceful-degradation ladder (fused -> vector -> object
-    #: engines).  Off: a failed primary attempt is recorded as a failed
-    #: estimate, the pre-resilience behavior.
+    #: Enable the graceful-degradation ladder (fused -> object engines).
+    #: Off: a failed primary attempt is recorded as a failed estimate, the
+    #: pre-resilience behavior.
     degradation: bool = True
     #: Allow the final ladder rung: a coarse ``repro.baselines`` estimate
     #: (shortest-ping) when every engine rung failed or the deadline leaves

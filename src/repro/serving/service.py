@@ -32,7 +32,7 @@ processes is the sharded tier (``repro.serving.cluster``), not this service.
 resilience scope; the pipeline's stage checkpoints enforce them
 cooperatively.  A failed attempt rides a graceful-degradation ladder --
 retry with jittered backoff for retriable faults, then lower solver engine
-rungs (``fused`` -> ``vector`` -> ``object``, all bit-identical), then the
+rungs (``fused`` -> ``object``, bit-identical), then the
 coarse shortest-ping baseline -- with per-rung circuit breakers and
 deadline-aware shedding of expired queue entries.  Every degraded answer
 records its provenance under ``details["degraded"]``; with no faults
@@ -79,10 +79,11 @@ from ..resilience import (
 
 __all__ = ["DriftDetector", "LocalizationService", "ServiceStats"]
 
-#: Solver-engine degradation ladder, strongest (most batched) first.  All
-#: three engines are bit-identical (pinned by the engine-equivalence
-#: suites), so falling down a rung changes performance, never the answer.
-ENGINE_LADDER = ("fused", "vector", "object")
+#: Solver-engine degradation ladder, strongest (most batched) first: the
+#: NumPy cohort kernel, then the object reference.  Both engines are
+#: bit-identical (pinned by the engine-equivalence suites), so falling down
+#: a rung changes performance, never the answer.
+ENGINE_LADDER = ("fused", "object")
 
 
 @dataclass

@@ -47,7 +47,7 @@ class TestBatchSequentialEquality:
         each is compared against the from-scratch sequential reference.
         """
         base = OctantConfig()
-        for engine in ("vector", "fused", "object"):
+        for engine in ("fused", "object"):
             config = replace(base, solver=replace(base.solver, engine=engine))
             sequential = Octant(dataset, config)
             results = BatchLocalizer(Octant(dataset, config)).localize_all()

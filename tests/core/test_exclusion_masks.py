@@ -1,16 +1,17 @@
 """Non-convex exclusion: batched Greiner-Hormann, ingest, threads.
 
 Non-convex negative constraints (the paper's ocean/uninhabited regions,
-Section 2.5) are subtracted with Greiner-Hormann on every engine: the vector
-and fused engines run the batched row kernel (vectorized intersection
-classification, per-piece traversal), the object engine the scalar
-``subtract_polygons`` reference.  This suite pins:
+Section 2.5) are subtracted with Greiner-Hormann on both engines: the fused
+engine runs the batched row kernel (vectorized intersection classification,
+per-piece traversal), the object engine the scalar ``subtract_polygons``
+reference.  This suite pins:
 
-* vector-vs-object bit identity on randomized non-convex-heavy systems,
+* fused-vs-object bit identity on randomized non-convex-heavy systems,
   including disconnected, antimeridian-crossing and self-intersecting
   regions and the detailed geographic catalogue;
-* fused-vs-vector cohort identity on non-convex-heavy cohorts (including a
-  cohort of one and fuse-width-boundary chunking through the batch engine);
+* fused cohorts against fused cohorts of one on non-convex-heavy cohorts
+  (including a cohort of one and fuse-width-boundary chunking through the
+  batch engine);
 * a measurement ingest never serves stale geometry, the GH counters
   surface through ``kernel_summary``, and fused chunks solved from
   concurrent threads match the serial batch.
@@ -86,37 +87,37 @@ def random_nonconvex_system(rng: random.Random) -> list[PlanarConstraint]:
 
 
 def assert_engines_identical(constraints, config_kwargs=None):
-    """Vector vs object bit identity on every estimate metric.
+    """Fused vs object bit identity on every estimate metric.
 
-    Returns the vector solver and region; the object engine is the
+    Returns the fused solver and region; the object engine is the
     independent scalar reference.
     """
     kwargs = dict(config_kwargs or {})
-    vector = WeightedRegionSolver(SolverConfig(engine="vector", **kwargs))
+    fused = WeightedRegionSolver(SolverConfig(engine="fused", **kwargs))
     obj = WeightedRegionSolver(SolverConfig(engine="object", **kwargs))
-    region_v = vector.solve(constraints, PROJ)
+    region_v = fused.solve(constraints, PROJ)
     region_o = obj.solve(constraints, PROJ)
     assert region_v.area_km2() == region_o.area_km2()
     assert len(region_v.pieces) == len(region_o.pieces)
     for piece_v, piece_o in zip(region_v.pieces, region_o.pieces):
         assert piece_v.weight == piece_o.weight
         assert piece_v.polygon.coords == piece_o.polygon.coords
-    dv, do = vector.diagnostics, obj.diagnostics
+    dv, do = fused.diagnostics, obj.diagnostics
     assert dv.constraints_applied == do.constraints_applied
     assert dv.dropped_constraints == do.dropped_constraints
     assert dv.max_weight == do.max_weight
     assert dv.selected_weight == do.selected_weight
-    return vector, region_v
+    return fused, region_v
 
 
 def assert_cohort_identical(cohort, config_kwargs=None):
-    """Fused lockstep vs per-target vector bit identity."""
+    """Fused lockstep cohort vs fused cohorts of one, bit for bit."""
     kwargs = dict(config_kwargs or {})
     fused = solve_systems(
         SolverConfig(engine="fused", **kwargs), [(c, PROJ) for c in cohort]
     )
     for constraints, (region_f, diag_f) in zip(cohort, fused):
-        solver = WeightedRegionSolver(SolverConfig(engine="vector", **kwargs))
+        solver = WeightedRegionSolver(SolverConfig(engine="fused", **kwargs))
         region_v = solver.solve(constraints, PROJ)
         assert region_f.area_km2() == region_v.area_km2()
         assert len(region_f.pieces) == len(region_v.pieces)
@@ -134,7 +135,7 @@ def assert_cohort_identical(cohort, config_kwargs=None):
 def test_masked_nonconvex_equivalence(seed):
     rng = random.Random(9000 + seed)
     solver, _region = assert_engines_identical(random_nonconvex_system(rng))
-    assert solver.diagnostics.engine == "vector"
+    assert solver.diagnostics.engine == "fused"
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -244,7 +245,7 @@ def test_self_intersecting_ring_rides_gh():
 
 
 def test_detailed_geo_regions_are_nonconvex_and_identical():
-    """The detailed catalogue rings: fused == vector == object."""
+    """The detailed catalogue rings: fused cohort == fused alone == object."""
     from repro.core import GeoRegionConstraint, Polarity
     from repro.network.geodata import DETAILED_OCEAN_REGIONS
 
@@ -277,7 +278,8 @@ def test_fused_cohort_nonconvex_identity(size):
 def test_fused_chunk_boundary_through_batch_engine():
     """fuse_width chunking with detailed (non-convex) geographic regions.
 
-    The fused batch answers must equal the vector and the object engines'.
+    The fused batch answers must equal fused cohorts of one and the object
+    engine's.
     """
     from repro import BatchLocalizer, Octant, collect_dataset
     from repro.core.config import OctantConfig, SolverConfig
@@ -290,8 +292,9 @@ def test_fused_chunk_boundary_through_batch_engine():
         solver=SolverConfig(engine="fused", fuse_width=4),
     )
     fused = BatchLocalizer(Octant(dataset, config)).localize_all()
-    for engine in ("vector", "object"):
-        other_config = config.with_overrides(solver=SolverConfig(engine=engine))
+    one_at_a_time = SolverConfig(engine="fused", fuse_width=1)
+    for solver in (one_at_a_time, SolverConfig(engine="object")):
+        other_config = config.with_overrides(solver=solver)
         other = BatchLocalizer(Octant(dataset, other_config)).localize_all()
         assert set(fused) == set(other)
         for target, estimate_f in fused.items():

@@ -207,3 +207,21 @@ class TestSliverFilteringUnits:
         strict = strict_intersection([a, b], PROJ, min_piece_area_km2=1.0)
         assert not strict.is_empty()
         assert strict.area_km2() < 500.0
+
+
+class TestSolverConfigEngine:
+    def test_default_engine_is_fused(self):
+        assert SolverConfig().engine == "fused"
+
+    @pytest.mark.parametrize("engine", ["fuesd", "vector", ""])
+    def test_unknown_engine_rejected(self, engine):
+        """A misspelt or retired engine fails at construction instead of
+        silently running the slow object reference."""
+        with pytest.raises(ValueError, match=r"\('fused', 'object'\)"):
+            SolverConfig(engine=engine)
+
+    def test_override_is_validated_too(self):
+        from dataclasses import replace
+
+        with pytest.raises(ValueError):
+            replace(SolverConfig(), engine="vector")

@@ -1,12 +1,13 @@
-"""Vector-vs-object solver engine equivalence.
+"""Fused-vs-object solver engine equivalence.
 
-The vectorized flat-buffer kernel (``repro.geometry.kernel``) must be
-*bit-identical* to the object engine on everything an estimate exposes: the
-point estimate, region area, piece count and coordinates, the selected and
-maximum weights, and the solver diagnostics that feed reporting.  This suite
-pins that contract on randomized synthetic constraint systems (both
-polarities, annuli, keyholed exclusions) plus targeted edge cases for empty
-clips, degenerate slivers and the prefilter's classifications.
+The NumPy cohort kernel (``repro.geometry.kernel``) must be *bit-identical*
+to the object engine on everything an estimate exposes: the point estimate,
+region area, piece count and coordinates, the selected and maximum weights,
+and the solver diagnostics that feed reporting.  This suite pins that
+contract on randomized synthetic constraint systems (both polarities,
+annuli, keyholed exclusions) plus targeted edge cases for empty clips,
+degenerate slivers and the prefilter's classifications; the cohort suites
+pin a fused cohort against fused cohorts of one.
 """
 
 from __future__ import annotations
@@ -51,16 +52,16 @@ def annulus(outer, inner, weight=1.0, label="annulus"):
 def solve_both(constraints, config_kwargs=None):
     """Run the same constraint set through both engines."""
     kwargs = dict(config_kwargs or {})
-    vector = WeightedRegionSolver(SolverConfig(engine="vector", **kwargs))
+    fused = WeightedRegionSolver(SolverConfig(engine="fused", **kwargs))
     obj = WeightedRegionSolver(SolverConfig(engine="object", **kwargs))
-    region_v = vector.solve(constraints, PROJ)
+    region_f = fused.solve(constraints, PROJ)
     region_o = obj.solve(constraints, PROJ)
-    return (vector, region_v), (obj, region_o)
+    return (fused, region_f), (obj, region_o)
 
 
 def assert_identical(constraints, config_kwargs=None):
     """The full bit-identity contract between the two engines."""
-    (vector, region_v), (obj, region_o) = solve_both(constraints, config_kwargs)
+    (fused, region_v), (obj, region_o) = solve_both(constraints, config_kwargs)
 
     # Estimate metrics: exact float equality, no tolerances.
     assert region_v.area_km2() == region_o.area_km2()
@@ -84,7 +85,7 @@ def assert_identical(constraints, config_kwargs=None):
         assert piece_v.polygon.coords == piece_o.polygon.coords
 
     # Diagnostics the reports consume.
-    dv, do = vector.diagnostics, obj.diagnostics
+    dv, do = fused.diagnostics, obj.diagnostics
     assert dv.constraints_applied == do.constraints_applied
     assert dv.constraints_skipped == do.constraints_skipped
     assert dv.dropped_constraints == do.dropped_constraints
@@ -92,7 +93,7 @@ def assert_identical(constraints, config_kwargs=None):
     assert dv.max_weight == do.max_weight
     assert dv.selected_weight == do.selected_weight
     assert dv.max_pieces_seen == do.max_pieces_seen
-    assert dv.engine == "vector" and do.engine == "object"
+    assert dv.engine == "fused" and do.engine == "object"
     return region_v, region_o
 
 
@@ -256,7 +257,7 @@ class TestTargetedEquivalence:
 class TestPrefilter:
     def test_fully_inside_skips_clipper(self):
         """A piece wholly inside a huge disk is classified, not clipped."""
-        solver = WeightedRegionSolver(SolverConfig(engine="vector"))
+        solver = WeightedRegionSolver(SolverConfig(engine="fused"))
         small = positive(disk_at(0, 0, 100.0), weight=2.0, label="small")
         huge = positive(disk_at(0, 0, 5000.0), weight=1.0, label="huge")
         solver.solve([small, huge], PROJ)
@@ -264,7 +265,7 @@ class TestPrefilter:
 
     def test_fully_outside_disjoint_bbox(self):
         """Disjoint geometry resolves by bounding boxes alone."""
-        solver = WeightedRegionSolver(SolverConfig(engine="vector"))
+        solver = WeightedRegionSolver(SolverConfig(engine="fused"))
         a = positive(disk_at(0, 0, 100.0), weight=2.0, label="a")
         b = positive(disk_at(90.0, 8000.0, 100.0), weight=1.0, label="b")
         solver.solve([a, b], PROJ)
@@ -277,7 +278,7 @@ class TestPrefilter:
         batched wedge classifier (not the small-batch scalar fallback) sees
         them, and every one of them lies inside the wipe exclusion.
         """
-        solver = WeightedRegionSolver(SolverConfig(engine="vector"))
+        solver = WeightedRegionSolver(SolverConfig(engine="fused"))
         smalls = [
             positive(disk_at(b, 60.0, 80.0), weight=2.0, label=f"small{b}")
             for b in (0.0, 120.0, 240.0)
@@ -291,7 +292,7 @@ class TestPrefilter:
             positive(disk_at(b, 300.0, 400.0), label=f"c{b}")
             for b in (0.0, 60.0, 120.0, 180.0, 240.0, 300.0)
         ]
-        solver = WeightedRegionSolver(SolverConfig(engine="vector"))
+        solver = WeightedRegionSolver(SolverConfig(engine="fused"))
         solver.solve(constraints, PROJ)
         # Plenty of overlapping boundaries: pieces must reach the clipper,
         # and with enough of them at once the batched passes run too.
@@ -299,12 +300,12 @@ class TestPrefilter:
         assert solver.diagnostics.vertices_clipped > 0
 
     def test_phase_timings_recorded(self):
-        solver = WeightedRegionSolver(SolverConfig(engine="vector"))
+        solver = WeightedRegionSolver(SolverConfig(engine="fused"))
         solver.solve([positive(disk_at(0, 0, 300.0))], PROJ)
         assert "inclusion" in solver.diagnostics.phase_seconds
         assert solver.diagnostics.solve_seconds > 0.0
         summary = solver.diagnostics.kernel_summary()
-        assert summary["engine"] == "vector"
+        assert summary["engine"] == "fused"
 
 
 # --------------------------------------------------------------------------- #
@@ -439,7 +440,7 @@ class TestPlanarCacheEquivalence:
                     assert pb.coords == pc.coords == pw.coords
 
         # ... and identical solver output (both engines) from the warm pass.
-        for engine in ("vector", "object"):
+        for engine in ("fused", "object"):
             solver_u = WeightedRegionSolver(SolverConfig(engine=engine))
             solver_w = WeightedRegionSolver(SolverConfig(engine=engine))
             region_u = solver_u.solve(uncached, PROJ)
@@ -506,7 +507,7 @@ class TestChainRunnerOrientation:
         import numpy as np
 
         from repro.geometry.clipping import clip_halfplane
-        from repro.geometry.kernel import _halfplane_chain_rows, _part_from_polygon
+        from repro.geometry.kernel import _halfplane_chain_run, _part_from_polygon
 
         square_cw = Polygon(
             [Point2D(0, 0), Point2D(0, 100), Point2D(100, 100), Point2D(100, 0)]
@@ -515,8 +516,8 @@ class TestChainRunnerOrientation:
         part = _part_from_polygon(square_cw)
         # An edge the whole square is inside: the pass short-circuits.
         a, b = Point2D(-10.0, 1.0), Point2D(-10.0, 0.0)
-        seq = np.array([[a.x, a.y, b.x, b.y]])
-        (result,) = _halfplane_chain_rows([part], [seq])
+        edge_arr = np.array([[[a.x, a.y, b.x, b.y]]])
+        (result,) = _halfplane_chain_run([part], edge_arr, np.array([1]))
         scalar = clip_halfplane(square_cw, a, b, keep_left=True)
         assert scalar is not None and result is not None
         got = tuple(zip(result[0].tolist(), result[1].tolist()))
@@ -539,25 +540,25 @@ class TestChainRunnerOrientation:
 # Fused cohort engine: lockstep multi-target solves are bit-identical
 # --------------------------------------------------------------------------- #
 def solve_cohort_both(cohort, config_kwargs=None):
-    """Solve a cohort fused (one lockstep run) and per-target vector."""
+    """Solve a cohort fused (one lockstep run) and as cohorts of one."""
     from repro.core.solver import solve_systems
 
     kwargs = dict(config_kwargs or {})
     fused = solve_systems(
         SolverConfig(engine="fused", **kwargs), [(c, PROJ) for c in cohort]
     )
-    vector = []
+    alone = []
     for constraints in cohort:
-        solver = WeightedRegionSolver(SolverConfig(engine="vector", **kwargs))
+        solver = WeightedRegionSolver(SolverConfig(engine="fused", **kwargs))
         region = solver.solve(constraints, PROJ)
-        vector.append((region, solver.diagnostics))
-    return fused, vector
+        alone.append((region, solver.diagnostics))
+    return fused, alone
 
 
 def assert_cohort_identical(cohort, config_kwargs=None):
-    fused, vector = solve_cohort_both(cohort, config_kwargs)
-    assert len(fused) == len(vector) == len(cohort)
-    for (region_f, diag_f), (region_v, diag_v) in zip(fused, vector):
+    fused, alone = solve_cohort_both(cohort, config_kwargs)
+    assert len(fused) == len(alone) == len(cohort)
+    for (region_f, diag_f), (region_v, diag_v) in zip(fused, alone):
         assert region_f.area_km2() == region_v.area_km2()
         assert len(region_f.pieces) == len(region_v.pieces)
         pf = region_f.representative_point()
@@ -582,8 +583,9 @@ def assert_cohort_identical(cohort, config_kwargs=None):
         assert diag_f.max_weight == diag_v.max_weight
         assert diag_f.selected_weight == diag_v.selected_weight
         assert diag_f.max_pieces_seen == diag_v.max_pieces_seen
-        assert diag_f.engine == "fused" and diag_v.engine == "vector"
-    return fused, vector
+        assert diag_f.engine == diag_v.engine == "fused"
+        assert diag_v.fused_cohort_targets == 1
+    return fused, alone
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -614,7 +616,7 @@ class TestFusedEngine:
     def test_single_solve_dispatches_fused(self):
         """engine='fused' through WeightedRegionSolver is a cohort of one."""
         solver_f = WeightedRegionSolver(SolverConfig(engine="fused"))
-        solver_v = WeightedRegionSolver(SolverConfig(engine="vector"))
+        solver_v = WeightedRegionSolver(SolverConfig(engine="object"))
         constraints = [
             positive(disk_at(0, 0, 400.0)),
             annulus(disk_at(30.0, 100.0, 500.0), disk_at(30.0, 100.0, 120.0)),
@@ -623,6 +625,7 @@ class TestFusedEngine:
         region_f = solver_f.solve(constraints, PROJ)
         region_v = solver_v.solve(constraints, PROJ)
         assert solver_f.diagnostics.engine == "fused"
+        assert solver_f.diagnostics.fused_cohort_targets == 1
         assert region_f.area_km2() == region_v.area_km2()
         for piece_f, piece_v in zip(region_f.pieces, region_v.pieces):
             assert piece_f.weight == piece_v.weight
@@ -650,12 +653,12 @@ class TestFusedEngine:
         assert summary["fused_cohort_targets"] == 4
         assert summary["fused_pass_count"] == diag.fused_pass_count
         assert summary["fused_rows_per_pass"] > 0
-        # Vector solves report zeroed fused counters under the same schema.
-        solver = WeightedRegionSolver(SolverConfig(engine="vector"))
+        # Object solves report zeroed fused counters under the same schema.
+        solver = WeightedRegionSolver(SolverConfig(engine="object"))
         solver.solve(cohort[0], PROJ)
-        vector_summary = solver.diagnostics.kernel_summary()
-        assert vector_summary["fused_cohort_targets"] == 0
-        assert vector_summary["fused_pass_count"] == 0
+        object_summary = solver.diagnostics.kernel_summary()
+        assert object_summary["fused_cohort_targets"] == 0
+        assert object_summary["fused_pass_count"] == 0
 
     def test_empty_and_nonempty_systems_mix(self):
         """Degenerate systems (no constraints) coexist with real ones."""
@@ -668,84 +671,10 @@ class TestFusedEngine:
         assert results[0][0].is_empty()
         assert results[2][0].is_empty()
         assert not results[1][0].is_empty()
-        reference = WeightedRegionSolver(SolverConfig(engine="vector")).solve(
+        reference = WeightedRegionSolver(SolverConfig(engine="object")).solve(
             cohort[1], PROJ
         )
         assert results[1][0].area_km2() == reference.area_km2()
-
-
-# --------------------------------------------------------------------------- #
-# CohortPieceBuffer: segment-indexed stacking
-# --------------------------------------------------------------------------- #
-class TestCohortPieceBuffer:
-    def _buffers(self):
-        disks = [
-            [(disk_at(0, 0, 200.0), 1.0), (disk_at(90.0, 300.0, 150.0), 2.0)],
-            [(disk_at(180.0, 500.0, 250.0), 0.5)],
-        ]
-        return [PieceBuffer.from_polygons(d) for d in disks]
-
-    def test_stacks_preserve_per_target_layout(self):
-        import numpy as np
-
-        from repro.geometry.kernel import CohortPieceBuffer
-
-        buffers = self._buffers()
-        cohort = CohortPieceBuffer(buffers, cursors=[3, 7])
-        assert len(cohort) == 3
-        assert cohort.piece_target.tolist() == [0, 0, 1]
-        assert cohort.cursors.tolist() == [3, 7]
-        assert cohort.target_pieces(0) == slice(0, 2)
-        assert cohort.target_pieces(1) == slice(2, 3)
-        # Coordinates and boxes are the per-target arrays, verbatim.
-        assert np.array_equal(
-            cohort.xs, np.concatenate([buffers[0].xs, buffers[1].xs])
-        )
-        assert np.array_equal(
-            cohort.bboxes, np.vstack([buffers[0].bboxes, buffers[1].bboxes])
-        )
-        # Rebased offsets delimit the same pieces.
-        for t, buffer in enumerate(buffers):
-            pieces = cohort.target_pieces(t)
-            for local, cohort_piece in enumerate(range(pieces.start, pieces.stop)):
-                lo = cohort.offsets[cohort_piece]
-                hi = cohort.offsets[cohort_piece + 1]
-                assert np.array_equal(
-                    cohort.xs[lo:hi], buffer.xs[buffer.offsets[local]:buffer.offsets[local + 1]]
-                )
-
-    def test_broadcasts_and_reductions(self):
-        import numpy as np
-
-        from repro.geometry.kernel import CohortPieceBuffer
-
-        buffers = self._buffers()
-        cohort = CohortPieceBuffer(buffers)
-        per_target = np.array([10.0, 20.0])
-        assert cohort.broadcast_pieces(per_target).tolist() == [10.0, 10.0, 20.0]
-        per_vertex = cohort.broadcast_vertices(per_target)
-        assert len(per_vertex) == len(cohort.xs)
-        assert per_vertex[0] == 10.0 and per_vertex[-1] == 20.0
-        union = cohort.union_boxes()
-        for t, buffer in enumerate(buffers):
-            assert union[t, 0] == buffer.bboxes[:, 0].min()
-            assert union[t, 3] == buffer.bboxes[:, 3].max()
-        max_x = cohort.piece_max(cohort.xs)
-        assert max_x.tolist() == cohort.bboxes[:, 2].tolist()
-
-    def test_empty_cohort_and_empty_target(self):
-        from repro.geometry.kernel import CohortPieceBuffer
-
-        empty = CohortPieceBuffer([])
-        assert len(empty) == 0
-        assert empty.union_boxes().shape == (0, 4)
-        mixed = CohortPieceBuffer(
-            [PieceBuffer.from_parts([], []), self._buffers()[0]]
-        )
-        assert len(mixed) == 2
-        assert mixed.target_pieces(0) == slice(0, 0)
-        union = mixed.union_boxes()
-        assert union[0, 0] == float("inf")  # inverted box: never intersects
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,6 @@ from repro.geometry import (
     RegionPiece,
     annulus_polygon,
     dilate_polygon,
-    disk_bezier,
     disk_polygon,
     erode_polygon,
     geodesic_circle_points,
@@ -62,11 +61,6 @@ class TestDiskPolygon:
         disk = disk_polygon(DENVER, 500.0, PROJ)
         assert disk.is_ccw()
         assert disk.is_convex()
-
-    def test_bezier_disk_matches_polygon_disk(self):
-        bez = disk_bezier(DENVER, 400.0, PROJ, arcs=8)
-        poly = disk_polygon(DENVER, 400.0, PROJ, segments=96)
-        assert bez.area(tolerance=0.5) == pytest.approx(poly.area(), rel=0.01)
 
 
 class TestAnnulus:

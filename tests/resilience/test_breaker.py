@@ -178,13 +178,13 @@ class TestBoard:
         board = BreakerBoard(BreakerConfig(failure_threshold=2))
         first = board.get("solve:fused")
         assert board.get("solve:fused") is first
-        assert board.get("solve:vector") is not first
+        assert board.get("solve:object") is not first
 
     def test_snapshot_sorted_by_name(self):
         board = BreakerBoard()
-        board.get("solve:vector")
+        board.get("solve:object")
         board.get("solve:fused")
-        assert list(board.snapshot()) == ["solve:fused", "solve:vector"]
+        assert list(board.snapshot()) == ["solve:fused", "solve:object"]
 
     def test_breakers_share_config(self):
         board = BreakerBoard(BreakerConfig(failure_threshold=1))

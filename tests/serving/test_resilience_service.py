@@ -154,9 +154,9 @@ class TestDegradationLadder:
         # primary one -- degradation changes provenance, not results.
         assert signature(estimate) == signature(reference.localize_one(target))
         degraded = estimate.details["degraded"]
-        assert degraded["engine"] == "object"  # default primary is "vector"
-        assert degraded["primary"] == "vector"
-        assert degraded["attempted"] == ["vector"]
+        assert degraded["engine"] == "object"  # default primary is "fused"
+        assert degraded["primary"] == "fused"
+        assert degraded["attempted"] == ["fused"]
         assert degraded["error_class"] == "fatal"
         assert stats["degraded_answers"] == 1
         assert stats["baseline_answers"] == 0
@@ -177,7 +177,7 @@ class TestDegradationLadder:
         degraded = estimate.details["degraded"]
         assert degraded["fallback"] == "baseline"
         assert degraded["method"] == "shortest-ping"
-        assert degraded["attempted"] == ["vector", "object"]
+        assert degraded["attempted"] == ["fused", "object"]
         assert degraded["error_class"] == "fatal"
         assert stats["degraded_answers"] == 1
         assert stats["baseline_answers"] == 1
@@ -232,18 +232,18 @@ class TestBreakers:
 
         first, second, health, stats = run(main())
         # First request trips both engine breakers (threshold 1) ...
-        assert first.details["degraded"]["attempted"] == ["vector", "object"]
+        assert first.details["degraded"]["attempted"] == ["fused", "object"]
         # ... so the second request skips them without attempting a solve.
         assert second.details["degraded"]["attempted"] == [
-            "vector:breaker-open",
+            "fused:breaker-open",
             "object:breaker-open",
         ]
         breakers = stats["resilience"]["breakers"]
-        assert breakers["solve:vector"]["state"] == "open"
+        assert breakers["solve:fused"]["state"] == "open"
         assert breakers["solve:object"]["state"] == "open"
-        assert breakers["solve:vector"]["refusals"] >= 1
+        assert breakers["solve:fused"]["refusals"] >= 1
         assert health["status"] == "degraded"
-        assert health["breakers_open"] == ["solve:object", "solve:vector"]
+        assert health["breakers_open"] == ["solve:fused", "solve:object"]
 
 
 class TestDeadlines:

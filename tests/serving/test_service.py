@@ -269,8 +269,18 @@ class TestServiceMicroBatching:
         assert fused["passes"] > 0 and fused["rows"] > 0
 
     def test_vector_engine_never_coalesces(self, live_dataset):
+        """A non-fused engine never coalesces requests.
+
+        The name predates the removal of the ``"vector"`` engine; the
+        object engine is the non-fused one now.
+        """
+        from repro import OctantConfig
+        from repro.core.config import SolverConfig
+
+        config = OctantConfig(solver=SolverConfig(engine="object"))
+
         async def main():
-            async with LocalizationService(live_dataset, workers=1) as service:
+            async with LocalizationService(live_dataset, config, workers=1) as service:
                 await service.localize_many(live_dataset.host_ids[:4])
                 return service.cache_stats()
 
