@@ -170,11 +170,6 @@ class OctantConfig:
     #: Number of probes whose minimum is used per pair (the dataset may hold
     #: more; extra probes are ignored).
     probes_per_measurement: int = 10
-    #: Maximum number of prepared landmark sets an :class:`Octant` retains
-    #: (LRU).  Bounds memory during leave-one-out studies, where every target
-    #: has a distinct landmark set; whole-cohort studies should use the batch
-    #: engine, which shares state instead of caching per-set results.
-    prepared_cache_size: int = 8
 
     # ---- solver ---------------------------------------------------------- #
     solver: SolverConfig = field(default_factory=SolverConfig)

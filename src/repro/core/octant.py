@@ -17,7 +17,6 @@ only, so information about the target never leaks into its own localization.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -170,14 +169,6 @@ class Octant:
         self.dataset = dataset
         self.config = config or OctantConfig()
         self.parser = parser or UndnsParser()
-        # LRU over landmark sets: leave-one-out evaluation visits n distinct
-        # sets, and an unbounded mapping would retain one full
-        # PreparedLandmarks (heights, calibrations, router positions) per
-        # target.  Use repro.core.batch.BatchLocalizer for whole-cohort
-        # studies; this cache only amortizes repeated localizations against
-        # the same few landmark sets.
-        self._prepared: OrderedDict[tuple[str, ...], PreparedLandmarks] = OrderedDict()
-        self._dataset_version = dataset.version
         # The staged pipeline owns the shared geometry cache and the
         # target-independent constraint state; ``circle_cache`` lets callers
         # (the serving layer, batch studies over dataset snapshots) keep one
@@ -190,35 +181,13 @@ class Octant:
     # ------------------------------------------------------------------ #
     # Preparation: heights, calibration, router localization
     # ------------------------------------------------------------------ #
-    def _sync_dataset_version(self) -> None:
-        """Drop prepared entries invalidated by measurement ingest.
-
-        Ingest touches a known set of hosts; a cached
-        :class:`PreparedLandmarks` only depends on measurements among its
-        own landmark set, so entries disjoint from the touched hosts stay
-        valid and are kept warm.  When the touched set is unknown (the
-        mutation log was truncated) everything is dropped.
-        """
-        version = self.dataset.version
-        if version == self._dataset_version:
-            return
-        touched = self.dataset.touched_since(self._dataset_version)
-        if touched is None:
-            self._prepared.clear()
-        else:
-            for key in [k for k in self._prepared if not touched.isdisjoint(k)]:
-                del self._prepared[key]
-        self._dataset_version = version
-
     def prepare(self, landmark_ids: Sequence[str]) -> PreparedLandmarks:
-        """Compute (and cache, bounded LRU) per-landmark state for a landmark set."""
-        self._sync_dataset_version()
-        key = tuple(sorted(landmark_ids))
-        cached = self._prepared.get(key)
-        if cached is not None:
-            self._prepared.move_to_end(key)
-            return cached
+        """Compute per-landmark state for a landmark set (uncached reference).
 
+        Every call derives from the dataset as it is now; the warm, cached
+        derivation lives in :class:`~repro.core.batch.BatchLocalizer`.
+        """
+        key = tuple(sorted(landmark_ids))
         locations = {lid: self.dataset.true_location(lid) for lid in key}
         heights = self._estimate_heights(key, locations) if self.config.use_heights else None
         calibrations = self._calibrate(key, locations, heights)
@@ -235,18 +204,13 @@ class Octant:
             )
             router_positions = localizer.localize_routers(list(key))
 
-        prepared = PreparedLandmarks(
+        return PreparedLandmarks(
             landmark_ids=key,
             locations=locations,
             heights=heights,
             calibrations=calibrations,
             router_positions=router_positions,
         )
-        self._prepared[key] = prepared
-        limit = max(1, self.config.prepared_cache_size)
-        while len(self._prepared) > limit:
-            self._prepared.popitem(last=False)
-        return prepared
 
     def _estimate_heights(
         self, landmark_ids: Sequence[str], locations: Mapping[str, GeoPoint]

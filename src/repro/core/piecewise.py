@@ -32,7 +32,6 @@ from ..geometry import (
     CircleCache,
     GeoPoint,
     Polygon,
-    Region,
     clip_convex,
     disk_polygon,
     projection_for_points,
@@ -149,12 +148,6 @@ class RouterLocalizer:
                 if any(host in landmarks for host, _ in observations)
             )
         return sorted({r for (h, r) in self.dataset.router_pings if h in landmarks})
-
-    def localize_router(
-        self, router_id: str, landmark_ids: Sequence[str]
-    ) -> RouterPosition | None:
-        """Estimate one router's position from DNS hints and landmark latencies."""
-        return self._localize_router(router_id, landmark_ids, set(landmark_ids))
 
     def _localize_router(
         self, router_id: str, landmark_ids: Sequence[str], landmark_set: set[str]
@@ -287,17 +280,6 @@ class RouterLocalizer:
             confidence=0.4,
             source=RouterPosition.LATENCY,
         )
-
-    # ------------------------------------------------------------------ #
-    # Region view (for callers that want a Region rather than a disk summary)
-    # ------------------------------------------------------------------ #
-    def router_region(self, position: RouterPosition) -> Region:
-        """The router's location estimate as a single-disk region."""
-        projection = projection_for_points([position.center])
-        polygon = disk_polygon(
-            position.center, max(position.uncertainty_km, 1.0), projection, segments=24
-        )
-        return Region.from_polygon(polygon, projection, weight=position.confidence)
 
 
 def localize_routers_many(

@@ -256,22 +256,6 @@ class ConstraintPipeline:
             self.stats.constraints_assembled += len(constraints)
         return constraints
 
-    def assemble_many(
-        self,
-        items: Sequence[tuple[str, "PreparedLandmarks", float]],
-    ) -> list[ConstraintSet]:
-        """Assemble constraint sets for a cohort of targets, in input order.
-
-        Assembly is measurement gathering plus constraint-object construction;
-        the shared work (the geographic constraint list) is already memoized
-        per pipeline, so the cohort form is a straight loop kept for stage
-        symmetry — timings accumulate per call into :attr:`stats`.
-        """
-        return [
-            self.assemble(target_id, prepared, target_height_ms)
-            for target_id, prepared, target_height_ms in items
-        ]
-
     # ------------------------------------------------------------------ #
     # Stage 2: projection planarization
     # ------------------------------------------------------------------ #

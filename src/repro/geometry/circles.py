@@ -331,13 +331,6 @@ class CircleCache:
             "planar_misses": self.planar_misses,
         }
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters (entries are kept)."""
-        self.boundary_hits = 0
-        self.boundary_misses = 0
-        self.planar_hits = 0
-        self.planar_misses = 0
-
 
 def disk_polygon(
     center: GeoPoint,

@@ -44,10 +44,6 @@ class RegionPiece:
         """Area multiplied by the piece weight."""
         return self.weight * self.polygon.area_km2()
 
-    def with_weight(self, weight: float) -> "RegionPiece":
-        """The same polygon with a different weight."""
-        return RegionPiece(self.polygon, weight)
-
 
 class Region:
     """A weighted union of polygon pieces in a shared projected plane."""
@@ -291,10 +287,6 @@ class Region:
             [RegionPiece(p.polygon.transformed(fn), p.weight) for p in self._pieces],
             self._projection,
         )
-
-    def with_projection(self, projection: Projection) -> "Region":
-        """The same planar pieces tagged with a (new) projection."""
-        return Region(self._pieces, projection)
 
     # ------------------------------------------------------------------ #
     # Sampling / export

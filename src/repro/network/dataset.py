@@ -182,6 +182,20 @@ def validate_measurements(
             )
 
 
+def _touched_hosts(
+    hosts: Iterable[NodeRecord],
+    measurements: Iterable[PingResult | TracerouteResult],
+    router_keys: Iterable[tuple[str, str]],
+) -> frozenset[str]:
+    """Every host a payload touches: its host records, both ends of each
+    ping and traceroute, and the observer of each router sample."""
+    return frozenset(
+        [host.node_id for host in hosts]
+        + [end for m in measurements for end in (m.src, m.dst)]
+        + [host_id for host_id, _router_id in router_keys]
+    )
+
+
 def _valid_rtt(rtt: float) -> bool:
     return math.isfinite(rtt) and rtt >= 0.0
 
@@ -232,6 +246,15 @@ class IngestRecord:
             traceroutes=traceroutes,
             routers=tuple(routers),
             router_pings=tuple(sorted((router_pings or {}).items())),
+        )
+
+    @property
+    def touched(self) -> frozenset[str]:
+        """Host ids this payload touches: what :meth:`apply` returns."""
+        return _touched_hosts(
+            self.hosts,
+            self.pings + self.traceroutes,
+            (key for key, _rtt in self.router_pings),
         )
 
     def apply(self, dataset: "MeasurementDataset") -> frozenset[str]:
@@ -286,12 +309,12 @@ class IngestRecord:
 class IngestDelta:
     """The exact scope of one ingest generation, for delta-scoped invalidation.
 
-    :meth:`MeasurementDataset.touched_since` answers "which *hosts* changed"
-    -- too coarse for the warm caches: a refreshed landmark-to-target probe
-    touches both endpoints, so under leave-one-out pools every prepared
-    derivation looks stale even though none of its inputs moved.  A delta
-    records what an ingest changed at the granularity the caches actually
-    depend on:
+    ``touched`` is every host the ingest touched (what
+    :meth:`MeasurementDataset.ingest` returned) -- too coarse for the warm
+    caches: a refreshed landmark-to-target probe touches both endpoints, so
+    under leave-one-out pools every prepared derivation would look stale
+    even though none of its inputs moved.  The other fields record what an
+    ingest changed at the granularity the caches actually depend on:
 
     * ``ping_pairs`` -- host pairs whose *combined min-RTT value changed*
       (canonical ``(a, b)`` with ``a < b``).  A re-probe that lands on the
@@ -383,21 +406,17 @@ class MeasurementDataset:
     )
 
     # Measurement-ingest state: a monotonically increasing version, a bounded
-    # log of which hosts each ingest touched (for selective cache
-    # invalidation downstream), snapshot bookkeeping for copy-on-write.
+    # log of what each ingest changed (for selective cache invalidation
+    # downstream), snapshot bookkeeping for copy-on-write.
     _version: int = field(default=0, init=False, repr=False, compare=False)
     _frozen: bool = field(default=False, init=False, repr=False, compare=False)
     _cow_pending: bool = field(default=False, init=False, repr=False, compare=False)
-    _touched_log: list[tuple[int, frozenset[str]]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
     _delta_log: list[IngestDelta] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
 
-    #: How many ingest generations :meth:`touched_since` (and the structured
-    #: :meth:`deltas_since`) can answer about before reporting "unknown"
-    #: (callers then invalidate everything).
+    #: How many ingest generations :meth:`deltas_since` can answer about
+    #: before reporting "unknown" (callers then invalidate everything).
     TOUCHED_LOG_LIMIT = 64
 
     # ------------------------------------------------------------------ #
@@ -578,33 +597,13 @@ class MeasurementDataset:
         """True for immutable snapshots returned by :meth:`snapshot`."""
         return self._frozen
 
-    def touched_since(self, version: int) -> frozenset[str] | None:
-        """Host ids touched by ingests after ``version``.
-
-        Returns an empty set when nothing changed, or ``None`` when the
-        bounded mutation log no longer covers ``version`` (the caller must
-        then treat every derived cache entry as stale).  Touched hosts cover
-        everything an ingest can affect: new/updated host records, both
-        endpoints of new pings and traceroutes, and the observing host of
-        new router latency samples.
-        """
-        if version >= self._version:
-            return frozenset()
-        if not self._touched_log or self._touched_log[0][0] > version + 1:
-            return None
-        touched: set[str] = set()
-        for entry_version, hosts in self._touched_log:
-            if entry_version > version:
-                touched |= hosts
-        return frozenset(touched)
-
     def deltas_since(self, version: int) -> tuple[IngestDelta, ...] | None:
         """Per-ingest :class:`IngestDelta` records applied after ``version``.
 
-        The fine-grained companion to :meth:`touched_since`: instead of a
-        single union of touched hosts, each returned delta scopes one ingest
-        down to the measurements that actually *changed value* -- refreshed
-        pings landing on the same combined minimum, or host records replayed
+        The dataset's one invalidation record: each returned delta carries
+        the hosts one ingest touched and scopes that ingest down to the
+        measurements that actually *changed value* -- refreshed pings
+        landing on the same combined minimum, or host records replayed
         unchanged, produce no scope at all.  Cache layers use
         :meth:`IngestDelta.affects_roster` to keep entries whose inputs
         provably did not move.
@@ -656,10 +655,10 @@ class MeasurementDataset:
         copy-on-write mode, carries the version forward, and accepts
         :meth:`ingest`.  This is how a sharded worker process boots -- the
         orchestrator pickles a frozen snapshot across the process boundary
-        and the worker thaws it into its own live dataset, replaying any
-        ingests that landed while it was starting (:meth:`replay`).  The
-        original (frozen or live) dataset is never affected by ingests into
-        the thawed copy.
+        and the worker thaws it into its own live dataset, replaying
+        (:meth:`IngestRecord.apply`) any ingests that landed while it was
+        starting.  The original (frozen or live) dataset is never affected
+        by ingests into the thawed copy.
         """
         live = MeasurementDataset(
             hosts=self.hosts,
@@ -679,18 +678,6 @@ class MeasurementDataset:
         # of self); the first ingest must replace, not mutate, them.
         live._cow_pending = True
         return live
-
-    def replay(self, records: Iterable[IngestRecord]) -> frozenset[str]:
-        """Apply a sequence of captured ingests in order; union of touched ids.
-
-        Each record bumps :attr:`version` by one, exactly as the original
-        ingest did, so a worker replaying the orchestrator's log converges
-        on the orchestrator's version number as well as its data.
-        """
-        touched: set[str] = set()
-        for record in records:
-            touched |= record.apply(self)
-        return frozenset(touched)
 
     def ingest(
         self,
@@ -712,7 +699,7 @@ class MeasurementDataset:
         :func:`collect_dataset`.
 
         Returns the set of touched host ids (also recorded in the bounded
-        mutation log that backs :meth:`touched_since`).  Raises
+        delta log behind :meth:`deltas_since`).  Raises
         :class:`RuntimeError` on snapshots and :class:`InvalidMeasurement`
         on a payload :func:`validate_measurements` rejects; either way the
         dataset is left untouched.
@@ -721,6 +708,7 @@ class MeasurementDataset:
             raise RuntimeError(
                 "cannot ingest into a snapshot; ingest on the live dataset"
             )
+        host_list = list(hosts)
         ping_list = list(pings)
         trace_list = list(traceroutes)
         validate_measurements(ping_list, router_pings, trace_list)
@@ -734,13 +722,12 @@ class MeasurementDataset:
             self.router_pings = dict(self.router_pings)
             self._cow_pending = False
 
-        touched: set[str] = set()
         location_touched: set[str] = set()
         record_hosts: set[str] = set()
         new_hosts: set[str] = set()
         router_observers: set[str] = set()
         router_replaced = False
-        for record in hosts:
+        for record in host_list:
             existing = self.hosts.get(record.node_id)
             if existing is None:
                 new_hosts.add(record.node_id)
@@ -749,7 +736,6 @@ class MeasurementDataset:
             if existing is None or existing != record:
                 record_hosts.add(record.node_id)
             self.hosts[record.node_id] = record
-            touched.add(record.node_id)
         for record in routers:
             existing = self.routers.get(record.node_id)
             if existing is not None and existing != record:
@@ -768,8 +754,6 @@ class MeasurementDataset:
                 old_pair_min[key] = self.min_rtt_ms(*key)
         for ping in ping_list:
             self.pings[(ping.src, ping.dst)] = ping
-            touched.add(ping.src)
-            touched.add(ping.dst)
         ping_pairs = {
             key
             for key, old in old_pair_min.items()
@@ -777,27 +761,23 @@ class MeasurementDataset:
         }
         for trace in trace_list:
             self.traceroutes[(trace.src, trace.dst)] = trace
-            touched.add(trace.src)
-            touched.add(trace.dst)
         for (host_id, router_id), rtt in (router_pings or {}).items():
             current = self.router_pings.get((host_id, router_id))
             if current is None or rtt < current:
                 self.router_pings[(host_id, router_id)] = rtt
                 router_observers.add(host_id)
-            touched.add(host_id)
 
-        frozen_touched = frozenset(touched)
+        frozen_touched = _touched_hosts(
+            host_list, ping_list + trace_list, router_pings or {}
+        )
         self._extend_matrices(frozen_touched, frozenset(location_touched))
         self._version += 1
         if router_replaced:
-            # An empty log not covering the new version makes touched_since
+            # An empty log not covering the new version makes deltas_since
             # report "unknown" for every earlier version, which is the
             # conservative full invalidation this mutation requires.
-            self._touched_log.clear()
             self._delta_log.clear()
         else:
-            self._touched_log.append((self._version, frozen_touched))
-            del self._touched_log[: -self.TOUCHED_LOG_LIMIT]
             self._delta_log.append(
                 IngestDelta(
                     version=self._version,

@@ -23,8 +23,10 @@ IP-keyed stores (TWIAD) do:
 The log itself is storage-agnostic: ``apply_fn(record) -> version`` is the
 only contract, so the single-process service applies locally while the
 sharded orchestrator replicates the same merged record to every worker before
-acknowledging.  ``on_commit(version, record)`` fires after each successful
-compaction for drift detection and metrics.
+acknowledging.  It is also the *only* write path of both serving tiers: a
+synchronous ``ingest()`` is :meth:`MeasurementLog.commit` (append, then wait
+for its own seq), so writes apply in the order they were issued whichever
+entry point issued them.
 
 Durability is explicitly out of scope -- the buffer is process memory, like
 the rest of this reproduction's measurement plane.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
@@ -41,6 +44,11 @@ from .dataset import IngestRecord, NodeRecord
 from .probes import PingResult, TracerouteResult
 
 __all__ = ["MeasurementLog"]
+
+#: Failed batches remembered for their producers (see ``MeasurementLog.flush``).
+#: A producer that asks about its seq only after this many later batches
+#: have also failed finds no record and sees success.
+FAILURE_HISTORY = 64
 
 
 class MeasurementLog:
@@ -51,12 +59,11 @@ class MeasurementLog:
     apply_fn:
         Called from the compactor thread with one merged
         :class:`IngestRecord`; must apply it and return the resulting dataset
-        version.  Exceptions are captured, counted, and re-raised to the next
-        :meth:`flush` caller; the failed batch is dropped (the measurements
-        exist only in memory, so replaying them against a store whose apply
-        path is broken would wedge the compactor).
-    on_commit:
-        Optional callback ``(version, record)`` after each successful apply.
+        version.  Exceptions are captured, counted, and re-raised to the
+        producers whose seqs were in the failed batch (see :meth:`flush`);
+        the failed batch is dropped (the measurements exist only in memory,
+        so replaying them against a store whose apply path is broken would
+        wedge the compactor).
     max_pending:
         Backpressure bound on buffered payloads: :meth:`append` blocks once
         the buffer holds this many un-compacted entries.
@@ -72,12 +79,10 @@ class MeasurementLog:
         self,
         apply_fn: Callable[[IngestRecord], int],
         *,
-        on_commit: Callable[[int, IngestRecord], None] | None = None,
         max_pending: int = 4096,
         poll_interval_s: float = 0.05,
     ) -> None:
         self._apply_fn = apply_fn
-        self._on_commit = on_commit
         self.max_pending = max(1, max_pending)
         self.poll_interval_s = poll_interval_s
         self._lock = threading.Lock()
@@ -91,7 +96,12 @@ class MeasurementLog:
         self._compactions = 0
         self._coalesced = 0
         self._apply_failures = 0
-        self._last_error: BaseException | None = None
+        #: ``(first_seq, last_seq, error)`` of recent failed batches.
+        self._failures: deque[tuple[int, int, BaseException]] = deque(
+            maxlen=FAILURE_HISTORY
+        )
+        #: Seq-less flushes have reported failures up to this seq.
+        self._reported_seq = 0
         self._last_version: int | None = None
         self._stopping = False
         self._flush_requested = False
@@ -172,16 +182,19 @@ class MeasurementLog:
         with self._lock:
             self._thread = None
 
-    def flush(self, timeout: float | None = None) -> int:
-        """Block until everything appended so far has been compacted.
+    def flush(self, timeout: float | None = None, *, seq: int | None = None) -> int:
+        """Block until ``seq`` (default: everything appended so far) is compacted.
 
         Runs the compaction inline when no compactor thread is alive (so
         tests and synchronous callers can use the log without threads).
-        Returns the dataset version of the last applied batch, and re-raises
-        the compactor's error if the covering batch failed to apply.
+        Returns the dataset version of the last applied batch.  Raises
+        :class:`RuntimeError` from the apply error when a covered batch
+        failed: with ``seq``, exactly when the batch carrying that seq
+        failed, however many other producers flushed first; without, when
+        any batch appended since the previous seq-less flush failed.
         """
         with self._lock:
-            target = self._appended_seq
+            target = self._appended_seq if seq is None else seq
             thread_alive = self._thread is not None and self._thread.is_alive()
             if thread_alive:
                 # Skip the remaining batching window: compact now.
@@ -202,11 +215,39 @@ class MeasurementLog:
                             f"{self._applied_seq}/{target}"
                         )
                 self._drained.wait(timeout=remaining)
-            if self._last_error is not None:
-                error = self._last_error
-                self._last_error = None
+            # A failed batch overlapping [low, target] is this caller's.
+            if seq is None:
+                low = self._reported_seq + 1
+                self._reported_seq = max(self._reported_seq, target)
+            else:
+                low = seq
+            error = next(
+                (
+                    exc
+                    for first, last, exc in reversed(self._failures)
+                    if first <= target and last >= low
+                ),
+                None,
+            )
+            if error is not None:
                 raise RuntimeError("measurement log apply failed") from error
             return self._last_version if self._last_version is not None else -1
+
+    def commit(self, record: IngestRecord, timeout: float | None = None) -> int:
+        """Append ``record`` and block until its batch is applied; the version.
+
+        The synchronous write: it queues behind every earlier append, so it
+        never overtakes one.  A failure of its own batch re-raises the apply
+        error unwrapped (not :meth:`flush`'s :class:`RuntimeError`); a failed
+        batch is dropped, so it did not mutate the store.
+        """
+        seq = self.append_record(record)
+        try:
+            return self.flush(timeout, seq=seq)
+        except RuntimeError as exc:
+            if exc.__cause__ is None:
+                raise
+            raise exc.__cause__ from None
 
     def _run(self) -> None:
         while True:
@@ -238,6 +279,7 @@ class MeasurementLog:
                 return False
             batch = self._pending
             batch_seq = self._appended_seq
+            first_seq = batch_seq - len(batch) + 1
             self._pending = []
             self._oldest_pending_ts = None
             self._not_full.notify_all()
@@ -247,7 +289,7 @@ class MeasurementLog:
         except BaseException as exc:  # noqa: BLE001 - report via flush/stats
             with self._lock:
                 self._apply_failures += 1
-                self._last_error = exc
+                self._failures.append((first_seq, batch_seq, exc))
                 self._applied_seq = batch_seq
                 self._drained.notify_all()
             return True
@@ -257,9 +299,6 @@ class MeasurementLog:
             self._applied_seq = batch_seq
             self._last_version = version
             self._drained.notify_all()
-        on_commit = self._on_commit
-        if on_commit is not None:
-            on_commit(version, record)
         return True
 
     # ------------------------------------------------------------------ #

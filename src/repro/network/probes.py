@@ -162,14 +162,3 @@ class Prober:
             )
         return TracerouteResult(src, dst, tuple(hops))
 
-    def traceroute_matrix(
-        self, node_ids: Sequence[str], probe_count: int = 3
-    ) -> dict[tuple[str, str], TracerouteResult]:
-        """All-pairs traceroutes over ``node_ids``."""
-        results: dict[tuple[str, str], TracerouteResult] = {}
-        for src in node_ids:
-            for dst in node_ids:
-                if src == dst:
-                    continue
-                results[(src, dst)] = self.traceroute(src, dst, probe_count)
-        return results

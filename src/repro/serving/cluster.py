@@ -232,16 +232,16 @@ class ShardedLocalizationService:
         #: Guards the live dataset against ingest-apply vs. restart-snapshot
         #: races (the supervisor thread snapshots it for bootstraps).
         self._dataset_lock = threading.Lock()
-        self._ingest_gate: asyncio.Lock | None = None
         self._local_gate: asyncio.Lock | None = None
         self._local = None  # lazily started in-process LocalizationService
-        #: Write-optimized replicated ingest: ``ingest_nowait`` appends ride
-        #: this log's delta buffer; the background compactor coalesces a
-        #: burst into one merged record and replicates it as a single
-        #: fan-out frame (one version bump cluster-wide per compaction).
-        #: ``committed_version`` semantics are unchanged -- the compactor
-        #: advances it only after every live recipient acknowledged, exactly
-        #: like the synchronous :meth:`ingest`.
+        #: Orchestrator-side per-shard circuit breakers (``shard:N``).
+        self._breakers = BreakerBoard(self.resilience.breaker)
+        #: The replicated write path: every ingest, synchronous or not,
+        #: rides this log's delta buffer; the background compactor coalesces
+        #: a burst into one merged record and replicates it as a single
+        #: fan-out frame (one version bump cluster-wide per compaction),
+        #: advancing ``committed_version`` only after every live recipient
+        #: acknowledged.
         self.measurement_log = MeasurementLog(self._replicate_record)
 
     # ------------------------------------------------------------------ #
@@ -253,7 +253,6 @@ class ShardedLocalizationService:
         import multiprocessing
 
         self._ctx = multiprocessing.get_context(self.cluster.start_method)
-        self._ingest_gate = asyncio.Lock()
         self._local_gate = asyncio.Lock()
         for handle in self._handles:
             process, conn = self._spawn_worker(handle.shard_id, incarnation=1)
@@ -666,77 +665,24 @@ class ShardedLocalizationService:
         routers: Iterable = (),
         router_pings: Mapping[tuple[str, str], float] | None = None,
     ) -> frozenset[str]:
-        """Replicated ingest: apply locally, fan out to every live worker.
+        """Replicated ingest: append to the write log, await its commit.
 
-        The cluster-committed version advances only after every recipient
-        acknowledges (a recipient that fails to ack is declared dead and,
-        under supervision, restarted from a post-ingest snapshot).  Requests
-        dispatched while the fan-out is in flight keep pinning the previous
-        committed version, which every worker still retains -- so there is
-        no window where a batch can observe a half-replicated ingest.
+        The record queues behind every earlier :meth:`ingest_nowait` append
+        and commits through :meth:`_replicate_record` like them, so writes
+        apply in the order they were issued.  Returns the touched host ids.
         """
         self._ensure_started()
-        async with self._ingest_gate:
-            record = IngestRecord.capture(
-                hosts=hosts,
-                pings=pings,
-                traceroutes=traceroutes,
-                routers=routers,
-                router_pings=router_pings,
-            )
-            loop = asyncio.get_running_loop()
-            touched, version, sends = await loop.run_in_executor(
-                None, self._commit_record, record
-            )
-            for handle, request_id, future in sends:
-                try:
-                    reply = await asyncio.wait_for(
-                        asyncio.wrap_future(future),
-                        timeout=self.cluster.attempt_timeout_s,
-                    )
-                except asyncio.TimeoutError:
-                    handle.discard(request_id)
-                    handle.mark_dead("ingest ack timeout")
-                    handle.kill(join_timeout=2.0)
-                    continue
-                except (WorkerDied, WorkerUnavailable):
-                    continue  # already marked dead; restart re-snapshots
-                if isinstance(reply, ErrorReply):
-                    handle.mark_dead(f"ingest rejected: {reply.error}")
-                    handle.kill(join_timeout=2.0)
-            # max(): a background compaction may have committed a later
-            # version while this fan-out's acks were in flight.
-            self._committed_version = max(self._committed_version, version)
-            self.stats.ingests += 1
-            return touched
-
-    def _commit_record(self, record: IngestRecord):
-        """Apply one record to the live dataset and send the fan-out frames.
-
-        Runs on an executor thread.  Recipient selection, log append and the
-        sends happen under the membership lock so a worker finishing its
-        catch-up concurrently either receives this fan-out (it flipped live
-        first) or replays it from the log (the append landed first) --
-        never misses it.
-        """
-        with self._membership_lock:
-            with self._dataset_lock:
-                touched = record.apply(self._live)
-                version = self._live.version
-            self._ingest_log.append((version, record))
-            del self._ingest_log[:-INGEST_LOG_LIMIT]
-            sends = []
-            for handle in self._handles:
-                try:
-                    request_id, future = handle.call(
-                        lambda rid: IngestRequest(
-                            request_id=rid, record=record, expect_version=version
-                        )
-                    )
-                except WorkerUnavailable:
-                    continue  # dead/starting/syncing: log or snapshot covers it
-                sends.append((handle, request_id, future))
-        return touched, version, sends
+        record = IngestRecord.capture(
+            hosts=hosts,
+            pings=pings,
+            traceroutes=traceroutes,
+            routers=routers,
+            router_pings=router_pings,
+        )
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.measurement_log.commit, record
+        )
+        return record.touched
 
     def ingest_nowait(
         self,
@@ -750,9 +696,8 @@ class ShardedLocalizationService:
 
         The caller never blocks on matrix extension or worker round trips:
         the payload lands in the measurement log's buffer and the compactor
-        replicates a merged record in the background.  ``committed_version``
-        advances per compaction, after acknowledgement, exactly as
-        :meth:`ingest`'s does; use :meth:`flush_ingest` to barrier.
+        replicates a merged record in the background; use
+        :meth:`flush_ingest` to barrier.
         """
         self._ensure_started()
         return self.measurement_log.append(
@@ -771,16 +716,37 @@ class ShardedLocalizationService:
         )
 
     def _replicate_record(self, record: IngestRecord) -> int:
-        """Measurement-log apply hook: commit + replicate one merged record.
+        """The cluster's one write: commit one merged record, fan out, ack.
 
-        The synchronous twin of :meth:`ingest`'s fan-out (the compactor is a
-        plain thread), reusing :meth:`_commit_record` for the
-        membership-locked apply/log/send step and blocking on each ack
-        future directly.  Ack failures follow the same policy: the recipient
-        is declared dead (supervision restarts it from a post-ingest
-        snapshot), never left silently stale.
+        Runs on the measurement log's compactor thread.  Apply, log append
+        and sends happen under the membership lock so a worker finishing its
+        catch-up concurrently either receives this fan-out (it flipped live
+        first) or replays it from the log (the append landed first) --
+        never misses it.  The cluster-committed version advances only after
+        every recipient acknowledged; a recipient that fails to ack is
+        declared dead (supervision restarts it from a post-ingest
+        snapshot), never left silently stale.  Requests dispatched while the
+        fan-out is in flight keep pinning the previous committed version,
+        which every worker still retains -- so no batch observes a
+        half-replicated ingest.
         """
-        touched, version, sends = self._commit_record(record)
+        with self._membership_lock:
+            with self._dataset_lock:
+                record.apply(self._live)
+                version = self._live.version
+            self._ingest_log.append((version, record))
+            del self._ingest_log[:-INGEST_LOG_LIMIT]
+            sends = []
+            for handle in self._handles:
+                try:
+                    request_id, future = handle.call(
+                        lambda rid: IngestRequest(
+                            request_id=rid, record=record, expect_version=version
+                        )
+                    )
+                except WorkerUnavailable:
+                    continue  # dead/starting/syncing: log or snapshot covers it
+                sends.append((handle, request_id, future))
         for handle, request_id, future in sends:
             try:
                 reply = future.result(timeout=self.cluster.attempt_timeout_s)
@@ -794,21 +760,13 @@ class ShardedLocalizationService:
             if isinstance(reply, ErrorReply):
                 handle.mark_dead(f"ingest rejected: {reply.error}")
                 handle.kill(join_timeout=2.0)
-        self._committed_version = max(self._committed_version, version)
+        self._committed_version = version
         self.stats.ingests += 1
         return version
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def _breakers(self) -> BreakerBoard:
-        board = getattr(self, "_breaker_board", None)
-        if board is None:
-            board = BreakerBoard(self.resilience.breaker)
-            self._breaker_board = board
-        return board
-
     @property
     def committed_version(self) -> int:
         return self._committed_version

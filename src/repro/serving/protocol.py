@@ -139,7 +139,6 @@ class IngestRequest:
 class IngestReply:
     request_id: int
     version: int
-    touched: frozenset[str]
 
 
 @dataclass(frozen=True)

@@ -382,7 +382,6 @@ class LocalizationService:
         #: interval itself.
         self.measurement_log = MeasurementLog(
             self._apply_record,
-            on_commit=self._on_compaction,
             max_pending=ingest_max_pending,
             poll_interval_s=ingest_poll_interval_s,
         )
@@ -1015,25 +1014,26 @@ class LocalizationService:
     ) -> frozenset[str]:
         """Absorb new measurements and swap in a fresh snapshot.
 
-        The live dataset is extended incrementally
-        (:meth:`MeasurementDataset.ingest`), then a new snapshot localizer
-        becomes current for subsequent requests; requests already queued
-        keep their enqueue-time snapshot.  Returns the touched host ids.
+        Appends to the measurement log like :meth:`ingest_nowait`, then waits
+        for the compaction that applies it, so it never overtakes an earlier
+        append.  A fresh snapshot localizer then serves subsequent requests;
+        requests already queued keep their enqueue-time snapshot.  Returns
+        the touched host ids; a failed apply raises its own error, with the
+        dataset left as it was.
         """
         if not self.started:
             raise RuntimeError("service not started; use 'async with service:'")
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor,
-            self._ingest_sync,
-            dict(
-                hosts=list(hosts),
-                pings=list(pings),
-                traceroutes=list(traceroutes),
-                routers=list(routers),
-                router_pings=dict(router_pings or {}),
-            ),
+        record = IngestRecord.capture(
+            hosts=hosts,
+            pings=pings,
+            traceroutes=traceroutes,
+            routers=routers,
+            router_pings=router_pings,
         )
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.measurement_log.commit, record
+        )
+        return record.touched
 
     def ingest_nowait(
         self,
@@ -1051,9 +1051,8 @@ class LocalizationService:
         the caller's thread.  The background compactor coalesces buffered
         appends into a single :meth:`MeasurementDataset.ingest` (one version
         bump per compaction, however many appends it absorbed) and swaps in
-        the fresh snapshot exactly as :meth:`ingest` does.  Call
-        ``measurement_log.flush()`` to barrier on everything appended so
-        far.
+        the fresh snapshot.  Call :meth:`flush_ingest` to barrier on
+        everything appended so far.
         """
         return self.measurement_log.append(
             hosts=hosts,
@@ -1070,28 +1069,17 @@ class LocalizationService:
             None, lambda: self.measurement_log.flush(timeout=timeout)
         )
 
-    def _ingest_sync(self, payload: dict) -> frozenset[str]:
-        return self._apply_payload(payload)
-
     def _apply_record(self, record: IngestRecord) -> int:
-        """Measurement-log apply hook: compact one merged record; new version."""
-        self._apply_payload(
-            dict(
-                hosts=record.hosts,
-                pings=record.pings,
-                traceroutes=record.traceroutes,
-                routers=record.routers,
-                router_pings=dict(record.router_pings),
-            )
-        )
-        return self._live.version
+        """The service's one write: apply ``record``, swap snapshots; new version.
 
-    def _apply_payload(self, payload: dict) -> frozenset[str]:
+        The measurement log's compactor calls it with every merged batch; a
+        sharded worker calls it with each record the orchestrator replicates.
+        """
         with self._ingest_lock:
             # The ingest stage boundary is checkpointed like any pipeline
             # stage: chaos plans can inject latency or failure here, and an
-            # injected error surfaces to the awaiting ingest() caller
-            # before any mutation happens.
+            # injected error reaches the writers of this batch before any
+            # mutation happens.
             with resilience_scope(plan=self.fault_plan):
                 checkpoint("ingest")
             retired = self._current
@@ -1103,7 +1091,7 @@ class LocalizationService:
             previous_version = (
                 retired.dataset.version if retired is not None else self._live.version
             )
-            touched = self._live.ingest(**payload)
+            record.apply(self._live)
             # Build before swapping so concurrent localize() calls always
             # observe a usable localizer (the old snapshot until the swap,
             # which is exactly the enqueue-time-snapshot contract).
@@ -1133,14 +1121,7 @@ class LocalizationService:
                 self.drift.notify(
                     t for t in sorted(affected) if t in self._seen
                 )
-        return touched
-
-    def _on_compaction(self, version: int, record: IngestRecord) -> None:
-        """Measurement-log commit hook (runs on the compactor thread)."""
-        # The apply hook already did the swap + drift notification under the
-        # ingest lock; this is the seam where external observers (metrics,
-        # replication) would be notified.  Kept as a method so subclasses
-        # and the sharded tier can override.
+            return self._live.version
 
     # ------------------------------------------------------------------ #
     # Snapshot localizer plumbing

@@ -124,7 +124,8 @@ class _WorkerLoop:
         self.bootstrap = bootstrap
         dataset = bootstrap.dataset
         self.live = dataset.thaw() if dataset.is_snapshot else dataset
-        self.live.replay(bootstrap.replay)
+        for record in bootstrap.replay:
+            record.apply(self.live)
         self.service = LocalizationService(
             self.live,
             bootstrap.config,
@@ -315,17 +316,7 @@ class _WorkerLoop:
             self.retained[self.live.version] = current
             while len(self.retained) > max(0, self.bootstrap.snapshot_retention):
                 self.retained.popitem(last=False)
-        record = msg.record
-        touched = self.loop.run_until_complete(
-            self.service.ingest(
-                hosts=record.hosts,
-                pings=record.pings,
-                traceroutes=record.traceroutes,
-                routers=record.routers,
-                router_pings=dict(record.router_pings),
-            )
-        )
-        version = self.live.version
+        version = self.service._apply_record(msg.record)
         if msg.expect_version is not None and version != msg.expect_version:
             # The replication stream skipped or duplicated a record; this
             # worker's data can no longer be trusted to match its peers.
@@ -340,9 +331,7 @@ class _WorkerLoop:
                 )
             )
             return
-        self._reply(
-            IngestReply(request_id=msg.request_id, version=version, touched=touched)
-        )
+        self._reply(IngestReply(request_id=msg.request_id, version=version))
 
     def _handle_health(self, msg: HealthRequest) -> None:
         plan = self.bootstrap.fault_plan

@@ -233,32 +233,6 @@ class TestMaskedEdgeCases:
             assert estimate_signature(got) == estimate_signature(want)
 
 
-class TestPreparedCacheBound:
-    def test_lru_is_bounded(self, dataset):
-        octant = Octant(dataset, OctantConfig(prepared_cache_size=3, use_piecewise=False))
-        for target in dataset.host_ids:
-            octant.localize(target)
-        assert len(octant._prepared) <= 3
-
-    def test_default_bound_is_eight(self, dataset):
-        octant = Octant(dataset, OctantConfig(use_piecewise=False))
-        for target in dataset.host_ids:  # 10 distinct landmark sets
-            octant.localize(target)
-        assert len(octant._prepared) == 8
-
-    def test_lru_keeps_most_recent(self, dataset):
-        octant = Octant(dataset, OctantConfig(prepared_cache_size=2, use_piecewise=False))
-        first = dataset.landmark_ids_excluding(dataset.host_ids[0])
-        second = dataset.landmark_ids_excluding(dataset.host_ids[1])
-        third = dataset.landmark_ids_excluding(dataset.host_ids[2])
-        a = octant.prepare(first)
-        octant.prepare(second)
-        assert octant.prepare(first) is a  # refreshed, still cached
-        octant.prepare(third)  # evicts `second`, the least recently used
-        assert tuple(sorted(second)) not in octant._prepared
-        assert tuple(sorted(first)) in octant._prepared
-
-
 class TestFailureCapture:
     def test_too_few_landmarks_is_recorded_not_raised(self):
         dataset = collect_dataset(small_deployment(host_count=3, seed=5))

@@ -27,10 +27,6 @@ class TestPreparation:
         assert len(prepared.calibrations) == len(landmarks)
         assert prepared.router_positions  # piecewise enabled by default
 
-    def test_prepare_is_cached(self, dataset, octant):
-        landmarks = dataset.landmark_ids_excluding(dataset.host_ids[0])
-        assert octant.prepare(landmarks) is octant.prepare(list(reversed(landmarks)))
-
     def test_heights_disabled_config(self, dataset):
         octant = Octant(dataset, OctantConfig(use_heights=False, use_piecewise=False))
         landmarks = dataset.landmark_ids_excluding(dataset.host_ids[0])

@@ -119,7 +119,6 @@ class TestDeltaRecording:
         before = dataset.version
         dataset.ingest(routers=[changed])
         assert dataset.deltas_since(before) is None
-        assert dataset.touched_since(before) is None
 
 
 class TestDeltasSince:
@@ -231,3 +230,16 @@ class TestRecordMerge:
         matrix_a = live_a.pairwise_min_rtt_matrix()[1]
         matrix_b = live_b.pairwise_min_rtt_matrix()[1]
         assert np.array_equal(matrix_a, matrix_b, equal_nan=True)
+
+    def test_touched_is_what_apply_returns(self, dataset):
+        ping = dataset.pings[sorted(dataset.pings)[0]]
+        trace = dataset.traceroutes[sorted(dataset.traceroutes)[-1]]
+        host = dataset.hosts[sorted(dataset.hosts)[-1]]
+        record = IngestRecord.capture(
+            hosts=[host],
+            pings=[perturbed(ping, -0.5)],
+            traceroutes=[trace],
+            router_pings=dict([next(iter(sorted(dataset.router_pings.items())))]),
+        )
+        assert record.touched == record.apply(dataset)
+        assert record.touched == dataset.deltas_since(dataset.version - 1)[0].touched

@@ -49,6 +49,14 @@ def ninth_host_payload(deployment, full_dataset):
     return full_dataset.hosts[new_id], pings
 
 
+def touched_since(dataset, version):
+    """Hosts touched after ``version``: the union of each delta's ``touched``."""
+    deltas = dataset.deltas_since(version)
+    if deltas is None:
+        return None
+    return frozenset().union(*(delta.touched for delta in deltas))
+
+
 def rebuilt_like(dataset):
     """A from-scratch dataset over the same measurement dicts."""
     return MeasurementDataset(
@@ -215,12 +223,12 @@ class TestIncrementalIngest:
         dataset = eight_host_dataset(deployment)
         record, pings = ninth_host_payload(deployment, full_dataset)
         v0 = dataset.version
-        assert dataset.touched_since(v0) == frozenset()
+        assert touched_since(dataset, v0) == frozenset()
         first = dataset.ingest(pings=pings[:1])
         second = dataset.ingest(hosts=[record])
-        assert dataset.touched_since(v0) == first | second
-        assert dataset.touched_since(v0 + 1) == second
-        assert dataset.touched_since(dataset.version) == frozenset()
+        assert touched_since(dataset, v0) == first | second
+        assert touched_since(dataset, v0 + 1) == second
+        assert touched_since(dataset, dataset.version) == frozenset()
 
     def test_router_record_replacement_forces_full_invalidation(self, deployment):
         from repro.network import NodeRecord
@@ -238,12 +246,12 @@ class TestIncrementalIngest:
         # A changed router record has no per-host scope: "unknown" forces
         # callers to drop every derived cache entry.
         dataset.ingest(routers=[renamed])
-        assert dataset.touched_since(v0) is None
+        assert touched_since(dataset, v0) is None
         # Re-ingesting the identical record (and brand-new routers) keeps
         # the selective path working.
         v1 = dataset.version
         dataset.ingest(routers=[renamed])
-        assert dataset.touched_since(v1) == frozenset()
+        assert touched_since(dataset, v1) == frozenset()
 
     def test_touched_since_unknown_after_log_truncation(self, deployment):
         dataset = eight_host_dataset(deployment)
@@ -251,7 +259,7 @@ class TestIncrementalIngest:
         v0 = dataset.version
         for i in range(dataset.TOUCHED_LOG_LIMIT + 2):
             dataset.ingest(pings=[PingResult(src=a, dst=b, rtts_ms=(10.0 + i,))])
-        assert dataset.touched_since(v0) is None
+        assert touched_since(dataset, v0) is None
 
 
 class TestLocalizationAfterIngest:
@@ -286,7 +294,13 @@ class TestLocalizationAfterIngest:
         old = dataset.min_rtt_ms(a, b)
         dataset.ingest(pings=[PingResult(src=a, dst=b, rtts_ms=(old / 3,))])
         second = octant.localize(target)
-        # The landmark set includes the touched hosts, so the prepared state
-        # was re-derived against the new measurement (calibration changed).
-        assert first.point is not None and second.point is not None
-        assert octant._dataset_version == dataset.version
+        # The landmark set includes the touched hosts: the post-ingest answer
+        # is derived from the new measurement, exactly as a fresh Octant's.
+        fresh = Octant(dataset).localize(target)
+        assert first.point is not None
+        assert (second.point, second.constraints_used, second.region_area_km2()) == (
+            fresh.point,
+            fresh.constraints_used,
+            fresh.region_area_km2(),
+        )
+        assert second.details["max_weight"] == fresh.details["max_weight"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,14 @@ class TestInlineCompaction:
         # succeeds (sentinel version, no batch ever applied).
         assert log.flush() == -1
 
+    def test_commit_raises_its_own_batch_error_unwrapped(self):
+        def broken(record):
+            raise ValueError("bad batch")
+
+        log = MeasurementLog(broken)
+        with pytest.raises(ValueError, match="bad batch"):
+            log.commit(IngestRecord.capture())
+
     def test_flush_on_empty_log_returns_sentinel(self):
         log = MeasurementLog(lambda r: 0)
         assert log.flush() == -1
@@ -114,6 +123,33 @@ class TestBackgroundCompactor:
         log.stop()
         assert log.stats()["pending"] == 0
         assert live.version >= 1
+
+    def test_failure_goes_to_the_producer_of_the_failed_batch(self):
+        """A's batch fails; B's later flush succeeds; A's flush gets A's error."""
+        calls = []
+
+        def apply(record):
+            calls.append(record)
+            if len(calls) == 1:
+                raise ValueError("batch A failed")
+            return len(calls)
+
+        log = MeasurementLog(apply, poll_interval_s=0.01).start()
+        try:
+            seq_a = log.append(pings=())
+            deadline = time.monotonic() + 10.0
+            while log.stats()["apply_failures"] == 0:
+                assert time.monotonic() < deadline, "A's batch never compacted"
+                time.sleep(0.005)
+            seq_b = log.append(pings=())
+            assert log.flush(timeout=10.0, seq=seq_b) == 2
+            with pytest.raises(RuntimeError, match="apply failed") as failure:
+                log.flush(timeout=10.0, seq=seq_a)
+            assert isinstance(failure.value.__cause__, ValueError)
+            # B's success did not consume A's failure, and vice versa.
+            assert log.flush(timeout=10.0, seq=seq_b) == 2
+        finally:
+            log.stop()
 
     def test_append_after_stop_is_rejected(self):
         log = MeasurementLog(lambda r: 0).start()

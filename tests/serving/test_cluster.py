@@ -25,6 +25,7 @@ import pytest
 
 from repro import collect_dataset
 from repro.network.planetlab import small_deployment
+from repro.network.probes import PingResult
 from repro.serving import (
     ClusterConfig,
     LocalizationService,
@@ -291,6 +292,22 @@ class TestIngestConsistency:
             assert readiness["ingest_pending"] == 0, shard
             assert "compaction_lag_s" in readiness, shard
             assert "drift_queue_depth" in readiness, shard
+
+    def test_last_issued_write_wins_across_entry_points(self, live_dataset):
+        """ingest() queues behind an earlier ingest_nowait() on the same pair."""
+        a, b = live_dataset.host_ids[:2]
+
+        async def main():
+            cluster = make_cluster(live_dataset)
+            # A long batching window: only ingest()'s own flush compacts.
+            cluster.measurement_log.poll_interval_s = 5.0
+            async with cluster:
+                cluster.ingest_nowait(pings=[PingResult(src=a, dst=b, rtts_ms=(10.0,))])
+                await cluster.ingest(pings=[PingResult(src=a, dst=b, rtts_ms=(20.0,))])
+                await cluster.flush_ingest()
+
+        run(main())
+        assert live_dataset.pings[(a, b)].rtts_ms == (20.0,)
 
     def test_localize_many_straddling_ingest_pins_one_version_vector(
         self, deployment, full_dataset, live_dataset, reference_answers

@@ -14,6 +14,7 @@ import pytest
 
 from repro import BatchLocalizer, LocalizationService, Octant, collect_dataset
 from repro.network.planetlab import small_deployment
+from repro.network.probes import PingResult
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,21 @@ class TestServiceAnswers:
 
 
 class TestServiceIngest:
+    def test_last_issued_write_wins_across_entry_points(self, live_dataset):
+        """ingest() queues behind an earlier ingest_nowait() on the same pair."""
+        a, b = live_dataset.host_ids[:2]
+
+        async def main():
+            async with LocalizationService(
+                live_dataset, workers=1, ingest_poll_interval_s=5.0
+            ) as service:
+                service.ingest_nowait(pings=[PingResult(src=a, dst=b, rtts_ms=(10.0,))])
+                await service.ingest(pings=[PingResult(src=a, dst=b, rtts_ms=(20.0,))])
+                await service.flush_ingest()
+
+        run(main())
+        assert live_dataset.pings[(a, b)].rtts_ms == (20.0,)
+
     def test_ingested_host_becomes_servable(
         self, deployment, full_dataset, live_dataset
     ):
