@@ -165,6 +165,7 @@ class Octant:
         parser: UndnsParser | None = None,
         circle_cache: CircleCache | None = None,
         planar_memo: "BoundedLRU | None" = None,
+        prefix_memo: "BoundedLRU | None" = None,
     ):
         self.dataset = dataset
         self.config = config or OctantConfig()
@@ -174,7 +175,7 @@ class Octant:
         # (the serving layer, batch studies over dataset snapshots) keep one
         # warm cache across many Octant instances.
         self.pipeline = ConstraintPipeline(
-            dataset, self.config, self.parser, circle_cache, planar_memo
+            dataset, self.config, self.parser, circle_cache, planar_memo, prefix_memo
         )
         self.circle_cache = self.pipeline.circle_cache
 
@@ -294,7 +295,7 @@ class Octant:
         region, diagnostics = self.pipeline.solve(
             presolved.planar, presolved.projection, key=target_id
         )
-        self.pipeline.stats.runs += 1
+        self.pipeline.count_runs(1)
         return self.postsolve(presolved, region, diagnostics)
 
     def presolve(

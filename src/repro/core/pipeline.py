@@ -20,13 +20,16 @@ machinery:
    re-projecting it.  Cache hits return the very polygons a miss would have
    constructed, keeping cached and uncached runs bit-identical (pinned by
    ``tests/core/test_solver_engines.py``).
-3. **Solve** (:meth:`ConstraintPipeline.solve`) -- the weighted accumulation
-   through :class:`~repro.core.solver.WeightedRegionSolver` (the fused NumPy
-   kernel by default).
+3. **Solve** (:meth:`ConstraintPipeline.solve_many`) -- the weighted
+   accumulation through :func:`~repro.core.solver.solve_systems` (the fused
+   NumPy kernel by default).  The geographic rings sort first and depend on
+   no measurement, so the fused kernel's state after them is memoized by
+   content (:func:`~repro.geometry.kernel.prefix_key`) and a repeated
+   (projection, universe) pair resumes from it.
 
 Each stage records its wall time in :class:`PipelineStats`; the serving layer
-surfaces those together with the circle-cache and planar-memo hit/miss
-counters as its warm/cold statistics.
+surfaces those together with the circle-cache, planar-memo and prefix-memo
+hit/miss counters as its warm/cold statistics.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import TYPE_CHECKING, Sequence
 from .._lru import BoundedLRU
 from ..resilience.deadline import checkpoint
 from ..geometry import CircleCache, Projection, Region, rtt_ms_to_max_distance_km
+from ..geometry.kernel import PREFIX_MEMO_CAPACITY, PrefixState
 from ..network.dataset import MeasurementDataset
 from ..network.dns import UndnsParser
 from .config import OctantConfig
@@ -53,7 +57,7 @@ from .constraints import (
 )
 from .geo_constraints import geographic_constraints, whois_constraint
 from .piecewise import secondary_constraints_for_target
-from .solver import SolverDiagnostics, WeightedRegionSolver, solve_systems
+from .solver import SolverDiagnostics, solve_systems
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .octant import PreparedLandmarks
@@ -78,6 +82,8 @@ class PipelineStats:
     constraints_planarized: int = 0
     planar_memo_hits: int = 0
     planar_memo_misses: int = 0
+    prefix_memo_hits: int = 0
+    prefix_memo_misses: int = 0
 
     def merge(self, other: "PipelineStats") -> None:
         """Fold another pipeline's accumulated counters into this one.
@@ -96,6 +102,8 @@ class PipelineStats:
         self.constraints_planarized += other.constraints_planarized
         self.planar_memo_hits += other.planar_memo_hits
         self.planar_memo_misses += other.planar_memo_misses
+        self.prefix_memo_hits += other.prefix_memo_hits
+        self.prefix_memo_misses += other.prefix_memo_misses
 
     def snapshot(self) -> dict[str, float]:
         """A flat dict view for reporting (serving stats, benchmarks)."""
@@ -111,6 +119,8 @@ class PipelineStats:
             "constraints_planarized": self.constraints_planarized,
             "planar_memo_hits": self.planar_memo_hits,
             "planar_memo_misses": self.planar_memo_misses,
+            "prefix_memo_hits": self.prefix_memo_hits,
+            "prefix_memo_misses": self.prefix_memo_misses,
         }
 
 
@@ -132,6 +142,7 @@ class ConstraintPipeline:
         parser: UndnsParser | None = None,
         circle_cache: CircleCache | None = None,
         planar_memo: BoundedLRU[list[PlanarConstraint]] | None = None,
+        prefix_memo: BoundedLRU[PrefixState] | None = None,
     ):
         self.dataset = dataset
         self.config = config or OctantConfig()
@@ -145,7 +156,12 @@ class ConstraintPipeline:
             if circle_cache is not None
             else CircleCache(capacity=self.config.solver.circle_cache_size)
         )
-        self._geo_constraints: list[Constraint] | None = None
+        # Geographic constraints depend only on the configuration, never on
+        # the target; build them once per pipeline instance.
+        self._geo_constraints: list[Constraint] = list(
+            geographic_constraints(self.config, cache=self.circle_cache)
+        )
+        self._geo_labels = frozenset(c.label for c in self._geo_constraints)
         # Stage-2 memo: the fully realized planar constraint list keyed by
         # (projection key, the ordered constraint descriptions themselves).
         # Constraints are frozen dataclasses, so equal measurement state
@@ -159,6 +175,15 @@ class ConstraintPipeline:
         # cache above.
         self._planar_memo: BoundedLRU[list[PlanarConstraint]] = (
             planar_memo if planar_memo is not None else BoundedLRU(256)
+        )
+        # Stage-3 memo: the fused solver's state after the geographic rings,
+        # which sort first and depend on no measurement (see
+        # repro.geometry.kernel.prefix_key).  Content addressed like the
+        # planar memo, so the serving layer shares one instance the same way.
+        self._prefix_memo: BoundedLRU[PrefixState] = (
+            prefix_memo
+            if prefix_memo is not None
+            else BoundedLRU(PREFIX_MEMO_CAPACITY)
         )
         self.stats = PipelineStats()
         # Counter accumulation is read-modify-write; the serving executor
@@ -226,12 +251,6 @@ class ConstraintPipeline:
                 )
             )
 
-        if self._geo_constraints is None:
-            # Geographic constraints depend only on the configuration, never
-            # on the target; build them once per pipeline instance.
-            self._geo_constraints = list(
-                geographic_constraints(cfg, cache=self.circle_cache)
-            )
         constraints.extend(self._geo_constraints)
         constraints.add(
             whois_constraint(self.dataset, target_id, cfg, cache=self.circle_cache)
@@ -396,19 +415,12 @@ class ConstraintPipeline:
     ) -> tuple[Region, SolverDiagnostics]:
         """Run the weighted accumulation and return region + diagnostics.
 
-        Dispatches on ``SolverConfig.engine`` (a ``"fused"`` engine solves a
-        single system as a cohort of one); cohort callers should prefer
-        :meth:`solve_many`, which amortizes the fused kernel's batched
+        A cohort of one through :meth:`solve_many`; cohort callers should
+        call that directly, which amortizes the fused kernel's batched
         passes across every system of the cohort.  ``key`` labels the
         resilience checkpoint.
         """
-        checkpoint("solve", key)
-        started = time.perf_counter()
-        solver = WeightedRegionSolver(self.config.solver)
-        region = solver.solve(planar, projection)
-        with self._stats_lock:
-            self.stats.solve_seconds += time.perf_counter() - started
-        return region, solver.diagnostics
+        return self.solve_many([(planar, projection)], keys=(key,))[0]
 
     def solve_many(
         self,
@@ -426,7 +438,10 @@ class ConstraintPipeline:
         overrides the configured engine for this cohort only (degradation
         ladder: the engines are bit-identical, so a fallback answer equals
         the primary one); ``keys`` label one resilience checkpoint each
-        (typically the target ids), fired before the pooled solve.
+        (typically the target ids), fired before the pooled solve.  The
+        fused kernel resumes each system after its geographic prefix when
+        the pipeline's prefix memo holds that state (bit-identical to
+        solving the prefix, by content addressing).
         """
         for key in keys or (None,):
             checkpoint("solve", key)
@@ -434,10 +449,32 @@ class ConstraintPipeline:
         config = self.config.solver
         if engine is not None and engine != config.engine:
             config = replace(config, engine=engine)
-        results = solve_systems(config, list(systems))
+        results = solve_systems(
+            config,
+            list(systems),
+            self._prefix_memo,
+            [self._prefix_length(planar) for planar, _projection in systems],
+        )
+        outcomes = [diagnostics.prefix_memo for _region, diagnostics in results]
         with self._stats_lock:
             self.stats.solve_seconds += time.perf_counter() - started
+            self.stats.prefix_memo_hits += outcomes.count("hit")
+            self.stats.prefix_memo_misses += outcomes.count("miss")
         return results
+
+    def _prefix_length(self, planar: Sequence[PlanarConstraint]) -> int:
+        """How many leading planar constraints are geographic rings.
+
+        The count only selects what the memo stores; the memo key holds the
+        prefix's full content, so a look-alike label cannot yield a wrong
+        answer.
+        """
+        n = 0
+        for constraint in planar:
+            if constraint.label not in self._geo_labels:
+                break
+            n += 1
+        return n
 
     # ------------------------------------------------------------------ #
     # Full pipeline

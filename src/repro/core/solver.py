@@ -51,7 +51,8 @@ from ..geometry import (
     intersect_polygons,
     subtract_polygons,
 )
-from ..geometry.kernel import FusedSolverKernel, subtract_cautious
+from .._lru import BoundedLRU
+from ..geometry.kernel import FusedSolverKernel, PrefixState, subtract_cautious
 from .config import SolverConfig
 from .constraints import PlanarConstraint
 
@@ -119,6 +120,11 @@ class SolverDiagnostics:
     fused_rows_clipped: int = 0
     #: Mean number of targets active per lockstep step.
     fused_targets_per_pass: float = 0.0
+    #: The geographic-prefix memo's outcome for this solve: ``"hit"`` (the
+    #: solve resumed after its prefix; phase times and prefilter counters
+    #: then cover only the steps it ran), ``"miss"`` (it stored its
+    #: prefix state) or ``None`` (no memo consulted).
+    prefix_memo: str | None = None
 
     def kernel_summary(self) -> dict[str, object]:
         """Compact counters for ``EstimateResult.details`` reporting."""
@@ -140,6 +146,7 @@ class SolverDiagnostics:
             if self.fused_pass_count
             else 0.0,
             "fused_targets_per_pass": round(self.fused_targets_per_pass, 3),
+            "prefix_memo": self.prefix_memo,
             "phase_seconds": {k: round(v, 6) for k, v in self.phase_seconds.items()},
         }
 
@@ -329,6 +336,8 @@ class WeightedRegionSolver:
 def solve_systems(
     config: SolverConfig | None,
     systems: Sequence[tuple],
+    prefix_memo: BoundedLRU[PrefixState] | None = None,
+    prefix_lengths: Sequence[int] = (),
 ) -> list[tuple[Region, SolverDiagnostics]]:
     """Solve many constraint systems, fused into one cohort when configured.
 
@@ -340,11 +349,17 @@ def solve_systems(
     the object engine solves each system independently.  Returns one
     ``(region, diagnostics)`` pair per system, in input order; results are
     bit-identical to solving each system alone.
+
+    ``prefix_lengths`` counts, per system, the leading weight-ordered
+    constraints that depend on no measurement (the geographic rings); the
+    fused kernel memoizes its state after them in ``prefix_memo``.  The
+    object engine ignores both.
     """
     config = config or SolverConfig()
     results: list[tuple[Region, SolverDiagnostics] | None] = [None] * len(systems)
     use_fused = config.engine == "fused" and not config.exact_complements
-    fused_jobs: list[tuple[int, list, object, Polygon, SolverDiagnostics, float]] = []
+    fused_jobs: list[tuple[int, list, object, Polygon, SolverDiagnostics, float, int]] = []
+    prefix_lengths = list(prefix_lengths) or [0] * len(systems)
     for i, system in enumerate(systems):
         constraints, projection = system[0], system[1]
         universe = system[2] if len(system) > 2 else None
@@ -365,16 +380,19 @@ def solve_systems(
             diagnostics.solve_seconds = time.perf_counter() - started
             results[i] = (Region.empty(projection), diagnostics)
             continue
-        fused_jobs.append((i, usable, projection, base, diagnostics, started))
+        fused_jobs.append(
+            (i, usable, projection, base, diagnostics, started, prefix_lengths[i])
+        )
 
     if fused_jobs:
         kernel = FusedSolverKernel(config)
         regions = kernel.solve_many(
-            [(usable, projection, base, diagnostics)
-             for (_i, usable, projection, base, diagnostics, _t) in fused_jobs]
+            [(usable, projection, base, diagnostics, prefix)
+             for (_i, usable, projection, base, diagnostics, _t, prefix) in fused_jobs],
+            prefix_memo,
         )
         finished = time.perf_counter()
-        for (i, _u, _p, _b, diagnostics, started), region in zip(fused_jobs, regions):
+        for (i, _u, _p, _b, diagnostics, started, _n), region in zip(fused_jobs, regions):
             # The cohort solve is one shared span; each member records the
             # full wall time (amortized cost is what the benchmarks divide
             # back out).

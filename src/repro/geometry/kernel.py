@@ -57,8 +57,11 @@ from .region import Region, RegionPiece
 
 __all__ = [
     "FusedSolverKernel",
+    "PREFIX_MEMO_CAPACITY",
     "PieceBuffer",
+    "PrefixState",
     "geometry_for_constraint",
+    "prefix_key",
     "subtract_cautious",
 ]
 
@@ -97,6 +100,13 @@ _MIN_BATCH_VERTICES = 150
 #: the batched chain runner pays O(edges) passes; past this many exclusion
 #: edges the batch wins even for a single small part.
 _MAX_SCALAR_WEDGE_EDGES = 8
+
+#: Entry bound of a prefix memo (:class:`PrefixState` values under
+#: :func:`prefix_key`).  On the tracked cohort one entry is the 16-piece,
+#: ~1,900-vertex buffer left by the 18 coarse geographic rings plus its
+#: padded rows: 63 KB of arrays (46 KB with the detailed catalogue), so a
+#: full memo holds about 4 MB.
+PREFIX_MEMO_CAPACITY = 64
 
 #: Sentinel returned by ``FusedSolverKernel._assemble_split`` when the
 #: constraint left the piece population exactly as it was (no satisfied
@@ -206,6 +216,12 @@ def _bboxes_from_packed(
     return boxes
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` marked read-only (a view's flag leaves its base writable)."""
+    array.setflags(write=False)
+    return array
+
+
 # --------------------------------------------------------------------------- #
 # The flat buffer
 # --------------------------------------------------------------------------- #
@@ -217,6 +233,11 @@ class PieceBuffer:
     ``offsets[i]:offsets[i+1]`` delimits piece ``i``.  Weights, signed areas
     and bounding boxes are cached per piece so pruning and selection never
     touch the coordinates.
+
+    Every array, the cached :meth:`padded` rows included, is made read-only
+    on construction: a memoized buffer (:data:`PREFIX_MEMO_CAPACITY`) is
+    shared by many solves and executor threads, so a stray in-place write
+    must raise instead of corrupting later answers.
     """
 
     __slots__ = (
@@ -238,14 +259,14 @@ class PieceBuffer:
         weights: np.ndarray,
         signed_areas: np.ndarray,
     ):
-        self.xs = xs
-        self.ys = ys
-        self.offsets = offsets
-        self.weights = weights
-        self.signed_areas = signed_areas
+        self.xs = _frozen(xs)
+        self.ys = _frozen(ys)
+        self.offsets = _frozen(offsets)
+        self.weights = _frozen(weights)
+        self.signed_areas = _frozen(signed_areas)
         self._padded: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._parts: list[_Part] | None = None
-        self.bboxes = _bboxes_from_packed(xs, ys, offsets)
+        self.bboxes = _frozen(_bboxes_from_packed(xs, ys, offsets))
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -284,12 +305,12 @@ class PieceBuffer:
         reductions this class would run itself).
         """
         buffer = cls.__new__(cls)
-        buffer.xs = xs
-        buffer.ys = ys
-        buffer.offsets = offsets
-        buffer.weights = weights
-        buffer.signed_areas = signed_areas
-        buffer.bboxes = bboxes
+        buffer.xs = _frozen(xs)
+        buffer.ys = _frozen(ys)
+        buffer.offsets = _frozen(offsets)
+        buffer.weights = _frozen(weights)
+        buffer.signed_areas = _frozen(signed_areas)
+        buffer.bboxes = _frozen(bboxes)
         buffer._padded = None
         buffer._parts = None
         return buffer
@@ -356,15 +377,15 @@ class PieceBuffer:
     def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The population as padded rows ``(X, Y, counts)``, built once.
 
-        Treat the arrays as read-only: they are cached on the (immutable)
-        buffer and shared between the per-constraint batched stages.
+        The arrays are read-only: they are cached on the (immutable) buffer
+        and shared between the per-constraint batched stages.
         """
         if self._padded is None:
             counts = np.diff(self.offsets)
             if len(counts) == 0 or len(self.xs) == 0:
                 width = 1
                 X = np.zeros((len(counts), width))
-                self._padded = (X, np.zeros_like(X), counts)
+                self._padded = (_frozen(X), _frozen(np.zeros_like(X)), _frozen(counts))
             else:
                 # Vectorized gather from the packed arrays: lane j of piece
                 # i reads ``xs[offsets[i] + j]`` -- the very values the
@@ -375,7 +396,7 @@ class PieceBuffer:
                 pos = np.where(valid, self.offsets[:-1, None] + lanes, 0)
                 X = np.where(valid, self.xs[pos], 0.0)
                 Y = np.where(valid, self.ys[pos], 0.0)
-                self._padded = (X, Y, counts)
+                self._padded = (_frozen(X), _frozen(Y), _frozen(counts))
         return self._padded
 
 
@@ -1475,6 +1496,8 @@ class _TargetState:
         "geometry",
         "inside_parts",
         "satisfied",
+        "memo_key",
+        "memo_end",
     )
 
     def __init__(self, diagnostics, buffer, ordered, projection) -> None:
@@ -1486,6 +1509,89 @@ class _TargetState:
         self.geometry: _ConstraintGeometry | None = None
         self.inside_parts: list[list] | None = None
         self.satisfied: list[list] | None = None
+        #: Prefix memo key to store under once ``cursor`` reaches
+        #: ``memo_end`` (a miss), else ``None``.
+        self.memo_key: tuple | None = None
+        self.memo_end = 0
+
+
+def _coords_bytes(polygon: Polygon | None) -> bytes:
+    """The polygon's vertex coordinates, bit for bit (``b""`` for none)."""
+    if polygon is None:
+        return b""
+    coords = polygon.coords
+    return np.fromiter(
+        itertools.chain.from_iterable(coords), dtype=float, count=2 * len(coords)
+    ).tobytes()
+
+
+def prefix_key(config, projection, base: Polygon, prefix: Sequence) -> tuple | None:
+    """Content key of the solver state after the constraint ``prefix``.
+
+    The state a solve reaches after its leading constraints is a function
+    of the universe piece, those constraints (planar coordinates, weights,
+    labels) and the solver configuration alone, so the key holds exactly
+    those values plus the projection's :meth:`cache_key` -- never object
+    ids, which are reused after garbage collection.  Coordinates and
+    weights enter as raw float64 bytes, so ``-0.0`` and ``0.0`` stay apart.
+    ``None`` (no memo) for an empty prefix or a projection without a key.
+    """
+    projection_key = projection.cache_key()
+    if projection_key is None or not prefix:
+        return None
+    return (
+        projection_key,
+        _coords_bytes(base),
+        tuple(
+            (_coords_bytes(c.inclusion), _coords_bytes(c.exclusion), c.label)
+            for c in prefix
+        ),
+        np.array([c.weight for c in prefix], dtype=float).tobytes(),
+        config,
+    )
+
+
+class PrefixState:
+    """A solve's state at the end of a memoized constraint prefix.
+
+    The piece buffer is a compact, read-only copy (never a view into a
+    cohort's pooled concatenation) with its parts and padded rows built
+    before it is published, so the many solves and executor threads that
+    resume from it only ever read it.  The diagnostics are the prefix's
+    own effects, restored on resume so a resumed answer and its
+    diagnostics are bit-identical to a cold solve's.
+    """
+
+    __slots__ = ("buffer", "cursor", "applied", "skipped", "dropped", "max_pieces_seen")
+
+    def __init__(self, s: "_TargetState") -> None:
+        buffer = s.buffer
+        self.buffer = PieceBuffer.from_arrays(
+            buffer.xs.copy(),
+            buffer.ys.copy(),
+            buffer.offsets.copy(),
+            buffer.weights.copy(),
+            buffer.signed_areas.copy(),
+            buffer.bboxes.copy(),
+        )
+        self.buffer.parts()
+        self.buffer.padded()
+        diag = s.diagnostics
+        self.cursor = s.cursor
+        self.applied = diag.constraints_applied
+        self.skipped = diag.constraints_skipped
+        self.dropped = tuple(diag.dropped_constraints)
+        self.max_pieces_seen = diag.max_pieces_seen
+
+    def resume(self, s: "_TargetState") -> None:
+        """Move ``s`` to the end of the prefix with the prefix's effects."""
+        s.buffer = self.buffer
+        s.cursor = self.cursor
+        diag = s.diagnostics
+        diag.constraints_applied = self.applied
+        diag.constraints_skipped = self.skipped
+        diag.dropped_constraints = list(self.dropped)
+        diag.max_pieces_seen = self.max_pieces_seen
 
 
 class FusedSolverKernel:
@@ -1534,20 +1640,42 @@ class FusedSolverKernel:
     # ------------------------------------------------------------------ #
     # Entry point
     # ------------------------------------------------------------------ #
-    def solve_many(self, systems: Sequence[tuple]) -> list[Region]:
+    def solve_many(
+        self, systems: Sequence[tuple], prefix_memo=None
+    ) -> list[Region]:
         """Solve many systems in lockstep.
 
         ``systems`` holds ``(constraints, projection, base, diagnostics)``
-        per target; returns one :class:`Region` per system, in order.  The
-        diagnostics objects receive the per-target solve counters plus the
-        cohort-level pass counters.
+        per target, optionally followed by ``prefix``: how many of the
+        weight-ordered constraints lead the system without depending on a
+        measurement.  With a ``prefix_memo`` (a
+        :class:`~repro._lru.BoundedLRU` of :class:`PrefixState`), a system
+        whose :func:`prefix_key` hits starts after its prefix from the
+        memoized state, and a miss stores its state once it gets there;
+        ``diagnostics.prefix_memo`` records which.  Returns one
+        :class:`Region` per system, in order.  The diagnostics objects
+        receive the per-target solve counters plus the cohort-level pass
+        counters.
         """
         states: list[_TargetState] = []
-        for constraints, projection, base, diagnostics in systems:
+        for system in systems:
+            constraints, projection, base, diagnostics = system[:4]
             diagnostics.engine = "fused"
             buffer = PieceBuffer.from_polygons([(base, 0.0)])
             ordered = sorted(constraints, key=lambda c: c.weight, reverse=True)
-            states.append(_TargetState(diagnostics, buffer, ordered, projection))
+            s = _TargetState(diagnostics, buffer, ordered, projection)
+            prefix = system[4] if len(system) > 4 else 0
+            if prefix_memo is not None and prefix:
+                key = prefix_key(self.config, projection, base, ordered[:prefix])
+                if key is not None:
+                    memoized = prefix_memo.get(key)
+                    if memoized is not None:
+                        memoized.resume(s)
+                        diagnostics.prefix_memo = "hit"
+                    else:
+                        s.memo_key, s.memo_end = key, prefix
+                        diagnostics.prefix_memo = "miss"
+            states.append(s)
 
         while True:
             active = [s for s in states if s.cursor < len(s.ordered)]
@@ -1556,6 +1684,12 @@ class FusedSolverKernel:
             self._apply_step(active)
             for s in active:
                 s.cursor += 1
+                if s.memo_key is not None and s.cursor == s.memo_end:
+                    memoized = PrefixState(s)
+                    prefix_memo.put(s.memo_key, memoized)
+                    # Continue from the published copy, as a hit would.
+                    s.buffer = memoized.buffer
+                    s.memo_key = None
 
         mean_targets = self._step_targets / self._steps if self._steps else 0.0
         regions: list[Region] = []

@@ -59,6 +59,7 @@ from ..core.estimate import LocationEstimate
 from ..core.octant import Octant
 from ..core.pipeline import PipelineStats
 from ..geometry import CircleCache
+from ..geometry.kernel import PREFIX_MEMO_CAPACITY
 from ..network.dataset import IngestDelta, IngestRecord, MeasurementDataset
 from ..network.dns import UndnsParser
 from ..network.log import MeasurementLog
@@ -372,6 +373,10 @@ class LocalizationService:
         #: are content-addressed (keyed by the constraint values themselves),
         #: so unchanged constraints stay memoized across snapshots.
         self.planar_memo: BoundedLRU = BoundedLRU(256)
+        #: Service-lifetime fused-solver prefix memo (the piece buffer after
+        #: the geographic rings), threaded through every rebuild beside
+        #: ``planar_memo``; content-addressed the same way.
+        self.prefix_memo: BoundedLRU = BoundedLRU(PREFIX_MEMO_CAPACITY)
         #: Write-optimized ingest plane: appends land in this log's delta
         #: buffer (lock-cheap, no matrix work) and a background compactor
         #: merges them into one ingest + snapshot swap (see
@@ -1134,6 +1139,7 @@ class LocalizationService:
             self.parser,
             circle_cache=self.circle_cache,
             planar_memo=self.planar_memo,
+            prefix_memo=self.prefix_memo,
         )
         localizer = BatchLocalizer(
             octant, prepared_cache_size=self.prepared_cache_size

@@ -49,6 +49,17 @@ def annulus(outer, inner, weight=1.0, label="annulus"):
     return PlanarConstraint(outer, inner, weight, label)
 
 
+def square(cx, cy, half):
+    return Polygon(
+        [
+            Point2D(cx - half, cy - half),
+            Point2D(cx + half, cy - half),
+            Point2D(cx + half, cy + half),
+            Point2D(cx - half, cy + half),
+        ]
+    )
+
+
 def solve_both(constraints, config_kwargs=None):
     """Run the same constraint set through both engines."""
     kwargs = dict(config_kwargs or {})
@@ -208,6 +219,29 @@ class TestTargetedEquivalence:
             positive(disk_at(90.0, 399.0, 200.0)),
         ]
         assert_identical(constraints, {"min_piece_area_km2": 500.0})
+
+    def test_exclusion_missing_every_piece_still_counts(self):
+        """Culling an exclusion that misses every piece would change answers.
+
+        An exclusion-only constraint whose box misses a piece is satisfied
+        by the whole piece, so the split keeps a copy at +weight: a far
+        weight-5 square lifts ``max_weight`` from 1.0 to 6.0 and
+        ``constraints_applied`` from 1 to 2, on both engines.
+        """
+        inclusion = positive(square(0.0, 0.0, 500.0), 1.0, "inc")
+        far = negative(square(3000.0, 3000.0, 50.0), 5.0, "far")
+        region_v, _ = assert_identical([inclusion, far])
+        assert region_v.pieces[0].weight == 6.0
+        # With a universe the far square's box misses, both engines still
+        # add its weight to the one piece.
+        universe = square(0.0, 0.0, 1000.0)
+        for engine in ("fused", "object"):
+            kept = WeightedRegionSolver(SolverConfig(engine=engine))
+            kept.solve([inclusion, far], PROJ, universe)
+            culled = WeightedRegionSolver(SolverConfig(engine=engine))
+            culled.solve([inclusion], PROJ, universe)
+            assert (kept.diagnostics.max_weight, kept.diagnostics.constraints_applied) == (6.0, 2)
+            assert (culled.diagnostics.max_weight, culled.diagnostics.constraints_applied) == (1.0, 1)
 
     def test_non_convex_exclusion_falls_back(self):
         """A non-convex exclusion rides the object fallback inside the kernel."""

@@ -87,6 +87,11 @@ class TestServiceAnswers:
         assert stats["warm_requests"] == 1
         assert stats["prepared_hits"] == 1
         assert stats["pipeline"]["planar_memo_hits"] == 1
+        # The warm request resumes after the geographic rings.
+        assert stats["pipeline"]["prefix_memo_hits"] == 1
+        assert stats["pipeline"]["prefix_memo_misses"] == 1
+        assert cold.details["kernel"]["prefix_memo"] == "miss"
+        assert warm.details["kernel"]["prefix_memo"] == "hit"
 
     def test_unknown_target_returns_failed_estimate(self, live_dataset):
         async def main():
