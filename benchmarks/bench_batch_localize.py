@@ -1,15 +1,15 @@
-"""Batch engine throughput: single-target prepare() thrash vs BatchLocalizer.
+"""Batch engine throughput: the from-scratch derivation vs BatchLocalizer.
 
-The paper's evaluation is leave-one-out, so the single-target API pays a full
-``prepare()`` -- height estimation, per-landmark calibration, router
-localization -- for *every* target (each target sees a different landmark
-set; the LRU never hits).  The batch engine computes full-cohort shared state
-once, derives each target's leave-one-out view by masking, and solves the
-cohort in chunks.
+The paper's evaluation is leave-one-out, so deriving every target's state
+from scratch (:func:`repro.core.reference.reference_localize`) pays a full
+height estimation, per-landmark calibration and router localization for
+*every* target (each target sees a different landmark set).  The batch
+engine computes full-cohort shared state once, derives each target's
+leave-one-out view by masking, and solves the cohort in chunks.
 
 This benchmark records both paths' throughput over the shared deployment and
 pins the contract that matters: the batch estimates are **identical** to the
-sequential ones.  Sizing is controlled by the usual environment knobs
+from-scratch ones.  Sizing is controlled by the usual environment knobs
 (``OCTANT_BENCH_HOSTS=30`` reproduces the tracked 30-host cohort).
 """
 
@@ -22,6 +22,7 @@ import pytest
 
 from repro import BatchLocalizer, Octant, OctantConfig
 from repro.core.config import SolverConfig
+from repro.core.reference import reference_localize
 
 #: Bump when the shape of BENCH_batch.json changes.
 #: v2: ``batch_localize`` gained ``stage_ms_per_target`` -- the fused
@@ -91,10 +92,10 @@ def test_batch_localize_throughput(dataset, target_ids):
     sequential = batch_fused = None
     fused_stats = None
     for _repetition in range(2):
-        # -- single-target path: one localize() per target, prepare thrash - #
+        # -- from-scratch path: every target re-derives its landmark state - #
         sequential_engine = Octant(dataset, config)
         started = time.perf_counter()
-        result = {t: sequential_engine.localize(t) for t in target_ids}
+        result = {t: reference_localize(sequential_engine, t) for t in target_ids}
         t_sequential = min(t_sequential, time.perf_counter() - started)
         sequential = sequential or result
 
@@ -118,7 +119,7 @@ def test_batch_localize_throughput(dataset, target_ids):
     )
     print("=" * 72)
     print(
-        f"  single-target (prepare thrash): {t_sequential:7.2f}s "
+        f"  from-scratch reference        : {t_sequential:7.2f}s "
         f"({t_sequential / per_target * 1000:6.0f} ms/target)"
     )
     speedup_fused = t_sequential / t_batch_fused if t_batch_fused else float("inf")
@@ -164,8 +165,8 @@ def test_batch_localize_throughput(dataset, target_ids):
     )
 
     # Throughput guard: the batch engine must never be meaningfully slower
-    # than the thrashing single-target loop (it shares the solver; the win
-    # is the amortized, cohort-batched preparation).  Only enforced at a
+    # than the from-scratch loop (it shares the solver; the win is the
+    # amortized, cohort-batched preparation).  Only enforced at a
     # size where per-target work dwarfs fixed setup; at CI smoke sizes the
     # ratio is noise and only the identity contract above is meaningful.
     if len(target_ids) >= 20:
@@ -176,18 +177,21 @@ def test_batch_localize_throughput(dataset, target_ids):
 def test_fused_pipeline_drift_gate(dataset, target_ids):
     """End-to-end fused-cohort drift gate plus whole-pipeline identity.
 
-    Two contracts, both against the scalar single-target reference path:
+    Two contracts, both against the from-scratch scalar derivation
+    (:func:`repro.core.reference.reference_localize`):
 
     1. **Identity on a randomized cohort.**  The fused cohort engine solves
        the targets in a shuffled order (so chunk composition differs from
-       the canonical roster) and every estimate must equal the scalar
-       ``Octant.localize`` answer bit for bit -- the whole-pipeline
-       batched-stages-vs-scalar gate.
+       the canonical roster) and every estimate must equal the from-scratch
+       answer bit for bit -- the whole-pipeline batched-stages-vs-scalar
+       gate.
     2. **End-to-end floor.**  With the pre-solve stages batched along the
        cohort axis (heights, calibration, piecewise, planarization) the
-       fused engine must beat the sequential loop by >= 1.4x at the 20-host
-       smoke cohort (interleaved min-of-2 keeps scheduler noise out of the
-       ratio; the tracked 30-host figure is higher).
+       fused engine must beat the from-scratch loop by >= 1.4x at the
+       20-host smoke cohort (interleaved min-of-2 keeps scheduler noise out
+       of the ratio; the tracked 30-host figure is higher).  The loop is
+       not ``Octant.localize``: that is a cohort of one through the same
+       batched stages, so it would measure cohort width, not the batching.
     """
     import random
 
@@ -200,7 +204,7 @@ def test_fused_pipeline_drift_gate(dataset, target_ids):
     for _repetition in range(2):
         sequential_engine = Octant(dataset)
         started = time.perf_counter()
-        sequential = {t: sequential_engine.localize(t) for t in target_ids}
+        sequential = {t: reference_localize(sequential_engine, t) for t in target_ids}
         best["sequential"] = min(best["sequential"], time.perf_counter() - started)
         results.setdefault("sequential", sequential)
 
@@ -227,7 +231,7 @@ def test_fused_pipeline_drift_gate(dataset, target_ids):
         f"{per_target} targets (min of 2 interleaved)"
     )
     print("=" * 72)
-    print(f"  sequential : {sequential_ms:7.1f} ms/target end to end")
+    print(f"  reference  : {sequential_ms:7.1f} ms/target end to end")
     print(f"  fused      : {fused_ms:7.1f} ms/target end to end")
     print(f"  speedup    : {speedup:5.2f}x")
 

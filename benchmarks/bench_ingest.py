@@ -12,9 +12,11 @@ end to end, in one run:
 2. **Sustained churn, selective invalidation** -- probe agents stream
    value-changing target-side re-probes through ``ingest_nowait`` at
    greater than one probe per tracked target per second while the same
-   warm requests repeat.  Gates: warm p50 within
-   ``OCTANT_INGEST_P50_FACTOR`` (default 1.3x) of quiescent, prepared-
-   cache hit rate >= 70%.
+   warm requests repeat.  Gates: churn warm p50 at most
+   ``CHURN_BOUND_SLACK`` times the committed ``BENCH_ingest.json`` figure
+   (for a cohort no larger than the committed one), prepared-cache hit
+   rate >= 70%.  The churn/quiescent ratio is reported, not gated: a
+   faster quiescent read would fail a ratio gate with churn no slower.
 3. **Sustained churn, full invalidation** -- the identical phase with
    delta carry-over disabled (every compaction evicts everything), the
    baseline the selective path is judged against.
@@ -27,8 +29,10 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -37,10 +41,23 @@ from repro.network import ProbeAgent
 
 
 #: Bump when the shape of BENCH_ingest.json changes.
-SCHEMA_VERSION = 1
+#: v2: ``p50_gate`` (the churn/quiescent ratio bound) is replaced by
+#: ``churn_p50_bound_ms``, the absolute bound the run was gated on.
+SCHEMA_VERSION = 2
 
-P50_FACTOR = float(os.environ.get("OCTANT_INGEST_P50_FACTOR", "1.3"))
+#: Churn warm p50 may be at most this factor over the committed figure.
+CHURN_BOUND_SLACK = 1.25
 HIT_RATE_FLOOR = 0.70
+
+
+def _committed_churn_bound() -> tuple[int, float] | None:
+    """``(hosts, churn_warm_p50_ms)`` from the checked-out artifact, if any."""
+    path = Path(os.environ.get("OCTANT_INGEST_BENCH_JSON", "BENCH_ingest.json"))
+    try:
+        section = json.loads(path.read_text())["sustained_churn"]
+        return int(section["hosts"]), float(section["churn_warm_p50_ms"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -168,6 +185,7 @@ async def _churn_phase(service, live, targets, pool, rounds, rate_per_s):
 
 @pytest.mark.benchmark(group="ingest")
 def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
+    committed = _committed_churn_bound()
     hosts = dataset.host_ids
     pool = hosts[: max(8, len(hosts) // 2)]
     targets = [h for h in hosts if h not in set(pool)][:6]
@@ -226,6 +244,13 @@ def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
     churn_p50 = _percentile(selective["latencies"], 0.50) * 1000
     baseline_p50 = _percentile(baseline["latencies"], 0.50) * 1000
     ratio = churn_p50 / quiescent_p50 if quiescent_p50 else float("inf")
+    # A cohort no larger than the committed one has no more landmarks per
+    # request, so the committed figure bounds it; a larger one is not gated.
+    bound_ms = (
+        committed[1] * CHURN_BOUND_SLACK
+        if committed is not None and len(hosts) <= committed[0]
+        else None
+    )
 
     print()
     print("=" * 72)
@@ -235,9 +260,10 @@ def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
     )
     print("=" * 72)
     print(f"  quiescent warm p50:     {quiescent_p50:8.2f} ms")
+    bound_text = "not gated" if bound_ms is None else f"bound {bound_ms:.2f} ms"
     print(
-        f"  churn warm p50:         {churn_p50:8.2f} ms  ({ratio:5.2f}x, "
-        f"gate {P50_FACTOR:.2f}x) at {selective['probe_rate_per_s']:7.1f} probes/s"
+        f"  churn warm p50:         {churn_p50:8.2f} ms  ({ratio:5.2f}x quiescent, "
+        f"{bound_text}) at {selective['probe_rate_per_s']:7.1f} probes/s"
     )
     print(
         f"  selective hit rate:     {selective['hit_rate']:8.1%} "
@@ -262,7 +288,8 @@ def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
     assert selective["probe_rate_per_s"] >= len(targets)
     assert selective["ingest"]["invalidations_full"] == 0
     assert selective["hit_rate"] >= HIT_RATE_FLOOR
-    assert ratio <= P50_FACTOR
+    if bound_ms is not None:
+        assert churn_p50 <= bound_ms
     # And the baseline shows what the selective path is buying.
     assert baseline["hit_rate"] < selective["hit_rate"]
 
@@ -276,7 +303,7 @@ def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
         "quiescent_warm_p50_ms": round(quiescent_p50, 3),
         "churn_warm_p50_ms": round(churn_p50, 3),
         "p50_ratio": round(ratio, 3),
-        "p50_gate": P50_FACTOR,
+        "churn_p50_bound_ms": None if bound_ms is None else round(bound_ms, 3),
         "hit_rate_gate": HIT_RATE_FLOOR,
         "selective": {
             "hit_rate": round(selective["hit_rate"], 4),

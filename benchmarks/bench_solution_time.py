@@ -66,12 +66,11 @@ def _phase_split(outcomes) -> dict[str, float]:
 def test_single_target_solution_time(benchmark, dataset):
     octant = Octant(dataset)
     target = dataset.host_ids[0]
-    landmarks = dataset.landmark_ids_excluding(target)
     # Per-landmark preparation (calibration, heights, router localization) is
     # amortized across targets in a deployment, so it is excluded from the
     # per-target timing, exactly as the paper's "few seconds" figure is about
     # solving one target's constraint system.
-    prepared = octant.prepare(landmarks)
+    prepared = BatchLocalizer(octant).prepare_for_target(target)
 
     estimate = benchmark(lambda: octant.localize(target, prepared=prepared))
 

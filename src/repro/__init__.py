@@ -24,8 +24,14 @@ Quickstart::
 
     deployment = build_deployment()
     dataset = collect_dataset(deployment)
-    estimate = Octant(dataset).localize(dataset.host_ids[0])
+    octant = Octant(dataset)
+    estimate = octant.localize(dataset.host_ids[0])   # leave-one-out
     print(estimate.point, estimate.region_area_square_miles())
+    study = octant.localize_all()                     # every host, one cohort
+
+Both calls run through the same batch engine
+(:class:`~repro.core.batch.BatchLocalizer`): a single ``localize`` is a
+cohort of one.
 """
 
 from .core import (

@@ -1,11 +1,11 @@
 """Batch leave-one-out localization: shared state once, per-target views.
 
 The paper's entire evaluation is leave-one-out: every host becomes the target
-while all others serve as landmarks.  Driving that study through
-:meth:`Octant.localize` re-runs ``prepare()`` -- O(n^2) height estimation,
-per-landmark calibration, router localization -- for every target, because
-each target sees a *different* landmark set.  A full accuracy study is then
-effectively O(n^3) and caches one full :class:`PreparedLandmarks` per target.
+while all others serve as landmarks.  Deriving each target's state from
+scratch (:func:`~repro.core.reference.reference_prepare`) re-runs O(n^2)
+height estimation, per-landmark calibration and router localization for
+every target, because each target sees a *different* landmark set.  A full
+accuracy study is then effectively O(n^3).
 
 :class:`BatchLocalizer` restructures the computation around what actually
 changes between targets:
@@ -24,8 +24,10 @@ changes between targets:
    calibration, latency-only router positions) once over the whole cohort
    (:meth:`BatchLocalizer.prepare_many`).  Every batched estimator is
    bit-identical to its scalar reference, so every derived estimate is
-   **identical** to ``Octant.localize(target)`` -- a property pinned by
-   ``tests/core/test_batch.py``.
+   **identical** to the from-scratch
+   :func:`~repro.core.reference.reference_localize` -- a property pinned by
+   ``tests/core/test_batch.py``.  This is the only runtime derivation:
+   :meth:`Octant.localize` is a cohort of one through it.
 
 3. **One solve path.**  :meth:`BatchLocalizer.solve_many` is the only body
    that turns prepared state into estimates.  A single request
@@ -62,7 +64,7 @@ from .calibration import CalibrationSet, build_calibration_sets_many
 from .config import OctantConfig
 from .estimate import LocationEstimate
 from .heights import HeightModel, TargetHeightTables, estimate_landmark_heights_many
-from .octant import Octant, PreparedLandmarks, pseudo_target_heights_tabled
+from .octant import Octant, PreparedLandmarks, pseudo_target_heights
 from .piecewise import (
     RouterLocalizer,
     RouterPosition,
@@ -164,8 +166,8 @@ class BatchLocalizer:
     construction and solver end to end; only the per-target preparation is
     replaced by the cohort derivation (:meth:`prepare_many`).  Every entry
     point solves through one body, :meth:`solve_many`'s: a single request is
-    a cohort of one.  Results are identical to calling
-    ``octant.localize(target)`` per target.
+    a cohort of one.  Results are identical to the from-scratch
+    :func:`~repro.core.reference.reference_localize` per target.
 
     :meth:`localize_all` runs serially in the calling thread.  The
     per-target entry points (:meth:`localize_one`, :meth:`solve_many`) are
@@ -388,13 +390,14 @@ class BatchLocalizer:
         realization (:func:`localize_routers_many`) -- instead of once per
         target.  Every batched stage is bit-identical to its scalar
         reference, so each returned :class:`PreparedLandmarks` equals what
-        :meth:`Octant.prepare` computes for the same landmark set; stage
-        wall times are recorded on the pipeline's :class:`PipelineStats`.
+        :func:`~repro.core.reference.reference_prepare` computes for the
+        same landmark set; stage wall times are recorded on the pipeline's
+        :class:`PipelineStats`.
 
-        A target :meth:`Octant.prepare` would fail with
-        :class:`ValueError` / :class:`KeyError` is returned as a
-        :class:`_PrepareFailure` carrying that exception plus the target's
-        share of the pooled stage time it consumed before failing.
+        A target that cannot be prepared (:class:`ValueError` /
+        :class:`KeyError`) is returned as a :class:`_PrepareFailure`
+        carrying that exception plus the target's share of the pooled stage
+        time it consumed before failing.
         """
         for target in dict.fromkeys(target_ids):
             checkpoint("prepare", target)
@@ -502,7 +505,7 @@ class BatchLocalizer:
                 if heights is None:
                     pseudo_map[target] = {}
                 else:
-                    pseudo_map[target] = pseudo_target_heights_tabled(
+                    pseudo_map[target] = pseudo_target_heights(
                         key, locations, heights, dataset.cached_min_rtt_ms, tables
                     )
             pseudo_elapsed = time.perf_counter() - started
@@ -551,19 +554,18 @@ class BatchLocalizer:
                 )
                 for entry in survivors
             ]
-            rosters = [list(entry[1]) for entry in survivors]
+            rosters = [entry[1] for entry in survivors]
             try:
                 maps = localize_routers_many(localizers, rosters)
             except (ValueError, KeyError):
-                # Mirror the scalar path's per-target failure capture: rerun
-                # each roster through the scalar method so only the targets
-                # that actually fail are recorded as failures.  The pooled
-                # pass only warmed content-addressed caches, so the rerun is
-                # unaffected by the aborted attempt.
+                # Per-target failure capture: rerun each roster as a cohort
+                # of one so only the targets that actually fail are recorded
+                # as failures.  The pooled pass only warmed content-addressed
+                # caches, so the rerun is unaffected by the aborted attempt.
                 maps = []
                 for localizer, roster, entry in zip(localizers, rosters, survivors):
                     try:
-                        maps.append(localizer.localize_routers(roster))
+                        maps.extend(localize_routers_many([localizer], [roster]))
                     except (ValueError, KeyError) as exc:
                         failed.add(entry[0])
                         results[entry[0]] = _PrepareFailure(exc, shares[entry[0]])
@@ -647,7 +649,7 @@ class BatchLocalizer:
         passes span every target; other engines solve per system.  Every
         stage checkpoint is keyed by target id, so seeded fault schedules
         draw per target whatever the cohort.  The estimates equal
-        ``Octant.localize`` per target.
+        :meth:`localize_one` per target.
         """
         with self._fault_scope():
             return self._solve_many_inner(
@@ -759,13 +761,13 @@ def localize_many(
 ) -> dict[str, LocationEstimate]:
     """Localize many targets with any method, capturing per-target failures.
 
-    Octant localizers are routed through :class:`BatchLocalizer` (shared
-    whole-cohort preparation); baseline methods fall
-    back to a plain loop.  Either way a target that cannot be localized
-    yields a failed estimate instead of aborting the study.
+    Octant localizers are routed through their :class:`BatchLocalizer`
+    (shared whole-cohort preparation); baseline methods fall back to a plain
+    loop.  Either way a target that cannot be localized yields a failed
+    estimate instead of aborting the study.
     """
     if isinstance(localizer, Octant):
-        return BatchLocalizer(localizer).localize_all(target_ids)
+        return localizer.batch_localizer().localize_all(target_ids)
     results: dict[str, LocationEstimate] = {}
     for target in target_ids:
         try:

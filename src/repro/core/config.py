@@ -166,11 +166,6 @@ class OctantConfig:
     #: Weight of the WHOIS positive constraint.
     whois_weight: float = 0.3
 
-    # ---- measurement handling ------------------------------------------ #
-    #: Number of probes whose minimum is used per pair (the dataset may hold
-    #: more; extra probes are ignored).
-    probes_per_measurement: int = 10
-
     # ---- solver ---------------------------------------------------------- #
     solver: SolverConfig = field(default_factory=SolverConfig)
 

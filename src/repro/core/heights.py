@@ -209,34 +209,22 @@ def estimate_landmark_heights_many(
     order.  Per-roster failures (too few landmarks or pairs) are captured as
     ``ValueError`` entries instead of aborting the cohort.
 
-    The fast path requires a matrix-backed ``pairwise_rtt_ms`` (the
+    ``pairwise_rtt_ms`` must be matrix-backed (the
     :class:`~repro.network.dataset.PairMatrixView` interface: sorted ``.ids``
-    plus a dense ``.matrix``); any other mapping falls back to scalar calls.
+    plus a dense ``.matrix``); anything else raises :class:`TypeError`.
     """
     if not 0.0 <= quantile <= 0.5:
         raise ValueError(f"quantile must be in [0, 0.5], got {quantile!r}")
-    rosters = list(rosters)
-    if not rosters:
-        return []
-
     view_ids = getattr(pairwise_rtt_ms, "ids", None)
     view_matrix = getattr(pairwise_rtt_ms, "matrix", None)
     if view_ids is None or view_matrix is None or list(view_ids) != sorted(view_ids):
-        results: list[HeightModel | ValueError] = []
-        for roster in rosters:
-            try:
-                results.append(
-                    estimate_landmark_heights(
-                        roster,
-                        pairwise_rtt_ms,
-                        quantile=quantile,
-                        iterations=iterations,
-                        distance_km=distance_km,
-                    )
-                )
-            except ValueError as exc:
-                results.append(exc)
-        return results
+        raise TypeError(
+            "estimate_landmark_heights_many needs a sorted pair matrix view, "
+            f"got {type(pairwise_rtt_ms).__name__}"
+        )
+    rosters = list(rosters)
+    if not rosters:
+        return []
 
     union = sorted({lid for roster in rosters for lid in roster})
     merged_locations: dict[str, GeoPoint] = {}
@@ -369,6 +357,127 @@ def estimate_landmark_heights_lstsq(
     )
 
 
+def _target_height_inputs(
+    target_rtts_ms: Mapping[str, float],
+    landmark_locations: Mapping[str, GeoPoint],
+    landmark_heights: HeightModel,
+) -> tuple[list[str], list[GeoPoint], np.ndarray, float]:
+    """Usable landmarks, their locations, corrected RTTs and the height ceiling.
+
+    A measurement is usable when its landmark has a location and the RTT is
+    non-negative.  The corrected RTTs have the landmark's height removed.
+    No position can make the target height exceed the smallest corrected
+    RTT: the height is an additive component of every RTT the target takes
+    part in.
+    """
+    usable = {
+        lid: rtt
+        for lid, rtt in target_rtts_ms.items()
+        if lid in landmark_locations and rtt >= 0
+    }
+    if len(usable) < 3:
+        raise ValueError("target height estimation needs measurements to >= 3 landmarks")
+    landmark_ids = sorted(usable)
+    rtts = np.asarray([usable[lid] for lid in landmark_ids])
+    lm_heights = np.asarray([landmark_heights.height(lid) for lid in landmark_ids])
+    corrected = rtts - lm_heights
+    return (
+        landmark_ids,
+        [landmark_locations[lid] for lid in landmark_ids],
+        corrected,
+        max(0.0, float(np.min(corrected))),
+    )
+
+
+def _height_and_residual(
+    implied_list: list[float], quantile: float, height_ceiling: float
+) -> tuple[float, float]:
+    """Quantile height and RMS residual from per-landmark implied heights."""
+    implied_list.sort()
+    height = _quantile_sorted(implied_list, quantile)
+    height = min(max(0.0, height), height_ceiling)
+    total = 0.0
+    for value in implied_list:
+        deviation = value - height
+        total += deviation * deviation
+    return height, math.sqrt(total / len(implied_list))
+
+
+def _position_evaluator(
+    locations: Sequence[GeoPoint],
+    corrected: Sequence[float],
+    quantile: float,
+    height_ceiling: float,
+) -> Callable[[float, float], tuple[float, float]]:
+    """``evaluate(lat, lon)``: optimal height and RMS residual at a candidate.
+
+    A haversine to every landmark, then the implied target height after
+    removing the landmark's height and the propagation floor (2 * distance /
+    fiber speed, the scalar ``distance_km_to_min_rtt_ms``).  The
+    candidate-independent terms are hoisted out of this heavily repeated
+    call.
+    """
+    lat_rad = [math.radians(loc.lat) for loc in locations]
+    per_landmark = [
+        (lat, math.radians(loc.lon), math.cos(lat), corr)
+        for lat, loc, corr in zip(lat_rad, locations, corrected)
+    ]
+    sin = math.sin
+    asin = math.asin
+    sqrt = math.sqrt
+    # The product of the same two literals is the same double, so
+    # `diameter * asin(...)` is `2.0 * 6371.0088 * asin(...)` bit for bit.
+    diameter = 2.0 * 6371.0088
+
+    def evaluate(lat_deg: float, lon_deg: float) -> tuple[float, float]:
+        phi = math.radians(lat_deg)
+        lam = math.radians(lon_deg)
+        cos_phi = math.cos(phi)
+        implied_list = []
+        append = implied_list.append
+        for lat_r, lon_r, c_lat, corr in per_landmark:
+            s1 = sin((lat_r - phi) / 2.0)
+            s2 = sin((lon_r - lam) / 2.0)
+            h = s1 * s1 + cos_phi * c_lat * (s2 * s2)
+            if h < 0.0:
+                h = 0.0
+            elif h > 1.0:
+                h = 1.0
+            distance = diameter * asin(sqrt(h))
+            append(corr - 2.0 * distance / FIBER_SPEED_KM_PER_MS)
+        return _height_and_residual(implied_list, quantile, height_ceiling)
+
+    return evaluate
+
+
+def _refine(
+    evaluate: Callable[[float, float], tuple[float, float]],
+    lat: float,
+    lon: float,
+    height: float,
+    residual: float,
+    step: float,
+) -> tuple[float, GeoPoint]:
+    """Local grid refinement around the best landmark-anchored candidate."""
+    for _ in range(3):
+        improved = False
+        for dlat in (-step, 0.0, step):
+            for dlon in (-step, 0.0, step):
+                if dlat == 0.0 and dlon == 0.0:
+                    continue
+                cand_lat = max(-89.0, min(89.0, lat + dlat))
+                cand_lon = ((lon + dlon + 180.0) % 360.0) - 180.0
+                cand_height, cand_residual = evaluate(cand_lat, cand_lon)
+                if cand_residual < residual:
+                    residual = cand_residual
+                    height = cand_height
+                    lat, lon = cand_lat, cand_lon
+                    improved = True
+        if not improved:
+            step /= 2.0
+    return height, GeoPoint(lat, lon)
+
+
 def estimate_target_height(
     target_rtts_ms: Mapping[str, float],
     landmark_locations: Mapping[str, GeoPoint],
@@ -392,68 +501,14 @@ def estimate_target_height(
     position is noisy and, as the paper notes, not used downstream; the height
     is what the measurement adjustment needs.
     """
-    usable = {
-        lid: rtt
-        for lid, rtt in target_rtts_ms.items()
-        if lid in landmark_locations and rtt >= 0
-    }
-    if len(usable) < 3:
-        raise ValueError("target height estimation needs measurements to >= 3 landmarks")
-
-    landmark_ids = sorted(usable)
-    locations = [landmark_locations[lid] for lid in landmark_ids]
-    rtts = np.asarray([usable[lid] for lid in landmark_ids])
-    lm_heights = np.asarray([landmark_heights.height(lid) for lid in landmark_ids])
-
-    # No position can make the target height exceed the smallest
-    # height-corrected measurement: the height is an additive component of
-    # every RTT the target participates in.
-    height_ceiling = max(0.0, float(np.min(rtts - lm_heights)))
-
-    # Candidate-independent terms, hoisted out of the (heavily repeated)
-    # position evaluation: landmark coordinates in radians, their cosines,
-    # and the height-corrected measurements the propagation estimate is
-    # subtracted from.
-    lat_rad = [math.radians(loc.lat) for loc in locations]
-    lon_rad = [math.radians(loc.lon) for loc in locations]
-    cos_lat = [math.cos(lat) for lat in lat_rad]
-    corrected = (rtts - lm_heights).tolist()  # native floats for the hot loop
-    count = len(landmark_ids)
-    sin = math.sin
-    asin = math.asin
-    sqrt = math.sqrt
-
-    def evaluate(lat_deg: float, lon_deg: float) -> tuple[float, float]:
-        """Optimal height and RMS residual for a candidate position."""
-        phi = math.radians(lat_deg)
-        lam = math.radians(lon_deg)
-        cos_phi = math.cos(phi)
-        # Haversine to every landmark, then the implied target height after
-        # removing the landmark's height and the propagation floor
-        # (2 * distance / fiber speed, the scalar distance_km_to_min_rtt_ms).
-        implied_list = []
-        for i in range(count):
-            s1 = sin((lat_rad[i] - phi) / 2.0)
-            s2 = sin((lon_rad[i] - lam) / 2.0)
-            h = s1 * s1 + cos_phi * cos_lat[i] * (s2 * s2)
-            if h < 0.0:
-                h = 0.0
-            elif h > 1.0:
-                h = 1.0
-            distance = 2.0 * 6371.0088 * asin(sqrt(h))
-            implied_list.append(corrected[i] - 2.0 * distance / FIBER_SPEED_KM_PER_MS)
-        implied_list.sort()
-        height = _quantile_sorted(implied_list, quantile)
-        height = min(max(0.0, height), height_ceiling)
-        total = 0.0
-        for value in implied_list:
-            deviation = value - height
-            total += deviation * deviation
-        residual = sqrt(total / count)
-        return height, residual
-
-    candidates: list[tuple[float, float]] = [(loc.lat, loc.lon) for loc in locations]
+    _ids, locations, corrected, height_ceiling = _target_height_inputs(
+        target_rtts_ms, landmark_locations, landmark_heights
+    )
+    evaluate = _position_evaluator(
+        locations, corrected.tolist(), quantile, height_ceiling
+    )
     midpoint = geographic_midpoint(locations)
+    candidates = [(loc.lat, loc.lon) for loc in locations]
     candidates.append((midpoint.lat, midpoint.lon))
 
     best_height = 0.0
@@ -465,27 +520,9 @@ def estimate_target_height(
             best_residual = residual
             best_height = height
             best_lat, best_lon = lat, lon
-
-    # Local refinement around the best landmark-anchored candidate.
-    step = refine_step_deg
-    for _ in range(3):
-        improved = False
-        for dlat in (-step, 0.0, step):
-            for dlon in (-step, 0.0, step):
-                if dlat == 0.0 and dlon == 0.0:
-                    continue
-                lat = max(-89.0, min(89.0, best_lat + dlat))
-                lon = ((best_lon + dlon + 180.0) % 360.0) - 180.0
-                height, residual = evaluate(lat, lon)
-                if residual < best_residual:
-                    best_residual = residual
-                    best_height = height
-                    best_lat, best_lon = lat, lon
-                    improved = True
-        if not improved:
-            step /= 2.0
-
-    return best_height, GeoPoint(best_lat, best_lon)
+    return _refine(
+        evaluate, best_lat, best_lon, best_height, best_residual, refine_step_deg
+    )
 
 
 class TargetHeightTables:
@@ -573,7 +610,7 @@ def estimate_target_height_tabled(
     target_rtts_ms: Mapping[str, float],
     landmark_locations: Mapping[str, GeoPoint],
     landmark_heights: HeightModel,
-    tables: TargetHeightTables,
+    tables: TargetHeightTables | None,
     quantile: float = 0.15,
     refine_step_deg: float = 1.0,
 ) -> tuple[float, GeoPoint]:
@@ -584,82 +621,22 @@ def estimate_target_height_tabled(
     vectorized quantile/residual reduction (all elementwise IEEE arithmetic in
     the scalar expression order), while the midpoint candidate and the local
     refinement — which visit positions no table can anticipate — run the
-    scalar ``evaluate`` verbatim.  Falls back to the scalar function whenever
-    the tables do not cover the usable landmarks at the exact coordinates.
+    scalar ``evaluate`` verbatim.  When ``tables`` is ``None`` or does not
+    cover the usable landmarks at their exact coordinates, a table over
+    exactly those landmarks is built for this call.
     """
-    usable = {
-        lid: rtt
-        for lid, rtt in target_rtts_ms.items()
-        if lid in landmark_locations and rtt >= 0
-    }
-    if len(usable) < 3:
-        raise ValueError("target height estimation needs measurements to >= 3 landmarks")
-
-    landmark_ids = sorted(usable)
-    if not tables.covers(landmark_ids, landmark_locations):
-        return estimate_target_height(
-            target_rtts_ms,
-            landmark_locations,
-            landmark_heights,
-            quantile=quantile,
-            refine_step_deg=refine_step_deg,
-        )
-
-    locations = [landmark_locations[lid] for lid in landmark_ids]
-    rtts = np.asarray([usable[lid] for lid in landmark_ids])
-    lm_heights = np.asarray([landmark_heights.height(lid) for lid in landmark_ids])
-
-    height_ceiling = max(0.0, float(np.min(rtts - lm_heights)))
-    corrected_arr = rtts - lm_heights
-
-    lat_rad = [math.radians(loc.lat) for loc in locations]
-    lon_rad = [math.radians(loc.lon) for loc in locations]
-    cos_lat = [math.cos(lat) for lat in lat_rad]
-    corrected = corrected_arr.tolist()  # native floats for the scalar evaluate
-    count = len(landmark_ids)
-    sin = math.sin
-    asin = math.asin
-    sqrt = math.sqrt
-
-    def _finish(implied_list: list[float]) -> tuple[float, float]:
-        """Quantile height and RMS residual from per-landmark implied heights."""
-        implied_list.sort()
-        height = _quantile_sorted(implied_list, quantile)
-        height = min(max(0.0, height), height_ceiling)
-        total = 0.0
-        for value in implied_list:
-            deviation = value - height
-            total += deviation * deviation
-        residual = sqrt(total / count)
-        return height, residual
-
-    # 2.0 * 6371.0088 hoisted: the product of the same two literals is the
-    # same double, so `diameter * asin(...)` reproduces the reference
-    # expression `2.0 * 6371.0088 * asin(...)` bit for bit.
-    diameter = 2.0 * 6371.0088
-    per_landmark = list(zip(lat_rad, lon_rad, cos_lat, corrected))
-
-    def evaluate(lat_deg: float, lon_deg: float) -> tuple[float, float]:
-        """Optimal height and RMS residual for a candidate position."""
-        phi = math.radians(lat_deg)
-        lam = math.radians(lon_deg)
-        cos_phi = math.cos(phi)
-        implied_list = []
-        append = implied_list.append
-        for lat_r, lon_r, c_lat, corr in per_landmark:
-            s1 = sin((lat_r - phi) / 2.0)
-            s2 = sin((lon_r - lam) / 2.0)
-            h = s1 * s1 + cos_phi * c_lat * (s2 * s2)
-            if h < 0.0:
-                h = 0.0
-            elif h > 1.0:
-                h = 1.0
-            distance = diameter * asin(sqrt(h))
-            append(corr - 2.0 * distance / FIBER_SPEED_KM_PER_MS)
-        return _finish(implied_list)
+    landmark_ids, locations, corrected_arr, height_ceiling = _target_height_inputs(
+        target_rtts_ms, landmark_locations, landmark_heights
+    )
+    if tables is None or not tables.covers(landmark_ids, landmark_locations):
+        tables = TargetHeightTables(landmark_ids, landmark_locations)
+    evaluate = _position_evaluator(
+        locations, corrected_arr.tolist(), quantile, height_ceiling
+    )
 
     # Landmark-anchored candidates, evaluated in one table pass: column c is
     # the scalar evaluate() at candidate position `locations[c]`.
+    count = len(landmark_ids)
     selector = [tables.index[lid] for lid in landmark_ids]
     implied = corrected_arr[:, None] - tables.q_table[np.ix_(selector, selector)]
     implied.sort(axis=0)
@@ -680,30 +657,15 @@ def estimate_target_height_tabled(
     all_heights = np.concatenate([height_vec, [mid_height]])
     # First index attaining the minimum == the scalar loop's strict-< winner.
     best_index = int(np.argmin(all_residuals))
-    best_residual = float(all_residuals[best_index])
-    best_height = float(all_heights[best_index])
     best_lat, best_lon = candidates[best_index]
-
-    # Local refinement around the best landmark-anchored candidate.
-    step = refine_step_deg
-    for _ in range(3):
-        improved = False
-        for dlat in (-step, 0.0, step):
-            for dlon in (-step, 0.0, step):
-                if dlat == 0.0 and dlon == 0.0:
-                    continue
-                lat = max(-89.0, min(89.0, best_lat + dlat))
-                lon = ((best_lon + dlon + 180.0) % 360.0) - 180.0
-                height, residual = evaluate(lat, lon)
-                if residual < best_residual:
-                    best_residual = residual
-                    best_height = height
-                    best_lat, best_lon = lat, lon
-                    improved = True
-        if not improved:
-            step /= 2.0
-
-    return best_height, GeoPoint(best_lat, best_lon)
+    return _refine(
+        evaluate,
+        best_lat,
+        best_lon,
+        float(all_heights[best_index]),
+        float(all_residuals[best_index]),
+        refine_step_deg,
+    )
 
 
 def pairwise_excess_ms(

@@ -12,13 +12,19 @@ The landmark set defaults to every host in the dataset except the target, the
 leave-one-out methodology of the paper's evaluation.  All per-landmark state
 (heights, calibrations, router positions) is computed from that landmark set
 only, so information about the target never leaks into its own localization.
+
+A single :meth:`Octant.localize` is a cohort of one through the batch
+engine (:class:`~repro.core.batch.BatchLocalizer`), which derives that state
+with the cohort-axis estimators; :mod:`repro.core.reference` keeps the
+from-scratch scalar derivation the engine is pinned against.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .._lru import BoundedLRU
 from ..geometry import (
@@ -30,26 +36,22 @@ from ..geometry import (
 from ..network.dataset import MeasurementDataset
 from ..network.dns import UndnsParser
 from ..resilience.deadline import checkpoint
-from .calibration import CalibrationSet, build_calibration_set
+from .calibration import CalibrationSet
 from .config import OctantConfig
 from .constraints import ConstraintSet
 from .estimate import LocationEstimate
-from .heights import (
-    HeightModel,
-    TargetHeightTables,
-    estimate_landmark_heights,
-    estimate_target_height,
-    estimate_target_height_tabled,
-)
-from .piecewise import RouterLocalizer, RouterPosition
+from .heights import HeightModel, TargetHeightTables, estimate_target_height_tabled
+from .piecewise import RouterPosition
 from .pipeline import ConstraintPipeline
+
+if TYPE_CHECKING:
+    from .batch import BatchLocalizer
 
 __all__ = [
     "Octant",
     "PreparedLandmarks",
     "PresolvedTarget",
     "pseudo_target_heights",
-    "pseudo_target_heights_tabled",
 ]
 
 
@@ -58,6 +60,7 @@ def pseudo_target_heights(
     locations: Mapping[str, GeoPoint],
     heights: HeightModel,
     rtt_ms: Callable[[str, str], float | None],
+    tables: TargetHeightTables | None,
 ) -> dict[str, float]:
     """Estimate every landmark's height *as if it were a target*.
 
@@ -70,35 +73,9 @@ def pseudo_target_heights(
 
     ``rtt_ms`` is a measurement lookup (live dataset accessor or the cached
     full-cohort matrix); the batch engine applies its leave-one-out mask by
-    passing an already-masked ``landmark_ids`` roster.
-    """
-    pseudo: dict[str, float] = {}
-    for peer in landmark_ids:
-        rtts = {
-            lid: rtt
-            for lid in landmark_ids
-            if lid != peer and (rtt := rtt_ms(lid, peer)) is not None
-        }
-        if len(rtts) < 3:
-            pseudo[peer] = heights.height(peer)
-            continue
-        height, _ = estimate_target_height(rtts, locations, heights)
-        pseudo[peer] = height
-    return pseudo
-
-
-def pseudo_target_heights_tabled(
-    landmark_ids: Sequence[str],
-    locations: Mapping[str, GeoPoint],
-    heights: HeightModel,
-    rtt_ms: Callable[[str, str], float | None],
-    tables: TargetHeightTables,
-) -> dict[str, float]:
-    """:func:`pseudo_target_heights` against precomputed propagation tables.
-
-    Bit-identical to the scalar function; the per-pair propagation terms of
-    the candidate scan come from ``tables`` (shared across a cohort by the
-    batch engine) instead of being recomputed for every peer.
+    passing an already-masked ``landmark_ids`` roster.  The per-pair
+    propagation terms of each peer's candidate scan come from ``tables``
+    (shared across a cohort by the batch engine).
     """
     pseudo: dict[str, float] = {}
     for peer in landmark_ids:
@@ -130,8 +107,8 @@ class PreparedLandmarks:
 class PresolvedTarget:
     """Everything one target needs *before* the weighted-region solve.
 
-    :meth:`Octant.presolve` produces it (landmark resolution, target height,
-    projection, constraint assembly and planarization);
+    :meth:`Octant.presolve` produces it (target height, projection,
+    constraint assembly and planarization);
     :meth:`Octant.postsolve` turns a solved region back into a
     :class:`LocationEstimate`.  Splitting the solve out lets cohort drivers
     (the batch engine's fused chunks, the serving micro-batches) presolve
@@ -178,86 +155,23 @@ class Octant:
             dataset, self.config, self.parser, circle_cache, planar_memo, prefix_memo
         )
         self.circle_cache = self.pipeline.circle_cache
+        self._batch: BatchLocalizer | None = None
+        self._batch_lock = threading.Lock()
 
-    # ------------------------------------------------------------------ #
-    # Preparation: heights, calibration, router localization
-    # ------------------------------------------------------------------ #
-    def prepare(self, landmark_ids: Sequence[str]) -> PreparedLandmarks:
-        """Compute per-landmark state for a landmark set (uncached reference).
+    def batch_localizer(self) -> "BatchLocalizer":
+        """The batch engine :meth:`localize` and :meth:`localize_all` run on.
 
-        Every call derives from the dataset as it is now; the warm, cached
-        derivation lives in :class:`~repro.core.batch.BatchLocalizer`.
+        Built on first use and kept, so repeated calls share its
+        full-cohort state (rebuilt by the engine itself when the dataset
+        ingests new measurements).
         """
-        key = tuple(sorted(landmark_ids))
-        locations = {lid: self.dataset.true_location(lid) for lid in key}
-        heights = self._estimate_heights(key, locations) if self.config.use_heights else None
-        calibrations = self._calibrate(key, locations, heights)
+        if self._batch is None:
+            from .batch import BatchLocalizer  # deferred: batch imports this module
 
-        router_positions: dict[str, RouterPosition] = {}
-        if self.config.use_piecewise:
-            localizer = RouterLocalizer(
-                self.dataset,
-                self.config,
-                calibrations,
-                heights,
-                self.parser,
-                circle_cache=self.circle_cache,
-            )
-            router_positions = localizer.localize_routers(list(key))
-
-        return PreparedLandmarks(
-            landmark_ids=key,
-            locations=locations,
-            heights=heights,
-            calibrations=calibrations,
-            router_positions=router_positions,
-        )
-
-    def _estimate_heights(
-        self, landmark_ids: Sequence[str], locations: Mapping[str, GeoPoint]
-    ) -> HeightModel | None:
-        pairwise: dict[tuple[str, str], float] = {}
-        for i, a in enumerate(landmark_ids):
-            for b in landmark_ids[i + 1 :]:
-                rtt = self.dataset.min_rtt_ms(a, b)
-                if rtt is not None:
-                    pairwise[(a, b)] = rtt
-        if len(pairwise) < len(landmark_ids):
-            return None
-        return estimate_landmark_heights(locations, pairwise)
-
-    def _pseudo_target_heights(
-        self,
-        landmark_ids: Sequence[str],
-        locations: Mapping[str, GeoPoint],
-        heights: HeightModel,
-    ) -> dict[str, float]:
-        """Per-landmark pseudo-target heights (see :func:`pseudo_target_heights`)."""
-        return pseudo_target_heights(
-            landmark_ids, locations, heights, self.dataset.min_rtt_ms
-        )
-
-    def _calibrate(
-        self,
-        landmark_ids: Sequence[str],
-        locations: Mapping[str, GeoPoint],
-        heights: HeightModel | None,
-    ) -> CalibrationSet:
-        if not self.config.use_calibration:
-            return CalibrationSet()
-        pseudo_heights: dict[str, float] = {}
-        if heights is not None:
-            pseudo_heights = self._pseudo_target_heights(landmark_ids, locations, heights)
-        return build_calibration_set(
-            landmark_ids,
-            locations,
-            self.dataset.min_rtt_ms,
-            heights=heights,
-            pseudo_heights=pseudo_heights,
-            cutoff_percentile=self.config.calibration_cutoff_percentile,
-            sentinel_ms=self.config.calibration_sentinel_ms,
-            slack=self.config.calibration_slack,
-        )
+            with self._batch_lock:
+                if self._batch is None:
+                    self._batch = BatchLocalizer(self)
+        return self._batch
 
     # ------------------------------------------------------------------ #
     # Constraint construction
@@ -287,76 +201,66 @@ class Octant:
     ) -> LocationEstimate:
         """Localize one target and return its estimate.
 
-        ``prepared`` optionally injects per-landmark state derived elsewhere
-        (the batch engine's cohort derivation); it must have been computed
-        from a landmark set that excludes the target.
+        A cohort of one through :meth:`BatchLocalizer.solve_many`, the same
+        answer as :meth:`BatchLocalizer.localize_one`.  Without ``prepared``
+        the landmark state comes from
+        :meth:`BatchLocalizer.prepare_for_target`, which raises
+        :class:`ValueError` when fewer than 3 landmarks remain and
+        :class:`KeyError` for a landmark without ground truth.  ``prepared``
+        injects state derived elsewhere; it must have been computed from a
+        landmark set that excludes the target.
         """
-        presolved = self.presolve(target_id, landmark_ids, prepared)
-        region, diagnostics = self.pipeline.solve(
-            presolved.planar, presolved.projection, key=target_id
-        )
-        self.pipeline.count_runs(1)
-        return self.postsolve(presolved, region, diagnostics)
+        localizer = self.batch_localizer()
+        if prepared is None:
+            prepared = localizer.prepare_for_target(target_id, landmark_ids)
+        return localizer.solve_many(
+            [target_id], landmark_ids, _prepared={target_id: prepared}
+        )[target_id]
 
     def presolve(
         self,
         target_id: str,
-        landmark_ids: Sequence[str] | None = None,
-        prepared: PreparedLandmarks | None = None,
+        prepared: PreparedLandmarks,
         *,
         height_tables: TargetHeightTables | None = None,
+        target_height_ms: float | None = None,
         planarize: bool = True,
     ) -> PresolvedTarget:
         """Everything before the weighted-region solve for one target.
 
-        Landmark resolution/preparation, target height estimation,
-        projection choice, constraint assembly and planarization -- the
-        stages that are inherently per-target.  The returned
-        :class:`PresolvedTarget` feeds :meth:`ConstraintPipeline.solve` (or
-        a cohort-level ``solve_many``) and then :meth:`postsolve`.
+        Target height estimation, projection choice, constraint assembly
+        and planarization over ``prepared`` -- the stages that are
+        inherently per-target.  The returned :class:`PresolvedTarget` feeds
+        :meth:`ConstraintPipeline.solve` (or a cohort-level ``solve_many``)
+        and then :meth:`postsolve`.
 
-        ``height_tables`` routes the target-height estimate through the
-        cohort-shared propagation tables (bit-identical to the scalar
-        estimator); ``planarize=False`` defers planarization so a cohort
-        driver can pool it across targets via
-        :meth:`ConstraintPipeline.planarize_many`.
+        The target height comes from the tabled estimator over
+        ``height_tables`` (the cohort-shared propagation tables; ``None``
+        builds tables for this call), unless ``target_height_ms`` gives it.
+        ``planarize=False`` defers planarization so a cohort driver can pool
+        it across targets via :meth:`ConstraintPipeline.planarize_many`.
         """
         checkpoint("prepare", target_id)
         started = time.perf_counter()
-        if prepared is not None:
-            landmarks = [lid for lid in prepared.landmark_ids if lid != target_id]
-            if len(landmarks) < 3:
-                raise ValueError("localization needs at least 3 landmarks")
-        else:
-            landmarks = (
-                list(landmark_ids)
-                if landmark_ids is not None
-                else self.dataset.landmark_ids_excluding(target_id)
-            )
-            landmarks = [lid for lid in landmarks if lid != target_id]
-            if len(landmarks) < 3:
-                raise ValueError("localization needs at least 3 landmarks")
-            prepared = self.prepare(landmarks)
+        landmarks = [lid for lid in prepared.landmark_ids if lid != target_id]
+        if len(landmarks) < 3:
+            raise ValueError("localization needs at least 3 landmarks")
 
-        target_height = 0.0
-        if self.config.use_heights and prepared.heights is not None:
-            target_rtts = {
-                lid: rtt
-                for lid in landmarks
-                if (rtt := self.dataset.min_rtt_ms(lid, target_id)) is not None
-            }
-            if len(target_rtts) >= 3:
-                if height_tables is not None:
-                    target_height, _rough_position = estimate_target_height_tabled(
+        if target_height_ms is None:
+            target_height_ms = 0.0
+            if self.config.use_heights and prepared.heights is not None:
+                target_rtts = {
+                    lid: rtt
+                    for lid in landmarks
+                    if (rtt := self.dataset.min_rtt_ms(lid, target_id)) is not None
+                }
+                if len(target_rtts) >= 3:
+                    target_height_ms, _rough_position = estimate_target_height_tabled(
                         target_rtts, prepared.locations, prepared.heights, height_tables
-                    )
-                else:
-                    target_height, _rough_position = estimate_target_height(
-                        target_rtts, prepared.locations, prepared.heights
                     )
 
         projection = self._projection_for(prepared, target_id)
-        constraints = self.pipeline.assemble(target_id, prepared, target_height)
+        constraints = self.pipeline.assemble(target_id, prepared, target_height_ms)
         planar = (
             self.pipeline.planarize(constraints, projection, key=target_id)
             if planarize
@@ -366,7 +270,7 @@ class Octant:
             target_id=target_id,
             landmarks=landmarks,
             prepared=prepared,
-            target_height_ms=target_height,
+            target_height_ms=target_height_ms,
             projection=projection,
             planar=planar,
             started=started,
@@ -387,8 +291,9 @@ class Octant:
         time: in a fused chunk the wall span since ``presolved.started``
         covers every groupmate's presolve plus the pooled solve, so the
         honest per-target figure is this target's own presolve time plus
-        its share of the pooled solve.  Without it (the sequential path)
-        the wall span is the per-target truth.
+        its share of the pooled solve.  Without it (a lone solve, as in
+        :func:`~repro.core.reference.reference_localize`) the wall span is
+        the per-target truth.
         """
         point = region.point_estimate() if not region.is_empty() else None
         if point is None:

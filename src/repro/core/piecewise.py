@@ -35,6 +35,7 @@ from ..geometry import (
     clip_convex,
     disk_polygon,
     projection_for_points,
+    rtt_ms_to_max_distance_km,
 )
 from ..network.dataset import MeasurementDataset
 from ..network.dns import UndnsParser
@@ -105,9 +106,9 @@ class RouterLocalizer:
         on the landmark set, so a cache shared across leave-one-out
         derivations returns identical positions without re-parsing.
         ``router_observations`` is the index from
-        :func:`build_router_observation_index`; when present, latency
-        observations are read from it (filtered to the current landmark set)
-        instead of probing ``dataset.router_pings`` per landmark.
+        :func:`build_router_observation_index`, which latency observations
+        are read from (filtered to the current landmark set); without one,
+        the index is built from ``dataset`` here.
         """
         self.dataset = dataset
         self.config = config
@@ -115,7 +116,11 @@ class RouterLocalizer:
         self.heights = heights
         self.parser = parser or UndnsParser()
         self.dns_cache = dns_cache if dns_cache is not None else {}
-        self.router_observations = router_observations
+        self.router_observations = (
+            router_observations
+            if router_observations is not None
+            else build_router_observation_index(dataset)
+        )
         self.circle_cache = circle_cache
 
     # ------------------------------------------------------------------ #
@@ -134,28 +139,26 @@ class RouterLocalizer:
         landmarks = set(landmark_ids)
         positions: dict[str, RouterPosition] = {}
         for router_id in self._candidate_router_ids(landmarks):
-            position = self._localize_router(router_id, landmark_ids, landmarks)
+            position = self._dns_position(router_id)
+            if position is None:
+                # Greedy intersection of the tightest calibrated disks.
+                observations = self._latency_observations(router_id, landmarks)
+                if observations is None:
+                    continue
+                centers, disks = self._observation_disks(observations)
+                projection = projection_for_points(centers)
+                position = self._intersect_disks(router_id, disks, projection)
             if position is not None:
                 positions[router_id] = position
         return positions
 
     def _candidate_router_ids(self, landmarks: set[str]) -> list[str]:
         """Routers with at least one observation from the landmark set."""
-        if self.router_observations is not None:
-            return sorted(
-                router_id
-                for router_id, observations in self.router_observations.items()
-                if any(host in landmarks for host, _ in observations)
-            )
-        return sorted({r for (h, r) in self.dataset.router_pings if h in landmarks})
-
-    def _localize_router(
-        self, router_id: str, landmark_ids: Sequence[str], landmark_set: set[str]
-    ) -> RouterPosition | None:
-        dns_position = self._dns_position(router_id)
-        if dns_position is not None:
-            return dns_position
-        return self._latency_position(router_id, landmark_ids, landmark_set)
+        return sorted(
+            router_id
+            for router_id, observations in self.router_observations.items()
+            if any(host in landmarks for host, _ in observations)
+        )
 
     def _dns_position(self, router_id: str) -> RouterPosition | None:
         cache = self.dns_cache
@@ -176,51 +179,22 @@ class RouterLocalizer:
         cache[router_id] = position
         return position
 
-    def _latency_position(
-        self,
-        router_id: str,
-        landmark_ids: Sequence[str],
-        landmark_set: set[str] | None = None,
-    ) -> RouterPosition | None:
-        """Greedy intersection of the tightest calibrated disks around landmarks.
-
-        The observation list is sorted by ``(rtt, landmark_id)`` before the
-        top entries are kept, so the result only depends on the landmark
-        *set*; reading observations from the shared index therefore yields
-        positions identical to probing the dataset landmark by landmark.
-        """
-        observations = self._latency_observations(router_id, landmark_ids, landmark_set)
-        if observations is None:
-            return None
-        centers, disks = self._observation_disks(observations)
-        projection = projection_for_points(centers)
-        return self._intersect_disks(router_id, disks, projection)
-
     def _latency_observations(
-        self,
-        router_id: str,
-        landmark_ids: Sequence[str],
-        landmark_set: set[str] | None = None,
+        self, router_id: str, landmarks: set[str]
     ) -> list[tuple[float, str]] | None:
-        """Height-adjusted ``(rtt, landmark)`` observations, tightest five."""
+        """Height-adjusted ``(rtt, landmark)`` observations, tightest five.
+
+        Sorted by ``(rtt, landmark_id)`` before the top entries are kept, so
+        the result only depends on the landmark *set*, whatever order the
+        index lists the observations in.
+        """
         observations: list[tuple[float, str]] = []
-        if self.router_observations is not None:
-            members = landmark_set if landmark_set is not None else set(landmark_ids)
-            for landmark_id, raw in self.router_observations.get(router_id, ()):
-                if landmark_id not in members:
-                    continue
-                rtt = raw
-                if self.heights is not None:
-                    rtt = max(0.0, rtt - self.heights.height(landmark_id))
-                observations.append((rtt, landmark_id))
-        else:
-            for landmark_id in landmark_ids:
-                rtt = self.dataset.router_min_rtt_ms(landmark_id, router_id)
-                if rtt is None:
-                    continue
-                if self.heights is not None:
-                    rtt = max(0.0, rtt - self.heights.height(landmark_id))
-                observations.append((rtt, landmark_id))
+        for landmark_id, rtt in self.router_observations.get(router_id, ()):
+            if landmark_id not in landmarks:
+                continue
+            if self.heights is not None:
+                rtt = max(0.0, rtt - self.heights.height(landmark_id))
+            observations.append((rtt, landmark_id))
         if not observations:
             return None
         observations.sort()
@@ -238,8 +212,6 @@ class RouterLocalizer:
             if calibration is not None and self.config.use_calibration:
                 radius = calibration.max_distance_km(rtt)
             else:
-                from ..geometry import rtt_ms_to_max_distance_km
-
                 radius = rtt_ms_to_max_distance_km(rtt)
             centers.append(location)
             disks.append((location, radius))
@@ -307,7 +279,6 @@ def localize_routers_many(
     planar_jobs: dict[tuple[int, tuple], tuple[CircleCache, object, list]] = {}
 
     for t, (localizer, roster) in enumerate(zip(localizers, rosters)):
-        roster = list(roster)
         landmarks = set(roster)
         cache = localizer.circle_cache
         for router_id in localizer._candidate_router_ids(landmarks):
@@ -315,7 +286,7 @@ def localize_routers_many(
             if dns_position is not None:
                 outputs[t][router_id] = dns_position
                 continue
-            observations = localizer._latency_observations(router_id, roster, landmarks)
+            observations = localizer._latency_observations(router_id, landmarks)
             if observations is None:
                 continue
             centers, disks = localizer._observation_disks(observations)
@@ -404,8 +375,6 @@ def secondary_constraints_for_target(
         if calibration is not None and config.use_calibration:
             bound = calibration.max_distance_km(remaining + margin)
         else:
-            from ..geometry import rtt_ms_to_max_distance_km
-
             bound = rtt_ms_to_max_distance_km(remaining + margin)
         max_km = bound + position.uncertainty_km
 

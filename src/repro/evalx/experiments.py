@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 from ..baselines import GeoLim, GeoPing, GeoTrack, ShortestPing
 from ..core import Octant, OctantConfig
-from ..core.batch import BatchLocalizer, localize_many
+from ..core.batch import localize_many
 from ..core.calibration import CalibrationSample
 from ..core.estimate import LocationEstimate
 from ..geometry import rtt_ms_to_max_distance_km
@@ -260,7 +260,7 @@ def run_landmark_sweep(
     # exists to amortize.
     localizers = {name: factory(dataset) for name, factory in factories.items()}
     engines = {
-        name: BatchLocalizer(localizer) if isinstance(localizer, Octant) else None
+        name: localizer.batch_localizer() if isinstance(localizer, Octant) else None
         for name, localizer in localizers.items()
     }
 
@@ -355,8 +355,7 @@ def run_ablation_study(
     results: list[AblationResult] = []
 
     for name, config in chosen.items():
-        octant = Octant(dataset, config)
-        estimates = BatchLocalizer(octant).localize_all(targets)
+        estimates = Octant(dataset, config).localize_all(targets)
         errors: list[float] = []
         flags: list[bool] = []
         times: list[float] = []

@@ -3,7 +3,8 @@
 The central property: for every target, :class:`BatchLocalizer`'s
 cohort-derived leave-one-out estimate is *identical* (point
 coordinates, region area, selected weight, constraint counts) to the
-sequential ``Octant.localize`` path that re-runs ``prepare()`` from scratch.
+from-scratch reference (:func:`repro.core.reference.reference_localize`),
+which re-derives every landmark's state with the scalar estimators.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +14,7 @@ import pytest
 
 from repro import BatchLocalizer, Octant, OctantConfig, collect_dataset, small_deployment
 from repro.core.batch import failed_estimate, localize_many
+from repro.core.reference import reference_localize, reference_prepare
 from repro.geometry import GeoPoint
 from repro.network.dataset import MeasurementDataset, NodeRecord
 from repro.network.probes import PingResult
@@ -41,10 +43,10 @@ def dataset():
 
 class TestBatchSequentialEquality:
     def test_full_config_identical(self, dataset):
-        """Every engine's localize_all matches sequential Octant.localize.
+        """Every engine's localize_all matches the from-scratch reference.
 
         The engines share one batch path (cohort prepare, chunked solve), so
-        each is compared against the from-scratch sequential reference.
+        each is compared against the from-scratch reference.
         """
         base = OctantConfig()
         for engine in ("fused", "object"):
@@ -53,7 +55,7 @@ class TestBatchSequentialEquality:
             results = BatchLocalizer(Octant(dataset, config)).localize_all()
             assert list(results) == dataset.host_ids
             for target in dataset.host_ids:
-                expected = sequential.localize(target)
+                expected = reference_localize(sequential, target)
                 assert estimate_signature(results[target]) == estimate_signature(
                     expected
                 ), (engine, target)
@@ -65,7 +67,7 @@ class TestBatchSequentialEquality:
             dataset.host_ids[:4]
         )
         for target in dataset.host_ids[:4]:
-            expected = sequential.localize(target)
+            expected = reference_localize(sequential, target)
             assert estimate_signature(results[target]) == estimate_signature(expected)
 
     def test_landmark_pool_identical(self, dataset):
@@ -76,15 +78,15 @@ class TestBatchSequentialEquality:
         batch = BatchLocalizer(Octant(dataset, config))
         for target in dataset.host_ids[:4]:
             landmark_set = [lid for lid in pool if lid != target]
-            expected = sequential.localize(target, landmark_ids=landmark_set)
+            expected = reference_localize(sequential, target, landmark_set)
             derived = batch.localize_one(target, landmark_pool=pool)
             assert estimate_signature(derived) == estimate_signature(expected)
 
     def test_prepared_state_identical(self, dataset):
-        """The derived PreparedLandmarks matches a from-scratch prepare()."""
+        """The derived PreparedLandmarks matches a from-scratch derivation."""
         target = dataset.host_ids[0]
         landmarks = dataset.landmark_ids_excluding(target)
-        sequential = Octant(dataset, OctantConfig()).prepare(landmarks)
+        sequential = reference_prepare(Octant(dataset, OctantConfig()), landmarks)
         derived = BatchLocalizer(Octant(dataset, OctantConfig())).prepare_for_target(
             target
         )
@@ -182,7 +184,7 @@ class TestMaskedEdgeCases:
         with_heights = batch.prepare_for_target("h5")
         assert with_heights.heights is not None
         assert (
-            sequential.prepare(dataset.landmark_ids_excluding("h5")).heights
+            reference_prepare(sequential, dataset.landmark_ids_excluding("h5")).heights
             is not None
         )
 
@@ -194,12 +196,12 @@ class TestMaskedEdgeCases:
         # one measured pair.
         pool = ["h2", "h3", "h4", "h5"]
         derived = batch.prepare_for_target("h2", landmark_pool=pool)
-        expected = sequential.prepare(["h3", "h4", "h5"])
+        expected = reference_prepare(sequential, ["h3", "h4", "h5"])
         assert derived.heights is None and expected.heights is None
 
         for target in ("h0", "h2", "h5"):
             got = batch.localize_one(target)
-            want = sequential.localize(target)
+            want = reference_localize(sequential, target)
             assert estimate_signature(got) == estimate_signature(want)
 
     def test_masked_calibration_skips_starved_landmarks(self):
@@ -218,7 +220,9 @@ class TestMaskedEdgeCases:
         batch = BatchLocalizer(Octant(dataset, config))
         for target in ("h5", "h3"):
             derived = batch.prepare_for_target(target)
-            expected = sequential.prepare(dataset.landmark_ids_excluding(target))
+            expected = reference_prepare(
+                sequential, dataset.landmark_ids_excluding(target)
+            )
             if expected.heights is None:
                 assert derived.heights is None
             else:
@@ -229,7 +233,7 @@ class TestMaskedEdgeCases:
             assert derived.calibrations.landmark_ids() == expected.calibrations.landmark_ids()
             assert derived.calibrations.landmark_ids() == ["h0"]
             got = batch.localize_one(target)
-            want = sequential.localize(target)
+            want = reference_localize(sequential, target)
             assert estimate_signature(got) == estimate_signature(want)
 
 

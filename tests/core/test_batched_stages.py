@@ -28,7 +28,7 @@ from repro.core.heights import (
     estimate_target_height,
     estimate_target_height_tabled,
 )
-from repro.core.octant import pseudo_target_heights
+from repro.core.reference import reference_prepare, reference_pseudo_target_heights
 from repro.core.piecewise import RouterLocalizer, localize_routers_many
 from repro.geometry import GeoPoint
 from repro.network.planetlab import small_deployment
@@ -147,17 +147,25 @@ class TestHeightsStage:
             ) == estimate_target_height(rtts, locs, model)
 
     def test_target_height_tabled_falls_back_when_not_covering(self):
+        """Missing ids, moved coordinates or no tables: a roster table is built."""
         rng = random.Random(5)
-        ids = [f"h{i}" for i in range(6)]
-        locs = {
-            i: GeoPoint(rng.uniform(-60, 70), rng.uniform(-150, 150)) for i in ids
-        }
-        model = HeightModel({i: rng.uniform(0.0, 30.0) for i in ids}, 1.0)
-        rtts = {i: rng.uniform(5.0, 250.0) for i in ids}
-        stale = TargetHeightTables(ids[:4], locs)  # missing two landmarks
-        assert estimate_target_height_tabled(
-            rtts, locs, model, stale
-        ) == estimate_target_height(rtts, locs, model)
+        for _ in range(40):
+            n = rng.randint(3, 16)
+            ids = [f"h{i}" for i in range(n)]
+            locs = {
+                i: GeoPoint(rng.uniform(-60, 70), rng.uniform(-150, 150)) for i in ids
+            }
+            model = HeightModel({i: rng.uniform(0.0, 30.0) for i in ids}, 1.0)
+            rtts = {i: rng.uniform(5.0, 250.0) for i in ids}
+            moved = dict(locs)
+            moved[ids[-1]] = GeoPoint(locs[ids[-1]].lat + 0.5, locs[ids[-1]].lon)
+            want = estimate_target_height(rtts, locs, model)
+            for tables in (
+                None,
+                TargetHeightTables(ids[: n - 1], locs),  # one landmark missing
+                TargetHeightTables(ids, moved),  # stale coordinates
+            ):
+                assert estimate_target_height_tabled(rtts, locs, model, tables) == want
 
 
 class TestCalibrationStage:
@@ -172,7 +180,7 @@ class TestCalibrationStage:
             for _, _, locs in rosters
         ]
         pseudo_list = [
-            pseudo_target_heights(key, locs, heights, dataset.cached_min_rtt_ms)
+            reference_pseudo_target_heights(key, locs, heights, dataset.cached_min_rtt_ms)
             for (_, key, locs), heights in zip(rosters, heights_list)
         ]
         batched = build_calibration_sets_many(
@@ -228,7 +236,9 @@ class TestPiecewiseStage:
         # Router-localizer inputs from the from-scratch reference, so the
         # batched stage is not checked against its own cohort derivation.
         reference = Octant(dataset, localizer.config, localizer.parser)
-        prepared = {target: reference.prepare(key) for target, key, _locs in rosters}
+        prepared = {
+            target: reference_prepare(reference, key) for target, key, _locs in rosters
+        }
         localizers = [
             RouterLocalizer(
                 dataset,
@@ -255,7 +265,11 @@ class TestPlanarizationStage:
     def test_planarize_many_matches_scalar(self, dataset):
         octant = Octant(dataset)
         presolved = [
-            octant.presolve(target, planarize=False)
+            octant.presolve(
+                target,
+                reference_prepare(octant, dataset.landmark_ids_excluding(target)),
+                planarize=False,
+            )
             for target in dataset.host_ids[:6]
         ]
         batched = octant.pipeline.planarize_many(

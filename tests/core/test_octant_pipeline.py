@@ -5,6 +5,7 @@ import pytest
 from repro import Octant, OctantConfig, collect_dataset, small_deployment
 from repro.core import GeoRegionConstraint, Polarity
 from repro.core.piecewise import RouterLocalizer, RouterPosition
+from repro.core.reference import reference_prepare
 from repro.network import UndnsParser
 
 
@@ -21,7 +22,7 @@ def octant(dataset):
 class TestPreparation:
     def test_prepare_builds_per_landmark_state(self, dataset, octant):
         landmarks = dataset.landmark_ids_excluding(dataset.host_ids[0])
-        prepared = octant.prepare(landmarks)
+        prepared = reference_prepare(octant, landmarks)
         assert set(prepared.landmark_ids) == set(landmarks)
         assert prepared.heights is not None
         assert len(prepared.calibrations) == len(landmarks)
@@ -30,13 +31,13 @@ class TestPreparation:
     def test_heights_disabled_config(self, dataset):
         octant = Octant(dataset, OctantConfig(use_heights=False, use_piecewise=False))
         landmarks = dataset.landmark_ids_excluding(dataset.host_ids[0])
-        prepared = octant.prepare(landmarks)
+        prepared = reference_prepare(octant, landmarks)
         assert prepared.heights is None
 
     def test_calibration_disabled_config(self, dataset):
         octant = Octant(dataset, OctantConfig(use_calibration=False, use_piecewise=False))
         landmarks = dataset.landmark_ids_excluding(dataset.host_ids[0])
-        prepared = octant.prepare(landmarks)
+        prepared = reference_prepare(octant, landmarks)
         assert len(prepared.calibrations) == 0
 
 
@@ -44,7 +45,7 @@ class TestConstraintConstruction:
     def test_one_distance_constraint_per_landmark(self, dataset, octant):
         target = dataset.host_ids[0]
         landmarks = dataset.landmark_ids_excluding(target)
-        prepared = octant.prepare(landmarks)
+        prepared = reference_prepare(octant, landmarks)
         constraints = octant.build_constraints(target, prepared)
         distance = constraints.distance_constraints()
         latency_only = [c for c in distance if c.label.startswith("latency:")]
@@ -52,7 +53,7 @@ class TestConstraintConstruction:
 
     def test_geographic_constraints_included(self, dataset, octant):
         target = dataset.host_ids[0]
-        prepared = octant.prepare(dataset.landmark_ids_excluding(target))
+        prepared = reference_prepare(octant, dataset.landmark_ids_excluding(target))
         constraints = octant.build_constraints(target, prepared)
         labels = [c.label for c in constraints]
         assert any(label.startswith("ocean:") for label in labels)
@@ -60,20 +61,20 @@ class TestConstraintConstruction:
 
     def test_piecewise_constraints_included(self, dataset, octant):
         target = dataset.host_ids[0]
-        prepared = octant.prepare(dataset.landmark_ids_excluding(target))
+        prepared = reference_prepare(octant, dataset.landmark_ids_excluding(target))
         constraints = octant.build_constraints(target, prepared)
         assert any(c.label.startswith("piecewise:") for c in constraints)
 
     def test_whois_constraint_when_enabled(self, dataset):
         octant = Octant(dataset, OctantConfig(use_whois=True, use_piecewise=False))
         target = dataset.host_ids[0]
-        prepared = octant.prepare(dataset.landmark_ids_excluding(target))
+        prepared = reference_prepare(octant, dataset.landmark_ids_excluding(target))
         constraints = octant.build_constraints(target, prepared)
         assert any(c.label.startswith("whois:") for c in constraints)
 
     def test_max_bound_respects_floor(self, dataset, octant):
         target = dataset.host_ids[0]
-        prepared = octant.prepare(dataset.landmark_ids_excluding(target))
+        prepared = reference_prepare(octant, dataset.landmark_ids_excluding(target))
         for c in octant.build_constraints(target, prepared).distance_constraints():
             assert c.max_km >= octant.config.min_positive_bound_km or c.label.startswith(
                 "piecewise:"
@@ -140,7 +141,7 @@ class TestRouterLocalization:
     def test_router_positions_close_to_truth(self, dataset, octant):
         target = dataset.host_ids[0]
         landmarks = dataset.landmark_ids_excluding(target)
-        prepared = octant.prepare(landmarks)
+        prepared = reference_prepare(octant, landmarks)
         localizer = RouterLocalizer(
             dataset, octant.config, prepared.calibrations, prepared.heights, UndnsParser()
         )
@@ -162,7 +163,7 @@ class TestRouterLocalization:
 
     def test_dns_hinted_routers_have_high_confidence(self, dataset, octant):
         target = dataset.host_ids[0]
-        prepared = octant.prepare(dataset.landmark_ids_excluding(target))
+        prepared = reference_prepare(octant, dataset.landmark_ids_excluding(target))
         dns_positions = [
             p for p in prepared.router_positions.values() if p.source == RouterPosition.DNS
         ]
@@ -184,7 +185,9 @@ class TestConfigVariants:
 
     def test_geographic_constraints_off(self, dataset):
         octant = Octant(dataset, OctantConfig(use_geographic_constraints=False, use_piecewise=False))
-        prepared = octant.prepare(dataset.landmark_ids_excluding(dataset.host_ids[0]))
+        prepared = reference_prepare(
+            octant, dataset.landmark_ids_excluding(dataset.host_ids[0])
+        )
         constraints = octant.build_constraints(dataset.host_ids[0], prepared)
         assert not any(c.label.startswith("ocean:") for c in constraints)
 
