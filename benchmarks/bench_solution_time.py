@@ -243,7 +243,7 @@ def test_gh_exclusion_speedup(dataset, target_ids):
       disks centred on it, so the low-weight region exclusions apply to
       pieces that *straddle* their rings -- the load the subtraction
       machinery actually runs on (at their usual top weight geographic
-      regions keyhole into the pristine universe piece and never reach it).
+      regions keyhole into the pristine world piece and never reach it).
       The gated figure is the exclusion work itself: each system's
       non-convex exclusions are subtracted from its piece population (the
       object engine's population after the positive disks) by the fused
@@ -266,10 +266,10 @@ def test_gh_exclusion_speedup(dataset, target_ids):
         SolverDiagnostics,
         WeightedRegionSolver,
         solve_systems,
-        universe_polygon,
     )
     from repro.geometry import AzimuthalEquidistantProjection, RegionPiece, disk_polygon
     from repro.geometry.kernel import (
+        WORLD_SQUARE,
         FusedSolverKernel,
         PieceBuffer,
         _TargetState,
@@ -334,7 +334,7 @@ def test_gh_exclusion_speedup(dataset, target_ids):
     reference = WeightedRegionSolver(SolverConfig(engine="object"))
     workload = []
     for planar, _projection in straddling:
-        pieces = [RegionPiece(universe_polygon(planar, solver_config.universe_margin_km), 0.0)]
+        pieces = [RegionPiece(WORLD_SQUARE, 0.0)]
         for constraint in sorted(
             (c for c in planar if c.exclusion is None), key=lambda c: c.weight, reverse=True
         ):

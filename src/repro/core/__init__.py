@@ -43,7 +43,6 @@ from .solver import (
     SolverDiagnostics,
     WeightedRegionSolver,
     solve_systems,
-    strict_intersection,
 )
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "SolverDiagnostics",
     "WeightedRegionSolver",
     "solve_systems",
-    "strict_intersection",
     "LocationEstimate",
     "Octant",
     "PreparedLandmarks",

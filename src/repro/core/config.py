@@ -27,9 +27,9 @@ class SolverConfig:
     The solver maintains a set of weighted region pieces and refines it with
     one constraint at a time; these knobs bound the work it does and define
     how the final estimate region is selected from the weighted pieces.
-    The only cross-solve geometry cache is the circle cache sized here; each
-    solve builds its own constraint-geometry tables (``DESIGN_SOLVER_KERNEL.md``
-    says why).
+    Every solve starts from the same world square
+    (:data:`repro.geometry.kernel.WORLD_SQUARE`), so no knob here sizes the
+    search space.
     """
 
     #: Maximum number of weighted pieces kept after each constraint is applied.
@@ -44,9 +44,6 @@ class SolverConfig:
     target_region_area_km2: float = 200000.0
     #: Number of vertices used when turning disks into polygons.
     circle_segments: int = 32
-    #: Margin (km) added around the constraint extents when building the
-    #: initial universe piece.
-    universe_margin_km: float = 500.0
     #: When True the solver maintains exact, disjoint complements of every
     #: split (paper equation semantics, more expensive).  When False -- the
     #: default -- the unsatisfied side of a split keeps the original piece,
@@ -77,12 +74,6 @@ class SolverConfig:
     #: layer coalesces up to this many queued requests into one fused solve
     #: per executor dispatch.
     fuse_width: int = 16
-    #: LRU capacity of the shared circle-geometry cache (applies to each of
-    #: its layers: geodesic boundaries, and planar ``(projection, circle)``
-    #: constraint polygons).  Bounds the memory an online service can pin in
-    #: geometry across an unbounded request stream; batch studies rarely
-    #: approach it.
-    circle_cache_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.engine not in SOLVER_ENGINES:

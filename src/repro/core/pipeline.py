@@ -24,8 +24,9 @@ machinery:
    accumulation through :func:`~repro.core.solver.solve_systems` (the fused
    NumPy kernel by default).  The geographic rings sort first and depend on
    no measurement, so the fused kernel's state after them is memoized by
-   content (:func:`~repro.geometry.kernel.prefix_key`) and a repeated
-   (projection, universe) pair resumes from it.
+   content (:func:`~repro.geometry.kernel.prefix_key`).  Every solve starts
+   from the same world square, so a repeated (projection, rings) pair
+   resumes from it whatever the measurements say.
 
 Each stage records its wall time in :class:`PipelineStats`; the serving layer
 surfaces those together with the circle-cache, planar-memo and prefix-memo
@@ -151,11 +152,7 @@ class ConstraintPipeline:
         # projection/content addressed, so one cache serves every target this
         # pipeline localizes; the batch engine and the serving layer share it
         # across the whole cohort (see BatchSharedState / LocalizationService).
-        self.circle_cache = (
-            circle_cache
-            if circle_cache is not None
-            else CircleCache(capacity=self.config.solver.circle_cache_size)
-        )
+        self.circle_cache = circle_cache if circle_cache is not None else CircleCache()
         # Geographic constraints depend only on the configuration, never on
         # the target; build them once per pipeline instance.
         self._geo_constraints: list[Constraint] = list(

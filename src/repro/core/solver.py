@@ -7,10 +7,11 @@ possibly disconnected set of polygon pieces.
 The strict formulation -- intersect all positive regions, subtract all
 negative ones -- is brittle: one erroneous constraint collapses the solution
 to the empty set.  Octant instead *accumulates weight*.  The solver maintains
-a collection of weighted pieces (initially a single "universe" piece of weight
-zero covering the extent of all constraints).  Each constraint splits every
-piece into the part that satisfies it (which gains the constraint's weight)
-and the part that does not (which keeps its weight).  After all constraints
+a collection of weighted pieces (initially a single piece of weight zero, the
+square :data:`~repro.geometry.kernel.WORLD_SQUARE` that holds every planar
+point a projection produces).  Each constraint splits every piece into the
+part that satisfies it (which gains the constraint's weight) and the part
+that does not (which keeps its weight).  After all constraints
 are applied, pieces are ranked by weight and the heaviest pieces are unioned
 until the configured size threshold is reached -- precisely the paper's
 "union of all regions, sorted by weight, such that they exceed a desired size
@@ -40,10 +41,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..geometry import (
-    BoundingBox,
     Polygon,
     Projection,
     Region,
@@ -52,7 +52,12 @@ from ..geometry import (
     subtract_polygons,
 )
 from .._lru import BoundedLRU
-from ..geometry.kernel import FusedSolverKernel, PrefixState, subtract_cautious
+from ..geometry.kernel import (
+    WORLD_SQUARE,
+    FusedSolverKernel,
+    PrefixState,
+    subtract_cautious,
+)
 from .config import SolverConfig
 from .constraints import PlanarConstraint
 
@@ -60,8 +65,6 @@ __all__ = [
     "SolverDiagnostics",
     "WeightedRegionSolver",
     "solve_systems",
-    "strict_intersection",
-    "universe_polygon",
 ]
 
 
@@ -151,28 +154,6 @@ class SolverDiagnostics:
         }
 
 
-def universe_polygon(
-    constraints: Sequence[PlanarConstraint], margin_km: float
-) -> Polygon | None:
-    """The initial zero-weight universe piece: the constraint extents plus margin.
-
-    Module-level so that both solver engines and :func:`strict_intersection`
-    share one implementation instead of reaching into solver internals.
-    """
-    boxes: list[BoundingBox] = []
-    for constraint in constraints:
-        if constraint.inclusion is not None:
-            boxes.append(constraint.inclusion.bounding_box())
-        elif constraint.exclusion is not None:
-            boxes.append(constraint.exclusion.bounding_box())
-    if not boxes:
-        return None
-    box = boxes[0]
-    for other in boxes[1:]:
-        box = box.union(other)
-    return Polygon.rectangle(box.expanded(margin_km))
-
-
 class WeightedRegionSolver:
     """Applies weighted planar constraints and extracts the estimate region."""
 
@@ -187,19 +168,14 @@ class WeightedRegionSolver:
         self,
         constraints: Sequence[PlanarConstraint],
         projection: Projection,
-        universe: Polygon | None = None,
     ) -> Region:
-        """Run the weighted accumulation and return the estimated region.
-
-        ``universe`` bounds the search; when omitted it is the bounding box of
-        all constraint geometry expanded by the configured margin.
-        """
+        """Run the weighted accumulation and return the estimated region."""
         started = time.perf_counter()
         self.diagnostics = SolverDiagnostics()
         if self.config.engine == "fused" and not self.config.exact_complements:
             # A single solve is a cohort of one.
             ((region, diagnostics),) = solve_systems(
-                self.config, [(constraints, projection, universe)]
+                self.config, [(constraints, projection)]
             )
             self.diagnostics = diagnostics
             return region
@@ -209,12 +185,8 @@ class WeightedRegionSolver:
         if not usable:
             return Region.empty(projection)
 
-        base = universe or universe_polygon(usable, self.config.universe_margin_km)
-        if base is None:
-            return Region.empty(projection)
-
         self.diagnostics.engine = "object"
-        region = self._solve_object(usable, projection, base)
+        region = self._solve_object(usable, projection)
         self.diagnostics.solve_seconds = time.perf_counter() - started
         return region
 
@@ -225,9 +197,8 @@ class WeightedRegionSolver:
         self,
         usable: list[PlanarConstraint],
         projection: Projection,
-        base: Polygon,
     ) -> Region:
-        pieces: list[RegionPiece] = [RegionPiece(base, 0.0)]
+        pieces: list[RegionPiece] = [RegionPiece(WORLD_SQUARE, 0.0)]
         ordered = sorted(usable, key=lambda c: c.weight, reverse=True)
 
         for constraint in ordered:
@@ -341,8 +312,7 @@ def solve_systems(
 ) -> list[tuple[Region, SolverDiagnostics]]:
     """Solve many constraint systems, fused into one cohort when configured.
 
-    ``systems`` holds ``(constraints, projection)`` or
-    ``(constraints, projection, universe)`` per target.  With
+    ``systems`` holds ``(constraints, projection)`` per target.  With
     ``engine="fused"`` (and not ``exact_complements``) every non-degenerate
     system advances through one :class:`FusedSolverKernel` lockstep run --
     the k-th constraint of every target applied in shared batched passes;
@@ -358,93 +328,37 @@ def solve_systems(
     config = config or SolverConfig()
     results: list[tuple[Region, SolverDiagnostics] | None] = [None] * len(systems)
     use_fused = config.engine == "fused" and not config.exact_complements
-    fused_jobs: list[tuple[int, list, object, Polygon, SolverDiagnostics, float, int]] = []
+    fused_jobs: list[tuple[int, list, object, SolverDiagnostics, float, int]] = []
     prefix_lengths = list(prefix_lengths) or [0] * len(systems)
-    for i, system in enumerate(systems):
-        constraints, projection = system[0], system[1]
-        universe = system[2] if len(system) > 2 else None
+    for i, (constraints, projection) in enumerate(systems):
         if not use_fused:
             solver = WeightedRegionSolver(config)
-            region = solver.solve(constraints, projection, universe)
+            region = solver.solve(constraints, projection)
             results[i] = (region, solver.diagnostics)
             continue
         started = time.perf_counter()
         diagnostics = SolverDiagnostics(engine="fused")
         usable = [c for c in constraints if c is not None]
-        base = (
-            universe or universe_polygon(usable, config.universe_margin_km)
-            if usable
-            else None
-        )
-        if base is None:
+        if not usable:
             diagnostics.solve_seconds = time.perf_counter() - started
             results[i] = (Region.empty(projection), diagnostics)
             continue
         fused_jobs.append(
-            (i, usable, projection, base, diagnostics, started, prefix_lengths[i])
+            (i, usable, projection, diagnostics, started, prefix_lengths[i])
         )
 
     if fused_jobs:
         kernel = FusedSolverKernel(config)
         regions = kernel.solve_many(
-            [(usable, projection, base, diagnostics, prefix)
-             for (_i, usable, projection, base, diagnostics, _t, prefix) in fused_jobs],
+            [(usable, projection, diagnostics, prefix)
+             for (_i, usable, projection, diagnostics, _t, prefix) in fused_jobs],
             prefix_memo,
         )
         finished = time.perf_counter()
-        for (i, _u, _p, _b, diagnostics, started, _n), region in zip(fused_jobs, regions):
+        for (i, _u, _p, diagnostics, started, _n), region in zip(fused_jobs, regions):
             # The cohort solve is one shared span; each member records the
             # full wall time (amortized cost is what the benchmarks divide
             # back out).
             diagnostics.solve_seconds = finished - started
             results[i] = (region, diagnostics)
     return results  # type: ignore[return-value]
-
-
-def strict_intersection(
-    constraints: Iterable[PlanarConstraint],
-    projection: Projection,
-    universe: Polygon | None = None,
-    min_piece_area_km2: float = 1.0,
-) -> Region:
-    """The brittle textbook solution: intersect positives, subtract negatives.
-
-    Provided both as the degenerate mode the ablation study compares against
-    and as the behaviour of prior region-based work (GeoLim) inside the Octant
-    machinery.  Returns an empty region as soon as the constraints conflict.
-    """
-    usable = [c for c in constraints if c is not None]
-    if not usable:
-        return Region.empty(projection)
-
-    base = universe or universe_polygon(
-        usable, SolverConfig().universe_margin_km
-    )
-    if base is None:
-        return Region.empty(projection)
-
-    current: list[Polygon] = [base]
-    for constraint in usable:
-        next_pieces: list[Polygon] = []
-        for piece in current:
-            parts = [piece]
-            if constraint.inclusion is not None:
-                parts = [
-                    p
-                    for part in parts
-                    for p in intersect_polygons(part, constraint.inclusion)
-                ]
-            if constraint.exclusion is not None:
-                parts = [
-                    p
-                    for part in parts
-                    for p in subtract_polygons(part, constraint.exclusion)
-                ]
-            next_pieces.extend(parts)
-        # Filter slivers in km^2, the same unit the weighted solver's
-        # _apply_constraint/_prune use, so the two solution strategies apply
-        # one consistent physical threshold.
-        current = [p for p in next_pieces if p.area_km2() >= min_piece_area_km2]
-        if not current:
-            return Region.empty(projection)
-    return Region([RegionPiece(p, 1.0) for p in current], projection)

@@ -105,8 +105,7 @@ class CircleCache:
     races, which only affects reporting): the serving executor's threads
     share one instance through the batch localizer.  ``capacity`` bounds each
     layer independently so an online service cannot leak geometry without
-    bound (``SolverConfig.circle_cache_size`` is the usual source of the
-    bound).
+    bound.
     """
 
     __slots__ = (

@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bbox import BoundingBox
 from .clipping import (
     _MIN_PIECE_AREA_KM2 as MIN_SLIVER_AREA_KM2,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "PREFIX_MEMO_CAPACITY",
     "PieceBuffer",
     "PrefixState",
+    "WORLD_SQUARE",
     "geometry_for_constraint",
     "prefix_key",
     "subtract_cautious",
@@ -107,6 +109,13 @@ _MAX_SCALAR_WEDGE_EDGES = 8
 #: padded rows: 63 KB of arrays (46 KB with the detailed catalogue), so a
 #: full memo holds about 4 MB.
 PREFIX_MEMO_CAPACITY = 64
+
+#: The zero-weight piece every solve starts from: a square of half-side
+#: 20,100 km, just over pi * EARTH_RADIUS_KM (~20,015 km), so it contains
+#: every planar point the azimuthal-equidistant and equirectangular
+#: projections produce.  It depends on nothing, so a solve's only inputs
+#: are its constraints and its projection.
+WORLD_SQUARE = Polygon.rectangle(BoundingBox(-20100.0, -20100.0, 20100.0, 20100.0))
 
 #: Sentinel returned by ``FusedSolverKernel._assemble_split`` when the
 #: constraint left the piece population exactly as it was (no satisfied
@@ -1525,23 +1534,23 @@ def _coords_bytes(polygon: Polygon | None) -> bytes:
     ).tobytes()
 
 
-def prefix_key(config, projection, base: Polygon, prefix: Sequence) -> tuple | None:
+def prefix_key(config, projection, prefix: Sequence) -> tuple | None:
     """Content key of the solver state after the constraint ``prefix``.
 
-    The state a solve reaches after its leading constraints is a function
-    of the universe piece, those constraints (planar coordinates, weights,
-    labels) and the solver configuration alone, so the key holds exactly
-    those values plus the projection's :meth:`cache_key` -- never object
-    ids, which are reused after garbage collection.  Coordinates and
-    weights enter as raw float64 bytes, so ``-0.0`` and ``0.0`` stay apart.
-    ``None`` (no memo) for an empty prefix or a projection without a key.
+    Every solve starts from :data:`WORLD_SQUARE`, so the state it reaches
+    after its leading constraints is a function of those constraints
+    (planar coordinates, weights, labels) and the solver configuration
+    alone; the key holds exactly those values plus the projection's
+    :meth:`cache_key` -- never object ids, which are reused after garbage
+    collection.  Coordinates and weights enter as raw float64 bytes, so
+    ``-0.0`` and ``0.0`` stay apart.  ``None`` (no memo) for an empty
+    prefix or a projection without a key.
     """
     projection_key = projection.cache_key()
     if projection_key is None or not prefix:
         return None
     return (
         projection_key,
-        _coords_bytes(base),
         tuple(
             (_coords_bytes(c.inclusion), _coords_bytes(c.exclusion), c.label)
             for c in prefix
@@ -1645,8 +1654,8 @@ class FusedSolverKernel:
     ) -> list[Region]:
         """Solve many systems in lockstep.
 
-        ``systems`` holds ``(constraints, projection, base, diagnostics)``
-        per target, optionally followed by ``prefix``: how many of the
+        ``systems`` holds ``(constraints, projection, diagnostics)`` per
+        target, optionally followed by ``prefix``: how many of the
         weight-ordered constraints lead the system without depending on a
         measurement.  With a ``prefix_memo`` (a
         :class:`~repro._lru.BoundedLRU` of :class:`PrefixState`), a system
@@ -1659,14 +1668,14 @@ class FusedSolverKernel:
         """
         states: list[_TargetState] = []
         for system in systems:
-            constraints, projection, base, diagnostics = system[:4]
+            constraints, projection, diagnostics = system[:3]
             diagnostics.engine = "fused"
-            buffer = PieceBuffer.from_polygons([(base, 0.0)])
+            buffer = PieceBuffer.from_polygons([(WORLD_SQUARE, 0.0)])
             ordered = sorted(constraints, key=lambda c: c.weight, reverse=True)
             s = _TargetState(diagnostics, buffer, ordered, projection)
-            prefix = system[4] if len(system) > 4 else 0
+            prefix = system[3] if len(system) > 3 else 0
             if prefix_memo is not None and prefix:
-                key = prefix_key(self.config, projection, base, ordered[:prefix])
+                key = prefix_key(self.config, projection, ordered[:prefix])
                 if key is not None:
                     memoized = prefix_memo.get(key)
                     if memoized is not None:

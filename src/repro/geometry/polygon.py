@@ -112,7 +112,7 @@ class Polygon:
         :mod:`repro.geometry.projection`, so the shoelace area *is* the area
         in km^2; this alias exists so callers filtering slivers by physical
         size use one consistently-named unit (see
-        :func:`repro.core.solver.strict_intersection`).
+        :class:`repro.core.solver.WeightedRegionSolver`).
         """
         return self.area()
 

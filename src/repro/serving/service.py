@@ -367,7 +367,7 @@ class LocalizationService:
         self.prepared_cache_size = prepared_cache_size
         #: One geometry cache for the service's whole lifetime: entries are
         #: content-addressed, so they stay valid across snapshots/ingests.
-        self.circle_cache = CircleCache(capacity=self.config.solver.circle_cache_size)
+        self.circle_cache = CircleCache()
         #: Service-lifetime planar constraint memo, threaded through every
         #: post-ingest pipeline rebuild; like the circle cache its entries
         #: are content-addressed (keyed by the constraint values themselves),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BatchLocalizer, Octant, OctantConfig, collect_dataset
+from repro import BatchLocalizer, Octant, collect_dataset
 from repro.core import ConstraintPipeline
 from repro.geometry import CircleCache
 from repro.network.planetlab import small_deployment
@@ -84,10 +84,7 @@ class TestSharedGeometryCache:
         assert second.pipeline.circle_cache is cache
 
     def test_cache_capacity_follows_config(self, dataset):
-        from repro import SolverConfig
-
-        config = OctantConfig(solver=SolverConfig(circle_cache_size=17))
-        octant = Octant(dataset, config)
+        octant = Octant(dataset, circle_cache=CircleCache(capacity=17))
         assert octant.circle_cache.capacity == 17
 
     def test_repeated_localization_hits_planar_memo(self, dataset, prepared):

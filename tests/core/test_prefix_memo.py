@@ -4,8 +4,9 @@ The ocean and uninhabited rings sort first in every solve and depend on no
 measurement, so ``FusedSolverKernel`` memoizes its piece buffer after them
 (``repro.geometry.kernel.prefix_key``).  These tests pin the contract: a
 resumed solve is bit-identical to a cold one, anything that could change
-the prefix state changes the key, configurations without a prefix store
-nothing, and the memo stays within its bound with read-only entries.
+the prefix state changes the key while a measurement change does not,
+configurations without a prefix store nothing, and the memo stays within
+its bound with read-only entries.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import pytest
 
 from repro import BatchLocalizer, Octant, OctantConfig, SolverConfig, collect_dataset
 from repro._lru import BoundedLRU
+from repro.core import PlanarConstraint
 from repro.core.pipeline import PipelineStats
-from repro.core.solver import solve_systems, universe_polygon
+from repro.core.solver import solve_systems
 from repro.geometry import AzimuthalEquidistantProjection, GeoPoint
 from repro.geometry.kernel import PREFIX_MEMO_CAPACITY, prefix_key
 from repro.network.planetlab import small_deployment
@@ -117,11 +119,10 @@ def test_hit_reports_only_the_work_done(systems):
 @pytest.mark.parametrize(
     "change",
     [
-        {"universe_margin_km": 400.0},
         {"max_pieces": 12},
         {"circle_segments": 24},
     ],
-    ids=["universe_margin", "max_pieces", "circle_segments"],
+    ids=["max_pieces", "circle_segments"],
 )
 def test_config_change_is_a_miss(systems, change):
     base = SolverConfig()
@@ -134,14 +135,42 @@ def test_config_change_is_a_miss(systems, change):
     assert len(memo) == 2
 
 
+def test_measurement_radius_change_still_hits(systems):
+    """The churn case: a write that moves an RTT moves one disk's radius.
+
+    Every solve starts from the same world square, so the rings' state
+    does not depend on any measurement: the changed system resumes from
+    the first one's prefix and still equals its cold solve.
+    """
+    config = SolverConfig()
+    planar, projection, n = systems[0]
+    # The widest measured disk, grown by a tenth about its centroid.
+    i = max(
+        (k for k in range(n, len(planar)) if planar[k].inclusion is not None),
+        key=lambda k: planar[k].inclusion.area(),
+    )
+    changed = planar[i]
+    churned = list(planar)
+    churned[i] = PlanarConstraint(
+        changed.inclusion.scaled(1.1, changed.inclusion.centroid()),
+        changed.exclusion,
+        changed.weight,
+        changed.label,
+    )
+    memo = BoundedLRU(PREFIX_MEMO_CAPACITY)
+    memoized(config, [systems[0]], memo)
+    ((result, outcome),) = memoized(config, [(churned, projection, n)], memo)
+    assert outcome == "hit" and len(memo) == 1
+    assert result == cold(config, (churned, projection, n))
+
+
 def test_projection_centre_change_is_a_miss(systems):
     config = SolverConfig()
     planar, projection, n = systems[0]
-    base = universe_polygon(planar, config.universe_margin_km)
     moved = AzimuthalEquidistantProjection(GeoPoint(10.0, 20.0))
-    same = prefix_key(config, projection, base, planar[:n])
-    assert same == prefix_key(config, projection, base, list(planar[:n]))
-    assert prefix_key(config, moved, base, planar[:n]) != same
+    same = prefix_key(config, projection, planar[:n])
+    assert same == prefix_key(config, projection, list(planar[:n]))
+    assert prefix_key(config, moved, planar[:n]) != same
 
     memo = BoundedLRU(PREFIX_MEMO_CAPACITY)
     solve_systems(config, [(planar, projection)], memo, [n])
@@ -217,9 +246,10 @@ def test_object_engine_ignores_the_memo(systems):
 
 def test_memo_never_exceeds_its_bound(systems):
     memo = BoundedLRU(2)
-    for margin in (300.0, 400.0, 500.0, 600.0):
-        memoized(SolverConfig(universe_margin_km=margin), systems, memo)
+    for max_pieces in (12, 14, 16, 18):
+        memoized(SolverConfig(max_pieces=max_pieces), systems, memo)
         assert len(memo) <= 2
+
 
 def test_default_memo_is_bounded_by_the_module_constant(dataset):
     assert Octant(dataset).pipeline._prefix_memo.capacity == PREFIX_MEMO_CAPACITY

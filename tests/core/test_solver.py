@@ -1,8 +1,8 @@
-"""Tests for the weighted geometric solver and the strict-intersection reference."""
+"""Tests for the weighted geometric solver."""
 
 import pytest
 
-from repro.core import PlanarConstraint, SolverConfig, WeightedRegionSolver, strict_intersection
+from repro.core import PlanarConstraint, SolverConfig, WeightedRegionSolver
 from repro.geometry import (
     AzimuthalEquidistantProjection,
     GeoPoint,
@@ -143,43 +143,15 @@ class TestWeightedSolver:
         solver = WeightedRegionSolver(config)
         disk = disk_at(0, 0, 300.0)
         region = solver.solve([positive(disk)], PROJ)
-        # With exact complements, the pieces partition the universe: the
+        # With exact complements, the pieces partition the world square: the
         # heaviest piece is the disk, the rest is the remainder.
         heavy = region.heaviest_piece()
         assert heavy.weight == pytest.approx(1.0)
         assert heavy.polygon.area() == pytest.approx(disk.area(), rel=0.05)
 
 
-class TestStrictIntersection:
-    def test_consistent_constraints(self):
-        a = positive(disk_at(0, 0, 500.0))
-        b = positive(disk_at(90.0, 300.0, 500.0))
-        region = strict_intersection([a, b], PROJ)
-        assert not region.is_empty()
-        assert region.area_km2() < min(a.inclusion.area(), b.inclusion.area())
-
-    def test_conflicting_constraints_collapse_to_empty(self):
-        """The brittleness the paper's weighted approach avoids."""
-        a = positive(disk_at(0, 0, 200.0))
-        b = positive(disk_at(90.0, 3000.0, 200.0))
-        region = strict_intersection([a, b], PROJ)
-        assert region.is_empty()
-
-    def test_negative_constraints_subtract(self):
-        a = positive(disk_at(0, 0, 500.0))
-        hole = negative(disk_at(0, 0, 100.0))
-        region = strict_intersection([a, hole], PROJ)
-        assert not region.is_empty()
-        assert not region.contains_geopoint(CENTER)
-
-    def test_empty_input(self):
-        assert strict_intersection([], PROJ).is_empty()
-
-
 class TestSliverFilteringUnits:
-    """Regression: strict_intersection must filter slivers in km^2 like the
-    weighted solver (it used to filter on planar Polygon.area() while the
-    weighted path filtered on RegionPiece.area_km2())."""
+    """The weighted solver filters slivers in km^2 (``area_km2``)."""
 
     def test_polygon_area_km2_matches_planar_area(self):
         disk = disk_at(0, 0, 300.0)
@@ -189,24 +161,14 @@ class TestSliverFilteringUnits:
         # Two disks whose overlap is a thin lens well under the threshold.
         a = positive(disk_at(0, 0, 200.0))
         b = positive(disk_at(90.0, 399.0, 200.0))
-        strict = strict_intersection([a, b], PROJ, min_piece_area_km2=500.0)
-        assert strict.is_empty()
-
         solver = WeightedRegionSolver(
             SolverConfig(min_piece_area_km2=500.0, max_pieces=64)
         )
         weighted = solver.solve([a, b], PROJ)
-        # The weighted solver drops the same lens; no surviving piece is
-        # smaller than the shared km^2 threshold.
+        # The weighted solver drops the lens; no surviving piece is smaller
+        # than the km^2 threshold.
         assert all(p.area_km2() >= 500.0 for p in weighted.pieces)
         assert weighted.heaviest_piece().weight < 2.0
-
-    def test_sliver_survives_below_threshold(self):
-        a = positive(disk_at(0, 0, 200.0))
-        b = positive(disk_at(90.0, 399.0, 200.0))
-        strict = strict_intersection([a, b], PROJ, min_piece_area_km2=1.0)
-        assert not strict.is_empty()
-        assert strict.area_km2() < 500.0
 
 
 class TestSolverConfigEngine:

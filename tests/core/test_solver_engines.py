@@ -17,16 +17,18 @@ import random
 
 import pytest
 
+from repro import BatchLocalizer, Octant, OctantConfig
 from repro.core import PlanarConstraint, SolverConfig, WeightedRegionSolver
-from repro.core.solver import strict_intersection, universe_polygon
 from repro.geometry import (
+    EARTH_RADIUS_KM,
     AzimuthalEquidistantProjection,
+    EquirectangularProjection,
     GeoPoint,
     Point2D,
     Polygon,
     disk_polygon,
 )
-from repro.geometry.kernel import PieceBuffer
+from repro.geometry.kernel import WORLD_SQUARE, PieceBuffer
 
 CENTER = GeoPoint(40.0, -95.0)
 PROJ = AzimuthalEquidistantProjection(CENTER)
@@ -232,14 +234,14 @@ class TestTargetedEquivalence:
         far = negative(square(3000.0, 3000.0, 50.0), 5.0, "far")
         region_v, _ = assert_identical([inclusion, far])
         assert region_v.pieces[0].weight == 6.0
-        # With a universe the far square's box misses, both engines still
-        # add its weight to the one piece.
-        universe = square(0.0, 0.0, 1000.0)
+        # With one piece kept, only the inclusion's piece survives, and the
+        # far square's box misses it: both engines still add its weight.
         for engine in ("fused", "object"):
-            kept = WeightedRegionSolver(SolverConfig(engine=engine))
-            kept.solve([inclusion, far], PROJ, universe)
-            culled = WeightedRegionSolver(SolverConfig(engine=engine))
-            culled.solve([inclusion], PROJ, universe)
+            config = SolverConfig(engine=engine, max_pieces=1)
+            kept = WeightedRegionSolver(config)
+            kept.solve([inclusion, far], PROJ)
+            culled = WeightedRegionSolver(config)
+            culled.solve([inclusion], PROJ)
             assert (kept.diagnostics.max_weight, kept.diagnostics.constraints_applied) == (6.0, 2)
             assert (culled.diagnostics.max_weight, culled.diagnostics.constraints_applied) == (1.0, 1)
 
@@ -374,32 +376,79 @@ class TestPieceBuffer:
 
 
 # --------------------------------------------------------------------------- #
-# Hoisted universe helper
+# The world square every solve starts from
 # --------------------------------------------------------------------------- #
-class TestUniversePolygon:
-    def test_matches_legacy_method(self):
-        """The universe is the union of constraint extents plus the margin."""
-        constraints = [
-            positive(disk_at(0, 0, 300.0)),
-            negative(disk_at(90.0, 500.0, 200.0)),
+@pytest.fixture(scope="module")
+def tracked_cohort():
+    """The tracked 30-host cohort on the bench-scale topology, seed 42
+    (``perfbench/common.py::build_dataset``)."""
+    from repro import DeploymentConfig, build_deployment, collect_dataset
+    from repro.network import TopologyConfig
+    from repro.network.geodata import EUROPEAN_CITIES, US_CITIES
+
+    config = DeploymentConfig(
+        host_count=30,
+        seed=42,
+        topology=TopologyConfig(
+            seed=42,
+            num_providers=4,
+            pops_per_provider=38,
+            peering_city_count=8,
+            cities=US_CITIES + EUROPEAN_CITIES,
+        ),
+    )
+    return collect_dataset(build_deployment(config))
+
+
+class TestWorldSquare:
+    def test_holds_every_projected_point(self):
+        """Its half-side exceeds the farthest planar point of either
+        projection: the antipode, pi * R from the origin."""
+        box = WORLD_SQUARE.bounding_box()
+        reach = math.pi * EARTH_RADIUS_KM
+        assert -box.min_x == -box.min_y == box.max_x == box.max_y > reach
+        for projection in (
+            AzimuthalEquidistantProjection(CENTER),
+            EquirectangularProjection(GeoPoint(90.0, -95.0)),
+        ):
+            for lat, lon in ((-40.0, 84.999), (-89.999, 85.0), (-90.0, 180.0)):
+                p = projection.forward(GeoPoint(lat, lon))
+                assert box.min_x < p.x < box.max_x and box.min_y < p.y < box.max_y
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            OctantConfig(),
+            OctantConfig.latency_only(),
+            OctantConfig(geographic_detail="detailed"),
+        ],
+        ids=["default", "latency_only", "detailed"],
+    )
+    def test_contains_every_leave_one_out_constraint(self, tracked_cohort, config):
+        """Starting from the square clips no constraint of the tracked
+        cohort: every planar polygon's box lies inside it."""
+        localizer = BatchLocalizer(Octant(tracked_cohort, config))
+        targets = tracked_cohort.host_ids
+        prepared = localizer.prepare_many(targets)
+        presolved = [
+            localizer.octant.presolve(t, prepared=prepared[t], planarize=False)
+            for t in targets
         ]
-        margin = WeightedRegionSolver().config.universe_margin_km
-        hoisted = universe_polygon(constraints, margin)
-        box = constraints[0].inclusion.bounding_box().union(
-            constraints[1].exclusion.bounding_box()
+        systems = localizer.octant.pipeline.planarize_many(
+            [(p.constraints, p.projection) for p in presolved]
         )
-        assert hoisted.coords == Polygon.rectangle(box.expanded(margin)).coords
-
-    def test_no_geometry_returns_none(self):
-        assert universe_polygon([], 500.0) is None
-
-    def test_strict_intersection_uses_helper(self):
-        constraints = [positive(disk_at(0, 0, 300.0))]
-        region = strict_intersection(constraints, PROJ)
-        assert not region.is_empty()
-        assert region.area_km2() == pytest.approx(
-            disk_at(0, 0, 300.0).area(), rel=0.05
-        )
+        box = WORLD_SQUARE.bounding_box()
+        boxes = [
+            polygon.bounding_box()
+            for planar in systems
+            for c in planar
+            for polygon in (c.inclusion, c.exclusion)
+            if polygon is not None
+        ]
+        assert len(systems) == len(targets) and boxes
+        for b in boxes:
+            assert box.min_x < b.min_x and b.max_x < box.max_x
+            assert box.min_y < b.min_y and b.max_y < box.max_y
 
 
 # --------------------------------------------------------------------------- #
