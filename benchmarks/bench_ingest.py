@@ -43,7 +43,9 @@ from repro.network import ProbeAgent
 #: Bump when the shape of BENCH_ingest.json changes.
 #: v2: ``p50_gate`` (the churn/quiescent ratio bound) is replaced by
 #: ``churn_p50_bound_ms``, the absolute bound the run was gated on.
-SCHEMA_VERSION = 2
+#: v3: ``ref_loop_ms_before`` / ``ref_loop_ms_after``, the host speed probe
+#: (``conftest.host_ref_loop_ms``) around the measured phases.
+SCHEMA_VERSION = 3
 
 #: Churn warm p50 may be at most this factor over the committed figure.
 CHURN_BOUND_SLACK = 1.25
@@ -185,6 +187,8 @@ async def _churn_phase(service, live, targets, pool, rounds, rate_per_s):
 
 @pytest.mark.benchmark(group="ingest")
 def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
+    from conftest import host_ref_loop_ms
+
     committed = _committed_churn_bound()
     hosts = dataset.host_ids
     pool = hosts[: max(8, len(hosts) // 2)]
@@ -199,6 +203,7 @@ def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
 
     # ---- Phase 1 + 2: quiescent warm, then churn with selective carry ---- #
     live = _private_live(dataset)
+    ref_before = host_ref_loop_ms()
 
     async def selective_run():
         async with LocalizationService(
@@ -239,6 +244,7 @@ def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
 
     baseline = asyncio.run(baseline_run())
     monkeypatch.undo()
+    ref_after = host_ref_loop_ms()
 
     quiescent_p50 = _percentile(quiescent, 0.50) * 1000
     churn_p50 = _percentile(selective["latencies"], 0.50) * 1000
@@ -274,6 +280,10 @@ def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
         f"  full-invalidation p50:  {baseline_p50:8.2f} ms, "
         f"hit rate {baseline['hit_rate']:6.1%}"
     )
+    print(
+        f"  host speed probe:       {ref_before:8.2f} ms before, "
+        f"{ref_after:.2f} ms after (perfbench ref_loop_ms, median of 5)"
+    )
     carried = selective["ingest"]["prepared_carried"]
     compactions = selective["ingest"]["log"]["compactions"]
     print(
@@ -305,6 +315,8 @@ def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
         "p50_ratio": round(ratio, 3),
         "churn_p50_bound_ms": None if bound_ms is None else round(bound_ms, 3),
         "hit_rate_gate": HIT_RATE_FLOOR,
+        "ref_loop_ms_before": ref_before,
+        "ref_loop_ms_after": ref_after,
         "selective": {
             "hit_rate": round(selective["hit_rate"], 4),
             "hits": selective["hits"],

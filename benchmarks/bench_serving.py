@@ -70,6 +70,8 @@ def test_serving_warm_vs_cold(dataset, target_ids):
     bound is on warm latency alone: a warm/cold ratio would punish a
     cold-path win.
     """
+    from conftest import host_ref_loop_ms
+
     committed = _committed_warm_bound()
 
     async def run_passes():
@@ -87,7 +89,9 @@ def test_serving_warm_vs_cold(dataset, target_ids):
             t_warm = time.perf_counter() - started
             return cold, warm, t_cold, t_warm, service.cache_stats()
 
+    ref_before = host_ref_loop_ms()
     cold, warm, t_cold, t_warm, stats = asyncio.run(run_passes())
+    ref_after = host_ref_loop_ms()
 
     per_target = len(target_ids) or 1
     speedup = t_cold / t_warm if t_warm else float("inf")
@@ -110,6 +114,10 @@ def test_serving_warm_vs_cold(dataset, target_ids):
         f"{stats['circle_cache']['planar_hits']} hits / "
         f"{stats['circle_cache']['planar_misses']} misses; "
         f"prepared: {stats['prepared_hits']} hits"
+    )
+    print(
+        f"  host speed probe: {ref_before:.2f} ms before, {ref_after:.2f} ms "
+        "after (perfbench ref_loop_ms, median of 5)"
     )
 
     # The contract: identical estimates from the warm path.
@@ -137,6 +145,8 @@ def test_serving_warm_vs_cold(dataset, target_ids):
         "cold_ms_per_target": round(t_cold / per_target * 1000, 3),
         "warm_ms_per_target": round(warm_ms, 3),
         "warm_speedup": round(speedup, 3),
+        "ref_loop_ms_before": ref_before,
+        "ref_loop_ms_after": ref_after,
         "cache": stats,
     }
     _merge_json("warm_vs_cold", payload)
@@ -218,7 +228,9 @@ def test_serving_ingest_throughput(dataset):
 #: Bump when the shape of BENCH_serving.json changes.
 #: v3: ``fused_micro_batch`` compares against a ``fuse_width=1`` service
 #: (``one_at_a_time_burst_s``) instead of the retired vector engine.
-SCHEMA_VERSION = 3
+#: v4: ``warm_vs_cold`` records ``ref_loop_ms_before`` / ``ref_loop_ms_after``,
+#: the host speed probe (``conftest.host_ref_loop_ms``) around its passes.
+SCHEMA_VERSION = 4
 
 
 def _merge_json(section: str, payload: dict) -> None:

@@ -103,3 +103,22 @@ def merge_bench_json(
     data[section] = payload
     out_path.write_text(json.dumps(data, indent=2) + "\n")
     print(f"  wrote: {out_path} [{section}]")
+
+
+def host_ref_loop_ms() -> float:
+    """Median of five timings of perfbench's fixed reference loop, in ms.
+
+    ``perfbench/common.py::ref_loop_ms`` times work that never changes, so
+    a change in its time is the machine, not the program.  Benchmarks that
+    gate on an absolute latency record it before and after their measured
+    phases, so a failed gate can be told from a slow stretch of the host.
+    """
+    import importlib.util
+    import statistics
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "common.py"
+    spec = importlib.util.spec_from_file_location("perfbench_common", path)
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    return round(statistics.median(common.ref_loop_series(5)), 3)

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .._lru import BoundedLRU
-from ..geometry import CircleCache, GeoPoint
+from ..geometry import GeoPoint
 from ..network.dataset import IngestDelta, MeasurementDataset
 from ..network.dns import UndnsParser
 from ..resilience.deadline import checkpoint, resilience_scope
@@ -147,15 +147,9 @@ class BatchSharedState:
     dns_cache: dict[str, RouterPosition | None] = field(default_factory=dict)
     #: Router id -> sorted ``(host_id, raw_rtt)`` observations.
     router_observations: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-    #: Geodesic circle boundaries keyed ``(lat, lon, radius_km, segments)``:
-    #: projection-independent, so one cohort-wide cache serves every target
-    #: (each re-projects the cached arrays in one vectorized operation).
-    #: Shared with the wrapped Octant so both engines warm the same entries.
-    circle_cache: CircleCache = field(default_factory=CircleCache)
     #: The :attr:`MeasurementDataset.version` this state was built from;
     #: :meth:`BatchLocalizer.shared_state` rebuilds when the live dataset
-    #: has ingested measurements past it (the circle cache is carried over:
-    #: its entries are content-addressed and never go stale).
+    #: has ingested measurements past it.
     dataset_version: int = 0
 
 
@@ -208,8 +202,6 @@ class BatchLocalizer:
             max(1, prepared_cache_size)
         )
         self._prepared_lock = threading.Lock()
-        self.prepared_hits = 0
-        self.prepared_misses = 0
         # Cohort-shared target-height propagation tables, keyed by
         # (dataset version, located pool): every target of a solve_many
         # cohort estimates heights against the same landmark geometry, so
@@ -225,9 +217,7 @@ class BatchLocalizer:
 
         Thread-safe: the serving executor calls this concurrently from
         request workers.  After a measurement ingest the state is rebuilt
-        against the new version; the circle cache is carried across rebuilds
-        because its entries are content-addressed (a circle at given
-        coordinates is the same circle whatever the measurements say).
+        against the new version.
         """
         version = self.dataset.version
         shared = self._shared
@@ -251,7 +241,6 @@ class BatchLocalizer:
                 rtt_matrix=dataset.pairwise_min_rtt(),
                 pair_degree=dataset.measured_pair_degree(),
                 router_observations=router_observations,
-                circle_cache=self.octant.circle_cache,
                 dataset_version=version,
             )
         return self._shared
@@ -391,8 +380,8 @@ class BatchLocalizer:
         target.  Every batched stage is bit-identical to its scalar
         reference, so each returned :class:`PreparedLandmarks` equals what
         :func:`~repro.core.reference.reference_prepare` computes for the
-        same landmark set; stage wall times are recorded on the pipeline's
-        :class:`PipelineStats`.
+        same landmark set; stage wall times and prepared-cache lookups are
+        recorded on the pipeline's :class:`PipelineStats`.
 
         A target that cannot be prepared (:class:`ValueError` /
         :class:`KeyError`) is returned as a :class:`_PrepareFailure`
@@ -412,17 +401,16 @@ class BatchLocalizer:
         pending: list[str] = []
         for target in dict.fromkeys(target_ids):
             if use_cache:
-                cache_key = (dataset.version, target, pool_key)
                 with self._prepared_lock:
-                    cached = self._prepared_cache.get(cache_key)
-                    if cached is not None:
-                        self.prepared_hits += 1
-                    else:
-                        self.prepared_misses += 1
+                    cached = self._prepared_cache.get(
+                        (dataset.version, target, pool_key)
+                    )
                 if cached is not None:
                     results[target] = cached
                     continue
             pending.append(target)
+        if use_cache:
+            stats.add(prepared_hits=len(results), prepared_misses=len(pending))
         if not pending:
             return results
 
@@ -479,7 +467,7 @@ class BatchLocalizer:
                 distance_km=dataset.cached_distance_km,
             )
             elapsed = time.perf_counter() - started
-            stats.heights_seconds += elapsed
+            stats.add(heights_seconds=elapsed)
             credit([entry[0] for entry in height_cohort], "heights_seconds",
                    elapsed / len(height_cohort))
             for entry, outcome in zip(height_cohort, outcomes):
@@ -509,7 +497,7 @@ class BatchLocalizer:
                         key, locations, heights, dataset.cached_min_rtt_ms, tables
                     )
             pseudo_elapsed = time.perf_counter() - started
-            stats.heights_seconds += pseudo_elapsed
+            stats.add(heights_seconds=pseudo_elapsed)
             credit([entry[0] for entry in survivors], "heights_seconds",
                    pseudo_elapsed / len(survivors))
 
@@ -526,7 +514,7 @@ class BatchLocalizer:
                 slack=self.config.calibration_slack,
             )
             elapsed = time.perf_counter() - started
-            stats.calibration_seconds += elapsed
+            stats.add(calibration_seconds=elapsed)
             credit([entry[0] for entry in survivors], "calibration_seconds",
                    elapsed / len(survivors))
             for entry, outcome in zip(survivors, outcomes):
@@ -550,7 +538,7 @@ class BatchLocalizer:
                     self.parser,
                     dns_cache=shared.dns_cache,
                     router_observations=shared.router_observations,
-                    circle_cache=shared.circle_cache,
+                    circle_cache=self.octant.pipeline.circle_cache,
                 )
                 for entry in survivors
             ]
@@ -571,7 +559,7 @@ class BatchLocalizer:
                         results[entry[0]] = _PrepareFailure(exc, shares[entry[0]])
                         maps.append(None)
             elapsed = time.perf_counter() - started
-            stats.piecewise_seconds += elapsed
+            stats.add(piecewise_seconds=elapsed)
             credit([entry[0] for entry in survivors], "piecewise_seconds",
                    elapsed / len(survivors))
             for entry, positions in zip(survivors, maps):
@@ -719,7 +707,7 @@ class BatchLocalizer:
                 keys=[p.target_id for p in presolved],
             )
             solve_share = (time.perf_counter() - solve_started) / len(presolved)
-            self.octant.pipeline.count_runs(len(presolved))
+            self.octant.pipeline.stats.add(runs=len(presolved))
             for p, (region, diagnostics) in zip(presolved, solved):
                 estimates[p.target_id] = self.octant.postsolve(
                     p, region, diagnostics, solve_share=solve_share

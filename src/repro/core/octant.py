@@ -26,13 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .._lru import BoundedLRU
-from ..geometry import (
-    CircleCache,
-    GeoPoint,
-    Projection,
-    projection_for_points,
-)
+from ..geometry import GeoPoint, Projection, projection_for_points
 from ..network.dataset import MeasurementDataset
 from ..network.dns import UndnsParser
 from ..resilience.deadline import checkpoint
@@ -140,21 +134,23 @@ class Octant:
         dataset: MeasurementDataset,
         config: OctantConfig | None = None,
         parser: UndnsParser | None = None,
-        circle_cache: CircleCache | None = None,
-        planar_memo: "BoundedLRU | None" = None,
-        prefix_memo: "BoundedLRU | None" = None,
+        *,
+        pipeline: ConstraintPipeline | None = None,
     ):
+        # The staged pipeline owns the configuration, the geometry caches and
+        # the target-independent constraint state; passing one lets callers
+        # (the serving layer, over its dataset snapshots) share all of them
+        # and its counters across many Octant instances.
+        if pipeline is None:
+            pipeline = ConstraintPipeline(config, parser)
+        elif (config is not None and config != pipeline.config) or (
+            parser is not None and parser is not pipeline.parser
+        ):
+            raise ValueError("an Octant takes its config and parser from its pipeline")
         self.dataset = dataset
-        self.config = config or OctantConfig()
-        self.parser = parser or UndnsParser()
-        # The staged pipeline owns the shared geometry cache and the
-        # target-independent constraint state; ``circle_cache`` lets callers
-        # (the serving layer, batch studies over dataset snapshots) keep one
-        # warm cache across many Octant instances.
-        self.pipeline = ConstraintPipeline(
-            dataset, self.config, self.parser, circle_cache, planar_memo, prefix_memo
-        )
-        self.circle_cache = self.pipeline.circle_cache
+        self.pipeline = pipeline
+        self.config = pipeline.config
+        self.parser = pipeline.parser
         self._batch: BatchLocalizer | None = None
         self._batch_lock = threading.Lock()
 
@@ -188,7 +184,9 @@ class Octant:
         callers that drive the stages separately, such as the solver
         benchmarks).
         """
-        return self.pipeline.assemble(target_id, prepared, target_height_ms)
+        return self.pipeline.assemble(
+            self.dataset, target_id, prepared, target_height_ms
+        )
 
     # ------------------------------------------------------------------ #
     # Localization
@@ -260,7 +258,9 @@ class Octant:
                     )
 
         projection = self._projection_for(prepared, target_id)
-        constraints = self.pipeline.assemble(target_id, prepared, target_height_ms)
+        constraints = self.pipeline.assemble(
+            self.dataset, target_id, prepared, target_height_ms
+        )
         planar = (
             self.pipeline.planarize(constraints, projection, key=target_id)
             if planarize
@@ -330,17 +330,16 @@ class Octant:
     ) -> dict[str, LocationEstimate]:
         """Leave-one-out localization of every host (or the given targets).
 
-        Runs through the batch engine: full-cohort shared state is computed
-        once, each target's leave-one-out view is derived in one batched
-        cohort pass, and the cohort is solved in chunks.  A
+        Runs on :meth:`batch_localizer`: full-cohort shared state is computed
+        once per dataset version (and kept across calls), each target's
+        leave-one-out view is derived in one batched cohort pass, and the
+        cohort is solved in chunks.  A
         target that cannot be localized (fewer than 3 reachable landmarks,
         missing ground truth) is recorded as a failed estimate --
         ``point=None`` with the reason under ``details["error"]`` -- instead
         of aborting the whole study.
         """
-        from .batch import BatchLocalizer  # deferred: batch imports this module
-
-        return BatchLocalizer(self).localize_all(target_ids)
+        return self.batch_localizer().localize_all(target_ids)
 
     # ------------------------------------------------------------------ #
     # Helpers

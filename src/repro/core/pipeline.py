@@ -28,16 +28,23 @@ machinery:
    from the same world square, so a repeated (projection, rings) pair
    resumes from it whatever the measurements say.
 
-Each stage records its wall time in :class:`PipelineStats`; the serving layer
-surfaces those together with the circle-cache, planar-memo and prefix-memo
-hit/miss counters as its warm/cold statistics.
+The pipeline holds no dataset: :meth:`~ConstraintPipeline.assemble` takes
+it as an argument, and every cache the stages keep is content-addressed or
+depends only on the configuration.  So one pipeline serves every dataset
+snapshot of a :class:`~repro.serving.LocalizationService`'s lifetime, and
+its caches and counters span all of them.
+
+Each stage records its wall time in :class:`PipelineStats`, and the batch
+engine records its pre-solve stages and prepared-cache lookups there too;
+the serving layer surfaces those together with the circle-cache,
+planar-memo and prefix-memo hit/miss counters as its warm/cold statistics.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Sequence
 
 from .._lru import BoundedLRU
@@ -68,14 +75,19 @@ __all__ = ["ConstraintPipeline", "PipelineStats"]
 
 @dataclass
 class PipelineStats:
-    """Accumulated per-stage wall time and run counts for one pipeline."""
+    """Accumulated per-stage wall time and counters for one pipeline.
+
+    The serving executor drives one pipeline from many threads, and an
+    unlocked ``+=`` is a read-modify-write that quietly loses updates, so
+    every update goes through :meth:`add`.
+    """
 
     runs: int = 0
     assemble_seconds: float = 0.0
     planarize_seconds: float = 0.0
     solve_seconds: float = 0.0
-    #: Pre-solve derivation stages driven by the batch engine; the scalar
-    #: facade leaves them at zero (its derivations happen inside prepare()).
+    #: Pre-solve derivation stages driven by the batch engine
+    #: (:meth:`~repro.core.batch.BatchLocalizer.prepare_many`).
     heights_seconds: float = 0.0
     calibration_seconds: float = 0.0
     piecewise_seconds: float = 0.0
@@ -85,74 +97,51 @@ class PipelineStats:
     planar_memo_misses: int = 0
     prefix_memo_hits: int = 0
     prefix_memo_misses: int = 0
+    #: Lookups in the batch engine's prepared-landmarks LRU.
+    prepared_hits: int = 0
+    prepared_misses: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
-    def merge(self, other: "PipelineStats") -> None:
-        """Fold another pipeline's accumulated counters into this one.
-
-        The serving layer retires one pipeline per dataset snapshot; merging
-        keeps lifetime totals across swaps.
-        """
-        self.runs += other.runs
-        self.assemble_seconds += other.assemble_seconds
-        self.planarize_seconds += other.planarize_seconds
-        self.solve_seconds += other.solve_seconds
-        self.heights_seconds += other.heights_seconds
-        self.calibration_seconds += other.calibration_seconds
-        self.piecewise_seconds += other.piecewise_seconds
-        self.constraints_assembled += other.constraints_assembled
-        self.constraints_planarized += other.constraints_planarized
-        self.planar_memo_hits += other.planar_memo_hits
-        self.planar_memo_misses += other.planar_memo_misses
-        self.prefix_memo_hits += other.prefix_memo_hits
-        self.prefix_memo_misses += other.prefix_memo_misses
+    def add(self, **amounts: float) -> None:
+        """Add ``amounts`` to the named counters, atomically."""
+        with self._lock:
+            for name, amount in amounts.items():
+                setattr(self, name, getattr(self, name) + amount)
 
     def snapshot(self) -> dict[str, float]:
         """A flat dict view for reporting (serving stats, benchmarks)."""
+        with self._lock:
+            values = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
         return {
-            "runs": self.runs,
-            "assemble_seconds": round(self.assemble_seconds, 6),
-            "planarize_seconds": round(self.planarize_seconds, 6),
-            "solve_seconds": round(self.solve_seconds, 6),
-            "heights_seconds": round(self.heights_seconds, 6),
-            "calibration_seconds": round(self.calibration_seconds, 6),
-            "piecewise_seconds": round(self.piecewise_seconds, 6),
-            "constraints_assembled": self.constraints_assembled,
-            "constraints_planarized": self.constraints_planarized,
-            "planar_memo_hits": self.planar_memo_hits,
-            "planar_memo_misses": self.planar_memo_misses,
-            "prefix_memo_hits": self.prefix_memo_hits,
-            "prefix_memo_misses": self.prefix_memo_misses,
+            name: round(value, 6) if isinstance(value, float) else value
+            for name, value in values.items()
         }
 
 
 class ConstraintPipeline:
-    """Reusable staged localization pipeline over one dataset + configuration.
+    """Reusable staged localization pipeline for one configuration.
 
-    The pipeline is deliberately free of per-target state: everything a stage
-    needs arrives as arguments, and everything it caches
-    (:attr:`circle_cache`, the geographic constraint list) is either
-    content-addressed or target-independent.  One instance can therefore be
-    shared by the sequential facade, the batch engine's thread workers and
-    the serving executor concurrently.
+    The pipeline holds no dataset and no per-target state: everything a
+    stage needs arrives as arguments, and everything it caches (the circle
+    cache, the planar and prefix memos, the geographic constraint list) is
+    either content-addressed or depends only on the configuration.  One
+    instance can therefore serve every dataset snapshot, and the sequential
+    facade, the batch engine and the serving executor threads concurrently.
     """
 
     def __init__(
         self,
-        dataset: MeasurementDataset,
         config: OctantConfig | None = None,
         parser: UndnsParser | None = None,
-        circle_cache: CircleCache | None = None,
-        planar_memo: BoundedLRU[list[PlanarConstraint]] | None = None,
-        prefix_memo: BoundedLRU[PrefixState] | None = None,
     ):
-        self.dataset = dataset
         self.config = config or OctantConfig()
         self.parser = parser or UndnsParser()
         # Geodesic boundaries and planar (projection, circle) polygons are
-        # projection/content addressed, so one cache serves every target this
-        # pipeline localizes; the batch engine and the serving layer share it
-        # across the whole cohort (see BatchSharedState / LocalizationService).
-        self.circle_cache = circle_cache if circle_cache is not None else CircleCache()
+        # projection/content addressed, so one cache serves every target
+        # and every dataset version this pipeline localizes.
+        self.circle_cache = CircleCache()
         # Geographic constraints depend only on the configuration, never on
         # the target; build them once per pipeline instance.
         self._geo_constraints: list[Constraint] = list(
@@ -162,45 +151,29 @@ class ConstraintPipeline:
         # Stage-2 memo: the fully realized planar constraint list keyed by
         # (projection key, the ordered constraint descriptions themselves).
         # Constraints are frozen dataclasses, so equal measurement state
-        # yields equal keys; a repeated-target request at the same dataset
-        # version therefore skips every to_planar call, not just the circle
-        # geometry underneath them.  Content addressing also makes the memo
-        # safe to share across pipelines over *different* dataset versions
-        # (changed measurements produce different constraints, hence
-        # different keys), so the serving layer passes one service-lifetime
-        # ``planar_memo`` through every post-ingest rebuild, like the circle
-        # cache above.
-        self._planar_memo: BoundedLRU[list[PlanarConstraint]] = (
-            planar_memo if planar_memo is not None else BoundedLRU(256)
-        )
+        # yields equal keys; a repeated-target request therefore skips every
+        # to_planar call, not just the circle geometry underneath them.
+        # Changed measurements produce different constraints, hence
+        # different keys, so entries stay valid across dataset versions.
+        self._planar_memo: BoundedLRU[list[PlanarConstraint]] = BoundedLRU(256)
         # Stage-3 memo: the fused solver's state after the geographic rings,
         # which sort first and depend on no measurement (see
         # repro.geometry.kernel.prefix_key).  Content addressed like the
-        # planar memo, so the serving layer shares one instance the same way.
-        self._prefix_memo: BoundedLRU[PrefixState] = (
-            prefix_memo
-            if prefix_memo is not None
-            else BoundedLRU(PREFIX_MEMO_CAPACITY)
-        )
+        # planar memo.
+        self._prefix_memo: BoundedLRU[PrefixState] = BoundedLRU(PREFIX_MEMO_CAPACITY)
         self.stats = PipelineStats()
-        # Counter accumulation is read-modify-write; the serving executor
-        # (``LocalizationService``) drives one shared pipeline from many
-        # threads concurrently, and unlocked ``+=`` would quietly lose
-        # updates.  Every stats mutation takes this lock; the stage caches
-        # themselves are lock-free by design (BoundedLRU tolerates races,
-        # CircleCache is content-addressed).
-        self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Stage 1: constraint assembly
     # ------------------------------------------------------------------ #
     def assemble(
         self,
+        dataset: MeasurementDataset,
         target_id: str,
         prepared: "PreparedLandmarks",
         target_height_ms: float = 0.0,
     ) -> ConstraintSet:
-        """Assemble every constraint for one target under the configuration."""
+        """Assemble every constraint for one target from ``dataset``."""
         checkpoint("assemble", target_id)
         started = time.perf_counter()
         cfg = self.config
@@ -208,7 +181,7 @@ class ConstraintPipeline:
 
         margin = cfg.height_margin_ms if cfg.use_heights else 0.0
         for landmark_id in prepared.landmark_ids:
-            rtt = self.dataset.min_rtt_ms(landmark_id, target_id)
+            rtt = dataset.min_rtt_ms(landmark_id, target_id)
             if rtt is None:
                 continue
             adjusted = rtt
@@ -250,7 +223,7 @@ class ConstraintPipeline:
 
         constraints.extend(self._geo_constraints)
         constraints.add(
-            whois_constraint(self.dataset, target_id, cfg, cache=self.circle_cache)
+            whois_constraint(dataset, target_id, cfg, cache=self.circle_cache)
         )
 
         if cfg.use_piecewise and prepared.router_positions:
@@ -258,7 +231,7 @@ class ConstraintPipeline:
                 secondary_constraints_for_target(
                     target_id,
                     list(prepared.landmark_ids),
-                    self.dataset,
+                    dataset,
                     prepared.router_positions,
                     prepared.calibrations,
                     cfg,
@@ -267,9 +240,10 @@ class ConstraintPipeline:
                     geometry_cache=self.circle_cache,
                 )
             )
-        with self._stats_lock:
-            self.stats.assemble_seconds += time.perf_counter() - started
-            self.stats.constraints_assembled += len(constraints)
+        self.stats.add(
+            assemble_seconds=time.perf_counter() - started,
+            constraints_assembled=len(constraints),
+        )
         return constraints
 
     # ------------------------------------------------------------------ #
@@ -298,18 +272,19 @@ class ConstraintPipeline:
         if key is not None:
             cached = self._planar_memo.get(key)
             if cached is not None:
-                with self._stats_lock:
-                    self.stats.planar_memo_hits += 1
-                    self.stats.planarize_seconds += time.perf_counter() - started
+                self.stats.add(
+                    planar_memo_hits=1,
+                    planarize_seconds=time.perf_counter() - started,
+                )
                 return list(cached)
-            with self._stats_lock:
-                self.stats.planar_memo_misses += 1
         planar = [p for c in ordered if (p := c.to_planar(projection)) is not None]
         if key is not None:
             self._planar_memo.put(key, list(planar))
-        with self._stats_lock:
-            self.stats.planarize_seconds += time.perf_counter() - started
-            self.stats.constraints_planarized += len(planar)
+        self.stats.add(
+            planar_memo_misses=int(key is not None),
+            planarize_seconds=time.perf_counter() - started,
+            constraints_planarized=len(planar),
+        )
         return planar
 
     def planarize_many(
@@ -376,8 +351,7 @@ class ConstraintPipeline:
             cache.warm_planar_disks(projection, specs)
         for cache, projection, ring in ring_jobs.values():
             cache.planar_ring(ring, projection)
-        with self._stats_lock:
-            self.stats.planarize_seconds += time.perf_counter() - started
+        self.stats.add(planarize_seconds=time.perf_counter() - started)
 
         if keys is None:
             keys = [None] * len(systems)
@@ -453,10 +427,11 @@ class ConstraintPipeline:
             [self._prefix_length(planar) for planar, _projection in systems],
         )
         outcomes = [diagnostics.prefix_memo for _region, diagnostics in results]
-        with self._stats_lock:
-            self.stats.solve_seconds += time.perf_counter() - started
-            self.stats.prefix_memo_hits += outcomes.count("hit")
-            self.stats.prefix_memo_misses += outcomes.count("miss")
+        self.stats.add(
+            solve_seconds=time.perf_counter() - started,
+            prefix_memo_hits=outcomes.count("hit"),
+            prefix_memo_misses=outcomes.count("miss"),
+        )
         return results
 
     def _prefix_length(self, planar: Sequence[PlanarConstraint]) -> int:
@@ -472,25 +447,3 @@ class ConstraintPipeline:
                 break
             n += 1
         return n
-
-    # ------------------------------------------------------------------ #
-    # Full pipeline
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        target_id: str,
-        prepared: "PreparedLandmarks",
-        target_height_ms: float,
-        projection: Projection,
-    ) -> tuple[Region, SolverDiagnostics]:
-        """Assemble, planarize and solve one target's constraint system."""
-        constraints = self.assemble(target_id, prepared, target_height_ms)
-        planar = self.planarize(constraints, projection, key=target_id)
-        region, diagnostics = self.solve(planar, projection, key=target_id)
-        self.count_runs(1)
-        return region, diagnostics
-
-    def count_runs(self, n: int) -> None:
-        """Thread-safe run-counter bump (serving threads share one pipeline)."""
-        with self._stats_lock:
-            self.stats.runs += n

@@ -103,7 +103,7 @@ def reference_prepare(octant: Octant, landmark_ids: Sequence[str]) -> PreparedLa
             calibrations,
             heights,
             octant.parser,
-            circle_cache=octant.circle_cache,
+            circle_cache=octant.pipeline.circle_cache,
         )
         router_positions = localizer.localize_routers(list(key))
 
@@ -150,5 +150,5 @@ def reference_localize(
     region, diagnostics = octant.pipeline.solve(
         presolved.planar, presolved.projection, key=target_id
     )
-    octant.pipeline.count_runs(1)
+    octant.pipeline.stats.add(runs=1)
     return octant.postsolve(presolved, region, diagnostics)

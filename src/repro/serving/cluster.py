@@ -200,7 +200,6 @@ class ShardedLocalizationService:
         cluster: ClusterConfig | None = None,
         resilience: ResilienceConfig | None = None,
         fault_plan: FaultPlan | None = None,
-        prepared_cache_size: int = 128,
     ):
         if dataset.is_snapshot:
             raise ValueError("serve the live dataset, not a snapshot")
@@ -213,7 +212,6 @@ class ShardedLocalizationService:
             resilience if resilience is not None else self.config.resilience
         )
         self.fault_plan = fault_plan
-        self.prepared_cache_size = prepared_cache_size
         self.stats = ClusterStats()
         self._ring = _HashRing(self.cluster.shards, self.cluster.virtual_nodes)
         self._handles = [WorkerHandle(shard) for shard in range(self.cluster.shards)]
@@ -348,7 +346,6 @@ class ShardedLocalizationService:
             resilience=self.resilience,
             fault_plan=self.fault_plan,
             heartbeat_interval_s=self.cluster.heartbeat_interval_s,
-            prepared_cache_size=self.prepared_cache_size,
             snapshot_retention=self.cluster.snapshot_retention,
         )
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -623,7 +620,6 @@ class ShardedLocalizationService:
                     self._live,
                     self.config,
                     workers=1,
-                    prepared_cache_size=self.prepared_cache_size,
                     resilience=self.resilience,
                 )
                 await service.start()
@@ -652,7 +648,7 @@ class ShardedLocalizationService:
 
     def _refresh_local(self) -> None:
         with self._dataset_lock:
-            self._local._swap_localizer(self._local._build_localizer())
+            self._local._current = self._local._build_localizer()
 
     # ------------------------------------------------------------------ #
     # Ingest

@@ -12,9 +12,10 @@ three properties the offline path never needed:
   never changes the answer of an already-accepted request, and an old
   snapshot keeps answering consistently until its last request drains.
 * **Warm-path reuse.**  All snapshots share one
-  :class:`~repro.geometry.circles.CircleCache`: planar constraint geometry
-  is keyed ``(projection, circle)``, which is content-addressed and
-  therefore survives ingests.  Each snapshot's
+  :class:`~repro.core.pipeline.ConstraintPipeline`: its circle cache and
+  planar and prefix memos are content-addressed and therefore survive
+  ingests, and its counters are the service's lifetime totals.  Each
+  snapshot's
   :class:`~repro.core.batch.BatchLocalizer` additionally memoizes derived
   per-target :class:`~repro.core.octant.PreparedLandmarks`, so a repeated
   target skips the derivation entirely.  Warm and cold request latencies
@@ -51,15 +52,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .._lru import BoundedLRU
 from ..baselines.shortest_ping import ShortestPing
 from ..core.batch import BatchLocalizer, failed_estimate
 from ..core.config import OctantConfig
 from ..core.estimate import LocationEstimate
 from ..core.octant import Octant
-from ..core.pipeline import PipelineStats
-from ..geometry import CircleCache
-from ..geometry.kernel import PREFIX_MEMO_CAPACITY
+from ..core.pipeline import ConstraintPipeline
 from ..network.dataset import IngestDelta, IngestRecord, MeasurementDataset
 from ..network.dns import UndnsParser
 from ..network.log import MeasurementLog
@@ -86,6 +84,9 @@ __all__ = ["DriftDetector", "LocalizationService", "ServiceStats"]
 #: a rung changes performance, never the answer.
 ENGINE_LADDER = ("fused", "object")
 
+#: Bound of each snapshot localizer's prepared-landmarks LRU (the warm path).
+PREPARED_CACHE_SIZE = 128
+
 
 @dataclass
 class ServiceStats:
@@ -99,10 +100,6 @@ class ServiceStats:
     warm_requests: int = 0
     cold_seconds: float = 0.0
     warm_seconds: float = 0.0
-    #: Prepared-landmark cache counters folded in from retired snapshot
-    #: localizers (the current localizer's live counters are added on read).
-    prepared_hits: int = 0
-    prepared_misses: int = 0
     #: Micro-batching (fused engine): executor dispatches that solved more
     #: than one request, and the dispatch-width histogram {width: count}
     #: (width 1 entries included so the coalescing rate is visible).
@@ -328,8 +325,8 @@ class LocalizationService:
         print(service.cache_stats())
 
     ``workers`` sizes both the executor thread pool and the number of queue
-    consumers; ``max_queue`` bounds admission; ``prepared_cache_size`` is
-    forwarded to each snapshot's :class:`BatchLocalizer` (the warm path).
+    consumers; ``max_queue`` bounds admission.  Every snapshot's
+    :class:`BatchLocalizer` runs on the service's one :attr:`pipeline`.
     ``resilience`` overrides ``config.resilience`` for this service
     instance; ``fault_plan`` installs a deterministic fault-injection
     schedule scoped to this service's request/ingest work (chaos testing --
@@ -344,7 +341,6 @@ class LocalizationService:
         *,
         workers: int = 2,
         max_queue: int = 256,
-        prepared_cache_size: int = 128,
         resilience: ResilienceConfig | None = None,
         fault_plan: FaultPlan | None = None,
         ingest_max_pending: int = 4096,
@@ -357,26 +353,17 @@ class LocalizationService:
             raise ValueError("serve the live dataset, not a snapshot")
         self._live = dataset
         self.config = config or OctantConfig()
-        self.parser = parser
         self.resilience = resilience if resilience is not None else self.config.resilience
         self.fault_plan = fault_plan
         #: Per-rung circuit breakers (``solve:fused`` etc.); shared clock.
         self._breakers = BreakerBoard(self.resilience.breaker)
         self.workers = max(1, workers)
         self.max_queue = max_queue
-        self.prepared_cache_size = prepared_cache_size
-        #: One geometry cache for the service's whole lifetime: entries are
-        #: content-addressed, so they stay valid across snapshots/ingests.
-        self.circle_cache = CircleCache()
-        #: Service-lifetime planar constraint memo, threaded through every
-        #: post-ingest pipeline rebuild; like the circle cache its entries
-        #: are content-addressed (keyed by the constraint values themselves),
-        #: so unchanged constraints stay memoized across snapshots.
-        self.planar_memo: BoundedLRU = BoundedLRU(256)
-        #: Service-lifetime fused-solver prefix memo (the piece buffer after
-        #: the geographic rings), threaded through every rebuild beside
-        #: ``planar_memo``; content-addressed the same way.
-        self.prefix_memo: BoundedLRU = BoundedLRU(PREFIX_MEMO_CAPACITY)
+        #: One pipeline for the service's whole lifetime, shared by every
+        #: snapshot: its caches are content-addressed, so they stay valid
+        #: across ingests, and a request still running on a retired
+        #: snapshot counts into the same stats as every other.
+        self.pipeline = ConstraintPipeline(self.config, parser)
         #: Write-optimized ingest plane: appends land in this log's delta
         #: buffer (lock-cheap, no matrix work) and a background compactor
         #: merges them into one ingest + snapshot swap (see
@@ -427,10 +414,6 @@ class LocalizationService:
         # population instead of growing per ingest forever.
         self._seen: set[str] = set()
         self._seen_version = -1
-        # Stage timings of retired snapshot pipelines, folded on swap so
-        # cache_stats() reports the service lifetime, not just the current
-        # snapshot.
-        self._pipeline_totals = PipelineStats()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -448,8 +431,9 @@ class LocalizationService:
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="octant-serve"
         )
-        fresh = await loop.run_in_executor(self._executor, self._build_localizer)
-        self._swap_localizer(fresh)
+        self._current = await loop.run_in_executor(
+            self._executor, self._build_localizer
+        )
         self._queue = asyncio.Queue(maxsize=self.max_queue)
         self._workers = [
             loop.create_task(self._worker_loop()) for _ in range(self.workers)
@@ -1117,7 +1101,7 @@ class LocalizationService:
                         "dns_carried",
                     ):
                         accounting[key] += int(adopt[key])
-            self._swap_localizer(fresh)
+            self._current = fresh
             self.stats.ingests += 1
             if self.drift is not None and deltas:
                 # Membership probes (not iteration) against _seen: it is
@@ -1132,30 +1116,13 @@ class LocalizationService:
     # Snapshot localizer plumbing
     # ------------------------------------------------------------------ #
     def _build_localizer(self) -> BatchLocalizer:
-        snapshot = self._live.snapshot()
-        octant = Octant(
-            snapshot,
-            self.config,
-            self.parser,
-            circle_cache=self.circle_cache,
-            planar_memo=self.planar_memo,
-            prefix_memo=self.prefix_memo,
-        )
         localizer = BatchLocalizer(
-            octant, prepared_cache_size=self.prepared_cache_size
+            Octant(self._live.snapshot(), pipeline=self.pipeline),
+            prepared_cache_size=PREPARED_CACHE_SIZE,
         )
         # Warm the full-cohort shared state before the first request hits it.
         localizer.shared_state()
         return localizer
-
-    def _swap_localizer(self, fresh: BatchLocalizer) -> None:
-        """Make ``fresh`` current, folding the retired one's cache counters."""
-        retired = self._current
-        if retired is not None:
-            self.stats.prepared_hits += retired.prepared_hits
-            self.stats.prepared_misses += retired.prepared_misses
-            self._pipeline_totals.merge(retired.octant.pipeline.stats)
-        self._current = fresh
 
     # ------------------------------------------------------------------ #
     # Fault injection
@@ -1285,16 +1252,7 @@ class LocalizationService:
     def cache_stats(self) -> dict[str, object]:
         """Warm/cold serving statistics plus every cache's hit/miss counters."""
         stats = self.stats
-        current = self._current
-        prepared_hits = stats.prepared_hits
-        prepared_misses = stats.prepared_misses
-        pipeline_totals = PipelineStats()
-        pipeline_totals.merge(self._pipeline_totals)
-        if current is not None:
-            prepared_hits += current.prepared_hits
-            prepared_misses += current.prepared_misses
-            pipeline_totals.merge(current.octant.pipeline.stats)
-        pipeline = pipeline_totals.snapshot()
+        pipeline = self.pipeline.stats.snapshot()
         return {
             "dataset_version": self._live.version,
             "served": stats.served,
@@ -1306,9 +1264,9 @@ class LocalizationService:
             "warm_requests": stats.warm_requests,
             "mean_cold_ms": round(stats.mean_cold_ms(), 3),
             "mean_warm_ms": round(stats.mean_warm_ms(), 3),
-            "prepared_hits": prepared_hits,
-            "prepared_misses": prepared_misses,
-            "circle_cache": self.circle_cache.stats(),
+            "prepared_hits": pipeline["prepared_hits"],
+            "prepared_misses": pipeline["prepared_misses"],
+            "circle_cache": self.pipeline.circle_cache.stats(),
             "pipeline": pipeline,
             "fused": self._fused_stats_snapshot(),
             "resilience": self._resilience_stats_snapshot(),

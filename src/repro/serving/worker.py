@@ -91,7 +91,6 @@ class WorkerBootstrap:
     #: before the worker reports ready.
     replay: tuple[IngestRecord, ...] = ()
     heartbeat_interval_s: float = 0.1
-    prepared_cache_size: int = 128
     #: How many retired (pre-ingest) localizers stay answerable.
     snapshot_retention: int = 4
 
@@ -130,7 +129,6 @@ class _WorkerLoop:
             self.live,
             bootstrap.config,
             workers=1,
-            prepared_cache_size=bootstrap.prepared_cache_size,
             resilience=bootstrap.resilience,
             fault_plan=bootstrap.fault_plan,
         )

@@ -7,12 +7,15 @@ from-scratch reference (:func:`repro.core.reference.reference_localize`),
 which re-derives every landmark's state with the scalar estimators.
 """
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
 from repro import BatchLocalizer, Octant, OctantConfig, collect_dataset, small_deployment
+from repro.core import batch as batch_module
 from repro.core.batch import failed_estimate, localize_many
 from repro.core.reference import reference_localize, reference_prepare
 from repro.geometry import GeoPoint
@@ -121,6 +124,80 @@ class TestBatchSequentialEquality:
             threaded = list(pool.map(shared.localize_one, targets))
         for target, estimate in zip(targets, threaded):
             assert estimate_signature(estimate) == estimate_signature(serial[target])
+
+
+class _TickClock:
+    """A ``time`` stand-in whose ``perf_counter`` advances 1 s per reading,
+    per thread, so every timed stage of a call records exactly 1 s."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def perf_counter(self):
+        self._local.ticks = getattr(self._local, "ticks", 0.0) + 1.0
+        return self._local.ticks
+
+
+class TestPipelineCounters:
+    def test_concurrent_prepare_many_counts_every_call(self, dataset, monkeypatch):
+        """Threads sharing one pipeline: the counters sum every call's work."""
+        monkeypatch.setattr(batch_module, "time", _TickClock())
+        octant = Octant(dataset)
+        cold = BatchLocalizer(octant)
+        warm = BatchLocalizer(octant, prepared_cache_size=64)
+        cohort = dataset.host_ids[:4]
+        stats = octant.pipeline.stats
+        warm.prepare_many(cohort)
+        before = stats.snapshot()
+        cold.prepare_many(cohort)
+        after_one = stats.snapshot()
+        stages = ("heights_seconds", "calibration_seconds", "piecewise_seconds")
+        one_call = {name: after_one[name] - before[name] for name in stages}
+        assert all(one_call.values()), one_call
+        rounds, workers = 3, 4
+
+        def work() -> None:
+            for _ in range(rounds):
+                cold.prepare_many(cohort)
+                warm.prepare_many(cohort)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        totals = stats.snapshot()
+        calls = rounds * workers
+        for name in stages:
+            assert totals[name] - after_one[name] == calls * one_call[name], name
+        hits = totals["prepared_hits"] - after_one["prepared_hits"]
+        assert hits == calls * len(cohort)
+        assert totals["prepared_misses"] == after_one["prepared_misses"]
+
+    def test_localize_all_reuses_the_kept_batch_localizer(self, dataset, monkeypatch):
+        built = []
+        original = batch_module.BatchSharedState
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "BatchSharedState", counting)
+        octant = Octant(dataset, OctantConfig.latency_only())
+        targets = dataset.host_ids[:3]
+        first = octant.localize_all(targets)
+        second = octant.localize_all(targets)
+        assert len(built) == 1
+        for target in targets:
+            assert estimate_signature(first[target]) == estimate_signature(
+                second[target]
+            )
 
 
 def _synthetic_dataset(pairs):

@@ -248,7 +248,7 @@ class TestPiecewiseStage:
                 localizer.parser,
                 dns_cache=shared.dns_cache,
                 router_observations=shared.router_observations,
-                circle_cache=shared.circle_cache,
+                circle_cache=localizer.octant.pipeline.circle_cache,
             )
             for target, _key, _locs in rosters
         ]

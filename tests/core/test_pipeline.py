@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BatchLocalizer, Octant, collect_dataset
+from repro import BatchLocalizer, Octant, OctantConfig, collect_dataset
 from repro.core import ConstraintPipeline
-from repro.geometry import CircleCache
+from repro.network.dns import UndnsParser
 from repro.network.planetlab import small_deployment
 
 
@@ -29,13 +29,13 @@ class TestStages:
     def test_build_constraints_delegates_to_assemble(self, octant, dataset, prepared):
         target = dataset.host_ids[0]
         via_octant = octant.build_constraints(target, prepared)
-        via_pipeline = octant.pipeline.assemble(target, prepared)
+        via_pipeline = octant.pipeline.assemble(dataset, target, prepared)
         assert [c.label for c in via_octant] == [c.label for c in via_pipeline]
         assert [c.weight for c in via_octant] == [c.weight for c in via_pipeline]
 
     def test_planarize_matches_manual_realization(self, octant, dataset, prepared):
         target = dataset.host_ids[0]
-        constraints = octant.pipeline.assemble(target, prepared)
+        constraints = octant.pipeline.assemble(dataset, target, prepared)
         projection = octant._projection_for(prepared, target)
         planar = octant.pipeline.planarize(constraints, projection)
         manual = [
@@ -56,7 +56,10 @@ class TestStages:
         estimate = octant.localize(target, prepared=prepared)
         projection = octant._projection_for(prepared, target)
         height = estimate.details["target_height_ms"]
-        region, diagnostics = octant.pipeline.run(target, prepared, height, projection)
+        pipeline = octant.pipeline
+        constraints = pipeline.assemble(dataset, target, prepared, height)
+        planar = pipeline.planarize(constraints, projection)
+        region, diagnostics = pipeline.solve(planar, projection)
         assert estimate.region is not None
         assert region.area_km2() == estimate.region.area_km2()
         assert diagnostics.constraints_applied == estimate.constraints_used
@@ -77,15 +80,29 @@ class TestStages:
 
 class TestSharedGeometryCache:
     def test_injected_cache_is_shared(self, dataset):
-        cache = CircleCache()
-        first = Octant(dataset, circle_cache=cache)
-        second = Octant(dataset, circle_cache=cache)
-        assert first.circle_cache is cache
-        assert second.pipeline.circle_cache is cache
+        """Octants over different snapshots share one pipeline's caches."""
+        pipeline = ConstraintPipeline()
+        first = Octant(dataset, pipeline=pipeline)
+        second = Octant(dataset.snapshot(), pipeline=pipeline)
+        assert first.pipeline is second.pipeline is pipeline
+        target = dataset.host_ids[0]
+        first.localize(target)
+        second.localize(target)
+        stats = pipeline.stats
+        assert (stats.planar_memo_hits, stats.planar_memo_misses) == (1, 1)
+        assert (stats.prefix_memo_hits, stats.prefix_memo_misses) == (1, 1)
+        assert stats.runs == 2
 
-    def test_cache_capacity_follows_config(self, dataset):
-        octant = Octant(dataset, circle_cache=CircleCache(capacity=17))
-        assert octant.circle_cache.capacity == 17
+    def test_octant_takes_config_from_its_pipeline(self, dataset):
+        config, parser = OctantConfig.latency_only(), UndnsParser()
+        pipeline = ConstraintPipeline(config, parser)
+        octant = Octant(dataset, pipeline=pipeline)
+        assert octant.config is config and octant.parser is parser
+        assert Octant(dataset, config, parser, pipeline=pipeline).config is config
+        with pytest.raises(ValueError):
+            Octant(dataset, OctantConfig(), pipeline=pipeline)
+        with pytest.raises(ValueError):
+            Octant(dataset, parser=UndnsParser(), pipeline=pipeline)
 
     def test_repeated_localization_hits_planar_memo(self, dataset, prepared):
         octant = Octant(dataset)
@@ -105,7 +122,9 @@ class TestSharedGeometryCache:
             assert pa.polygon.coords == pb.polygon.coords
 
     def test_batch_and_direct_paths_share_one_cache(self, dataset):
+        """The batch engine's router stage warms the pipeline's circle cache."""
         octant = Octant(dataset)
-        localizer = BatchLocalizer(octant)
-        assert localizer.shared_state().circle_cache is octant.circle_cache
-        assert octant.pipeline.circle_cache is octant.circle_cache
+        cache = octant.pipeline.circle_cache
+        assert cache.stats()["boundary_misses"] == 0
+        BatchLocalizer(octant).prepare_for_target(dataset.host_ids[0])
+        assert cache.stats()["boundary_misses"] > 0

@@ -18,7 +18,6 @@ import pytest
 from repro import BatchLocalizer, Octant, OctantConfig, SolverConfig, collect_dataset
 from repro._lru import BoundedLRU
 from repro.core import PlanarConstraint
-from repro.core.pipeline import PipelineStats
 from repro.core.solver import solve_systems
 from repro.geometry import AzimuthalEquidistantProjection, GeoPoint
 from repro.geometry.kernel import PREFIX_MEMO_CAPACITY, prefix_key
@@ -193,13 +192,12 @@ def test_unkeyable_projection_gets_no_memo(systems):
 
 
 def test_latency_only_has_no_prefix_and_stores_nothing(dataset):
-    memo = BoundedLRU(PREFIX_MEMO_CAPACITY)
-    octant = Octant(dataset, OctantConfig.latency_only(), prefix_memo=memo)
+    octant = Octant(dataset, OctantConfig.latency_only())
     target = dataset.host_ids[0]
     for _ in range(2):
         estimate = octant.localize(target)
         assert estimate.details["kernel"]["prefix_memo"] is None
-    assert len(memo) == 0
+    assert len(octant.pipeline._prefix_memo) == 0
     stats = octant.pipeline.stats
     assert (stats.prefix_memo_hits, stats.prefix_memo_misses) == (0, 0)
 
@@ -278,17 +276,6 @@ def test_memoized_buffer_is_read_only(systems):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = array[0]
-
-
-def test_pipeline_stats_keep_prefix_totals_across_merge():
-    retired, current = PipelineStats(), PipelineStats()
-    retired.prefix_memo_hits, retired.prefix_memo_misses = 3, 2
-    current.prefix_memo_hits, current.prefix_memo_misses = 4, 1
-    totals = PipelineStats()
-    totals.merge(retired)
-    totals.merge(current)
-    snap = totals.snapshot()
-    assert (snap["prefix_memo_hits"], snap["prefix_memo_misses"]) == (7, 3)
 
 
 def test_threads_sharing_one_memo_get_cold_answers(dataset, systems):

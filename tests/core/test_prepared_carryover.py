@@ -142,8 +142,10 @@ class TestCarriedStateCorrectness:
 
         warm = adopted.localize_one(target, landmark_pool=pool)
         cold = derived.localize_one(target, landmark_pool=pool)
-        assert adopted.prepared_hits == 1 and adopted.prepared_misses == 0
-        assert derived.prepared_hits == 0 and derived.prepared_misses == 1
+        adopted_stats = adopted.octant.pipeline.stats
+        derived_stats = derived.octant.pipeline.stats
+        assert (adopted_stats.prepared_hits, adopted_stats.prepared_misses) == (1, 0)
+        assert (derived_stats.prepared_hits, derived_stats.prepared_misses) == (0, 1)
         assert signature(warm) == signature(cold)
 
     def test_dns_cache_transfers_wholesale(self, live):

@@ -290,13 +290,14 @@ class TestStreamingHammer:
 
         service = LocalizationService(live, workers=2)
         snapshots: dict[int, MeasurementDataset] = {}
-        original_swap = service._swap_localizer
+        original_build = service._build_localizer
 
-        def capturing_swap(fresh):
+        def capturing_build():
+            fresh = original_build()
             snapshots[fresh.dataset.version] = fresh.dataset
-            original_swap(fresh)
+            return fresh
 
-        service._swap_localizer = capturing_swap
+        service._build_localizer = capturing_build
 
         def make_probe(shift_per_tick):
             def probe(src, dst, tick):

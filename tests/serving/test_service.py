@@ -199,6 +199,35 @@ class TestServiceIngest:
         assert after["planar_entries"] >= before
         assert after["planar_hits"] > 0
 
+    def test_request_on_a_retired_snapshot_is_counted(
+        self, deployment, full_dataset, live_dataset
+    ):
+        """Every snapshot counts into the service's one pipeline."""
+        record, pings = ninth_host_payload(deployment, full_dataset)
+        target = live_dataset.host_ids[0]
+
+        async def main():
+            async with LocalizationService(live_dataset, workers=1) as service:
+                retired = service._current
+                await service.ingest(hosts=[record], pings=pings)
+                assert service._current is not retired
+                before = service.cache_stats()
+                retired.localize_one(target)
+                return before, service.cache_stats()
+
+        before, after = run(main())
+
+        def prefix(stats):
+            pipeline = stats["pipeline"]
+            return pipeline["prefix_memo_hits"] + pipeline["prefix_memo_misses"]
+
+        def prepared(stats):
+            return stats["prepared_hits"] + stats["prepared_misses"]
+
+        assert after["pipeline"]["runs"] == before["pipeline"]["runs"] + 1
+        assert prefix(after) == prefix(before) + 1
+        assert prepared(after) == prepared(before) + 1
+
 
 class TestServiceConcurrency:
     def test_many_concurrent_requests(self, live_dataset):
