@@ -34,6 +34,7 @@ import time
 import pytest
 
 from repro import BatchLocalizer, Octant
+from repro.evalx import percentile
 
 #: Bump when the shape of BENCH_solver.json changes.
 #: v4: the fused engine books the same per-phase names as the vector engine
@@ -45,7 +46,11 @@ from repro import BatchLocalizer, Octant
 #: v6: the vector engine is gone.  ``cohort_engines`` compares one fused
 #: cohort with cohorts of one (``one_at_a_time_*`` keys) and
 #: ``gh_exclusion`` records ``fused_solve_ms_per_system``.
-SCHEMA_VERSION = 6
+#: v7: ``cohort_engines`` records the p50 and p90 of the per-system solve
+#: times (``one_at_a_time_ms_p50``/``_p90``) and the fused run's shared
+#: piece share (``fused_shared_pieces``, ``fused_step_pieces``,
+#: ``fused_shared_share``).
+SCHEMA_VERSION = 7
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -145,6 +150,9 @@ def test_cohort_engine_speedup(dataset, target_ids):
 
     config = SolverConfig()
     best = {"one_at_a_time": float("inf"), "fused": float("inf")}
+    # Each system alone, minimum over the repetitions: the tail of the
+    # single-request solve.
+    alone_s = [float("inf")] * len(systems)
     results: dict[str, list] = {}
     for _repetition in range(3):
         for side in ("one_at_a_time", "fused"):
@@ -152,7 +160,11 @@ def test_cohort_engine_speedup(dataset, target_ids):
             if side == "fused":
                 out = solve_systems(config, systems)
             else:
-                out = [solve_systems(config, [system])[0] for system in systems]
+                out = []
+                for k, system in enumerate(systems):
+                    system_started = time.perf_counter()
+                    out.append(solve_systems(config, [system])[0])
+                    alone_s[k] = min(alone_s[k], time.perf_counter() - system_started)
             best[side] = min(best[side], time.perf_counter() - started)
             results.setdefault(side, out)
 
@@ -174,6 +186,12 @@ def test_cohort_engine_speedup(dataset, target_ids):
     fused_ms = best["fused"] / per_target * 1000
     speedup = best["one_at_a_time"] / best["fused"] if best["fused"] else float("inf")
     fused_diag = results["fused"][0][1] if results["fused"] else None
+    alone_ms_each = [seconds * 1000 for seconds in alone_s]
+    alone_p50 = percentile(alone_ms_each, 50) if alone_ms_each else 0.0
+    alone_p90 = percentile(alone_ms_each, 90) if alone_ms_each else 0.0
+    shared_pieces = sum(diag.shared_pieces for _r, diag in results["fused"])
+    step_pieces = sum(diag.step_pieces for _r, diag in results["fused"])
+    shared_share = shared_pieces / step_pieces if step_pieces else 0.0
 
     phase_seconds = {side: _phase_split(outcomes) for side, outcomes in results.items()}
 
@@ -185,6 +203,7 @@ def test_cohort_engine_speedup(dataset, target_ids):
     )
     print("=" * 72)
     print(f"  one at a time : {alone_ms:7.2f} ms/target solve time")
+    print(f"  per system    : p50 {alone_p50:7.2f} ms, p90 {alone_p90:7.2f} ms")
     print(f"  fused cohort  : {fused_ms:7.2f} ms/target amortized")
     print(f"  speedup       : {speedup:5.2f}x")
     for side, phases in phase_seconds.items():
@@ -195,6 +214,10 @@ def test_cohort_engine_speedup(dataset, target_ids):
             f"({fused_diag.fused_rows_clipped} rows, "
             f"{fused_diag.fused_targets_per_pass:.1f} targets/step)"
         )
+    print(
+        f"  shared pieces : {shared_pieces} of {step_pieces} "
+        f"pieces entering steps ({shared_share:.1%})"
+    )
 
     _merge_json(
         "cohort_engines",
@@ -202,6 +225,8 @@ def test_cohort_engine_speedup(dataset, target_ids):
             "hosts": len(dataset.hosts),
             "targets": per_target,
             "one_at_a_time_ms_per_target": round(alone_ms, 3),
+            "one_at_a_time_ms_p50": round(alone_p50, 3),
+            "one_at_a_time_ms_p90": round(alone_p90, 3),
             "fused_ms_per_target": round(fused_ms, 3),
             "fused_speedup": round(speedup, 3),
             "phase_seconds": phase_seconds,
@@ -212,6 +237,9 @@ def test_cohort_engine_speedup(dataset, target_ids):
             "fused_targets_per_pass": 0.0
             if fused_diag is None
             else round(fused_diag.fused_targets_per_pass, 3),
+            "fused_shared_pieces": shared_pieces,
+            "fused_step_pieces": step_pieces,
+            "fused_shared_share": round(shared_share, 4),
         },
     )
 

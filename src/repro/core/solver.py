@@ -85,23 +85,33 @@ class SolverDiagnostics:
     engine: str = "object"
     #: Total wall time of the solve call.
     solve_seconds: float = 0.0
-    #: Pieces resolved by the bounding-box rejection alone (no clipping).
+    #: The fused kernel's work counters below count distinct piece
+    #: geometries, not pieces: pieces sharing one geometry are classified
+    #: and clipped once per step (see ``shared_pieces``).
+    #: Geometries resolved by the bounding-box rejection alone (no clipping).
     prefilter_bbox: int = 0
-    #: Pieces classified fully-inside a constraint (clip skipped; includes
-    #: centre-distance hits, side-matrix hits and keyhole containments).
+    #: Geometries classified fully-inside a constraint (clip skipped;
+    #: includes centre-distance hits, side-matrix hits and keyhole
+    #: containments).
     prefilter_inside: int = 0
-    #: Pieces classified fully-outside / fully-excluded (clip skipped).
+    #: Geometries classified fully-outside / fully-excluded (clip skipped).
     prefilter_outside: int = 0
-    #: Pieces that actually went through clipping (batched or scalar).
+    #: Geometries that actually went through clipping (batched or scalar).
     pieces_clipped: int = 0
-    #: Total vertex lanes processed by the batched clipper (cohort-level,
-    #: like the fused pass counters below).
+    #: Total vertex lanes processed by the batched clipper, one row per
+    #: geometry (cohort-level, like the fused pass counters below).
     vertices_clipped: int = 0
-    #: Pieces that left the vectorized framework for a per-piece object
-    #: boolean or Greiner-Hormann traversal (non-convex inclusions and
-    #: exclusions), and their total vertex count.
+    #: Geometries that left the vectorized framework for a per-geometry
+    #: object boolean or Greiner-Hormann traversal (non-convex inclusions
+    #: and exclusions), and their total vertex count.
     fallback_pieces: int = 0
     fallback_vertices: int = 0
+    #: Pieces entering the fused steps, summed over steps.
+    step_pieces: int = 0
+    #: Of those, the pieces that pointed at a geometry another piece of the
+    #: same solve also pointed at: the per-piece work the geometry level
+    #: saved.
+    shared_pieces: int = 0
     #: Wall time per kernel phase; the phases (``inclusion``, ``exclusion``,
     #: ``assemble``, ``select``) are disjoint, so their sum approximates the
     #: solve time.  Shared lockstep spans are booked as an equal share per
@@ -140,6 +150,8 @@ class SolverDiagnostics:
             "vertices_clipped": self.vertices_clipped,
             "fallback_pieces": self.fallback_pieces,
             "fallback_vertices": self.fallback_vertices,
+            "step_pieces": self.step_pieces,
+            "shared_pieces": self.shared_pieces,
             "fused_cohort_targets": self.fused_cohort_targets,
             "fused_pass_count": self.fused_pass_count,
             "fused_rows_clipped": self.fused_rows_clipped,

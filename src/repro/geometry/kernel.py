@@ -7,9 +7,11 @@ subtraction).  This module re-implements that inner loop as NumPy passes
 over a struct-of-arrays *flat buffer*:
 
 * :class:`PieceBuffer` packs the whole piece population into contiguous
-  coordinate arrays with per-piece offsets, weights, cached signed areas and
-  bounding boxes -- the representation is chosen for the dominant operation
-  (batched clipping), not for per-piece object ergonomics.
+  coordinate arrays with per-geometry offsets, cached signed areas and
+  bounding boxes, plus per-piece weights and geometry indices -- the
+  representation is chosen for the dominant operation (batched clipping),
+  not for per-piece object ergonomics.  Pieces with the same coordinates
+  share one geometry, and every stage works once per geometry.
 * Batched Sutherland-Hodgman passes clip *all* pieces against a constraint
   edge at once (:func:`_clip_pass_rows`), with scatter-assembled outputs and
   a no-crossing short-circuit for the common pass that changes nothing.
@@ -237,11 +239,20 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class PieceBuffer:
     """Struct-of-arrays snapshot of the solver's piece population.
 
-    ``xs``/``ys`` hold the packed vertex coordinates of every piece (the
-    *cleaned* coordinates the equivalent :class:`Polygon` would store);
-    ``offsets[i]:offsets[i+1]`` delimits piece ``i``.  Weights, signed areas
-    and bounding boxes are cached per piece so pruning and selection never
-    touch the coordinates.
+    Two levels: distinct *geometries*, and the weighted *pieces* that point
+    at them.  ``xs``/``ys`` hold the packed vertex coordinates of every
+    geometry (the *cleaned* coordinates the equivalent :class:`Polygon`
+    would store); ``offsets[g]:offsets[g+1]`` delimits geometry ``g``, and
+    signed areas, bounding boxes, :meth:`parts` and :meth:`padded` rows are
+    cached per geometry.  Piece ``i`` has weight ``weights[i]`` and the
+    coordinates of geometry ``geom[i]``.
+
+    Several pieces share one geometry whenever a constraint left a piece
+    unchanged -- its satisfied part and its non-exact fallback are the same
+    coordinates under two weights, and every later constraint splits both
+    the same way -- or clipped two geometries to the same coordinates.  The
+    kernel clips each geometry once per step and hands the result to every
+    piece that points at it.
 
     Every array, the cached :meth:`padded` rows included, is made read-only
     on construction: a memoized buffer (:data:`PREFIX_MEMO_CAPACITY`) is
@@ -256,6 +267,7 @@ class PieceBuffer:
         "weights",
         "signed_areas",
         "bboxes",
+        "geom",
         "_padded",
         "_parts",
     )
@@ -273,6 +285,7 @@ class PieceBuffer:
         self.offsets = _frozen(offsets)
         self.weights = _frozen(weights)
         self.signed_areas = _frozen(signed_areas)
+        self.geom = _frozen(np.arange(len(signed_areas), dtype=np.int64))
         self._padded: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._parts: list[_Part] | None = None
         self.bboxes = _frozen(_bboxes_from_packed(xs, ys, offsets))
@@ -284,7 +297,7 @@ class PieceBuffer:
     def from_parts(
         cls, parts: Sequence[_Part], weights: Sequence[float]
     ) -> "PieceBuffer":
-        """Build a buffer from ``(xs, ys, signed_area)`` parts."""
+        """Build a buffer from ``(xs, ys, signed_area)`` parts, one piece each."""
         if not parts:
             empty = np.zeros(0)
             return cls(empty, empty, np.zeros(1, dtype=np.int64), empty, empty)
@@ -305,13 +318,14 @@ class PieceBuffer:
         weights: np.ndarray,
         signed_areas: np.ndarray,
         bboxes: np.ndarray,
+        geom: np.ndarray,
     ) -> "PieceBuffer":
         """Wrap prebuilt flat arrays without re-deriving the bboxes.
 
-        The fused cohort engine packs every target's post-constraint parts
-        into one pooled concatenation and hands each target its slice; the
-        per-piece boxes were already reduced pooled (bitwise the same
-        reductions this class would run itself).
+        The fused cohort engine packs every target's post-constraint
+        geometries into one pooled concatenation and hands each target its
+        slice; the per-geometry boxes were already reduced pooled (bitwise
+        the same reductions this class would run itself).
         """
         buffer = cls.__new__(cls)
         buffer.xs = _frozen(xs)
@@ -320,6 +334,7 @@ class PieceBuffer:
         buffer.weights = _frozen(weights)
         buffer.signed_areas = _frozen(signed_areas)
         buffer.bboxes = _frozen(bboxes)
+        buffer.geom = _frozen(geom)
         buffer._padded = None
         buffer._parts = None
         return buffer
@@ -338,29 +353,27 @@ class PieceBuffer:
     # Accessors
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
+        """The number of pieces."""
         return len(self.weights)
 
     @property
+    def geometry_count(self) -> int:
+        """The number of packed geometries."""
+        return len(self.signed_areas)
+
+    @property
     def areas(self) -> np.ndarray:
-        """Unsigned piece areas (km^2)."""
-        return np.abs(self.signed_areas)
-
-    def piece_coords(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Packed coordinate views of piece ``i``."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return self.xs[lo:hi], self.ys[lo:hi]
-
-    def part(self, i: int) -> _Part:
-        xs, ys = self.piece_coords(i)
-        return xs, ys, float(self.signed_areas[i])
+        """Unsigned piece areas (km^2), one per piece."""
+        return np.abs(self.signed_areas)[self.geom]
 
     def parts(self) -> list[_Part]:
-        """Every piece as a part tuple, built once and cached.
+        """Every geometry as a part tuple, built once and cached.
 
         The buffer is immutable, so the same tuple objects serve every
         constraint application; callers use tuple *identity* against this
-        list to detect "the parts are exactly the buffer's pieces" (the
-        dominant fully-inside case) without touching array bases.
+        list to detect "the parts are exactly the buffer's geometries" (the
+        dominant fully-inside case) without touching array bases, and a
+        geometry a step leaves whole stays this one object.
         """
         if self._parts is None:
             offsets = self.offsets
@@ -375,16 +388,10 @@ class PieceBuffer:
 
     def polygon(self, i: int) -> Polygon:
         """Materialize piece ``i`` as a :class:`Polygon` (identical vertices)."""
-        return _polygon_from_part(self.part(i))
-
-    def subset(self, indices: Sequence[int]) -> "PieceBuffer":
-        """A new buffer holding the given pieces, in the given order."""
-        parts = [self.part(i) for i in indices]
-        weights = [float(self.weights[i]) for i in indices]
-        return PieceBuffer.from_parts(parts, weights)
+        return _polygon_from_part(self.parts()[int(self.geom[i])])
 
     def padded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The population as padded rows ``(X, Y, counts)``, built once.
+        """The geometries as padded rows ``(X, Y, counts)``, built once.
 
         The arrays are read-only: they are cached on the (immutable) buffer
         and shared between the per-constraint batched stages.
@@ -396,7 +403,7 @@ class PieceBuffer:
                 X = np.zeros((len(counts), width))
                 self._padded = (_frozen(X), _frozen(np.zeros_like(X)), _frozen(counts))
             else:
-                # Vectorized gather from the packed arrays: lane j of piece
+                # Vectorized gather from the packed arrays: lane j of row
                 # i reads ``xs[offsets[i] + j]`` -- the very values the
                 # per-part copy loop would write, without per-piece Python.
                 width = max(int(counts.max()), 1)
@@ -1409,17 +1416,52 @@ class _ExclusionPlan:
 
 
 def _parts_are_buffer(flat: list, buffer: "PieceBuffer") -> bool:
-    """True when the flat parts are exactly the buffer's own pieces.
+    """True when the flat parts are exactly the buffer's own geometries.
 
     Tuple identity against the buffer's cached :meth:`PieceBuffer.parts`
-    (the dominant case: every piece passed the inclusion fully-inside and
-    unreversed), with the coordinate-base check as fallback for part tuples
-    rebuilt around the buffer's own slices.
+    (the dominant case: every geometry passed the inclusion fully-inside
+    and unreversed), with the coordinate-base check as fallback for part
+    tuples rebuilt around the buffer's own slices.
     """
     bparts = buffer._parts
     if bparts is not None and all(a is b for a, b in zip(flat, bparts)):
         return True
     return all(p[0].base is buffer.xs for p in flat)
+
+
+def _distinct_parts(parts: list[_Part]) -> tuple[list[_Part], np.ndarray]:
+    """The distinct geometries among ``parts``, and each part's index into them.
+
+    A part object is one geometry however many pieces received it.  Two
+    part objects with the same coordinates are one geometry too: distinct
+    geometries clipped by one constraint can come out alike (nested pieces
+    whose boundaries agree wherever the constraint cuts them).  Candidates
+    are the parts with the same signed area, a number each part carries;
+    coordinates are compared (as raw bytes, so ``-0.0`` and ``0.0`` stay
+    apart) only for those.
+    """
+    distinct: list[_Part] = []
+    geom: list[int] = []
+    by_area: dict[float, list[tuple[_Part, int]]] = {}
+    for part in parts:
+        same = by_area.get(part[2])
+        if same is None:
+            g = len(distinct)
+            by_area[part[2]] = [(part, g)]
+            distinct.append(part)
+        else:
+            for seen, g in same:
+                if seen is part or (
+                    seen[0].tobytes() == part[0].tobytes()
+                    and seen[1].tobytes() == part[1].tobytes()
+                ):
+                    break
+            else:
+                g = len(distinct)
+                same.append((part, g))
+                distinct.append(part)
+        geom.append(g)
+    return distinct, np.array(geom, dtype=np.int64)
 
 
 def _assemble_exclusion(plan: _ExclusionPlan) -> list[list]:
@@ -1582,6 +1624,7 @@ class PrefixState:
             buffer.weights.copy(),
             buffer.signed_areas.copy(),
             buffer.bboxes.copy(),
+            buffer.geom.copy(),
         )
         self.buffer.parts()
         self.buffer.padded()
@@ -1624,6 +1667,15 @@ class FusedSolverKernel:
       bridge search and keyholing run over the stacked rows of every
       target, and the wedge chains of *all* targets' convex subtractions
       pool into one :func:`_halfplane_chain_run` per width bucket.
+
+    Every stage works on a target's distinct geometries, not its pieces:
+    a piece and its unchanged weighted copy point at one geometry
+    (:class:`PieceBuffer`), which is classified and clipped once, and
+    ``_assemble_split`` hands the geometry's satisfied parts to every piece
+    that points at it, in piece order.  ``_rebuild_buffers`` packs each
+    distinct geometry once (:func:`_distinct_parts`): a stage that keeps a
+    part whole hands back the part object itself, and parts that came out
+    equal bit for bit are found by their signed areas.
 
     Each stage has one decision tree, whatever the cohort width.  What the
     width does choose is how a stage's input is fed to the row primitives:
@@ -1721,6 +1773,9 @@ class FusedSolverKernel:
         self._step_targets += len(active)
         for s in active:
             s.geometry = geometry_for_constraint(s.ordered[s.cursor])
+            diag = s.diagnostics
+            diag.step_pieces += len(s.buffer)
+            diag.shared_pieces += len(s.buffer) - s.buffer.geometry_count
         geom_done = time.perf_counter()
 
         # ---- inclusion stage ------------------------------------------ #
@@ -1801,35 +1856,39 @@ class FusedSolverKernel:
         """Weighted parts + fallbacks from one constraint's satisfied sides.
 
         Mirrors ``WeightedRegionSolver._apply_constraint`` (non-exact
-        semantics): satisfied parts gain the constraint weight, originals
-        remain as the unsatisfied fallback, slivers are dropped, and a
-        constraint that satisfied nothing while every original survives
-        returns the ``_UNCHANGED`` sentinel.
+        semantics) piece by piece, in piece order: satisfied parts gain the
+        constraint weight, originals remain as the unsatisfied fallback,
+        slivers are dropped, and a constraint that satisfied nothing while
+        every original survives returns the ``_UNCHANGED`` sentinel.  Each
+        piece reads its geometry's satisfied parts, so pieces sharing a
+        geometry receive the same part objects.
         """
         buffer = s.buffer
         satisfied = s.satisfied
-        n = len(buffer)
         min_area = self.config.min_piece_area_km2
-        if n > 0 and not any(satisfied) and bool((buffer.areas >= min_area).all()):
+        if (
+            len(buffer) > 0
+            and not any(satisfied)
+            and bool((np.abs(buffer.signed_areas) >= min_area).all())
+        ):
             # Nothing was satisfied and every original survives the sliver
             # filter unchanged: the caller can keep the current buffer.
             return _UNCHANGED, _UNCHANGED
         parts: list = []
         weights: list[float] = []
         bparts = buffer.parts()
-        buffer_weights = buffer.weights.tolist()
         weight = s.geometry.weight
-        for i in range(n):
-            gained = buffer_weights[i] + weight
-            for part in satisfied[i]:
+        for piece_weight, g in zip(buffer.weights.tolist(), buffer.geom.tolist()):
+            gained = piece_weight + weight
+            for part in satisfied[g]:
                 if abs(part[2]) >= min_area:
                     parts.append(part)
                     weights.append(gained)
             # Non-exact mode: the unsatisfied side keeps the original piece.
-            original = bparts[i]
+            original = bparts[g]
             if abs(original[2]) >= min_area:
                 parts.append(original)
-                weights.append(buffer_weights[i])
+                weights.append(piece_weight)
         return parts, weights
 
     def _rebuild_buffers(
@@ -1837,14 +1896,18 @@ class FusedSolverKernel:
     ) -> None:
         """Pooled post-constraint buffer rebuild for many targets.
 
-        One concatenation packs every target's surviving parts; the
-        per-piece bounding boxes reduce over the pooled arrays (the same
-        per-piece spans the per-target constructor reduces, so the values
-        are bitwise equal); each target receives its slice views.
+        One concatenation packs every target's distinct geometries, each
+        once (:func:`_distinct_parts`); the per-geometry bounding boxes
+        reduce over the pooled arrays (the same spans the per-target
+        constructor reduces, so the values are bitwise equal); each target
+        receives its slice views and its pieces' geometry indices.
         """
         all_parts: list[_Part] = []
+        geoms: list[tuple[np.ndarray, int]] = []
         for _s, parts, _w in rebuilds:
-            all_parts.extend(parts)
+            distinct, geom = _distinct_parts(parts)
+            all_parts.extend(distinct)
+            geoms.append((geom, len(distinct)))
         counts = np.array([len(p[0]) for p in all_parts], dtype=np.int64)
         offsets = np.zeros(len(all_parts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -1852,20 +1915,20 @@ class FusedSolverKernel:
         ys = np.concatenate([p[1] for p in all_parts])
         signed = np.array([p[2] for p in all_parts])
         bboxes = _bboxes_from_packed(xs, ys, offsets)
-        piece_pos = 0
-        for s, parts, weights in rebuilds:
-            n = len(parts)
-            lo = int(offsets[piece_pos])
-            hi = int(offsets[piece_pos + n])
+        pos = 0
+        for (s, _parts, weights), (geom, n) in zip(rebuilds, geoms):
+            lo = int(offsets[pos])
+            hi = int(offsets[pos + n])
             s.buffer = PieceBuffer.from_arrays(
                 xs[lo:hi],
                 ys[lo:hi],
-                offsets[piece_pos : piece_pos + n + 1] - lo,
+                offsets[pos : pos + n + 1] - lo,
                 np.asarray(weights, dtype=float),
-                signed[piece_pos : piece_pos + n],
-                bboxes[piece_pos : piece_pos + n],
+                signed[pos : pos + n],
+                bboxes[pos : pos + n],
+                geom,
             )
-            piece_pos += n
+            pos += n
 
     # ------------------------------------------------------------------ #
     # Selection (stable scalar sort over cached metrics)
@@ -1914,15 +1977,14 @@ class FusedSolverKernel:
     # Inclusion: cohort prefilters + pooled convex clip
     # ------------------------------------------------------------------ #
     def _nonconvex_inclusion(self, s: _TargetState) -> list[list]:
-        """Non-convex inclusion: the exact object-path boolean per piece."""
+        """Non-convex inclusion: the exact object-path boolean per geometry."""
         diag = s.diagnostics
-        buffer = s.buffer
         inclusion = s.geometry.inclusion
         out: list[list] = []
-        for i in range(len(buffer)):
+        for part in s.buffer.parts():
             diag.fallback_pieces += 1
-            diag.fallback_vertices += int(buffer.offsets[i + 1] - buffer.offsets[i])
-            polys = intersect_polygons(buffer.polygon(i), inclusion)
+            diag.fallback_vertices += len(part[0])
+            polys = intersect_polygons(_polygon_from_part(part), inclusion)
             out.append([_part_from_polygon(p) for p in polys])
         return out
 
@@ -1931,7 +1993,7 @@ class FusedSolverKernel:
         # over every target's pieces with per-row constraint bounds.  Runs
         # before any table construction so constraints whose geometry
         # misses every piece stay as cheap as the box comparisons.
-        sizes = [len(s.buffer) for s in group]
+        sizes = [s.buffer.geometry_count for s in group]
         binfo = np.array(
             [
                 [
@@ -1978,7 +2040,9 @@ class FusedSolverKernel:
             for t, j in owner:
                 s, plan = group[t], plans[t]
                 piece = plan.still[j]
-                clipped = clip_convex(s.buffer.polygon(piece), s.geometry.inclusion)
+                clipped = clip_convex(
+                    _polygon_from_part(s.buffer.parts()[piece]), s.geometry.inclusion
+                )
                 if clipped is not None:
                     plan.out[piece] = [_part_from_polygon(clipped)]
         else:
@@ -2004,15 +2068,15 @@ class FusedSolverKernel:
     def _inclusion_classify(
         self, s: _TargetState, disjoint: np.ndarray
     ) -> _InclusionPlan:
-        """Prefilter classification of one target's pieces (convex inclusion).
+        """Prefilter classification of one target's geometries (convex inclusion).
 
-        ``disjoint`` (per-piece bbox rejection) comes from the cohort pass;
-        the decisions past it (whole-population fast path, centre distance,
-        side matrix) are per target.
+        ``disjoint`` (per-geometry bbox rejection) comes from the cohort
+        pass; the decisions past it (whole-population fast path, centre
+        distance, side matrix) are per target.
         """
         buffer = s.buffer
         geometry = s.geometry
-        n = len(buffer)
+        n = buffer.geometry_count
         diag = s.diagnostics
         diag.prefilter_bbox += int(disjoint.sum())
 
@@ -2133,8 +2197,8 @@ class FusedSolverKernel:
         plans: list[_ExclusionPlan] = []
         flats: list[list[_Part]] = []
         # Per target: padded rows and per-row boxes.  In the dominant case
-        # -- every piece passed the inclusion fully-inside, so the parts are
-        # the buffer's own coordinate slices, unreversed -- the buffer's
+        # -- every geometry passed the inclusion fully-inside, so the parts
+        # are the buffer's own coordinate slices, unreversed -- the buffer's
         # cached padded rows *and* bounding boxes are reused outright (the
         # padded-row min/max over valid lanes reduces the same vertex set,
         # so the cached values are bitwise equal).
@@ -2155,7 +2219,7 @@ class FusedSolverKernel:
             buffer = s.buffer
             if not flat:
                 continue
-            if len(flat) == len(buffer) and _parts_are_buffer(flat, buffer):
+            if len(flat) == buffer.geometry_count and _parts_are_buffer(flat, buffer):
                 blocks.append((*buffer.padded(), buffer.bboxes))
             else:
                 bX, bY, bc, _signed = _pad_parts(flat)

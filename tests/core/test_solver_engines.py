@@ -347,6 +347,21 @@ class TestPrefilter:
 # --------------------------------------------------------------------------- #
 # Flat buffer unit behaviour
 # --------------------------------------------------------------------------- #
+def pointing_at(buffer, weights, geom):
+    """``buffer``'s geometries under new pieces: ``weights[i]`` at ``geom[i]``."""
+    import numpy as np
+
+    return PieceBuffer.from_arrays(
+        buffer.xs,
+        buffer.ys,
+        buffer.offsets,
+        np.asarray(weights, dtype=float),
+        buffer.signed_areas,
+        buffer.bboxes,
+        np.asarray(geom, dtype=np.int64),
+    )
+
+
 class TestPieceBuffer:
     def test_roundtrip_polygon(self):
         disk = disk_at(0, 0, 250.0)
@@ -362,13 +377,21 @@ class TestPieceBuffer:
         box = disk.bounding_box()
         assert tuple(buffer.bboxes[0]) == (box.min_x, box.min_y, box.max_x, box.max_y)
 
-    def test_subset_preserves_order(self):
-        disks = [(disk_at(b, 100.0, 150.0), float(i)) for i, b in enumerate((0, 90, 180))]
-        buffer = PieceBuffer.from_polygons(disks)
-        sub = buffer.subset([2, 0])
-        assert [float(w) for w in sub.weights] == [2.0, 0.0]
-        assert sub.polygon(0).coords == disks[2][0].coords
-        assert sub.polygon(1).coords == disks[0][0].coords
+    def test_shared_geometry_preserves_piece_order(self):
+        """Pieces point at geometries by index: any order, shared or not."""
+        disks = [disk_at(b, 100.0, 150.0) for b in (0, 90, 180)]
+        packed = PieceBuffer.from_polygons([(d, 0.0) for d in disks])
+        buffer = pointing_at(packed, [2.0, 0.0, 1.0], [2, 0, 2])
+        assert (len(buffer), buffer.geometry_count) == (3, 3)
+        assert buffer.geom.tolist() == [2, 0, 2] and not buffer.geom.flags.writeable
+        assert [float(w) for w in buffer.weights] == [2.0, 0.0, 1.0]
+        assert buffer.polygon(0).coords == disks[2].coords
+        assert buffer.polygon(1).coords == disks[0].coords
+        assert buffer.polygon(2).coords == disks[2].coords
+        areas = [abs(d.signed_area()) for d in (disks[2], disks[0], disks[2])]
+        assert buffer.areas.tolist() == areas
+        box = disks[2].bounding_box()
+        assert tuple(buffer.bboxes[2]) == (box.min_x, box.min_y, box.max_x, box.max_y)
 
     def test_empty_buffer(self):
         buffer = PieceBuffer.from_parts([], [])
@@ -761,15 +784,91 @@ class TestFusedEngine:
 
 
 # --------------------------------------------------------------------------- #
+# Shared piece geometry: a piece and its unchanged weighted copy clip once
+# --------------------------------------------------------------------------- #
+def nested_system():
+    """Three disks whose second step leaves the first piece unchanged.
+
+    ``inner`` splits the world square into the inner disk and the square.
+    ``outer`` contains the inner disk, so that piece's satisfied part is the
+    piece itself: the buffer entering ``cut`` holds four pieces (inner +5,
+    inner +3, outer +2, square +0) over three geometries.
+    """
+    return [
+        positive(disk_at(0, 0, 200.0), weight=3.0, label="inner"),
+        positive(disk_at(0, 0, 1500.0), weight=2.0, label="outer"),
+        positive(disk_at(90.0, 300.0, 400.0), weight=1.0, label="cut"),
+    ]
+
+
+def crossing_system():
+    """Two partly overlapping disks: every piece has its own geometry."""
+    return [
+        positive(disk_at(0, 0, 300.0), weight=3.0, label="a"),
+        positive(disk_at(90.0, 400.0, 300.0), weight=2.0, label="b"),
+    ]
+
+
+class TestSharedGeometry:
+    def test_copy_is_clipped_once(self):
+        from repro.core.solver import solve_systems
+
+        ((_region, diag),) = solve_systems(SolverConfig(), [(nested_system(), PROJ)])
+        # Step 3 sees one piece pointing at another's geometry.
+        assert diag.shared_pieces == 1
+        assert diag.kernel_summary()["shared_pieces"] == 1
+        # inner clips the square (1), outer clips the square (1; the inner
+        # disk is inside it), cut clips three geometries, not four pieces.
+        assert diag.pieces_clipped == 5
+        assert diag.prefilter_inside == 1
+        assert_identical(nested_system())
+
+    def test_cohort_with_and_without_copies(self):
+        from repro.core.solver import solve_systems
+
+        cohort = [nested_system(), crossing_system()]
+        results = solve_systems(SolverConfig(), [(c, PROJ) for c in cohort])
+        (_nested, nested_diag), (_crossing, crossing_diag) = results
+        assert (nested_diag.shared_pieces, crossing_diag.shared_pieces) == (1, 0)
+        assert (nested_diag.pieces_clipped, crossing_diag.pieces_clipped) == (5, 3)
+        for constraints, (region, diag) in zip(cohort, results):
+            solver = WeightedRegionSolver(SolverConfig(engine="object"))
+            reference = solver.solve(constraints, PROJ)
+            assert region.area_km2() == reference.area_km2()
+            assert [(p.weight, p.polygon.coords) for p in region.pieces] == [
+                (p.weight, p.polygon.coords) for p in reference.pieces
+            ]
+            assert diag.max_weight == solver.diagnostics.max_weight
+            assert diag.max_pieces_seen == solver.diagnostics.max_pieces_seen
+        assert_identical(crossing_system())
+
+    def test_equal_parts_are_one_geometry(self):
+        """Parts equal bit for bit pack once; look-alikes do not."""
+        import numpy as np
+
+        from repro.geometry.kernel import _distinct_parts
+
+        first = (np.array([0.0, 10.0, 10.0]), np.array([0.0, 0.0, 10.0]), 50.0)
+        equal = (first[0].copy(), first[1].copy(), 50.0)
+        # Same vertex count and area, other coordinates.
+        mirrored = (np.array([0.0, 10.0, 0.0]), np.array([0.0, 10.0, 10.0]), 50.0)
+        # Equal as floats, not as bits.
+        signed_zero = (np.array([-0.0, 10.0, 10.0]), first[1].copy(), 50.0)
+        distinct, geom = _distinct_parts([first, equal, mirrored, signed_zero, first])
+        assert [id(p) for p in distinct] == [id(first), id(mirrored), id(signed_zero)]
+        assert geom.tolist() == [0, 0, 1, 2, 0]
+
+
+# --------------------------------------------------------------------------- #
 # PieceBuffer hardening: empty buffers and zero-vertex pieces
 # --------------------------------------------------------------------------- #
 class TestPieceBufferHardening:
-    def test_empty_buffer_padded_and_subset(self):
+    def test_empty_buffer_padded_and_parts(self):
         buffer = PieceBuffer.from_parts([], [])
         X, Y, counts = buffer.padded()
         assert X.shape[0] == 0 and len(counts) == 0
-        sub = buffer.subset([])
-        assert len(sub) == 0
+        assert (len(buffer), buffer.geometry_count) == (0, 0)
+        assert len(buffer.areas) == 0
         assert buffer.parts() == []
 
     def test_zero_vertex_piece_gets_inverted_bbox(self):
@@ -790,9 +889,12 @@ class TestPieceBufferHardening:
         assert buffer.bboxes[0].tolist() == [0.0, 0.0, 10.0, 10.0]
         X, Y, counts = buffer.padded()
         assert counts.tolist() == [3, 0]
-        sub = buffer.subset([1, 0])
-        assert len(sub) == 2
-        assert sub.bboxes[0, 0] == float("inf")
+        # Pieces pointing at the geometries in the other order read the
+        # same per-geometry boxes and rows.
+        swapped = pointing_at(buffer, [2.0, 1.0], [1, 0])
+        assert swapped.bboxes[swapped.geom[0], 0] == float("inf")
+        assert swapped.bboxes[swapped.geom[1]].tolist() == [0.0, 0.0, 10.0, 10.0]
+        assert swapped.padded()[2].tolist() == [3, 0]
 
     def test_all_zero_vertex_pieces(self):
         import numpy as np
