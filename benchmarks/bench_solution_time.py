@@ -18,12 +18,6 @@ tracking tooling can diff runs without parsing stdout:
   (exclusion/assemble/inclusion/select) aggregated per side so phase-level
   wins are tracked for both.  The tracked figure is measured at
   ``OCTANT_BENCH_HOSTS=30``.
-* ``gh_exclusion`` -- the fused kernel's batched Greiner-Hormann
-  subtraction of non-convex exclusions vs ``engine="object"`` (the scalar
-  reference) on the same systems under the *detailed* (non-convex)
-  geographic region catalogue, with fused == object identity asserted on
-  those geo-heavy systems.  CI gates the batched path >=1.3x over the
-  object engine at the 20-host smoke cohort.
 """
 
 from __future__ import annotations
@@ -50,7 +44,9 @@ from repro.evalx import percentile
 #: times (``one_at_a_time_ms_p50``/``_p90``) and the fused run's shared
 #: piece share (``fused_shared_pieces``, ``fused_step_pieces``,
 #: ``fused_shared_share``).
-SCHEMA_VERSION = 7
+#: v8: ``gh_exclusion`` is gone with the batched Greiner-Hormann row kernel
+#: it measured; a non-convex exclusion runs the scalar ``subtract_polygons``.
+SCHEMA_VERSION = 8
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -257,238 +253,3 @@ def test_cohort_engine_speedup(dataset, target_ids):
     if len(target_ids) >= 20 and len(dataset.hosts) >= 20:
         assert dropped <= len(target_ids) // 4, "too many presolve failures"
         assert speedup >= 1.1
-
-
-@pytest.mark.benchmark(group="solution-time")
-def test_gh_exclusion_speedup(dataset, target_ids):
-    """Batched Greiner-Hormann (fused kernel) vs the object engine.
-
-    Two workloads, both built from the *detailed* (non-convex coastline)
-    geographic region catalogue:
-
-    * **Timing: boundary-straddling systems.**  One system per cohort
-      target, each projected at a region boundary vertex with positive
-      disks centred on it, so the low-weight region exclusions apply to
-      pieces that *straddle* their rings -- the load the subtraction
-      machinery actually runs on (at their usual top weight geographic
-      regions keyhole into the pristine world piece and never reach it).
-      The gated figure is the exclusion work itself: each system's
-      non-convex exclusions are subtracted from its piece population (the
-      object engine's population after the positive disks) by the fused
-      kernel's exclusion stage (a cohort of one) and by the object engine's
-      per-piece
-      ``subtract_cautious``, interleaved minimum-of-N, outputs asserted
-      bit-identical.  Whole-solve times of both engines are recorded
-      beside it; the positive disks dominate them, so their ratio says
-      little about the exclusion path.
-    * **Identity: the real pipeline.**  Every cohort target's actual
-      detailed-catalogue system is solved fused (one cohort, and one
-      system at a time) and object, and asserted bit-identical.
-
-    The drift gate (batched >=1.3x over object at >=20 hosts) keeps the win
-    from silently rotting.
-    """
-    from repro.core import GeoRegionConstraint, PlanarConstraint, Polarity
-    from repro.core.config import OctantConfig, SolverConfig
-    from repro.core.solver import (
-        SolverDiagnostics,
-        WeightedRegionSolver,
-        solve_systems,
-    )
-    from repro.geometry import AzimuthalEquidistantProjection, RegionPiece, disk_polygon
-    from repro.geometry.kernel import (
-        WORLD_SQUARE,
-        FusedSolverKernel,
-        PieceBuffer,
-        _TargetState,
-        geometry_for_constraint,
-        subtract_cautious,
-    )
-    from repro.network.geodata import (
-        DETAILED_OCEAN_REGIONS,
-        DETAILED_UNINHABITED_REGIONS,
-    )
-
-    regions = DETAILED_OCEAN_REGIONS + DETAILED_UNINHABITED_REGIONS
-
-    def straddling_system(k: int):
-        region = regions[k % len(regions)]
-        anchor = region.ring[k % len(region.ring)]
-        projection = AzimuthalEquidistantProjection(anchor)
-        constraints = [
-            PlanarConstraint(disk_polygon(anchor, 900.0, projection, 32), None, 1.0, "base")
-        ]
-        for bearing, radius, weight in ((0.0, 500.0, 0.8), (120.0, 450.0, 0.7), (240.0, 400.0, 0.6)):
-            centre = anchor.destination(bearing, 250.0)
-            constraints.append(
-                PlanarConstraint(
-                    disk_polygon(centre, radius, projection, 32), None, weight, f"aux{int(bearing)}"
-                )
-            )
-        for j in range(3):
-            other = regions[(k + j) % len(regions)]
-            planar = GeoRegionConstraint(
-                ring=other.ring,
-                polarity=Polarity.NEGATIVE,
-                weight=0.4 - 0.05 * j,
-                label=f"geo:{other.name}",
-            ).to_planar(projection)
-            if planar is not None:
-                constraints.append(planar)
-        return constraints, projection
-
-    def assert_identical(a, b) -> None:
-        (region_a, diag_a), (region_b, diag_b) = a, b
-        assert region_a.area_km2() == region_b.area_km2()
-        assert len(region_a.pieces) == len(region_b.pieces)
-        for piece_a, piece_b in zip(region_a.pieces, region_b.pieces):
-            assert piece_a.weight == piece_b.weight
-            assert piece_a.polygon.coords == piece_b.polygon.coords
-        assert diag_a.dropped_constraints == diag_b.dropped_constraints
-
-    straddling = [straddling_system(k) for k in range(len(target_ids))]
-    nonconvex_rings = sum(
-        1
-        for planar, _p in straddling
-        for c in planar
-        if c.exclusion is not None and not c.exclusion.is_convex()
-    )
-    assert nonconvex_rings > 0, "detailed catalogue produced no non-convex work"
-
-    # The exclusion workload: per system, the piece population the object
-    # engine holds once the positive disks are applied (the exclusions
-    # weigh less, so they come after), and the system's non-convex rings.
-    solver_config = SolverConfig()
-    reference = WeightedRegionSolver(SolverConfig(engine="object"))
-    workload = []
-    for planar, _projection in straddling:
-        pieces = [RegionPiece(WORLD_SQUARE, 0.0)]
-        for constraint in sorted(
-            (c for c in planar if c.exclusion is None), key=lambda c: c.weight, reverse=True
-        ):
-            pieces = reference._prune(reference._apply_constraint(pieces, constraint))
-        rings = [c for c in planar if c.exclusion is not None and not c.exclusion.is_convex()]
-        workload.append(([p.polygon for p in pieces], rings))
-
-    def exclude_object():
-        return [
-            [subtract_cautious(polygon, ring.exclusion) for polygon in polygons]
-            for polygons, rings in workload
-            for ring in rings
-        ]
-
-    def exclude_batched():
-        out = []
-        kernel = FusedSolverKernel(solver_config)
-        for polygons, rings in workload:
-            buffer = PieceBuffer.from_polygons([(polygon, 0.0) for polygon in polygons])
-            for ring in rings:
-                state = _TargetState(SolverDiagnostics(), buffer, [ring], None)
-                state.geometry = geometry_for_constraint(ring)
-                state.inside_parts = [[part] for part in buffer.parts()]
-                kernel._fused_exclusion([state])
-                out.append(state.satisfied)
-        return out
-
-    def solve_all(engine):
-        config = SolverConfig(engine=engine)
-        out = []
-        for planar, projection in straddling:
-            solver = WeightedRegionSolver(config)
-            out.append((solver.solve(planar, projection), solver.diagnostics))
-        return out
-
-    runs = {
-        "exclude_batched": exclude_batched,
-        "exclude_object": exclude_object,
-        "solve_fused": lambda: solve_all("fused"),
-        "solve_object": lambda: solve_all("object"),
-    }
-    best = {name: float("inf") for name in runs}
-    results: dict[str, list] = {}
-    for _repetition in range(3):
-        for name, run in runs.items():
-            started = time.perf_counter()
-            out = run()
-            best[name] = min(best[name], time.perf_counter() - started)
-            results.setdefault(name, out)
-    assert len(results["exclude_batched"]) == len(results["exclude_object"])
-    for a, b in zip(results["solve_fused"], results["solve_object"]):
-        assert_identical(a, b)
-    for batched, scalar in zip(results["exclude_batched"], results["exclude_object"]):
-        assert [[tuple(zip(xs.tolist(), ys.tolist())) for xs, ys, _a in kept] for kept in batched] == [
-            [tuple(polygon.coords) for polygon in kept] for kept in scalar
-        ]
-
-    # One fused cohort == fused one at a time == object on the real
-    # pipeline's detailed-catalogue systems.
-    config = OctantConfig(geographic_detail="detailed")
-    localizer = BatchLocalizer(Octant(dataset, config))
-    pipeline_systems = []
-    for target in target_ids:
-        try:
-            prepared = localizer.prepare_for_target(target)
-        except (ValueError, KeyError):
-            continue
-        presolved = localizer.octant.presolve(target, prepared=prepared)
-        pipeline_systems.append((presolved.planar, presolved.projection))
-    # The identity step must not pass vacuously: a presolve regression that
-    # drops most targets would otherwise disable the gate silently.
-    assert len(pipeline_systems) >= len(target_ids) - len(target_ids) // 4
-    fused = solve_systems(SolverConfig(engine="fused"), pipeline_systems)
-    for (planar, projection), fused_outcome in zip(pipeline_systems, fused):
-        for engine in ("fused", "object"):
-            solver = WeightedRegionSolver(SolverConfig(engine=engine))
-            region = solver.solve(planar, projection)
-            assert_identical((region, solver.diagnostics), fused_outcome)
-
-    per_target = len(straddling) or 1
-    ms = {name: seconds / per_target * 1000 for name, seconds in best.items()}
-    speedup = best["exclude_object"] / best["exclude_batched"]
-    solve_ratio = best["solve_object"] / best["solve_fused"]
-    gh_pieces = sum(d.fallback_pieces for _r, d in results["solve_fused"])
-    exclusion_pieces = sum(len(polygons) * len(rings) for polygons, rings in workload)
-
-    print()
-    print("=" * 72)
-    print(
-        f"Non-convex exclusion -- {per_target} boundary-straddling systems, "
-        f"{nonconvex_rings} non-convex exclusions (min of 3 interleaved); "
-        f"identity over {len(pipeline_systems)} pipeline systems"
-    )
-    print("=" * 72)
-    print(
-        f"  exclusion work: batched {ms['exclude_batched']:6.2f} vs object "
-        f"{ms['exclude_object']:6.2f} ms/system -> {speedup:4.2f}x "
-        f"({exclusion_pieces} piece subtractions)"
-    )
-    print(
-        f"  whole solve   : fused   {ms['solve_fused']:6.2f} vs object "
-        f"{ms['solve_object']:6.2f} ms/system -> {solve_ratio:4.2f}x "
-        f"({gh_pieces} GH pieces)"
-    )
-
-    _merge_json(
-        "gh_exclusion",
-        {
-            "hosts": len(dataset.hosts),
-            "systems": per_target,
-            "nonconvex_rings": nonconvex_rings,
-            "exclusion_piece_subtractions": exclusion_pieces,
-            "gh_exclusion_ms_per_system": round(ms["exclude_batched"], 3),
-            "object_exclusion_ms_per_system": round(ms["exclude_object"], 3),
-            "gh_speedup": round(speedup, 3),
-            "fused_solve_ms_per_system": round(ms["solve_fused"], 3),
-            "object_solve_ms_per_system": round(ms["solve_object"], 3),
-            "solve_ratio": round(solve_ratio, 3),
-            "gh_pieces": gh_pieces,
-            "pipeline_identity_systems": len(pipeline_systems),
-        },
-    )
-
-    # Drift gate: the batched exclusion path must clearly beat the object
-    # engine's once the cohort is big enough to measure (the tracked figure
-    # is ~2.8x), so routing the fused kernel's non-convex exclusions
-    # through scalar code trips it.
-    if len(target_ids) >= 20 and len(dataset.hosts) >= 20:
-        assert speedup >= 1.3

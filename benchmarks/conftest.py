@@ -87,7 +87,8 @@ def merge_bench_json(
     Shared by every benchmark module that persists results: tests may run
     in any order (or alone), so each writes its own section into the file,
     stamping the module's schema version.  Corrupt or missing files start
-    fresh.
+    fresh, and so does a file stored under another schema: its sections
+    have the old shape, and re-stamping them would pass them off as new.
     """
     import json
     from pathlib import Path
@@ -99,6 +100,8 @@ def merge_bench_json(
             data = json.loads(out_path.read_text())
         except (ValueError, OSError):
             data = {}
+    if not isinstance(data, dict) or data.get("schema") != schema:
+        data = {}
     data["schema"] = schema
     data[section] = payload
     out_path.write_text(json.dumps(data, indent=2) + "\n")

@@ -59,13 +59,12 @@ class SolverConfig:
     #: every target's constraint sequence in lockstep and pool the batched
     #: passes of all targets into single NumPy calls.  A single solve is a
     #: cohort of one.  ``"object"`` is the per-``Polygon`` path, kept as the
-    #: independent reference.  A non-convex exclusion (a detailed coastline
-    #: ring) is subtracted with Greiner-Hormann on both: the fused engine
-    #: runs the batched row kernel, the object engine the scalar
-    #: ``subtract_polygons``.  Both produce bit-identical estimates (pinned
-    #: by the engine-equivalence suites); ``exact_complements`` runs on the
-    #: object path regardless, which is the only mode that needs general
-    #: disjoint complements.
+    #: independent reference.  A non-convex exclusion that straddles a
+    #: piece's boundary (a projected geographic ring, a hand-written one)
+    #: runs the same scalar ``subtract_polygons`` on both engines.  Both
+    #: produce bit-identical estimates (pinned by the engine-equivalence
+    #: suites); ``exact_complements`` runs on the object path regardless,
+    #: which is the only mode that needs general disjoint complements.
     engine: str = "fused"
     #: Cohort width: the batch evaluation engine
     #: (``BatchLocalizer.localize_all``) solves leave-one-out cohorts in
@@ -144,12 +143,6 @@ class OctantConfig:
     # ---- geographic constraints (Section 2.5) --------------------------- #
     #: Subtract oceans and uninhabited areas from the estimate.
     use_geographic_constraints: bool = True
-    #: Fidelity of the geographic region catalogue: ``"coarse"`` uses the
-    #: original convex rings; ``"detailed"`` uses the higher-fidelity
-    #: non-convex coastline rings (``repro.network.geodata``), which exclude
-    #: strictly more open water/desert while staying sound, and ride the
-    #: solver's batched Greiner-Hormann exclusion path.
-    geographic_detail: str = "coarse"
     #: Add a weak positive constraint around the WHOIS-registered city.
     use_whois: bool = False
     #: Radius (km) of the WHOIS positive constraint.

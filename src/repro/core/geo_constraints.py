@@ -21,13 +21,7 @@ from typing import Iterable, Sequence
 
 from ..geometry import CircleCache
 from ..network.dataset import MeasurementDataset
-from ..network.geodata import (
-    DETAILED_OCEAN_REGIONS,
-    DETAILED_UNINHABITED_REGIONS,
-    GeoRegion,
-    OCEAN_REGIONS,
-    UNINHABITED_REGIONS,
-)
+from ..network.geodata import OCEAN_REGIONS, UNINHABITED_REGIONS, GeoRegion
 from .config import OctantConfig
 from .constraints import Constraint, DiskConstraint, GeoRegionConstraint, Polarity
 
@@ -62,31 +56,14 @@ def _region_constraints(
     ]
 
 
-def _catalogue(detail: str) -> tuple[Sequence[GeoRegion], Sequence[GeoRegion]]:
-    """The (ocean, uninhabited) region catalogue for a fidelity level."""
-    if detail == "detailed":
-        return DETAILED_OCEAN_REGIONS, DETAILED_UNINHABITED_REGIONS
-    if detail != "coarse":
-        raise ValueError(
-            f"unknown geographic_detail {detail!r}; expected 'coarse' or 'detailed'"
-        )
-    return OCEAN_REGIONS, UNINHABITED_REGIONS
-
-
 def ocean_constraints(
     regions: Sequence[GeoRegion] | None = None,
     weight: float = GEOGRAPHIC_CONSTRAINT_WEIGHT,
     cache: "CircleCache | None" = None,
-    detail: str = "coarse",
 ) -> list[Constraint]:
-    """Negative constraints excluding open-ocean regions.
-
-    ``detail`` picks the catalogue when ``regions`` is not given:
-    ``"coarse"`` (convex rings) or ``"detailed"`` (non-convex coastline
-    rings, served by the solver's Greiner-Hormann exclusion path).
-    """
+    """Negative constraints excluding open-ocean regions."""
     if regions is None:
-        regions = _catalogue(detail)[0]
+        regions = OCEAN_REGIONS
     return _region_constraints(regions, weight, "ocean", cache)
 
 
@@ -94,11 +71,10 @@ def uninhabited_constraints(
     regions: Sequence[GeoRegion] | None = None,
     weight: float = GEOGRAPHIC_CONSTRAINT_WEIGHT,
     cache: "CircleCache | None" = None,
-    detail: str = "coarse",
 ) -> list[Constraint]:
     """Negative constraints excluding large uninhabited land areas."""
     if regions is None:
-        regions = _catalogue(detail)[1]
+        regions = UNINHABITED_REGIONS
     return _region_constraints(regions, weight, "uninhabited", cache)
 
 
@@ -110,15 +86,10 @@ def geographic_constraints(
     ``cache`` lets the constraints memoize their projected rings in the
     shared planar geometry cache (the rings are fixed data, so every
     localization under the same projection re-uses one projection pass).
-    ``config.geographic_detail`` selects the coarse (convex) or detailed
-    (non-convex coastline) region catalogue.
     """
     if not config.use_geographic_constraints:
         return []
-    detail = getattr(config, "geographic_detail", "coarse")
-    return ocean_constraints(cache=cache, detail=detail) + uninhabited_constraints(
-        cache=cache, detail=detail
-    )
+    return ocean_constraints(cache=cache) + uninhabited_constraints(cache=cache)
 
 
 def whois_constraint(

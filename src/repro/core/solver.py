@@ -101,9 +101,10 @@ class SolverDiagnostics:
     #: Total vertex lanes processed by the batched clipper, one row per
     #: geometry (cohort-level, like the fused pass counters below).
     vertices_clipped: int = 0
-    #: Geometries that left the vectorized framework for a per-geometry
-    #: object boolean or Greiner-Hormann traversal (non-convex inclusions
-    #: and exclusions), and their total vertex count.
+    #: Geometries that left the vectorized framework for the scalar
+    #: ``intersect_polygons``/``subtract_polygons`` (a non-convex inclusion,
+    #: or a non-convex exclusion straddling the geometry), and their total
+    #: vertex count.
     fallback_pieces: int = 0
     fallback_vertices: int = 0
     #: Pieces entering the fused steps, summed over steps.

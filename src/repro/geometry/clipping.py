@@ -37,7 +37,6 @@ __all__ = [
     "intersect_polygons",
     "union_polygons",
     "subtract_polygons",
-    "subtract_polygons_with_hits",
     "clip_convex",
     "subtract_convex",
     "clip_halfplane",
@@ -307,23 +306,12 @@ class _Ring:
         return [v for v in self.iter_vertices() if not v.is_intersection]
 
 
-def _build_rings(
-    subject: Polygon,
-    clip: Polygon,
-    precomputed: Sequence[tuple[int, int, float, float]] | None = None,
-) -> tuple[_Ring, _Ring, int]:
+def _build_rings(subject: Polygon, clip: Polygon) -> tuple[_Ring, _Ring, int]:
     """Build linked rings for both polygons with intersection vertices inserted.
 
     Returns the two rings and the number of intersection pairs found.  Raises
     :class:`ClippingError` when a degenerate intersection (endpoint touching)
     is detected, so the caller can perturb and retry.
-
-    ``precomputed`` optionally supplies the intersections as
-    ``(subject_edge, clip_edge, alpha, beta)`` tuples in the scan order of
-    the double loop below (subject-edge major, clip-edge minor) -- the
-    batched kernel computes them for many subjects in one tensor with the
-    very ``segment_intersection`` arithmetic, so the assembled rings are
-    node-for-node identical to the scan's.
     """
     ring_s = _Ring(subject.ensure_ccw().vertices)
     ring_c = _Ring(clip.ensure_ccw().vertices)
@@ -333,30 +321,6 @@ def _build_rings(
 
     count = 0
     degenerate_tol = 1e-7
-    if precomputed is not None:
-        ns = len(subject_orig)
-        nc = len(clip_orig)
-        for i, j, alpha, beta in precomputed:
-            if (
-                alpha < degenerate_tol
-                or alpha > 1.0 - degenerate_tol
-                or beta < degenerate_tol
-                or beta > 1.0 - degenerate_tol
-            ):
-                raise ClippingError("degenerate intersection at a vertex")
-            sv = subject_orig[i]
-            s_next = subject_orig[(i + 1) % ns]
-            cv = clip_orig[j]
-            c_next = clip_orig[(j + 1) % nc]
-            point = sv.point + (s_next.point - sv.point) * alpha
-            vs = _Vertex(point, is_intersection=True, alpha=alpha)
-            vc = _Vertex(point, is_intersection=True, alpha=beta)
-            vs.neighbour = vc
-            vc.neighbour = vs
-            ring_s.insert_between(vs, sv, s_next)
-            ring_c.insert_between(vc, cv, c_next)
-            count += 1
-        return ring_s, ring_c, count
     for i, sv in enumerate(subject_orig):
         s_next = subject_orig[(i + 1) % len(subject_orig)]
         for j, cv in enumerate(clip_orig):
@@ -552,32 +516,3 @@ def subtract_polygons(subject: Polygon, clip: Polygon) -> list[Polygon]:
         clip_forward=True,
         no_crossing=_no_crossing_difference,
     )
-
-
-def subtract_polygons_with_hits(
-    subject: Polygon,
-    clip: Polygon,
-    hits: Sequence[tuple[int, int, float, float]],
-) -> list[Polygon]:
-    """Greiner-Hormann difference with precomputed clean intersections.
-
-    ``hits`` is the full intersection set as ``(subject_edge, clip_edge,
-    alpha, beta)`` in scan order, all non-degenerate (the batched caller
-    routes degenerate cases to :func:`subtract_polygons`, whose
-    perturb-and-retry loop re-detects them identically).  Replicates the
-    first -- and, for clean hits, only -- attempt of the scalar
-    ``_greiner_hormann`` difference; any surprise degeneracy falls back to
-    the full scalar path, keeping the outcome identical by construction.
-    """
-    try:
-        ring_s, ring_c, count = _build_rings(subject, clip, precomputed=hits)
-    except ClippingError:
-        return subtract_polygons(subject, clip)
-    if count == 0:
-        return _no_crossing_difference(subject, clip)
-    _mark_entries(ring_s, clip, False)
-    _mark_entries(ring_c, subject, True)
-    pieces = _trace(ring_s)
-    if pieces or count > 0:
-        return pieces
-    return _no_crossing_difference(subject, clip)

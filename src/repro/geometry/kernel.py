@@ -29,16 +29,18 @@ Bit-level identity with the object path is the design contract, pinned by
 the scalar arithmetic operand for operand (NumPy float64 elementwise ops are
 IEEE-identical to CPython float ops), sequential accumulations use
 ``np.cumsum`` (a serial scan, matching the scalar ``+=`` loop bitwise), and
-any case the vectorized passes cannot reproduce exactly -- non-convex
-operands, Greiner-Hormann territory, ambiguous boundary geometry -- falls
-back to the very object-path functions it would otherwise replace.
+any case the vectorized passes cannot reproduce exactly -- a non-convex
+inclusion, a non-convex exclusion straddling a piece's boundary, ambiguous
+boundary geometry -- falls back to the very object-path functions it would
+otherwise replace (``intersect_polygons`` / ``subtract_polygons``, one call
+per distinct geometry).
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,12 +49,10 @@ from .clipping import (
     _MIN_PIECE_AREA_KM2 as MIN_SLIVER_AREA_KM2,
 )
 from .clipping import (
-    _no_crossing_difference,
     clip_convex,
     intersect_polygons,
     subtract_convex,
     subtract_polygons,
-    subtract_polygons_with_hits,
 )
 from .point import EPSILON, Point2D
 from .polygon import MERGE_TOLERANCE_KM, Polygon
@@ -107,9 +107,8 @@ _MAX_SCALAR_WEDGE_EDGES = 8
 
 #: Entry bound of a prefix memo (:class:`PrefixState` values under
 #: :func:`prefix_key`).  On the tracked cohort one entry is the 16-piece,
-#: ~1,900-vertex buffer left by the 18 coarse geographic rings plus its
-#: padded rows: 63 KB of arrays (46 KB with the detailed catalogue), so a
-#: full memo holds about 4 MB.
+#: ~1,900-vertex buffer left by the 18 geographic rings plus its padded
+#: rows: 63 KB of arrays, so a full memo holds about 4 MB.
 PREFIX_MEMO_CAPACITY = 64
 
 #: The zero-weight piece every solve starts from: a square of half-side
@@ -137,8 +136,10 @@ def subtract_cautious(piece: Polygon, exclusion: Polygon) -> list[Polygon]:
     edge; a keyholed polygon keeps it as a single piece with identical
     area and containment behaviour.  Otherwise ``subtract_polygons`` runs:
     wedge decomposition for a convex exclusion, Greiner-Hormann for a
-    non-convex one.  This function is the scalar reference the vectorized
-    engines replicate (hoisted from ``WeightedRegionSolver``).
+    non-convex one.  This function is the object engine's exclusion and the
+    scalar reference of the fused kernel, which batches the bounding-box,
+    keyhole and convex-wedge stages and calls ``subtract_polygons`` itself
+    for a non-convex exclusion.
     """
     piece_box = piece.bounding_box()
     exclusion_box = exclusion.bounding_box()
@@ -1235,7 +1236,6 @@ class _ConstraintGeometry:
         "exc_wedge_sides",
         "exc_edges",
         "exc_swapped",
-        "exc_gh_ccw",
     )
 
     def __init__(self, constraint) -> None:
@@ -1273,7 +1273,6 @@ class _ConstraintGeometry:
         self.exc_wedge_sides = None
         self.exc_edges = None
         self.exc_swapped = None
-        self.exc_gh_ccw = None
 
     def ensure_inclusion_tables(self) -> None:
         """Edge table and centre-distance anchor for the convex inclusion."""
@@ -1338,11 +1337,6 @@ class _ConstraintGeometry:
             nxt[:, 1],  # by
         )
         self.exc_edges = edges
-
-    def ensure_gh_tables(self) -> None:
-        """CCW clip-ring coordinates for the batched Greiner-Hormann pass."""
-        if self.exc_gh_ccw is None:
-            self.exc_gh_ccw = _ccw_coords_array(self.exclusion)
 
 
 def _ccw_coords_array(polygon: Polygon) -> np.ndarray:
@@ -1785,7 +1779,12 @@ class FusedSolverKernel:
             if geometry.inclusion is None:
                 s.inside_parts = [[p] for p in s.buffer.parts()]
             elif not geometry.inc_convex:
-                s.inside_parts = self._nonconvex_inclusion(s)
+                s.inside_parts = _scalar_boolean(
+                    s.diagnostics,
+                    s.buffer.parts(),
+                    intersect_polygons,
+                    geometry.inclusion,
+                )
             else:
                 fusable.append(s)
         if fusable:
@@ -1976,18 +1975,6 @@ class FusedSolverKernel:
     # ------------------------------------------------------------------ #
     # Inclusion: cohort prefilters + pooled convex clip
     # ------------------------------------------------------------------ #
-    def _nonconvex_inclusion(self, s: _TargetState) -> list[list]:
-        """Non-convex inclusion: the exact object-path boolean per geometry."""
-        diag = s.diagnostics
-        inclusion = s.geometry.inclusion
-        out: list[list] = []
-        for part in s.buffer.parts():
-            diag.fallback_pieces += 1
-            diag.fallback_vertices += len(part[0])
-            polys = intersect_polygons(_polygon_from_part(part), inclusion)
-            out.append([_part_from_polygon(p) for p in polys])
-        return out
-
     def _fused_inclusion(self, group: list[_TargetState]) -> None:
         # Replica of BoundingBox.intersects(piece_box, clip_box), one pass
         # over every target's pieces with per-row constraint bounds.  Runs
@@ -2179,15 +2166,15 @@ class FusedSolverKernel:
         return _InclusionPlan(out, still, parts, edges[needed])
 
     # ------------------------------------------------------------------ #
-    # Exclusion: cohort classification + pooled keyholes, GH, wedges
+    # Exclusion: cohort classification + pooled keyholes and wedges
     # ------------------------------------------------------------------ #
     def _fused_exclusion(self, group: list[_TargetState]) -> None:
         """``subtract_cautious`` for every part of every target at once.
 
         Per part the decision tree matches the scalar code: bounding-box
         disjoint keeps the part, a strictly-contained exclusion keyholes it,
-        a convex exclusion is wedge-subtracted, a non-convex one rides the
-        batched Greiner-Hormann row kernel.  The bbox/keyhole
+        a convex exclusion is wedge-subtracted, and a non-convex one runs
+        the scalar ``subtract_polygons`` on the part.  The bbox/keyhole
         classification, keyhole containment, bridge search, batched
         keyholing and wedge sidedness run once over the stacked rows of
         every target, with per-row constraint parameters taken by target
@@ -2302,18 +2289,19 @@ class FusedSolverKernel:
 
         if subtract_rows:
             convex_rows: list[int] = []
-            gh_rows: dict[int, list[int]] = {}
             for row in subtract_rows:
                 t = row_target_l[row]
-                if group[t].geometry.exc_convex:
+                s = group[t]
+                if s.geometry.exc_convex:
                     convex_rows.append(row)
                 else:
-                    gh_rows.setdefault(t, []).append(row)
-            for t, rows in gh_rows.items():
-                # Each target subtracts its own clip ring.
-                self._gh_subtract_rows(
-                    group[t], flats[t], plans[t], rows, starts[t], X, Y, counts
-                )
+                    fi = row - starts[t]
+                    plans[t].results[fi] = _scalar_boolean(
+                        s.diagnostics,
+                        [flats[t][fi]],
+                        subtract_polygons,
+                        s.geometry.exclusion,
+                    )[0]
             if convex_rows:
                 self._convex_subtract(
                     group, plans, flats, X, Y, counts, row_target, starts, convex_rows
@@ -2426,109 +2414,6 @@ class FusedSolverKernel:
                 row = keyhole_rows[k]
                 plans[t].results[row - starts[t]] = [part]
         return fall_through
-
-    def _gh_subtract_rows(
-        self,
-        s: _TargetState,
-        flat: list[_Part],
-        plan: _ExclusionPlan,
-        rows: list[int],
-        start: int,
-        cohortX: np.ndarray,
-        cohortY: np.ndarray,
-        cohort_counts: np.ndarray,
-    ) -> None:
-        """Batched Greiner-Hormann subtraction over one target's parts.
-
-        ``rows`` index the cohort's padded arrays; flat part ``row - start``
-        is the target's own.  The O(subject_edges x clip_edges) intersection
-        scan -- the dominant cost of ``subtract_polygons`` on the small
-        rings the solver sees -- runs as one (part, lane, clip-edge) tensor
-        mirroring ``segment_intersection`` operand for operand (same
-        ``EPSILON`` gate, same in-range predicate, same clamping).  Per part
-        the classification then routes exactly like the scalar
-        ``_greiner_hormann`` difference:
-
-        * a degenerate hit anywhere -> the full scalar path (its
-          perturb-and-retry loop re-detects the degeneracy identically);
-        * no hits -> the scalar no-crossing containment classification;
-        * clean hits -> ring assembly and traversal from the precomputed
-          intersections (:func:`subtract_polygons_with_hits`), inserted in
-          the scalar scan's (subject edge, clip edge) order so the linked
-          rings are node-for-node identical.
-        """
-        diag = s.diagnostics
-        geometry = s.geometry
-        exclusion = geometry.exclusion
-        geometry.ensure_gh_tables()
-        clip = geometry.exc_gh_ccw
-        results = plan.results
-        fis = [row - start for row in rows]
-        idx = np.asarray(rows)
-        counts = cohort_counts[idx]
-        narrow = max(int(counts.max()), 1)
-        X = cohortX[idx][:, :narrow]
-        Y = cohortY[idx][:, :narrow]
-        signed = np.array([flat[fi][2] for fi in fis])
-        # The scalar path scans subject.ensure_ccw().vertices; reversal
-        # preserves the cleaned vertex list, so flipping the stored rows
-        # reproduces those coordinates bitwise.
-        X, Y = _reverse_rows(X, Y, counts, ~(signed > 0.0))
-        R, V = X.shape
-        lanes = _lanes(V)[None, :]
-        valid = lanes < counts[:, None]
-        rows_col = _rows_col(R)
-        next_idx = np.where(lanes == counts[:, None] - 1, 0, lanes + 1)
-        next_idx = np.where(valid, next_idx, 0)
-        rx = X[rows_col, next_idx] - X
-        ry = Y[rows_col, next_idx] - Y
-        q1x = clip[:, 0]
-        q1y = clip[:, 1]
-        q2x = np.roll(clip[:, 0], -1)
-        q2y = np.roll(clip[:, 1], -1)
-        sx = (q2x - q1x)[None, None, :]
-        sy = (q2y - q1y)[None, None, :]
-        denom = rx[:, :, None] * sy - ry[:, :, None] * sx
-        qpx = q1x[None, None, :] - X[:, :, None]
-        qpy = q1y[None, None, :] - Y[:, :, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = (qpx * sy - qpy * sx) / denom
-            beta = (qpx * ry[:, :, None] - qpy * rx[:, :, None]) / denom
-        hit = (
-            (np.abs(denom) >= EPSILON)
-            & (alpha > -EPSILON)
-            & (alpha < 1.0 + EPSILON)
-            & (beta > -EPSILON)
-            & (beta < 1.0 + EPSILON)
-            & valid[:, :, None]
-        )
-        alpha_c = np.minimum(1.0, np.maximum(0.0, alpha))
-        beta_c = np.minimum(1.0, np.maximum(0.0, beta))
-        dtol = 1e-7
-        degenerate = hit & (
-            (alpha_c < dtol)
-            | (alpha_c > 1.0 - dtol)
-            | (beta_c < dtol)
-            | (beta_c > 1.0 - dtol)
-        )
-        hit_any = hit.any(axis=(1, 2))
-        degenerate_any = degenerate.any(axis=(1, 2))
-        for k, fi in enumerate(fis):
-            diag.fallback_pieces += 1
-            diag.fallback_vertices += int(counts[k])
-            subject = _polygon_from_part(flat[fi])
-            if degenerate_any[k]:
-                polys = subtract_polygons(subject, exclusion)
-            elif not hit_any[k]:
-                polys = _no_crossing_difference(subject, exclusion)
-            else:
-                ii, jj = np.nonzero(hit[k])
-                hits = [
-                    (int(i), int(j), float(alpha_c[k, i, j]), float(beta_c[k, i, j]))
-                    for i, j in zip(ii.tolist(), jj.tolist())
-                ]
-                polys = subtract_polygons_with_hits(subject, exclusion, hits)
-            results[fi] = [_part_from_polygon(p) for p in polys]
 
     def _convex_subtract(
         self,
@@ -2730,8 +2615,29 @@ class FusedSolverKernel:
 
 
 # --------------------------------------------------------------------------- #
-# Part conversions
+# Part conversions and the scalar fallback
 # --------------------------------------------------------------------------- #
+def _scalar_boolean(
+    diag,
+    parts: Sequence[_Part],
+    op: Callable[[Polygon, Polygon], list[Polygon]],
+    other: Polygon,
+) -> list[list]:
+    """The object path's ``op(part, other)``, once per distinct geometry.
+
+    The non-convex operands the batched passes do not replicate -- a
+    non-convex inclusion, or a non-convex exclusion straddling a part's
+    boundary -- run the scalar reference boolean itself, so both engines
+    agree by construction.  Every call counts as a fallback.
+    """
+    out: list[list] = []
+    for part in parts:
+        diag.fallback_pieces += 1
+        diag.fallback_vertices += len(part[0])
+        out.append([_part_from_polygon(p) for p in op(_polygon_from_part(part), other)])
+    return out
+
+
 def _part_from_polygon(polygon: Polygon) -> _Part:
     coords = np.asarray(polygon.coords)
     return (

@@ -34,8 +34,6 @@ __all__ = [
     "EUROPEAN_CITIES",
     "OCEAN_REGIONS",
     "UNINHABITED_REGIONS",
-    "DETAILED_OCEAN_REGIONS",
-    "DETAILED_UNINHABITED_REGIONS",
     "city_by_code",
     "city_by_name",
     "nearest_city",
@@ -233,15 +231,13 @@ _CITIES_BY_NAME = {city.name.lower(): city for city in WORLD_CITIES}
 class GeoRegion:
     """A named closed polygon on the globe used as a geographic constraint.
 
-    Regions are stored as rings of geographic points.  The *coarse*
-    catalogue keeps ocean and uninhabited regions convex, which historically
-    kept the polygon algebra on its robust fast path; the *detailed*
-    catalogue (``DETAILED_OCEAN_REGIONS`` / ``DETAILED_UNINHABITED_REGIONS``)
-    follows coastlines with non-convex rings -- excluding strictly more open
-    water and desert -- and relies on the solver's batched Greiner-Hormann
-    subtraction of non-convex exclusions.  Both err on the side of smaller
-    regions, which keeps the constraints sound (they never exclude land a
-    target could occupy).
+    Regions are stored as rings of geographic points.  The catalogue keeps
+    ocean and uninhabited regions as coarse convex cores that err on the
+    side of smaller regions, which keeps the constraints sound (they never
+    exclude land a target could occupy).  A projected ring may still be
+    non-convex; the solver keyholes it into a piece that contains it and
+    subtracts it with the scalar Greiner-Hormann difference where it
+    straddles a piece's boundary.
     """
 
     name: str
@@ -423,130 +419,6 @@ UNINHABITED_REGIONS: tuple[GeoRegion, ...] = (
         (72.0, 120.0),
         (64.0, 118.0),
         (63.0, 82.0),
-    ),
-)
-
-
-#: Higher-fidelity *non-convex* ocean rings: each hugs its basin's
-#: coastlines instead of inscribing a convex core, so it excludes strictly
-#: more open water than its coarse counterpart while staying clear of land.
-#: Selected by ``OctantConfig.geographic_detail="detailed"``; the solver
-#: subtracts them through the batched Greiner-Hormann exclusion path.
-DETAILED_OCEAN_REGIONS: tuple[GeoRegion, ...] = (
-    _region(
-        "north-atlantic-detailed",
-        "ocean",
-        (52.0, -38.0),
-        (50.0, -18.0),
-        (44.0, -14.0),
-        (40.0, -16.0),  # concave bend off Iberia
-        (34.0, -16.0),
-        (26.0, -22.0),
-        (23.0, -45.0),
-        (27.0, -62.0),
-        (33.0, -68.0),
-        (36.0, -62.0),  # concave bend around Bermuda's longitude
-        (40.0, -62.0),
-        (44.0, -52.0),
-    ),
-    _region(
-        "mid-atlantic-detailed",
-        "ocean",
-        (25.0, -58.0),
-        (21.0, -32.0),
-        (12.0, -26.0),  # concave step along the African bulge
-        (6.0, -22.0),
-        (0.0, -30.0),
-        (4.0, -40.0),  # concave bend off the Brazilian shoulder
-        (12.0, -52.0),
-    ),
-    _region(
-        "north-pacific-detailed",
-        "ocean",
-        (48.0, -155.0),
-        (46.0, -132.0),
-        (36.0, -126.0),
-        (30.0, -122.0),  # concave hug of the Californian coast
-        (22.0, -130.0),
-        (14.0, -140.0),
-        (18.0, -152.0),  # concave bend north of Hawaii's longitude band
-        (28.0, -162.0),
-        (40.0, -165.0),
-    ),
-    _region(
-        "gulf-of-mexico-detailed",
-        "ocean",
-        (28.8, -95.0),
-        (28.8, -89.0),
-        (26.8, -88.0),  # concave notch below the Mississippi fan
-        (27.0, -85.5),
-        (24.0, -84.5),
-        (23.0, -86.0),  # concave sweep north of the Cuban shelf
-        (21.5, -91.0),
-        (23.0, -96.0),
-        (25.5, -96.5),
-    ),
-    _region(
-        "labrador-sea-detailed",
-        "ocean",
-        (61.0, -60.0),
-        (59.5, -50.0),
-        (55.0, -48.0),  # concave bend toward the Greenland tip
-        (50.0, -46.0),
-        (48.5, -51.0),
-        (52.0, -54.0),  # concave hug of the Newfoundland shelf
-        (56.0, -58.0),
-    ),
-    _region(
-        "bay-of-biscay-detailed",
-        "ocean",
-        (47.8, -8.5),
-        (47.5, -4.0),
-        (46.0, -3.2),  # concave hug of the French coast
-        (44.5, -2.2),
-        (43.9, -5.0),
-        (44.5, -7.5),
-        (46.0, -7.0),  # concave bend back toward the shelf edge
-    ),
-)
-
-#: Higher-fidelity *non-convex* uninhabited-land rings (see above).
-DETAILED_UNINHABITED_REGIONS: tuple[GeoRegion, ...] = (
-    _region(
-        "greenland-interior-detailed",
-        "uninhabited",
-        (78.5, -55.0),
-        (79.0, -40.0),
-        (76.0, -28.0),
-        (73.0, -36.0),  # concave step into the eastern fjords
-        (70.0, -30.0),
-        (66.0, -36.0),
-        (63.5, -46.0),
-        (67.0, -47.0),  # concave step along the western settlements
-        (72.0, -54.0),
-    ),
-    _region(
-        "sahara-interior-detailed",
-        "uninhabited",
-        (28.5, -6.0),
-        (29.0, 8.0),
-        (26.0, 14.0),  # concave bend around the Hoggar massif
-        (27.0, 21.0),
-        (19.0, 24.0),
-        (16.5, 12.0),  # concave bend north of the Sahel towns
-        (15.5, -1.0),
-        (21.0, -9.0),
-    ),
-    _region(
-        "australian-outback-detailed",
-        "uninhabited",
-        (-19.5, 124.5),
-        (-20.0, 132.0),
-        (-23.0, 134.5),  # concave notch around the Alice Springs corridor
-        (-20.5, 137.5),
-        (-27.0, 139.0),
-        (-29.5, 130.0),
-        (-26.0, 126.0),  # concave bend along the western desert tracks
     ),
 )
 

@@ -1,24 +1,24 @@
-"""Non-convex exclusion: batched Greiner-Hormann, ingest, threads.
+"""Non-convex exclusion: the scalar subtraction path, ingest, threads.
 
 Non-convex negative constraints (the paper's ocean/uninhabited regions,
-Section 2.5) are subtracted with Greiner-Hormann on both engines: the fused
-engine runs the batched row kernel (vectorized intersection classification,
-per-piece traversal), the object engine the scalar ``subtract_polygons``
-reference.  This suite pins:
+Section 2.5, and hand-written rings) go through the fused kernel's pooled
+bounding-box and keyhole stages; a part the exclusion straddles runs the
+scalar ``subtract_polygons`` (Greiner-Hormann) once per distinct geometry,
+the same call the object engine makes.  This suite pins:
 
 * fused-vs-object bit identity on randomized non-convex-heavy systems,
   including disconnected, antimeridian-crossing and self-intersecting
-  regions and the detailed geographic catalogue;
+  regions;
 * fused cohorts against fused cohorts of one on non-convex-heavy cohorts
   (including a cohort of one and fuse-width-boundary chunking through the
   batch engine);
-* a measurement ingest never serves stale geometry, the GH counters
+* a measurement ingest never serves stale geometry, the fallback counters
   surface through ``kernel_summary``, and fused chunks solved from
   concurrent threads match the serial batch.
 
-The module and ``test_masked_*`` names date from the convex-mask fold that
-non-convex exclusions used to ride; the cases now pin the single batched
-Greiner-Hormann path against the object engine.
+The module, ``test_masked_*`` and ``*_gh_*`` names date from earlier
+batched paths that non-convex exclusions used to ride; the cases now pin
+the scalar subtraction path against the object engine.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def assert_cohort_identical(cohort, config_kwargs=None):
 
 
 # --------------------------------------------------------------------------- #
-# Batched Greiner-Hormann vs the scalar reference (non-convex-heavy systems)
+# Fused vs the object engine (non-convex-heavy systems)
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("seed", range(12))
 def test_masked_nonconvex_equivalence(seed):
@@ -154,8 +154,8 @@ def test_masked_nonconvex_equivalence_slivers(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_gh_fallback_equivalence(seed):
-    """A second randomized family: the batched GH classification vs the
-    scalar GH loop of the object engine."""
+    """A second randomized family: the fused kernel's bbox/keyhole stages
+    and scalar subtraction vs the object engine."""
     rng = random.Random(9300 + seed)
     assert_engines_identical(random_nonconvex_system(rng))
 
@@ -166,7 +166,7 @@ def _straddling_system() -> list[PlanarConstraint]:
     Low-weight exclusions apply *after* the disks have shrunk the pieces,
     and they straddle the base disk's boundary: neither bbox rejection nor
     the keyhole (strictly-contained) shortcut can resolve them, so the
-    subtraction must run -- through the Greiner-Hormann row kernel.
+    subtraction must run -- the scalar ``subtract_polygons`` per geometry.
     """
     rng = random.Random(42)
     return [
@@ -185,7 +185,7 @@ def test_disconnected_nonconvex_regions():
 
 
 def test_gh_fallback_counters():
-    """Boundary-straddling exclusions hit the GH row kernel and say so."""
+    """Boundary-straddling exclusions run the scalar subtraction and say so."""
     solver, _ = assert_engines_identical(_straddling_system())
     diagnostics = solver.diagnostics
     assert diagnostics.fallback_pieces > 0
@@ -225,7 +225,7 @@ def test_antimeridian_ring_equivalence():
 
 def test_self_intersecting_ring_rides_gh():
     """A bowtie exclusion (a projection fold) must agree bit for bit through
-    the batched Greiner-Hormann path."""
+    the scalar Greiner-Hormann subtraction."""
     bowtie = Polygon(
         [
             Point2D(-300.0, -250.0),
@@ -244,26 +244,6 @@ def test_self_intersecting_ring_rides_gh():
     assert solver.diagnostics.fallback_pieces > 0
 
 
-def test_detailed_geo_regions_are_nonconvex_and_identical():
-    """The detailed catalogue rings: fused cohort == fused alone == object."""
-    from repro.core import GeoRegionConstraint, Polarity
-    from repro.network.geodata import DETAILED_OCEAN_REGIONS
-
-    constraints = [positive(disk_at(90.0, 2500.0, 3500.0), 1.0, "base")]
-    nonconvex = 0
-    for region in DETAILED_OCEAN_REGIONS[:4]:
-        planar = GeoRegionConstraint(
-            ring=region.ring, polarity=Polarity.NEGATIVE, weight=5.0
-        ).to_planar(PROJ)
-        assert planar is not None
-        if not planar.exclusion.is_convex():
-            nonconvex += 1
-        constraints.append(planar)
-    assert nonconvex > 0  # detailed regions must stay non-convex when projected
-    assert_engines_identical(constraints)
-    assert_cohort_identical([constraints])
-
-
 # --------------------------------------------------------------------------- #
 # Fused cohort identity on non-convex-heavy cohorts
 # --------------------------------------------------------------------------- #
@@ -276,10 +256,10 @@ def test_fused_cohort_nonconvex_identity(size):
 
 
 def test_fused_chunk_boundary_through_batch_engine():
-    """fuse_width chunking with detailed (non-convex) geographic regions.
+    """fuse_width chunking with the geographic regions.
 
-    The fused batch answers must equal fused cohorts of one and the object
-    engine's.
+    The coarse rings are non-convex once projected.  The fused batch
+    answers must equal fused cohorts of one and the object engine's.
     """
     from repro import BatchLocalizer, Octant, collect_dataset
     from repro.core.config import OctantConfig, SolverConfig
@@ -287,10 +267,7 @@ def test_fused_chunk_boundary_through_batch_engine():
 
     deployment = small_deployment(host_count=6, seed=13)
     dataset = collect_dataset(deployment)
-    config = OctantConfig(
-        geographic_detail="detailed",
-        solver=SolverConfig(engine="fused", fuse_width=4),
-    )
+    config = OctantConfig(solver=SolverConfig(engine="fused", fuse_width=4))
     fused = BatchLocalizer(Octant(dataset, config)).localize_all()
     one_at_a_time = SolverConfig(engine="fused", fuse_width=1)
     for solver in (one_at_a_time, SolverConfig(engine="object")):

@@ -43,7 +43,7 @@ def dataset():
 CONFIGS = {
     "default": OctantConfig(),
     "latency_only": OctantConfig.latency_only(),
-    "detailed": OctantConfig(geographic_detail="detailed"),
+    "full": OctantConfig.full(),
 }
 
 

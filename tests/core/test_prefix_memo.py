@@ -202,21 +202,6 @@ def test_latency_only_has_no_prefix_and_stores_nothing(dataset):
     assert (stats.prefix_memo_hits, stats.prefix_memo_misses) == (0, 0)
 
 
-def test_detailed_catalogue_hits_bit_identically(dataset):
-    """Non-convex coastline rings (batched Greiner-Hormann) memoize too."""
-    config = SolverConfig()
-    systems = presolved_systems(
-        dataset, OctantConfig(geographic_detail="detailed"), count=2
-    )
-    memo = BoundedLRU(PREFIX_MEMO_CAPACITY)
-    for round_, expected in enumerate(("miss", "hit")):
-        results = memoized(config, systems, memo)
-        for (result, outcome), system in zip(results, systems):
-            assert system[2] > 0
-            assert outcome == expected, round_
-            assert result == cold(config, system)
-
-
 def test_octant_localize_hits_on_repeat(dataset):
     octant = Octant(dataset)
     target = dataset.host_ids[0]

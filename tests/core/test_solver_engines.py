@@ -443,9 +443,9 @@ class TestWorldSquare:
         [
             OctantConfig(),
             OctantConfig.latency_only(),
-            OctantConfig(geographic_detail="detailed"),
+            OctantConfig.full(),
         ],
-        ids=["default", "latency_only", "detailed"],
+        ids=["default", "latency_only", "full"],
     )
     def test_contains_every_leave_one_out_constraint(self, tracked_cohort, config):
         """Starting from the square clips no constraint of the tracked
