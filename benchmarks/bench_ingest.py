@@ -13,10 +13,11 @@ end to end, in one run:
    value-changing target-side re-probes through ``ingest_nowait`` at
    greater than one probe per tracked target per second while the same
    warm requests repeat.  Gates: churn warm p50 at most
-   ``CHURN_BOUND_SLACK`` times the committed ``BENCH_ingest.json`` figure
-   (for a cohort no larger than the committed one), prepared-cache hit
-   rate >= 70%.  The churn/quiescent ratio is reported, not gated: a
-   faster quiescent read would fail a ratio gate with churn no slower.
+   ``CHURN_BOUND_SLACK`` times the committed ``BENCH_ingest.json`` figure,
+   both counted in host reference loops (for a cohort no larger than the
+   committed one), prepared-cache hit rate >= 70%.  The churn/quiescent
+   ratio is reported, not gated: a faster quiescent read would fail a
+   ratio gate with churn no slower.
 3. **Sustained churn, full invalidation** -- the identical phase with
    delta carry-over disabled (every compaction evicts everything), the
    baseline the selective path is judged against.
@@ -45,19 +46,22 @@ from repro.network import ProbeAgent
 #: ``churn_p50_bound_ms``, the absolute bound the run was gated on.
 #: v3: ``ref_loop_ms_before`` / ``ref_loop_ms_after``, the host speed probe
 #: (``conftest.host_ref_loop_ms``) around the measured phases.
-SCHEMA_VERSION = 3
+#: v4: ``churn_warm_p50_ref_loops`` (churn warm p50 over the mean probe), the
+#: unit the churn bound is stated in.
+SCHEMA_VERSION = 4
 
-#: Churn warm p50 may be at most this factor over the committed figure.
+#: Churn warm p50 may be at most this factor over the committed figure, both
+#: counted in host reference loops.
 CHURN_BOUND_SLACK = 1.25
 HIT_RATE_FLOOR = 0.70
 
 
 def _committed_churn_bound() -> tuple[int, float] | None:
-    """``(hosts, churn_warm_p50_ms)`` from the checked-out artifact, if any."""
+    """``(hosts, churn_warm_p50_ref_loops)`` from the checked-out artifact, if any."""
     path = Path(os.environ.get("OCTANT_INGEST_BENCH_JSON", "BENCH_ingest.json"))
     try:
         section = json.loads(path.read_text())["sustained_churn"]
-        return int(section["hosts"]), float(section["churn_warm_p50_ms"])
+        return int(section["hosts"]), float(section["churn_warm_p50_ref_loops"])
     except (OSError, ValueError, KeyError, TypeError):
         return None
 
@@ -252,8 +256,11 @@ def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
     ratio = churn_p50 / quiescent_p50 if quiescent_p50 else float("inf")
     # A cohort no larger than the committed one has no more landmarks per
     # request, so the committed figure bounds it; a larger one is not gated.
+    # Both are counted in this run's host reference loops, so the bound
+    # follows the box's speed.
+    ref_ms = (ref_before + ref_after) / 2
     bound_ms = (
-        committed[1] * CHURN_BOUND_SLACK
+        committed[1] * CHURN_BOUND_SLACK * ref_ms
         if committed is not None and len(hosts) <= committed[0]
         else None
     )
@@ -313,6 +320,7 @@ def test_sustained_churn_keeps_serving_warm(dataset, monkeypatch):
         "quiescent_warm_p50_ms": round(quiescent_p50, 3),
         "churn_warm_p50_ms": round(churn_p50, 3),
         "p50_ratio": round(ratio, 3),
+        "churn_warm_p50_ref_loops": round(churn_p50 / ref_ms, 3),
         "churn_p50_bound_ms": None if bound_ms is None else round(bound_ms, 3),
         "hit_rate_gate": HIT_RATE_FLOOR,
         "ref_loop_ms_before": ref_before,

@@ -13,10 +13,11 @@ tracking tooling can diff runs without parsing stdout:
   cohort vs cohorts of one on identical planar constraint systems (the
   whole tracked cohort solved in one
   :func:`repro.core.solver.solve_systems` lockstep run vs one
-  ``solve_systems`` call per system), with bit-identity asserted, the
-  fused pass counters recorded, and the per-phase wall-time split
-  (exclusion/assemble/inclusion/select) aggregated per side so phase-level
-  wins are tracked for both.  The tracked figure is measured at
+  ``solve_systems`` call per system, each masked by the pipeline's
+  geographic rings), with bit-identity asserted, the fused pass counters
+  recorded, and the per-phase wall-time split
+  (exclusion/assemble/inclusion/select/mask) aggregated per side so
+  phase-level wins are tracked for both.  The tracked figure is measured at
   ``OCTANT_BENCH_HOSTS=30``.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 
 import pytest
 
@@ -46,7 +48,12 @@ from repro.evalx import percentile
 #: ``fused_shared_share``).
 #: v8: ``gh_exclusion`` is gone with the batched Greiner-Hormann row kernel
 #: it measured; a non-convex exclusion runs the scalar ``subtract_polygons``.
-SCHEMA_VERSION = 8
+#: v9: the geographic rings leave the weighted solve and mask the selection.
+#: ``cohort_engines`` solves every system with its pipeline land mask, the
+#: phase splits gain ``mask`` and ``cohort_engines`` records the mask
+#: outcomes (``geo_mask``); the kernel summary drops the deleted geographic
+#: memo's outcome key.
+SCHEMA_VERSION = 9
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -132,6 +139,7 @@ def test_cohort_engine_speedup(dataset, target_ids):
 
     localizer = BatchLocalizer(Octant(dataset))
     systems = []
+    masks = []
     dropped = 0
     for target in target_ids:
         try:
@@ -141,6 +149,7 @@ def test_cohort_engine_speedup(dataset, target_ids):
             continue
         presolved = localizer.octant.presolve(target, prepared=prepared)
         systems.append((presolved.planar, presolved.projection))
+        masks.append(localizer.octant.pipeline.land_mask(presolved.projection))
     if dropped:
         print(f"  (presolve dropped {dropped} of {len(target_ids)} targets)")
 
@@ -154,12 +163,12 @@ def test_cohort_engine_speedup(dataset, target_ids):
         for side in ("one_at_a_time", "fused"):
             started = time.perf_counter()
             if side == "fused":
-                out = solve_systems(config, systems)
+                out = solve_systems(config, systems, masks)
             else:
                 out = []
-                for k, system in enumerate(systems):
+                for k, (system, mask) in enumerate(zip(systems, masks)):
                     system_started = time.perf_counter()
-                    out.append(solve_systems(config, [system])[0])
+                    out.append(solve_systems(config, [system], [mask])[0])
                     alone_s[k] = min(alone_s[k], time.perf_counter() - system_started)
             best[side] = min(best[side], time.perf_counter() - started)
             results.setdefault(side, out)
@@ -176,6 +185,7 @@ def test_cohort_engine_speedup(dataset, target_ids):
         assert diag_v.constraints_applied == diag_f.constraints_applied
         assert diag_v.dropped_constraints == diag_f.dropped_constraints
         assert diag_v.max_weight == diag_f.max_weight
+        assert diag_v.geo_mask == diag_f.geo_mask
 
     per_target = len(systems) or 1
     alone_ms = best["one_at_a_time"] / per_target * 1000
@@ -188,6 +198,7 @@ def test_cohort_engine_speedup(dataset, target_ids):
     shared_pieces = sum(diag.shared_pieces for _r, diag in results["fused"])
     step_pieces = sum(diag.step_pieces for _r, diag in results["fused"])
     shared_share = shared_pieces / step_pieces if step_pieces else 0.0
+    geo_mask = dict(Counter(str(diag.geo_mask) for _r, diag in results["fused"]))
 
     phase_seconds = {side: _phase_split(outcomes) for side, outcomes in results.items()}
 
@@ -214,6 +225,7 @@ def test_cohort_engine_speedup(dataset, target_ids):
         f"  shared pieces : {shared_pieces} of {step_pieces} "
         f"pieces entering steps ({shared_share:.1%})"
     )
+    print(f"  land mask     : {geo_mask}")
 
     _merge_json(
         "cohort_engines",
@@ -236,6 +248,7 @@ def test_cohort_engine_speedup(dataset, target_ids):
             "fused_shared_pieces": shared_pieces,
             "fused_step_pieces": step_pieces,
             "fused_shared_share": round(shared_share, 4),
+            "geo_mask": geo_mask,
         },
     )
 

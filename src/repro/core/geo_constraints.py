@@ -10,9 +10,13 @@ used for latency measurements:
   and a generous radius, because registrations are often at headquarters --
   narrows the estimate.
 
-Because Octant regions may be non-convex and disconnected, these constraints
-participate directly in the solve instead of needing the ad-hoc
-post-processing step the paper criticizes in prior work.
+The negative regions are certain, so they carry no weight: the pipeline
+subtracts them from the selected pieces as a hard land mask
+(:func:`~repro.geometry.kernel.select_region`).  Because Octant regions may
+be non-convex and disconnected, the masked region stays an exact Octant
+region, and a selection that lies wholly at sea falls back to the next
+weight class instead of vanishing.  The WHOIS hint is an ordinary weighted
+constraint of the solve.
 """
 
 from __future__ import annotations
@@ -32,15 +36,8 @@ __all__ = [
     "whois_constraint",
 ]
 
-#: Weight given to the ocean / uninhabited negative constraints.  These are
-#: essentially certain, so they carry a high weight; they are still subject to
-#: the solver's conflict handling like everything else.
-GEOGRAPHIC_CONSTRAINT_WEIGHT = 5.0
-
-
 def _region_constraints(
     regions: Iterable[GeoRegion],
-    weight: float,
     label_prefix: str,
     cache: "CircleCache | None" = None,
 ) -> list[Constraint]:
@@ -48,7 +45,7 @@ def _region_constraints(
         GeoRegionConstraint(
             ring=region.ring,
             polarity=Polarity.NEGATIVE,
-            weight=weight,
+            weight=0.0,
             label=f"{label_prefix}:{region.name}",
             geometry_cache=cache,
         )
@@ -58,30 +55,28 @@ def _region_constraints(
 
 def ocean_constraints(
     regions: Sequence[GeoRegion] | None = None,
-    weight: float = GEOGRAPHIC_CONSTRAINT_WEIGHT,
     cache: "CircleCache | None" = None,
 ) -> list[Constraint]:
-    """Negative constraints excluding open-ocean regions."""
+    """Weightless negative constraints excluding open-ocean regions."""
     if regions is None:
         regions = OCEAN_REGIONS
-    return _region_constraints(regions, weight, "ocean", cache)
+    return _region_constraints(regions, "ocean", cache)
 
 
 def uninhabited_constraints(
     regions: Sequence[GeoRegion] | None = None,
-    weight: float = GEOGRAPHIC_CONSTRAINT_WEIGHT,
     cache: "CircleCache | None" = None,
 ) -> list[Constraint]:
-    """Negative constraints excluding large uninhabited land areas."""
+    """Weightless negative constraints excluding large uninhabited land areas."""
     if regions is None:
         regions = UNINHABITED_REGIONS
-    return _region_constraints(regions, weight, "uninhabited", cache)
+    return _region_constraints(regions, "uninhabited", cache)
 
 
 def geographic_constraints(
     config: OctantConfig, cache: "CircleCache | None" = None
 ) -> list[Constraint]:
-    """All geographic negative constraints enabled by ``config``.
+    """All geographic negative constraints enabled by ``config``: the land mask.
 
     ``cache`` lets the constraints memoize their projected rings in the
     shared planar geometry cache (the rings are fixed data, so every

@@ -318,6 +318,7 @@ class Octant:
                 "landmark_count": len(presolved.landmarks),
                 "dropped_constraints": list(diagnostics.dropped_constraints),
                 "max_weight": diagnostics.max_weight,
+                "geo_mask": diagnostics.geo_mask,
                 "solver_engine": diagnostics.engine,
                 "solver_seconds": diagnostics.solve_seconds,
                 "kernel": diagnostics.kernel_summary(),

@@ -7,26 +7,26 @@ machinery:
 
 1. **Assembly** (:meth:`ConstraintPipeline.assemble`) -- turn the target's
    measurements plus the prepared landmark state into a
-   :class:`~repro.core.constraints.ConstraintSet`.  The stage caches the
-   target-independent geographic constraints (they depend only on the
-   configuration).
+   :class:`~repro.core.constraints.ConstraintSet`.  The set also holds the
+   pipeline's geographic rings (oceans and uninhabited areas, Octant §2.5),
+   which depend only on the configuration and are built once.
 2. **Planarization** (:meth:`ConstraintPipeline.planarize`) -- realize every
-   constraint as planar polygons under the localization's projection.  The
-   expensive geometry (geodesic circle boundaries, projected disk and ring
-   polygons) is memoized in the shared
+   measurement constraint as planar polygons under the localization's
+   projection.  The expensive geometry (geodesic circle boundaries,
+   projected disk and ring polygons) is memoized in the shared
    :class:`~repro.geometry.circles.CircleCache` keyed
-   ``(projection_key, circle_key)``, so a repeated-target request under the
-   same projection re-uses the clipped planar geometry instead of
-   re-projecting it.  Cache hits return the very polygons a miss would have
-   constructed, keeping cached and uncached runs bit-identical (pinned by
-   ``tests/core/test_solver_engines.py``).
+   ``(projection_key, circle_key)``, and the realized list in the planar
+   memo, so a repeated-target request under the same projection re-uses
+   the planar geometry instead of re-projecting it.  Cache hits return the
+   very polygons a miss would have constructed, keeping cached and uncached
+   runs bit-identical (pinned by ``tests/core/test_solver_engines.py``).
 3. **Solve** (:meth:`ConstraintPipeline.solve_many`) -- the weighted
    accumulation through :func:`~repro.core.solver.solve_systems` (the fused
-   NumPy kernel by default).  The geographic rings sort first and depend on
-   no measurement, so the fused kernel's state after them is memoized by
-   content (:func:`~repro.geometry.kernel.prefix_key`).  Every solve starts
-   from the same world square, so a repeated (projection, rings) pair
-   resumes from it whatever the measurements say.
+   NumPy kernel by default) over the measurement constraints only.  The
+   geographic rings carry no weight: they are realized per projection
+   through the circle cache (:meth:`~ConstraintPipeline.land_mask`) and
+   subtracted from the selected pieces as a hard exclusion
+   (:func:`~repro.geometry.kernel.select_region`), whichever engine ran.
 
 The pipeline holds no dataset: :meth:`~ConstraintPipeline.assemble` takes
 it as an argument, and every cache the stages keep is content-addressed or
@@ -36,8 +36,8 @@ its caches and counters span all of them.
 
 Each stage records its wall time in :class:`PipelineStats`, and the batch
 engine records its pre-solve stages and prepared-cache lookups there too;
-the serving layer surfaces those together with the circle-cache,
-planar-memo and prefix-memo hit/miss counters as its warm/cold statistics.
+the serving layer surfaces those together with the circle-cache and
+planar-memo hit/miss counters as its warm/cold statistics.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .._lru import BoundedLRU
 from ..resilience.deadline import checkpoint
-from ..geometry import CircleCache, Projection, Region, rtt_ms_to_max_distance_km
-from ..geometry.kernel import PREFIX_MEMO_CAPACITY, PrefixState
+from ..geometry import CircleCache, Polygon, Projection, Region, rtt_ms_to_max_distance_km
 from ..network.dataset import MeasurementDataset
 from ..network.dns import UndnsParser
 from .config import OctantConfig
@@ -95,8 +94,6 @@ class PipelineStats:
     constraints_planarized: int = 0
     planar_memo_hits: int = 0
     planar_memo_misses: int = 0
-    prefix_memo_hits: int = 0
-    prefix_memo_misses: int = 0
     #: Lookups in the batch engine's prepared-landmarks LRU.
     prepared_hits: int = 0
     prepared_misses: int = 0
@@ -125,7 +122,7 @@ class ConstraintPipeline:
 
     The pipeline holds no dataset and no per-target state: everything a
     stage needs arrives as arguments, and everything it caches (the circle
-    cache, the planar and prefix memos, the geographic constraint list) is
+    cache, the planar memo, the geographic ring list) is
     either content-addressed or depends only on the configuration.  One
     instance can therefore serve every dataset snapshot, and the sequential
     facade, the batch engine and the serving executor threads concurrently.
@@ -142,12 +139,13 @@ class ConstraintPipeline:
         # projection/content addressed, so one cache serves every target
         # and every dataset version this pipeline localizes.
         self.circle_cache = CircleCache()
-        # Geographic constraints depend only on the configuration, never on
-        # the target; build them once per pipeline instance.
+        # Geographic rings depend only on the configuration, never on the
+        # target; build them once per pipeline instance.  A constraint set
+        # names them by value (equal to one of these), never by label.
         self._geo_constraints: list[Constraint] = list(
             geographic_constraints(self.config, cache=self.circle_cache)
         )
-        self._geo_labels = frozenset(c.label for c in self._geo_constraints)
+        self._rings = frozenset(self._geo_constraints)
         # Stage-2 memo: the fully realized planar constraint list keyed by
         # (projection key, the ordered constraint descriptions themselves).
         # Constraints are frozen dataclasses, so equal measurement state
@@ -156,11 +154,6 @@ class ConstraintPipeline:
         # Changed measurements produce different constraints, hence
         # different keys, so entries stay valid across dataset versions.
         self._planar_memo: BoundedLRU[list[PlanarConstraint]] = BoundedLRU(256)
-        # Stage-3 memo: the fused solver's state after the geographic rings,
-        # which sort first and depend on no measurement (see
-        # repro.geometry.kernel.prefix_key).  Content addressed like the
-        # planar memo.
-        self._prefix_memo: BoundedLRU[PrefixState] = BoundedLRU(PREFIX_MEMO_CAPACITY)
         self.stats = PipelineStats()
 
     # ------------------------------------------------------------------ #
@@ -255,19 +248,21 @@ class ConstraintPipeline:
         projection: Projection,
         key: object = None,
     ) -> list[PlanarConstraint]:
-        """Realize the constraints as planar geometry, heaviest first.
+        """Realize the measurement constraints as planar geometry, heaviest first.
 
-        Constraints that degenerate to nothing under the projection (an
-        erosion that comes out empty) are dropped, matching what the solver
-        would otherwise skip.  A memo hit returns the realized list built by
-        an earlier identical request (same projection, equal constraint
-        descriptions); the planar constraints are immutable, so the hit is
-        bit-identical to re-realizing them.  ``key`` labels the resilience
-        checkpoint with the unit of work (typically the target id).
+        The pipeline's geographic rings are left out: they mask the
+        selection instead (:meth:`land_mask`).  Constraints that degenerate
+        to nothing under the projection (an erosion that comes out empty)
+        are dropped, matching what the solver would otherwise skip.  A memo
+        hit returns the realized list built by an earlier identical request
+        (same projection, equal constraint descriptions); the planar
+        constraints are immutable, so the hit is bit-identical to
+        re-realizing them.  ``key`` labels the resilience checkpoint with
+        the unit of work (typically the target id).
         """
         checkpoint("planarize", key)
         started = time.perf_counter()
-        ordered = constraints.sorted_by_weight()
+        ordered = self._measurements(constraints)
         key = self._memo_key(ordered, projection)
         if key is not None:
             cached = self._planar_memo.get(key)
@@ -295,7 +290,7 @@ class ConstraintPipeline:
         """Planarize a cohort of constraint systems with pooled geometry.
 
         Before realizing anything, every system that will miss the planar
-        memo contributes its disk and ring realizations to one pooled
+        memo contributes its disk realizations to one pooled
         :class:`~repro.geometry.circles.CircleCache` warm pass (a single
         batched boundary computation plus one projection pass per working
         plane, instead of per-disk scalar loops).  Each system is then
@@ -308,9 +303,8 @@ class ConstraintPipeline:
         started = time.perf_counter()
         boundary_jobs: dict[int, tuple[CircleCache, list]] = {}
         planar_jobs: dict[tuple[int, tuple], tuple[CircleCache, Projection, list]] = {}
-        ring_jobs: dict[tuple[int, tuple, tuple], tuple[CircleCache, Projection, tuple]] = {}
         for constraints, projection in systems:
-            ordered = constraints.sorted_by_weight()
+            ordered = self._measurements(constraints)
             key = self._memo_key(ordered, projection)
             if key is not None and self._planar_memo.get(key) is not None:
                 continue  # planarize() will take the memo hit
@@ -332,12 +326,6 @@ class ConstraintPipeline:
                     specs.append(
                         (constraint.center, constraint.radius_km, constraint.circle_segments)
                     )
-                elif isinstance(constraint, GeoRegionConstraint) and projection_key is not None:
-                    ring = tuple(constraint.ring)
-                    ring_jobs.setdefault(
-                        (id(cache), projection_key, ring), (cache, projection, ring)
-                    )
-                    continue
                 if not specs:
                     continue
                 boundary_jobs.setdefault(id(cache), (cache, []))[1].extend(specs)
@@ -349,8 +337,6 @@ class ConstraintPipeline:
             cache.warm_boundaries(specs)
         for cache, projection, specs in planar_jobs.values():
             cache.warm_planar_disks(projection, specs)
-        for cache, projection, ring in ring_jobs.values():
-            cache.planar_ring(ring, projection)
         self.stats.add(planarize_seconds=time.perf_counter() - started)
 
         if keys is None:
@@ -359,6 +345,22 @@ class ConstraintPipeline:
             self.planarize(constraints, projection, key=key)
             for (constraints, projection), key in zip(systems, keys)
         ]
+
+    def _measurements(self, constraints: ConstraintSet) -> list[Constraint]:
+        """The set's constraints minus the pipeline's rings, heaviest first."""
+        return [
+            c
+            for c in constraints.sorted_by_weight()
+            if not (isinstance(c, GeoRegionConstraint) and c in self._rings)
+        ]
+
+    def land_mask(self, projection: Projection) -> list[Polygon]:
+        """The geographic rings as planar exclusions under ``projection``.
+
+        Each ring is projected once per projection through the circle
+        cache; empty when the configuration turns geography off.
+        """
+        return [c.to_planar(projection).exclusion for c in self._geo_constraints]
 
     @staticmethod
     def _memo_key(
@@ -409,10 +411,9 @@ class ConstraintPipeline:
         overrides the configured engine for this cohort only (degradation
         ladder: the engines are bit-identical, so a fallback answer equals
         the primary one); ``keys`` label one resilience checkpoint each
-        (typically the target ids), fired before the pooled solve.  The
-        fused kernel resumes each system after its geographic prefix when
-        the pipeline's prefix memo holds that state (bit-identical to
-        solving the prefix, by content addressing).
+        (typically the target ids), fired before the pooled solve.  Each
+        system's selection is masked by the geographic rings under its
+        projection (:meth:`land_mask`).
         """
         for key in keys or (None,):
             checkpoint("solve", key)
@@ -423,27 +424,7 @@ class ConstraintPipeline:
         results = solve_systems(
             config,
             list(systems),
-            self._prefix_memo,
-            [self._prefix_length(planar) for planar, _projection in systems],
+            [self.land_mask(projection) for _planar, projection in systems],
         )
-        outcomes = [diagnostics.prefix_memo for _region, diagnostics in results]
-        self.stats.add(
-            solve_seconds=time.perf_counter() - started,
-            prefix_memo_hits=outcomes.count("hit"),
-            prefix_memo_misses=outcomes.count("miss"),
-        )
+        self.stats.add(solve_seconds=time.perf_counter() - started)
         return results
-
-    def _prefix_length(self, planar: Sequence[PlanarConstraint]) -> int:
-        """How many leading planar constraints are geographic rings.
-
-        The count only selects what the memo stores; the memo key holds the
-        prefix's full content, so a look-alike label cannot yield a wrong
-        answer.
-        """
-        n = 0
-        for constraint in planar:
-            if constraint.label not in self._geo_labels:
-                break
-            n += 1
-        return n

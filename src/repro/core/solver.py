@@ -15,7 +15,9 @@ that does not (which keeps its weight).  After all constraints
 are applied, pieces are ranked by weight and the heaviest pieces are unioned
 until the configured size threshold is reached -- precisely the paper's
 "union of all regions, sorted by weight, such that they exceed a desired size
-threshold".
+threshold".  Exclusions that are certain, such as the geographic rings, carry
+no weight: :func:`~repro.geometry.kernel.select_region` subtracts them from
+the selection as a land mask, for both engines.
 
 Setting every weight to 1 and the selection threshold to "maximum weight only"
 recovers the strict intersection semantics, which is how the ablation compares
@@ -51,11 +53,10 @@ from ..geometry import (
     intersect_polygons,
     subtract_polygons,
 )
-from .._lru import BoundedLRU
 from ..geometry.kernel import (
     WORLD_SQUARE,
     FusedSolverKernel,
-    PrefixState,
+    select_region,
     subtract_cautious,
 )
 from .config import SolverConfig
@@ -134,11 +135,11 @@ class SolverDiagnostics:
     fused_rows_clipped: int = 0
     #: Mean number of targets active per lockstep step.
     fused_targets_per_pass: float = 0.0
-    #: The geographic-prefix memo's outcome for this solve: ``"hit"`` (the
-    #: solve resumed after its prefix; phase times and prefilter counters
-    #: then cover only the steps it ran), ``"miss"`` (it stored its
-    #: prefix state) or ``None`` (no memo consulted).
-    prefix_memo: str | None = None
+    #: What the land mask did to the selection (``select_region``):
+    #: ``"kept"``, ``"fallback"`` (a lighter weight class answered),
+    #: ``"empty"`` (no class kept land; the unmasked selection answered) or
+    #: ``None`` (no mask).
+    geo_mask: str | None = None
 
     def kernel_summary(self) -> dict[str, object]:
         """Compact counters for ``EstimateResult.details`` reporting."""
@@ -162,7 +163,6 @@ class SolverDiagnostics:
             if self.fused_pass_count
             else 0.0,
             "fused_targets_per_pass": round(self.fused_targets_per_pass, 3),
-            "prefix_memo": self.prefix_memo,
             "phase_seconds": {k: round(v, 6) for k, v in self.phase_seconds.items()},
         }
 
@@ -181,14 +181,19 @@ class WeightedRegionSolver:
         self,
         constraints: Sequence[PlanarConstraint],
         projection: Projection,
+        mask: Sequence[Polygon] = (),
     ) -> Region:
-        """Run the weighted accumulation and return the estimated region."""
+        """Run the weighted accumulation and return the estimated region.
+
+        ``mask`` lists planar exclusions subtracted from the selection
+        (:func:`~repro.geometry.kernel.select_region`).
+        """
         started = time.perf_counter()
         self.diagnostics = SolverDiagnostics()
         if self.config.engine == "fused" and not self.config.exact_complements:
             # A single solve is a cohort of one.
             ((region, diagnostics),) = solve_systems(
-                self.config, [(constraints, projection)]
+                self.config, [(constraints, projection)], [mask]
             )
             self.diagnostics = diagnostics
             return region
@@ -199,7 +204,7 @@ class WeightedRegionSolver:
             return Region.empty(projection)
 
         self.diagnostics.engine = "object"
-        region = self._solve_object(usable, projection)
+        region = self._solve_object(usable, projection, mask)
         self.diagnostics.solve_seconds = time.perf_counter() - started
         return region
 
@@ -210,6 +215,7 @@ class WeightedRegionSolver:
         self,
         usable: list[PlanarConstraint],
         projection: Projection,
+        mask: Sequence[Polygon],
     ) -> Region:
         pieces: list[RegionPiece] = [RegionPiece(WORLD_SQUARE, 0.0)]
         ordered = sorted(usable, key=lambda c: c.weight, reverse=True)
@@ -229,10 +235,14 @@ class WeightedRegionSolver:
                 self.diagnostics.max_pieces_seen, len(pieces)
             )
 
-        selected = self._select(pieces)
-        self.diagnostics.final_piece_count = len(selected)
-        self.diagnostics.max_weight = max((p.weight for p in pieces), default=0.0)
-        self.diagnostics.selected_weight = max((p.weight for p in selected), default=0.0)
+        selected = select_region(
+            [p.weight for p in pieces],
+            [p.area_km2() for p in pieces],
+            lambda i: pieces[i].polygon,
+            self.config,
+            mask,
+            self.diagnostics,
+        )
         return Region(selected, projection)
 
     # ------------------------------------------------------------------ #
@@ -295,58 +305,33 @@ class WeightedRegionSolver:
         ranked = sorted(viable, key=lambda p: (p.weight, p.area_km2()), reverse=True)
         return ranked[: self.config.max_pieces]
 
-    def _select(self, pieces: Sequence[RegionPiece]) -> list[RegionPiece]:
-        """Pick the heaviest pieces until the target region size is reached."""
-        if not pieces:
-            return []
-        ranked = sorted(pieces, key=lambda p: (p.weight, -p.area_km2()), reverse=True)
-        selected: list[RegionPiece] = []
-        accumulated = 0.0
-        top_weight = ranked[0].weight
-        for piece in ranked:
-            if selected and accumulated >= self.config.target_region_area_km2:
-                break
-            if selected and piece.weight < top_weight and accumulated > 0:
-                # Once the area threshold logic moves past the top weight
-                # class, only add lighter pieces while the region is still
-                # too small to be meaningful.
-                if accumulated >= self.config.target_region_area_km2 / 4.0:
-                    break
-            selected.append(piece)
-            accumulated += piece.area_km2()
-        return selected
-
 
 def solve_systems(
     config: SolverConfig | None,
     systems: Sequence[tuple],
-    prefix_memo: BoundedLRU[PrefixState] | None = None,
-    prefix_lengths: Sequence[int] = (),
+    masks: Sequence[Sequence[Polygon]] = (),
 ) -> list[tuple[Region, SolverDiagnostics]]:
     """Solve many constraint systems, fused into one cohort when configured.
 
-    ``systems`` holds ``(constraints, projection)`` per target.  With
-    ``engine="fused"`` (and not ``exact_complements``) every non-degenerate
-    system advances through one :class:`FusedSolverKernel` lockstep run --
-    the k-th constraint of every target applied in shared batched passes;
-    the object engine solves each system independently.  Returns one
-    ``(region, diagnostics)`` pair per system, in input order; results are
-    bit-identical to solving each system alone.
-
-    ``prefix_lengths`` counts, per system, the leading weight-ordered
-    constraints that depend on no measurement (the geographic rings); the
-    fused kernel memoizes its state after them in ``prefix_memo``.  The
-    object engine ignores both.
+    ``systems`` holds ``(constraints, projection)`` per target, and
+    ``masks`` (empty, or one per system) the planar exclusions subtracted
+    from each system's selection.  With ``engine="fused"`` (and not
+    ``exact_complements``) every non-degenerate system advances through one
+    :class:`FusedSolverKernel` lockstep run -- the k-th constraint of every
+    target applied in shared batched passes; the object engine solves each
+    system independently.  Returns one ``(region, diagnostics)`` pair per
+    system, in input order; results are bit-identical to solving each
+    system alone.
     """
     config = config or SolverConfig()
     results: list[tuple[Region, SolverDiagnostics] | None] = [None] * len(systems)
     use_fused = config.engine == "fused" and not config.exact_complements
-    fused_jobs: list[tuple[int, list, object, SolverDiagnostics, float, int]] = []
-    prefix_lengths = list(prefix_lengths) or [0] * len(systems)
+    fused_jobs: list[tuple[int, list, object, SolverDiagnostics, float, Sequence]] = []
+    masks = list(masks) or [()] * len(systems)
     for i, (constraints, projection) in enumerate(systems):
         if not use_fused:
             solver = WeightedRegionSolver(config)
-            region = solver.solve(constraints, projection)
+            region = solver.solve(constraints, projection, masks[i])
             results[i] = (region, solver.diagnostics)
             continue
         started = time.perf_counter()
@@ -356,19 +341,16 @@ def solve_systems(
             diagnostics.solve_seconds = time.perf_counter() - started
             results[i] = (Region.empty(projection), diagnostics)
             continue
-        fused_jobs.append(
-            (i, usable, projection, diagnostics, started, prefix_lengths[i])
-        )
+        fused_jobs.append((i, usable, projection, diagnostics, started, masks[i]))
 
     if fused_jobs:
         kernel = FusedSolverKernel(config)
         regions = kernel.solve_many(
-            [(usable, projection, diagnostics, prefix)
-             for (_i, usable, projection, diagnostics, _t, prefix) in fused_jobs],
-            prefix_memo,
+            [(usable, projection, diagnostics, mask)
+             for (_i, usable, projection, diagnostics, _t, mask) in fused_jobs]
         )
         finished = time.perf_counter()
-        for (i, _u, _p, diagnostics, started, _n), region in zip(fused_jobs, regions):
+        for (i, _u, _p, diagnostics, started, _m), region in zip(fused_jobs, regions):
             # The cohort solve is one shared span; each member records the
             # full wall time (amortized cost is what the benchmarks divide
             # back out).

@@ -60,12 +60,10 @@ from .region import Region, RegionPiece
 
 __all__ = [
     "FusedSolverKernel",
-    "PREFIX_MEMO_CAPACITY",
     "PieceBuffer",
-    "PrefixState",
     "WORLD_SQUARE",
     "geometry_for_constraint",
-    "prefix_key",
+    "select_region",
     "subtract_cautious",
 ]
 
@@ -104,12 +102,6 @@ _MIN_BATCH_VERTICES = 150
 #: the batched chain runner pays O(edges) passes; past this many exclusion
 #: edges the batch wins even for a single small part.
 _MAX_SCALAR_WEDGE_EDGES = 8
-
-#: Entry bound of a prefix memo (:class:`PrefixState` values under
-#: :func:`prefix_key`).  On the tracked cohort one entry is the 16-piece,
-#: ~1,900-vertex buffer left by the 18 geographic rings plus its padded
-#: rows: 63 KB of arrays, so a full memo holds about 4 MB.
-PREFIX_MEMO_CAPACITY = 64
 
 #: The zero-weight piece every solve starts from: a square of half-side
 #: 20,100 km, just over pi * EARTH_RADIUS_KM (~20,015 km), so it contains
@@ -159,6 +151,94 @@ def subtract_cautious(piece: Polygon, exclusion: Polygon) -> list[Polygon]:
     ):
         return [piece.with_hole(exclusion)]
     return subtract_polygons(piece, exclusion)
+
+
+def select_region(
+    weights: Sequence[float],
+    areas: Sequence[float],
+    polygon: Callable[[int], Polygon],
+    config,
+    mask: Sequence[Polygon],
+    diagnostics,
+) -> list[RegionPiece]:
+    """Pick the estimate region from a solved piece population, then mask it.
+
+    Both engines' results pass through here.  Pieces (piece ``i`` has
+    ``weights[i]``, ``areas[i]`` and ``polygon(i)``) are ranked by weight,
+    then by smaller area, and taken until the region reaches
+    ``config.target_region_area_km2``; past the top weight class a lighter
+    piece joins only while the region is under a quarter of that size.
+
+    ``mask`` holds exclusions that are certain (the geographic rings,
+    Octant §2.5).  Each is subtracted from every selected piece with
+    :func:`subtract_cautious`, and parts under ``config.min_piece_area_km2``
+    go.  When nothing is left, the pieces after the selection are masked one
+    weight class of the same ranking at a time, and the first class that
+    keeps land answers; when none does, the unmasked selection answers.
+    ``diagnostics.geo_mask`` records which: ``"kept"``, ``"fallback"`` or
+    ``"empty"`` (``None`` without a mask).
+    """
+    started = time.perf_counter()
+    ranked = sorted(
+        range(len(weights)), key=lambda i: (weights[i], -areas[i]), reverse=True
+    )
+    target = config.target_region_area_km2
+    selected: list[int] = []
+    accumulated = 0.0
+    for i in ranked:
+        if selected and accumulated >= target:
+            break
+        if selected and weights[i] < weights[ranked[0]] and accumulated > 0:
+            # Past the top weight class, lighter pieces join only while the
+            # region is still too small to be meaningful.
+            if accumulated >= target / 4.0:
+                break
+        selected.append(i)
+        accumulated += areas[i]
+    pieces = [RegionPiece(polygon(i), weights[i]) for i in selected]
+    selected_at = time.perf_counter()
+
+    outcome = None
+    if mask:
+        min_area = config.min_piece_area_km2
+        kept = _land(pieces, mask, min_area)
+        outcome = "kept"
+        if not kept:
+            outcome = "empty"
+            classes = itertools.groupby(ranked[len(selected) :], key=weights.__getitem__)
+            for _weight, group in classes:
+                kept = _land(
+                    [RegionPiece(polygon(i), weights[i]) for i in group], mask, min_area
+                )
+                if kept:
+                    outcome = "fallback"
+                    break
+        pieces = kept or pieces
+
+    diagnostics.final_piece_count = len(pieces)
+    diagnostics.max_weight = max(weights, default=0.0)
+    diagnostics.selected_weight = max((p.weight for p in pieces), default=0.0)
+    diagnostics.geo_mask = outcome
+    phases = diagnostics.phase_seconds
+    phases["select"] = phases.get("select", 0.0) + selected_at - started
+    if mask:
+        phases["mask"] = phases.get("mask", 0.0) + time.perf_counter() - selected_at
+    return pieces
+
+
+def _land(
+    pieces: Sequence[RegionPiece], mask: Sequence[Polygon], min_area: float
+) -> list[RegionPiece]:
+    """``pieces`` minus every exclusion of ``mask``, each part at its piece's weight."""
+    kept: list[RegionPiece] = []
+    for piece in pieces:
+        parts = [piece.polygon]
+        for exclusion in mask:
+            parts = [out for part in parts for out in subtract_cautious(part, exclusion)]
+        kept.extend(
+            RegionPiece(part, piece.weight) for part in parts if part.area_km2() >= min_area
+        )
+    return kept
 
 
 def _clean_coords(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -256,9 +336,9 @@ class PieceBuffer:
     piece that points at it.
 
     Every array, the cached :meth:`padded` rows included, is made read-only
-    on construction: a memoized buffer (:data:`PREFIX_MEMO_CAPACITY`) is
-    shared by many solves and executor threads, so a stray in-place write
-    must raise instead of corrupting later answers.
+    on construction: a buffer's arrays are views into a cohort's pooled
+    concatenation and its parts are shared by the pieces of later steps,
+    so a stray in-place write must raise instead of corrupting answers.
     """
 
     __slots__ = (
@@ -1541,11 +1621,10 @@ class _TargetState:
         "geometry",
         "inside_parts",
         "satisfied",
-        "memo_key",
-        "memo_end",
+        "mask",
     )
 
-    def __init__(self, diagnostics, buffer, ordered, projection) -> None:
+    def __init__(self, diagnostics, buffer, ordered, projection, mask) -> None:
         self.diagnostics = diagnostics
         self.buffer: PieceBuffer = buffer
         self.ordered = ordered
@@ -1554,90 +1633,9 @@ class _TargetState:
         self.geometry: _ConstraintGeometry | None = None
         self.inside_parts: list[list] | None = None
         self.satisfied: list[list] | None = None
-        #: Prefix memo key to store under once ``cursor`` reaches
-        #: ``memo_end`` (a miss), else ``None``.
-        self.memo_key: tuple | None = None
-        self.memo_end = 0
-
-
-def _coords_bytes(polygon: Polygon | None) -> bytes:
-    """The polygon's vertex coordinates, bit for bit (``b""`` for none)."""
-    if polygon is None:
-        return b""
-    coords = polygon.coords
-    return np.fromiter(
-        itertools.chain.from_iterable(coords), dtype=float, count=2 * len(coords)
-    ).tobytes()
-
-
-def prefix_key(config, projection, prefix: Sequence) -> tuple | None:
-    """Content key of the solver state after the constraint ``prefix``.
-
-    Every solve starts from :data:`WORLD_SQUARE`, so the state it reaches
-    after its leading constraints is a function of those constraints
-    (planar coordinates, weights, labels) and the solver configuration
-    alone; the key holds exactly those values plus the projection's
-    :meth:`cache_key` -- never object ids, which are reused after garbage
-    collection.  Coordinates and weights enter as raw float64 bytes, so
-    ``-0.0`` and ``0.0`` stay apart.  ``None`` (no memo) for an empty
-    prefix or a projection without a key.
-    """
-    projection_key = projection.cache_key()
-    if projection_key is None or not prefix:
-        return None
-    return (
-        projection_key,
-        tuple(
-            (_coords_bytes(c.inclusion), _coords_bytes(c.exclusion), c.label)
-            for c in prefix
-        ),
-        np.array([c.weight for c in prefix], dtype=float).tobytes(),
-        config,
-    )
-
-
-class PrefixState:
-    """A solve's state at the end of a memoized constraint prefix.
-
-    The piece buffer is a compact, read-only copy (never a view into a
-    cohort's pooled concatenation) with its parts and padded rows built
-    before it is published, so the many solves and executor threads that
-    resume from it only ever read it.  The diagnostics are the prefix's
-    own effects, restored on resume so a resumed answer and its
-    diagnostics are bit-identical to a cold solve's.
-    """
-
-    __slots__ = ("buffer", "cursor", "applied", "skipped", "dropped", "max_pieces_seen")
-
-    def __init__(self, s: "_TargetState") -> None:
-        buffer = s.buffer
-        self.buffer = PieceBuffer.from_arrays(
-            buffer.xs.copy(),
-            buffer.ys.copy(),
-            buffer.offsets.copy(),
-            buffer.weights.copy(),
-            buffer.signed_areas.copy(),
-            buffer.bboxes.copy(),
-            buffer.geom.copy(),
-        )
-        self.buffer.parts()
-        self.buffer.padded()
-        diag = s.diagnostics
-        self.cursor = s.cursor
-        self.applied = diag.constraints_applied
-        self.skipped = diag.constraints_skipped
-        self.dropped = tuple(diag.dropped_constraints)
-        self.max_pieces_seen = diag.max_pieces_seen
-
-    def resume(self, s: "_TargetState") -> None:
-        """Move ``s`` to the end of the prefix with the prefix's effects."""
-        s.buffer = self.buffer
-        s.cursor = self.cursor
-        diag = s.diagnostics
-        diag.constraints_applied = self.applied
-        diag.constraints_skipped = self.skipped
-        diag.dropped_constraints = list(self.dropped)
-        diag.max_pieces_seen = self.max_pieces_seen
+        #: Planar exclusions subtracted from the selection (see
+        #: :func:`select_region`).
+        self.mask = mask
 
 
 class FusedSolverKernel:
@@ -1695,42 +1693,22 @@ class FusedSolverKernel:
     # ------------------------------------------------------------------ #
     # Entry point
     # ------------------------------------------------------------------ #
-    def solve_many(
-        self, systems: Sequence[tuple], prefix_memo=None
-    ) -> list[Region]:
+    def solve_many(self, systems: Sequence[tuple]) -> list[Region]:
         """Solve many systems in lockstep.
 
-        ``systems`` holds ``(constraints, projection, diagnostics)`` per
-        target, optionally followed by ``prefix``: how many of the
-        weight-ordered constraints lead the system without depending on a
-        measurement.  With a ``prefix_memo`` (a
-        :class:`~repro._lru.BoundedLRU` of :class:`PrefixState`), a system
-        whose :func:`prefix_key` hits starts after its prefix from the
-        memoized state, and a miss stores its state once it gets there;
-        ``diagnostics.prefix_memo`` records which.  Returns one
-        :class:`Region` per system, in order.  The diagnostics objects
-        receive the per-target solve counters plus the cohort-level pass
-        counters.
+        ``systems`` holds ``(constraints, projection, diagnostics, mask)``
+        per target; ``mask`` lists the planar exclusions
+        :func:`select_region` subtracts from the target's selection.
+        Returns one :class:`Region` per system, in order.  The diagnostics
+        objects receive the per-target solve counters plus the cohort-level
+        pass counters.
         """
         states: list[_TargetState] = []
-        for system in systems:
-            constraints, projection, diagnostics = system[:3]
+        for constraints, projection, diagnostics, mask in systems:
             diagnostics.engine = "fused"
             buffer = PieceBuffer.from_polygons([(WORLD_SQUARE, 0.0)])
             ordered = sorted(constraints, key=lambda c: c.weight, reverse=True)
-            s = _TargetState(diagnostics, buffer, ordered, projection)
-            prefix = system[3] if len(system) > 3 else 0
-            if prefix_memo is not None and prefix:
-                key = prefix_key(self.config, projection, ordered[:prefix])
-                if key is not None:
-                    memoized = prefix_memo.get(key)
-                    if memoized is not None:
-                        memoized.resume(s)
-                        diagnostics.prefix_memo = "hit"
-                    else:
-                        s.memo_key, s.memo_end = key, prefix
-                        diagnostics.prefix_memo = "miss"
-            states.append(s)
+            states.append(_TargetState(diagnostics, buffer, ordered, projection, mask))
 
         while True:
             active = [s for s in states if s.cursor < len(s.ordered)]
@@ -1739,12 +1717,6 @@ class FusedSolverKernel:
             self._apply_step(active)
             for s in active:
                 s.cursor += 1
-                if s.memo_key is not None and s.cursor == s.memo_end:
-                    memoized = PrefixState(s)
-                    prefix_memo.put(s.memo_key, memoized)
-                    # Continue from the published copy, as a hit would.
-                    s.buffer = memoized.buffer
-                    s.memo_key = None
 
         mean_targets = self._step_targets / self._steps if self._steps else 0.0
         regions: list[Region] = []
@@ -1933,44 +1905,17 @@ class FusedSolverKernel:
     # Selection (stable scalar sort over cached metrics)
     # ------------------------------------------------------------------ #
     def _finalize(self, s: _TargetState) -> Region:
-        """Selection + diagnostics stamping for one target."""
-        diag = s.diagnostics
+        """Selection, land mask and diagnostics stamping for one target."""
         buffer = s.buffer
-        started = time.perf_counter()
-        selected = self._select(buffer)
-        pieces = [
-            RegionPiece(buffer.polygon(i), float(buffer.weights[i])) for i in selected
-        ]
-        diag.phase_seconds["select"] = (
-            diag.phase_seconds.get("select", 0.0) + time.perf_counter() - started
+        pieces = select_region(
+            buffer.weights.tolist(),
+            buffer.areas.tolist(),
+            buffer.polygon,
+            self.config,
+            s.mask,
+            s.diagnostics,
         )
-        diag.final_piece_count = len(pieces)
-        diag.max_weight = max((float(w) for w in buffer.weights), default=0.0)
-        diag.selected_weight = max((p.weight for p in pieces), default=0.0)
         return Region(pieces, s.projection)
-
-    def _select(self, buffer: PieceBuffer) -> list[int]:
-        """Replica of ``WeightedRegionSolver._select`` on the buffer."""
-        if len(buffer) == 0:
-            return []
-        weights = buffer.weights.tolist()
-        areas = buffer.areas.tolist()
-        ranked = sorted(
-            range(len(buffer)), key=lambda i: (weights[i], -areas[i]), reverse=True
-        )
-        config = self.config
-        selected: list[int] = []
-        accumulated = 0.0
-        top_weight = weights[ranked[0]]
-        for i in ranked:
-            if selected and accumulated >= config.target_region_area_km2:
-                break
-            if selected and weights[i] < top_weight and accumulated > 0:
-                if accumulated >= config.target_region_area_km2 / 4.0:
-                    break
-            selected.append(i)
-            accumulated += areas[i]
-        return selected
 
     # ------------------------------------------------------------------ #
     # Inclusion: cohort prefilters + pooled convex clip

@@ -13,8 +13,8 @@ three properties the offline path never needed:
   snapshot keeps answering consistently until its last request drains.
 * **Warm-path reuse.**  All snapshots share one
   :class:`~repro.core.pipeline.ConstraintPipeline`: its circle cache and
-  planar and prefix memos are content-addressed and therefore survive
-  ingests, and its counters are the service's lifetime totals.  Each
+  planar memo are content-addressed and therefore survive ingests, and
+  its counters are the service's lifetime totals.  Each
   snapshot's
   :class:`~repro.core.batch.BatchLocalizer` additionally memoizes derived
   per-target :class:`~repro.core.octant.PreparedLandmarks`, so a repeated

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import BatchLocalizer, Octant, OctantConfig, collect_dataset
-from repro.core import ConstraintPipeline
+from repro.core import ConstraintPipeline, geographic_constraints
 from repro.network.dns import UndnsParser
 from repro.network.planetlab import small_deployment
 
@@ -34,14 +34,16 @@ class TestStages:
         assert [c.weight for c in via_octant] == [c.weight for c in via_pipeline]
 
     def test_planarize_matches_manual_realization(self, octant, dataset, prepared):
+        """Planarize realizes the measurement constraints; the rings mask."""
         target = dataset.host_ids[0]
         constraints = octant.pipeline.assemble(dataset, target, prepared)
         projection = octant._projection_for(prepared, target)
         planar = octant.pipeline.planarize(constraints, projection)
+        rings = geographic_constraints(octant.config)
         manual = [
             p
             for c in constraints.sorted_by_weight()
-            if (p := c.to_planar(projection)) is not None
+            if c not in rings and (p := c.to_planar(projection)) is not None
         ]
         assert [p.label for p in planar] == [p.label for p in manual]
         for a, b in zip(planar, manual):
@@ -49,6 +51,10 @@ class TestStages:
                 assert a.inclusion.coords == b.inclusion.coords
             if a.exclusion is not None:
                 assert a.exclusion.coords == b.exclusion.coords
+        assert len(rings) == 18
+        assert [m.coords for m in octant.pipeline.land_mask(projection)] == [
+            c.to_planar(projection).exclusion.coords for c in rings
+        ]
 
     def test_run_equals_localize_region(self, octant, dataset, prepared):
         """The staged run and the facade produce the same estimate region."""
@@ -90,7 +96,6 @@ class TestSharedGeometryCache:
         second.localize(target)
         stats = pipeline.stats
         assert (stats.planar_memo_hits, stats.planar_memo_misses) == (1, 1)
-        assert (stats.prefix_memo_hits, stats.prefix_memo_misses) == (1, 1)
         assert stats.runs == 2
 
     def test_octant_takes_config_from_its_pipeline(self, dataset):

@@ -87,11 +87,6 @@ class TestServiceAnswers:
         assert stats["warm_requests"] == 1
         assert stats["prepared_hits"] == 1
         assert stats["pipeline"]["planar_memo_hits"] == 1
-        # The warm request resumes after the geographic rings.
-        assert stats["pipeline"]["prefix_memo_hits"] == 1
-        assert stats["pipeline"]["prefix_memo_misses"] == 1
-        assert cold.details["kernel"]["prefix_memo"] == "miss"
-        assert warm.details["kernel"]["prefix_memo"] == "hit"
 
     def test_unknown_target_returns_failed_estimate(self, live_dataset):
         async def main():
@@ -217,15 +212,15 @@ class TestServiceIngest:
 
         before, after = run(main())
 
-        def prefix(stats):
+        def planar(stats):
             pipeline = stats["pipeline"]
-            return pipeline["prefix_memo_hits"] + pipeline["prefix_memo_misses"]
+            return pipeline["planar_memo_hits"] + pipeline["planar_memo_misses"]
 
         def prepared(stats):
             return stats["prepared_hits"] + stats["prepared_misses"]
 
         assert after["pipeline"]["runs"] == before["pipeline"]["runs"] + 1
-        assert prefix(after) == prefix(before) + 1
+        assert planar(after) == planar(before) + 1
         assert prepared(after) == prepared(before) + 1
 
 
