@@ -41,7 +41,11 @@ from repro.core.reference import reference_localize
 #: now the same fused path as ``batch_fused_*``); ``solver_engines``
 #: records ``fused_ms_per_target``/``fused_speedup`` against the object
 #: engine.
-SCHEMA_VERSION = 6
+#: v7: ``fused_pipeline_gate`` records ``ref_loop_ms_before`` /
+#: ``ref_loop_ms_after``, the host speed probe (``conftest.host_ref_loop_ms``)
+#: around its measured phase, so a failed 1.4x floor can be told from a slow
+#: stretch of the host.
+SCHEMA_VERSION = 7
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -192,8 +196,11 @@ def test_fused_pipeline_drift_gate(dataset, target_ids):
        of the ratio; the tracked 30-host figure is higher).  The loop is
        not ``Octant.localize``: that is a cohort of one through the same
        batched stages, so it would measure cohort width, not the batching.
+       The host speed probe runs before and after the measured phase.
     """
     import random
+
+    from conftest import host_ref_loop_ms
 
     shuffled = list(target_ids)
     random.Random(len(shuffled) * 31 + len(dataset.hosts)).shuffle(shuffled)
@@ -201,6 +208,7 @@ def test_fused_pipeline_drift_gate(dataset, target_ids):
 
     best = {"sequential": float("inf"), "fused": float("inf")}
     results: dict[str, dict] = {}
+    ref_before = host_ref_loop_ms()
     for _repetition in range(2):
         sequential_engine = Octant(dataset)
         started = time.perf_counter()
@@ -213,6 +221,7 @@ def test_fused_pipeline_drift_gate(dataset, target_ids):
         fused = fused_engine.localize_all(shuffled)
         best["fused"] = min(best["fused"], time.perf_counter() - started)
         results.setdefault("fused", fused)
+    ref_after = host_ref_loop_ms()
 
     for target in target_ids:
         assert _estimate_signature(results["fused"][target]) == _estimate_signature(
@@ -234,6 +243,10 @@ def test_fused_pipeline_drift_gate(dataset, target_ids):
     print(f"  reference  : {sequential_ms:7.1f} ms/target end to end")
     print(f"  fused      : {fused_ms:7.1f} ms/target end to end")
     print(f"  speedup    : {speedup:5.2f}x")
+    print(
+        f"  host probe : {ref_before:.2f} ms before, {ref_after:.2f} ms after "
+        "(perfbench ref_loop_ms, median of 5)"
+    )
 
     _merge_json(
         "fused_pipeline_gate",
@@ -243,6 +256,8 @@ def test_fused_pipeline_drift_gate(dataset, target_ids):
             "sequential_ms_per_target": round(sequential_ms, 3),
             "fused_ms_per_target": round(fused_ms, 3),
             "fused_speedup": round(speedup, 3),
+            "ref_loop_ms_before": ref_before,
+            "ref_loop_ms_after": ref_after,
         },
     )
 

@@ -100,7 +100,9 @@ class SolverDiagnostics:
     #: Geometries that actually went through clipping (batched or scalar).
     pieces_clipped: int = 0
     #: Total vertex lanes processed by the batched clipper, one row per
-    #: geometry (cohort-level, like the fused pass counters below).
+    #: geometry (cohort-level, like the fused pass counters below).  A
+    #: one-target inclusion pool clips with the scalar ``clip_convex`` and
+    #: adds no lanes; the wedge chains of a convex exclusion always do.
     vertices_clipped: int = 0
     #: Geometries that left the vectorized framework for the scalar
     #: ``intersect_polygons``/``subtract_polygons`` (a non-convex inclusion,
@@ -127,7 +129,9 @@ class SolverDiagnostics:
     #: the solve did not run fused).
     fused_cohort_targets: int = 0
     #: Pooled batched clip passes the cohort executed (cohort-level: every
-    #: member of one cohort reports the same number).
+    #: member of one cohort reports the same number).  Inclusion passes run
+    #: only for pools spanning two or more targets; a one-target inclusion
+    #: clip is scalar and counts none.
     fused_pass_count: int = 0
     #: Total rows (piece instances, summed over passes) the pooled passes
     #: processed -- ``fused_rows_clipped / fused_pass_count`` is the

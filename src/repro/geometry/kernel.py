@@ -12,9 +12,13 @@ over a struct-of-arrays *flat buffer*:
   representation is chosen for the dominant operation (batched clipping),
   not for per-piece object ergonomics.  Pieces with the same coordinates
   share one geometry, and every stage works once per geometry.
-* Batched Sutherland-Hodgman passes clip *all* pieces against a constraint
-  edge at once (:func:`_clip_pass_rows`), with scatter-assembled outputs and
-  a no-crossing short-circuit for the common pass that changes nothing.
+* Batched Sutherland-Hodgman passes clip the pieces of many targets
+  against their own constraint edges at once (:func:`_clip_pass_rows`), with
+  scatter-assembled outputs and a no-crossing short-circuit for the common
+  pass that changes nothing.  Rows are pooled only where pooling wins a
+  measurement: a convex inclusion spanning two or more targets and the
+  wedge chains of a convex exclusion.  A one-target inclusion pool clips
+  with the scalar ``clip_convex`` and keyholes run one part at a time.
 * A bounding-box / centre-distance prefilter classifies pieces as
   fully-inside or fully-outside a convex constraint and skips the clipper
   for them entirely (see ``DESIGN_SOLVER_KERNEL.md`` for the correctness
@@ -51,7 +55,6 @@ from .clipping import (
 from .clipping import (
     clip_convex,
     intersect_polygons,
-    subtract_convex,
     subtract_polygons,
 )
 from .point import EPSILON, Point2D
@@ -87,21 +90,14 @@ _APOTHEM_SHAVE_KM = 1e-4
 #: A part is one piece's geometry outside the buffer: (xs, ys, signed_area).
 _Part = tuple[np.ndarray, np.ndarray, float]
 
-#: Batched clipping pays NumPy dispatch overhead per pass; below this many
-#: rows (pooled over a cohort step) the scalar object-path functions are
-#: faster on the small vertex counts the solver sees, and using them is
-#: trivially bit-identical (they *are* the reference implementation).
-#: Above ``_MIN_BATCH_VERTICES`` total vertices the batch wins regardless of
-#: row count: scalar per-vertex loops on large keyholed rings cost
-#: milliseconds each.
+#: Batched clipping pays NumPy dispatch overhead per pass.  An inclusion
+#: pool that spans two or more targets batches from this many rows, or from
+#: ``_MIN_BATCH_VERTICES`` total vertices; below both, and for any pool one
+#: target owns, the scalar ``clip_convex`` is faster on the small vertex
+#: counts the solver sees, and using it is trivially bit-identical (it *is*
+#: the reference implementation).
 _MIN_BATCH_ROWS = 3
 _MIN_BATCH_VERTICES = 150
-
-#: The scalar wedge decomposition of convex subtraction runs O(edges^2)
-#: half-plane passes (wedge ``i`` re-clips against edges ``0..i-1``), while
-#: the batched chain runner pays O(edges) passes; past this many exclusion
-#: edges the batch wins even for a single small part.
-_MAX_SCALAR_WEDGE_EDGES = 8
 
 #: The zero-weight piece every solve starts from: a square of half-side
 #: 20,100 km, just over pi * EARTH_RADIUS_KM (~20,015 km), so it contains
@@ -129,9 +125,10 @@ def subtract_cautious(piece: Polygon, exclusion: Polygon) -> list[Polygon]:
     area and containment behaviour.  Otherwise ``subtract_polygons`` runs:
     wedge decomposition for a convex exclusion, Greiner-Hormann for a
     non-convex one.  This function is the object engine's exclusion and the
-    scalar reference of the fused kernel, which batches the bounding-box,
-    keyhole and convex-wedge stages and calls ``subtract_polygons`` itself
-    for a non-convex exclusion.
+    scalar reference of the fused kernel, which classifies bounding boxes
+    over pooled rows, keyholes one part at a time, pools the convex wedge
+    chains, and calls ``subtract_polygons`` itself for a non-convex
+    exclusion.
     """
     piece_box = piece.bounding_box()
     exclusion_box = exclusion.bounding_box()
@@ -554,10 +551,10 @@ def _clip_pass_rows(
     X: np.ndarray,
     Y: np.ndarray,
     counts: np.ndarray,
-    ax,
-    ay,
-    bx,
-    by,
+    ax: np.ndarray,
+    ay: np.ndarray,
+    bx: np.ndarray,
+    by: np.ndarray,
     return_changed: bool = False,
 ):
     """One Sutherland-Hodgman half-plane pass over all rows at once.
@@ -566,7 +563,7 @@ def _clip_pass_rows(
     the intersection parameterization and the emit order (intersection point
     first, then the inside vertex) are identical, so each row's output
     coordinates are bitwise equal to the scalar pass on that row.  Edge
-    endpoints may be scalars (one edge for every row) or per-row arrays.
+    endpoints are per-row arrays (one edge per row).
 
     Rows that never cross the edge line are kept verbatim or emptied
     (identical to what the scatter would emit for them); only the crossing
@@ -581,19 +578,9 @@ def _clip_pass_rows(
     counts_col = counts[:, None]
     valid = lanes < counts_col
 
-    per_row = not np.isscalar(ax) and getattr(ax, "ndim", 0) > 0
-    if per_row:
-        exv = (bx - ax)[:, None]
-        eyv = (by - ay)[:, None]
-        axv = ax[:, None]
-        ayv = ay[:, None]
-    else:
-        exv = bx - ax
-        eyv = by - ay
-        axv = ax
-        ayv = ay
-
-    cross = exv * (Y - ayv) - eyv * (X - axv)
+    ex = bx - ax
+    ey = by - ay
+    cross = ex[:, None] * (Y - ay[:, None]) - ey[:, None] * (X - ax[:, None])
     sides = cross >= -EPSILON
 
     # Predecessor sidedness: lane j-1, wrapping lane 0 to lane count-1.
@@ -632,16 +619,10 @@ def _clip_pass_rows(
     py = sY[ri, pi]
     cx = sX[ri, li]
     cy = sY[ri, li]
-    if per_row:
-        e_x = (bx - ax)[gi]
-        e_y = (by - ay)[gi]
-        a_x = ax[gi]
-        a_y = ay[gi]
-    else:
-        e_x = exv
-        e_y = eyv
-        a_x = axv
-        a_y = ayv
+    e_x = ex[gi]
+    e_y = ey[gi]
+    a_x = ax[gi]
+    a_y = ay[gi]
     rx = cx - px
     ry = cy - py
     denom = rx * e_y - ry * e_x
@@ -780,41 +761,6 @@ def _finalize_rows(
     return out
 
 
-def _clip_convex_rows(
-    parts: Sequence[_Part],
-    edges: np.ndarray,
-    stats: "_StatsHook | None" = None,
-) -> list[_Part | None]:
-    """Batched ``clip_convex``: clip every part against the same convex edges.
-
-    ``edges`` is ``(E, 4)`` with rows ``(ax, ay, bx, by)`` in CCW order.
-    Rows are pre-oriented CCW exactly like ``_ccw_coords``; a row is dead as
-    soon as its vertex count drops below 3 (the scalar loop returns ``None``
-    before the next pass); the surviving chains go through the scalar-exact
-    finalization (cleaning, sliver threshold).
-    """
-    X, Y, counts, signed = _pad_parts(parts)
-    X, Y = _reverse_rows(X, Y, counts, ~(signed > 0.0))
-    for e in range(edges.shape[0]):
-        counts = np.where(counts >= 3, counts, 0)
-        if not counts.any():
-            break
-        if stats is not None:
-            stats.vertices_clipped += int(counts.sum())
-            stats.clip_passes += 1
-            stats.rows_clipped += int((counts > 0).sum())
-        X, Y, counts = _clip_pass_rows(
-            X,
-            Y,
-            counts,
-            float(edges[e, 0]),
-            float(edges[e, 1]),
-            float(edges[e, 2]),
-            float(edges[e, 3]),
-        )
-    return _finalize_rows(X, Y, counts, counts >= 3)
-
-
 def _clip_convex_rows_multi(
     parts: Sequence[_Part],
     edge_seqs: Sequence[np.ndarray],
@@ -826,10 +772,10 @@ def _clip_convex_rows_multi(
     each row clips against its own target's (pre-filtered) CCW edge table.
     Pass ``k`` applies edge ``k`` of every row whose sequence is that long,
     through :func:`_clip_pass_rows` with per-row edge endpoints -- the
-    arithmetic per row is elementwise, hence bitwise equal to the scalar-edge
-    pass :func:`_clip_convex_rows` would run on that row alone.  Rows die at
-    <3 vertices exactly where the scalar loop returns ``None``; survivors go
-    through the shared scalar-exact finalization.
+    arithmetic per row is elementwise, hence bitwise equal to the scalar
+    ``clip_convex`` pass on that row alone.  Rows die at <3 vertices exactly
+    where the scalar loop returns ``None``; survivors go through the shared
+    scalar-exact finalization.
     """
     if not parts:
         return []
@@ -1013,210 +959,53 @@ def _stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return table
 
 
-def _table_rows(table: np.ndarray, rows) -> np.ndarray:
-    """The rows of a per-row table; a one-row table is shared by every row.
-
-    A cohort's constraint tables hold one row per target.  When a single
-    target owns every row its table row broadcasts against the row axis
-    instead of being gathered once per row: each row reads the same values.
-    """
-    return table if len(table) == 1 else table[rows]
-
-
 # --------------------------------------------------------------------------- #
-# Vectorized containment (keyhole precondition)
+# Keyholes (one part at a time)
 # --------------------------------------------------------------------------- #
-def _contain_all_queries_rows(
-    parts: Sequence[_Part],
-    X: np.ndarray,
-    Y: np.ndarray,
-    counts: np.ndarray,
-    boxes: np.ndarray,
-    QX: np.ndarray,
-    QY: np.ndarray,
-    q_len: np.ndarray,
-) -> np.ndarray:
-    """For every part: does it contain *all* of its row's query points?
+def _contains_all(
+    part: _Part, box: np.ndarray, qx: np.ndarray, qy: np.ndarray
+) -> bool:
+    """Replica of ``all(piece.contains_point(v) for v in queries)``, one part.
 
-    Vectorized replica of ``all(piece.contains_point(v) for v in queries)``.
     ``contains_point`` returns True either when the even-odd parity says
     inside or when the point sits on the boundary (``include_boundary``);
-    parity True therefore decides True without the (expensive) boundary
-    distance scan.  Only queries with parity False fall back to the exact
-    scalar predicate -- rare, because keyhole exclusions lie strictly inside
-    their piece.  ``X/Y/counts/boxes`` are the parts' padded rows and
-    bounding boxes.  ``QX``/``QY`` hold each row's queries (its target's
-    exclusion vertices) padded to the widest set, ``q_len`` the real counts;
-    a one-row table serves every row (:func:`_table_rows`).  Every parity
-    and box expression is elementwise per (part, query), so pooling rows of
-    many targets never changes a row's answer.
+    parity True inside the box therefore decides True without the
+    (expensive) boundary distance scan.  Any other query runs the exact
+    ``Polygon.contains_point``, in vertex order like the scalar ``all()``
+    scan, and the first False ends it.  ``box`` is the part's bounding box,
+    ``qx``/``qy`` the exclusion's vertices in stored order.
     """
-    P, V = X.shape
-    lanes = _lanes(V)[None, :]
-    valid = lanes < counts[:, None]
+    xs, ys, _signed = part
     tol = MERGE_TOLERANCE_KM
-
     in_box = (
-        (boxes[:, 0][:, None] - tol <= QX)
-        & (QX <= boxes[:, 2][:, None] + tol)
-        & (boxes[:, 1][:, None] - tol <= QY)
-        & (QY <= boxes[:, 3][:, None] + tol)
+        (box[0] - tol <= qx)
+        & (qx <= box[2] + tol)
+        & (box[1] - tol <= qy)
+        & (qy <= box[3] + tol)
     )
-
-    rowsP = _rows_col(P)
-    prev_idx = np.where(lanes == 0, np.maximum(counts[:, None] - 1, 0), lanes - 1)
-    PX = X[rowsP, prev_idx]
-    PY = Y[rowsP, prev_idx]
-    vy = Y[:, None, :]
-    vyj = PY[:, None, :]
-    vx = X[:, None, :]
-    vxj = PX[:, None, :]
-    py = QY[:, :, None]
-    px = QX[:, :, None]
-    crosses = ((vy > py) != (vyj > py)) & valid[:, None, :]
+    # Ray casting against every edge (previous vertex -> vertex), one
+    # (query, vertex) matrix: the same operands as the scalar loop.
+    px = np.roll(xs, 1)
+    py = np.roll(ys, 1)
+    qyc = qy[:, None]
+    crosses = (ys > qyc) != (py > qyc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_int = (vxj - vx) * (py - vy) / (vyj - vy) + vx
-    hits = crosses & (px < x_int)
-    parity = (hits.sum(axis=2) % 2).astype(bool)
-
-    decided_true = in_box & parity
-    if bool((q_len == QX.shape[1]).all()):
-        all_true = decided_true.all(axis=1)
-    else:
-        q_pad = _lanes(QX.shape[1])[None, :] >= q_len[:, None]
-        all_true = (decided_true | q_pad).all(axis=1)
-    result = np.empty(P, dtype=bool)
-    for p in range(P):
-        if all_true[p]:
-            result[p] = True
+        x_int = (px - xs) * (qyc - ys) / (py - ys) + xs
+    parity = ((crosses & (qx[:, None] < x_int)).sum(axis=1) % 2).astype(bool)
+    decided = in_box & parity
+    if decided.all():
+        return True
+    polygon = None
+    for q in range(len(qx)):
+        if decided[q]:
             continue
-        # Some query has parity False (or sits outside the box): re-check
-        # those with the exact scalar predicate, in vertex order like the
-        # scalar all() scan.
-        k = p if len(QX) > 1 else 0
-        polygon = None
-        ok = True
-        for q in range(int(q_len[k])):
-            if decided_true[p, q]:
-                continue
-            if not in_box[p, q]:
-                ok = False
-                break
-            if polygon is None:
-                polygon = _polygon_from_part(parts[p])
-            if not polygon.contains_point(Point2D(float(QX[k, q]), float(QY[k, q]))):
-                ok = False
-                break
-        result[p] = ok
-    return result
-
-
-# --------------------------------------------------------------------------- #
-# Keyhole construction (vectorized bridge search)
-# --------------------------------------------------------------------------- #
-def _keyhole_bridges_rows(
-    X: np.ndarray,
-    Y: np.ndarray,
-    counts: np.ndarray,
-    wanted: np.ndarray,
-    INX: np.ndarray,
-    INY: np.ndarray,
-    ni_rows: np.ndarray,
-) -> np.ndarray:
-    """Bridge vertex pairs ``(R, 2)`` for many keyhole parts in one tensor.
-
-    The squared-distance expression matches the scalar scan elementwise and
-    ``argmin`` over the row-major flattened (outer, inner) grid reproduces
-    its first-minimum tie-breaking.  Only rows flagged in ``wanted`` are
-    needed (the others get ``-1``); the result is valid for CCW-oriented
-    rings only (callers re-derive for reversed rings).  ``INX``/``INY`` hold
-    each row's
-    clockwise inner-ring coordinates padded to the widest ring (or one row
-    for all, :func:`_table_rows`); ``ni_rows`` the real lengths.  Padding
-    lanes are +inf and never win the argmin, and because padding only
-    appends entries after each real (outer, inner) run, the tie-break order
-    over the real pairs is exactly the unpadded scan's.
-    """
-    bridges = np.full((len(counts), 2), -1, dtype=np.int64)
-    rows = np.nonzero(wanted)[0]
-    if len(rows) == 0:
-        return bridges
-    wX = X[rows]
-    wY = Y[rows]
-    wc = counts[rows]
-    width = max(int(wc.max()), 1)
-    wX = wX[:, :width]
-    wY = wY[:, :width]
-    valid = _lanes(width)[None, :] < wc[:, None]
-    inx = _table_rows(INX, rows)
-    iny = _table_rows(INY, rows)
-    ni_pad = inx.shape[1]
-    dox = wX[:, :, None] - inx[:, None, :]
-    doy = wY[:, :, None] - iny[:, None, :]
-    d2 = dox * dox + doy * doy
-    d2 = np.where(valid[:, :, None], d2, np.inf)
-    ni = _table_rows(ni_rows, rows)
-    if bool((ni < ni_pad).any()):
-        d2 = np.where(_lanes(ni_pad)[None, None, :] < ni[:, None, None], d2, np.inf)
-    flat_idx = d2.reshape(len(rows), -1).argmin(axis=1)
-    bridges[rows, 0], bridges[rows, 1] = np.divmod(flat_idx, ni_pad)
-    return bridges
-
-
-def _with_hole_batch_rows(
-    kX: np.ndarray,
-    kY: np.ndarray,
-    kcounts: np.ndarray,
-    rows: np.ndarray,
-    bridges: np.ndarray,
-    INX: np.ndarray,
-    INY: np.ndarray,
-    ni_rows: np.ndarray,
-) -> list[_Part]:
-    """Batched ``Polygon.with_hole`` for many CCW outer rings at once.
-
-    ``rows`` indexes the keyhole subset's padded arrays; every flagged row
-    must be CCW-stored with a precomputed bridge.  The combined ring
-    ``outer_rot + [outer_rot[0]] + inner_rot + [inner_rot[0]]`` is gathered
-    for all rows in one shot (lanes ``[0, cnt]`` walk the rotated outer
-    ring, lane ``cnt`` wrapping back to the bridge vertex; the inner ring
-    follows likewise, modulo the row's own ``ni``), then cleaned (vectorized
-    detection, scalar fallback) and measured with the shared sequential
-    shoelace.  The inner-ring tables are per row or shared
-    (:func:`_table_rows`).
-    """
-    P = len(rows)
-    counts_r = kcounts[rows]
-    ni_col = _table_rows(ni_rows, rows)[:, None]
-    widths = counts_r + ni_col[:, 0] + 2
-    W = int(widths.max())
-    lanes = _lanes(W)[None, :]
-    cnt = counts_r[:, None]
-    oi = bridges[rows, 0][:, None]
-    ij = bridges[rows, 1][:, None]
-
-    outer_zone = lanes <= cnt
-    outer_src = (oi + lanes) % cnt
-    inner_src = (ij + (lanes - cnt - 1)) % ni_col
-    rowsP = _rows_col(P)
-    gx_outer = kX[rows][rowsP, outer_src]
-    gy_outer = kY[rows][rowsP, outer_src]
-    inx = _table_rows(INX, rows)
-    iny = _table_rows(INY, rows)
-    inner_row = rowsP if len(inx) > 1 else 0
-    gx_inner = inx[inner_row, inner_src]
-    gy_inner = iny[inner_row, inner_src]
-    comb_x = np.where(outer_zone, gx_outer, gx_inner)
-    comb_y = np.where(outer_zone, gy_outer, gy_inner)
-
-    comb_x, comb_y, widths, signed = _clean_and_measure_rows(comb_x, comb_y, widths)
-    out: list[_Part] = []
-    for k in range(P):
-        w = int(widths[k])
-        if w < 3:
-            raise ValueError("keyholed polygon degenerated below a triangle")
-        out.append((comb_x[k, :w].copy(), comb_y[k, :w].copy(), float(signed[k])))
-    return out
+        if not in_box[q]:
+            return False
+        if polygon is None:
+            polygon = _polygon_from_part(part)
+        if not polygon.contains_point(Point2D(float(qx[q]), float(qy[q]))):
+            return False
+    return True
 
 
 def _with_hole_part(
@@ -1226,8 +1015,8 @@ def _with_hole_part(
 ) -> _Part:
     """Replica of ``Polygon.with_hole`` on raw arrays, for one part.
 
-    The batched keyholing covers CCW-stored rings; a CW-stored one comes
-    here, because its bridge scan runs on the re-oriented ring.
+    A CW-stored ring is re-oriented first, exactly like ``ensure_ccw``, so
+    the bridge scan runs on the ring the scalar method scans.
     ``inner_rev_*`` are the hole's CCW coordinates already reversed to
     clockwise traversal (precomputed once per constraint).  The bridge is the
     closest (outer vertex, inner vertex) pair compared on squared distance;
@@ -1561,21 +1350,6 @@ def _row_boxes(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
 
 
-def _row_buckets(lengths: np.ndarray, single: bool) -> list[tuple]:
-    """Row selections ``(selector, positions)`` for a pooled runner.
-
-    Width buckets (:func:`_bucket_rows`), each as an index array plus the
-    same indices as a list.  A one-target pool is one selection of every
-    row -- a slice, so the runner reads the pooled arrays without gathering
-    them.
-    """
-    if single:
-        return [(slice(None), range(len(lengths)))]
-    return [
-        (np.asarray(bucket), bucket) for bucket in _bucket_rows(lengths.tolist())
-    ]
-
-
 def _bucket_rows(lengths: Sequence[int], floor: int = 16) -> list[list[int]]:
     """Partition row indices into vertex-count buckets for pooled runners.
 
@@ -1585,9 +1359,9 @@ def _bucket_rows(lengths: Sequence[int], floor: int = 16) -> list[list[int]]:
     new bucket whenever a row exceeds twice the bucket's opening width
     keeps the padding waste bounded while preserving large pooled batches.
     Per-row results are row-independent, so the partition cannot change any
-    output.  A one-target pool is not bucketed (:func:`_row_buckets`): its
-    pieces share their history, and the extra calls cost more than the
-    padding they save.
+    output.  A one-target pool of wedge chains is not bucketed: its pieces
+    share their history, and the extra calls cost more than the padding
+    they save.
     """
     order = sorted(range(len(lengths)), key=lambda i: lengths[i])
     buckets: list[list[int]] = []
@@ -1653,12 +1427,14 @@ class FusedSolverKernel:
     * the inclusion's bbox rejection runs once over every target's stacked
       piece boxes, with per-row constraint bounds taken by target id (the
       centre-distance and side-matrix classification stay per target);
-    * the surviving pieces of *all* targets clip through one pooled convex
-      clip;
-    * the exclusion's bbox / keyhole classification, keyhole containment,
-      bridge search and keyholing run over the stacked rows of every
-      target, and the wedge chains of *all* targets' convex subtractions
-      pool into one :func:`_halfplane_chain_run` per width bucket.
+    * the surviving pieces of two or more targets clip through one pooled
+      convex clip per width bucket; one target's pieces clip with the
+      scalar ``clip_convex``;
+    * the exclusion's bbox / keyhole classification runs over the stacked
+      rows of every target; a keyhole-able part is tested and keyholed on
+      its own (:func:`_contains_all`, :func:`_with_hole_part`); the wedge
+      chains of *all* targets' convex subtractions pool into one
+      :func:`_halfplane_chain_run` per width bucket.
 
     Every stage works on a target's distinct geometries, not its pieces:
     a piece and its unchanged weighted copy point at one geometry
@@ -1672,9 +1448,10 @@ class FusedSolverKernel:
     Each stage has one decision tree, whatever the cohort width.  What the
     width does choose is how a stage's input is fed to the row primitives:
     a one-target pool broadcasts its constraint tables instead of gathering
-    them per row and skips width bucketing, and a pool too small to
-    amortize batched passes runs the scalar reference functions (bit-
-    identical by construction).  Pooling never changes an answer: every
+    them per row and skips width bucketing, and an inclusion pool that one
+    target owns, or that is too small to amortize batched passes, runs the
+    scalar ``clip_convex`` (bit-identical by construction).  Pooling never
+    changes an answer: every
     pooled primitive is row-independent (elementwise arithmetic, per-row
     scans, scatter by row; padding width and cross-row short-circuits never
     change a row's values), so a target's output does not depend on its
@@ -1918,7 +1695,7 @@ class FusedSolverKernel:
         return Region(pieces, s.projection)
 
     # ------------------------------------------------------------------ #
-    # Inclusion: cohort prefilters + pooled convex clip
+    # Inclusion: cohort prefilters + convex clip (pooled across targets)
     # ------------------------------------------------------------------ #
     def _fused_inclusion(self, group: list[_TargetState]) -> None:
         # Replica of BoundingBox.intersects(piece_box, clip_box), one pass
@@ -1963,12 +1740,13 @@ class FusedSolverKernel:
                 s.inside_parts = plan.out
             return
 
-        if (
+        if len({t for t, _j in owner}) == 1 or (
             len(pooled_parts) < _MIN_BATCH_ROWS
             and sum(len(p[0]) for p in pooled_parts) < _MIN_BATCH_VERTICES
         ):
-            # Too few (and small enough) pieces to amortize batched passes:
-            # run the scalar reference clipper (bit-identical by construction).
+            # One target's pool, or too few (and small enough) pieces to
+            # amortize batched passes: run the scalar reference clipper
+            # (bit-identical by construction).
             for t, j in owner:
                 s, plan = group[t], plans[t]
                 piece = plan.still[j]
@@ -1978,17 +1756,11 @@ class FusedSolverKernel:
                 if clipped is not None:
                     plan.out[piece] = [_part_from_polygon(clipped)]
         else:
-            # One target: every row clips against the same edge table.
-            single = len({t for t, _j in owner}) == 1
-            lengths = np.array([len(p[0]) for p in pooled_parts])
-            for _sel, rows in _row_buckets(lengths, single):
+            lengths = [len(p[0]) for p in pooled_parts]
+            for rows in _bucket_rows(lengths):
                 parts = [pooled_parts[i] for i in rows]
-                if single:
-                    edges = plans[owner[0][0]].edges
-                    results = _clip_convex_rows(parts, edges, self._hook)
-                else:
-                    edge_seqs = [plans[owner[i][0]].edges for i in rows]
-                    results = _clip_convex_rows_multi(parts, edge_seqs, self._hook)
+                edge_seqs = [plans[owner[i][0]].edges for i in rows]
+                results = _clip_convex_rows_multi(parts, edge_seqs, self._hook)
                 for i, result in zip(rows, results):
                     if result is not None:
                         t, j = owner[i]
@@ -2111,7 +1883,7 @@ class FusedSolverKernel:
         return _InclusionPlan(out, still, parts, edges[needed])
 
     # ------------------------------------------------------------------ #
-    # Exclusion: cohort classification + pooled keyholes and wedges
+    # Exclusion: cohort classification, per-part keyholes, pooled wedges
     # ------------------------------------------------------------------ #
     def _fused_exclusion(self, group: list[_TargetState]) -> None:
         """``subtract_cautious`` for every part of every target at once.
@@ -2120,10 +1892,10 @@ class FusedSolverKernel:
         disjoint keeps the part, a strictly-contained exclusion keyholes it,
         a convex exclusion is wedge-subtracted, and a non-convex one runs
         the scalar ``subtract_polygons`` on the part.  The bbox/keyhole
-        classification, keyhole containment, bridge search, batched
-        keyholing and wedge sidedness run once over the stacked rows of
-        every target, with per-row constraint parameters taken by target
-        id, and every wedge chain of every target pools into one runner.
+        classification and the wedge sidedness run once over the stacked
+        rows of every target, with per-row constraint parameters taken by
+        target id, and every wedge chain of every target pools into one
+        runner; keyholes run one part at a time.
         """
         tol = 1e-6
         plans: list[_ExclusionPlan] = []
@@ -2192,7 +1964,8 @@ class FusedSolverKernel:
                 for s in group
             ]
         )
-        rb = _table_rows(binfo, row_target)
+        # One target's bounds broadcast against every row.
+        rb = binfo if len(group) == 1 else binfo[row_target]
         minx, miny, maxx, maxy = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
         disjoint = (
             (maxx < rb[:, 0])
@@ -2226,8 +1999,7 @@ class FusedSolverKernel:
         if keyhole_rows:
             subtract_rows.extend(
                 self._fused_keyhole(
-                    group, plans, flats, X, Y, counts, boxes,
-                    row_target, starts, keyhole_rows,
+                    group, plans, flats, boxes, row_target_l, starts, keyhole_rows
                 )
             )
             subtract_rows.sort()
@@ -2259,105 +2031,33 @@ class FusedSolverKernel:
         group: list[_TargetState],
         plans: list[_ExclusionPlan],
         flats: list[list[_Part]],
-        X: np.ndarray,
-        Y: np.ndarray,
-        counts: np.ndarray,
         boxes: np.ndarray,
-        row_target: np.ndarray,
+        row_target: list[int],
         starts: list[int],
         keyhole_rows: list[int],
     ) -> list[int]:
-        """Pooled keyhole stage; returns rows that fall through to subtraction."""
-        kro = np.asarray(keyhole_rows)
-        rt = row_target[kro]
-        rt_l = rt.tolist()
-        involved = sorted(set(rt_l))
-        geoms = [group[t].geometry for t in involved]
-        for geometry in geoms:
-            geometry.ensure_keyhole_tables()
-        # Query points (exclusion vertices) and clockwise inner rings, one
-        # table row per involved target (both have the ring's vertex
-        # count), expanded to one row per candidate unless a single target
-        # owns them all.
-        ring_len = np.array([len(g.exc_qx) for g in geoms])
-        QX = _stack_rows([g.exc_qx for g in geoms])
-        QY = _stack_rows([g.exc_qy for g in geoms])
-        INX = _stack_rows([g.exc_rev_x for g in geoms])
-        INY = _stack_rows([g.exc_rev_y for g in geoms])
-        if len(geoms) > 1:
-            slot = np.searchsorted(involved, rt)
-            QX, QY, INX, INY, ring_len = (
-                a[slot] for a in (QX, QY, INX, INY, ring_len)
-            )
+        """Keyhole stage, one part at a time; returns rows that fall through.
 
-        kcounts = counts[kro]
-        narrow = max(int(kcounts.max()), 1)
-        kX = X[kro][:, :narrow]
-        kY = Y[kro][:, :narrow]
-        parts_k = [flats[t][row - starts[t]] for t, row in zip(rt_l, keyhole_rows)]
-        k_boxes = boxes[kro]
-        contained = np.empty(len(kro), dtype=bool)
-        bridges = np.empty((len(kro), 2), dtype=np.int64)
-        for sel, positions in _row_buckets(kcounts, len(geoms) == 1):
-            b_counts = kcounts[sel]
-            bw = max(int(b_counts.max()), 1)
-            bX = kX[sel][:, :bw]
-            bY = kY[sel][:, :bw]
-            b_len = _table_rows(ring_len, sel)
-            contained[sel] = _contain_all_queries_rows(
-                [parts_k[i] for i in positions],
-                bX,
-                bY,
-                b_counts,
-                k_boxes[sel],
-                _table_rows(QX, sel),
-                _table_rows(QY, sel),
-                b_len,
-            )
-            bridges[sel] = _keyhole_bridges_rows(
-                bX,
-                bY,
-                b_counts,
-                contained[sel],
-                _table_rows(INX, sel),
-                _table_rows(INY, sel),
-                b_len,
-            )
-        batch_rows: list[int] = []
+        Pooled containment and bridge tensors were slower than these
+        per-part replicas for a cohort of one, the serving shape, and won
+        only about 0.08 ms per target in wide cohorts
+        (``DESIGN_SOLVER_KERNEL.md``, "Where rows are pooled").
+        """
         fall_through: list[int] = []
-        contained_l = contained.tolist()
-        for k, row in enumerate(keyhole_rows):
-            t = rt_l[k]
-            if contained_l[k]:
-                group[t].diagnostics.prefilter_inside += 1
-                if parts_k[k][2] > 0.0:
-                    batch_rows.append(k)
-                else:
-                    # CW-stored ring: the bridge scan order depends on
-                    # orientation, so this (rare) part goes scalar.
-                    geometry = group[t].geometry
-                    plans[t].results[row - starts[t]] = [
-                        _with_hole_part(
-                            parts_k[k], geometry.exc_rev_x, geometry.exc_rev_y
-                        )
-                    ]
+        for row in keyhole_rows:
+            t = row_target[row]
+            s = group[t]
+            geometry = s.geometry
+            geometry.ensure_keyhole_tables()
+            fi = row - starts[t]
+            part = flats[t][fi]
+            if _contains_all(part, boxes[row], geometry.exc_qx, geometry.exc_qy):
+                s.diagnostics.prefilter_inside += 1
+                plans[t].results[fi] = [
+                    _with_hole_part(part, geometry.exc_rev_x, geometry.exc_rev_y)
+                ]
             else:
                 fall_through.append(row)
-        if batch_rows:
-            keyholed = _with_hole_batch_rows(
-                kX,
-                kY,
-                kcounts,
-                np.asarray(batch_rows),
-                bridges,
-                INX,
-                INY,
-                ring_len,
-            )
-            for k, part in zip(batch_rows, keyholed):
-                t = rt_l[k]
-                row = keyhole_rows[k]
-                plans[t].results[row - starts[t]] = [part]
         return fall_through
 
     def _convex_subtract(
@@ -2374,41 +2074,24 @@ class FusedSolverKernel:
     ) -> None:
         """``subtract_convex`` for the pooled rows of every target.
 
-        A pool too small to amortize the wedge tensors -- few, small parts
-        against few-edged exclusions -- runs the scalar reference per part.
-        Big keyholed rings batch even alone (a scalar wedge decomposition on
-        a multi-hundred-vertex ring costs milliseconds), and so do
-        many-edged exclusions: the scalar decomposition runs O(edges^2)
-        half-plane passes, the batch O(edges).  Everything else goes through
-        the pooled wedge classification and chain runs.
+        One path at every pool size: the pooled wedge classification, then
+        the wedge chains of every target, bucketed by part width.  Every
+        latency exclusion has 32 edges, where the scalar decomposition's
+        O(edges^2) half-plane passes cost more than the chains' O(edges).
         """
-        targets = row_target[rows].tolist()
-        if (
-            len(rows) < _MIN_BATCH_ROWS
-            and int(counts[rows].sum()) < _MIN_BATCH_VERTICES
-            and all(
-                len(group[t].geometry.exclusion) <= _MAX_SCALAR_WEDGE_EDGES
-                for t in targets
-            )
-        ):
-            for row, t in zip(rows, targets):
-                fi = row - starts[t]
-                group[t].diagnostics.pieces_clipped += 1
-                polys = subtract_convex(
-                    _polygon_from_part(flats[t][fi]), group[t].geometry.exclusion
-                )
-                plans[t].results[fi] = [_part_from_polygon(p) for p in polys]
-            return
         specs = self._fused_wedges(
             group, plans, flats, X, Y, counts, row_target, starts, rows
         )
         if not specs:
             return
-        # Bucket chain rows by part width so one big keyholed ring does not
-        # widen every wedge's padded lanes.
-        lengths = np.array([len(spec[0][0]) for spec in specs])
-        single = len({spec[3] for spec in specs}) == 1
-        for _sel, positions in _row_buckets(lengths, single):
+        if len({spec[3] for spec in specs}) == 1:
+            # One target's chains share their history: one call, unbucketed.
+            buckets = [range(len(specs))]
+        else:
+            # Bucket chain rows by part width so one big keyholed ring does
+            # not widen every wedge's padded lanes.
+            buckets = _bucket_rows([len(spec[0][0]) for spec in specs])
+        for positions in buckets:
             bucket_specs = [specs[i] for i in positions]
             seq_lens = np.array(
                 [1 + len(spec[5]) for spec in bucket_specs], dtype=np.int64

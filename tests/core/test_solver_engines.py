@@ -189,6 +189,34 @@ class TestTargetedEquivalence:
         heavy = region_v.heaviest_piece()
         assert not heavy.polygon.contains_point(probe_hole)
 
+    def test_keyhole_vertex_on_piece_boundary(self):
+        """An exclusion vertex on the piece's boundary keyholes the piece.
+
+        The vertex lies just outside the square's right edge, within
+        ``MERGE_TOLERANCE_KM``: ray-casting parity says outside, and the
+        exact ``contains_point`` (boundary within tolerance) says inside.
+        """
+        import numpy as np
+
+        from repro.geometry.kernel import _contains_all, _part_from_polygon
+        from repro.geometry.polygon import MERGE_TOLERANCE_KM
+
+        piece = square(0.0, 0.0, 100.0)
+        on_edge = Point2D(100.0 + MERGE_TOLERANCE_KM / 2, 0.0)
+        triangle = Polygon([on_edge, Point2D(20.0, 50.0), Point2D(20.0, -50.0)])
+        qx = np.array([v.x for v in triangle.vertices])
+        qy = np.array([v.y for v in triangle.vertices])
+        box = np.array([-100.0, -100.0, 100.0, 100.0])
+        assert _contains_all(_part_from_polygon(piece), box, qx, qy)
+
+        system = [positive(piece, weight=2.0), negative(triangle, weight=1.0)]
+        region_v, _ = assert_identical(system)
+        # Keyholed, not wedge-subtracted: one piece with a slit to the hole.
+        (keyholed,) = [p for p in region_v.pieces if p.weight == 3.0]
+        assert len(keyholed.polygon.coords) == 9
+        ring = [annulus(disk_at(0, 0, 600.0), disk_at(0, 0, 150.0))]
+        assert_cohort_identical([system, ring])
+
     def test_exclusion_crossing_boundary(self):
         """Exclusion partially overlapping pieces: the wedge-chain path."""
         constraints = [
@@ -310,9 +338,9 @@ class TestPrefilter:
     def test_fully_excluded_piece_vanishes(self):
         """Pieces strictly inside an exclusion are dropped without clipping.
 
-        Several overlapping small disks build up enough pieces that the
-        batched wedge classifier (not the small-batch scalar fallback) sees
-        them, and every one of them lies inside the wipe exclusion.
+        Several overlapping small disks build up pieces that the pooled
+        wedge classifier sees, and every one of them lies inside the wipe
+        exclusion.
         """
         solver = WeightedRegionSolver(SolverConfig(engine="fused"))
         smalls = [
@@ -324,16 +352,27 @@ class TestPrefilter:
         assert solver.diagnostics.prefilter_outside > 0
 
     def test_crossing_pieces_are_clipped(self):
+        from repro.core.solver import solve_systems
+
         constraints = [
             positive(disk_at(b, 300.0, 400.0), label=f"c{b}")
             for b in (0.0, 60.0, 120.0, 180.0, 240.0, 300.0)
         ]
         solver = WeightedRegionSolver(SolverConfig(engine="fused"))
         solver.solve(constraints, PROJ)
-        # Plenty of overlapping boundaries: pieces must reach the clipper,
-        # and with enough of them at once the batched passes run too.
+        # Plenty of overlapping boundaries: pieces must reach the clipper.
+        # One target's inclusion pools clip with the scalar reference, so
+        # no batched pass runs.
         assert solver.diagnostics.pieces_clipped > 0
-        assert solver.diagnostics.vertices_clipped > 0
+        assert solver.diagnostics.vertices_clipped == 0
+        # The same system twice is a pool spanning two targets: it clips
+        # through the batched passes.
+        results = solve_systems(
+            SolverConfig(engine="fused"), [(constraints, PROJ)] * 2
+        )
+        for _region, diag in results:
+            assert diag.vertices_clipped > 0
+            assert diag.fused_pass_count > 0
 
     def test_phase_timings_recorded(self):
         solver = WeightedRegionSolver(SolverConfig(engine="fused"))
