@@ -108,6 +108,18 @@ def merge_bench_json(
     print(f"  wrote: {out_path} [{section}]")
 
 
+def perfbench_common():
+    """``perfbench/common.py``, loaded by path: the tracked cohort and probes."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "common.py"
+    spec = importlib.util.spec_from_file_location("perfbench_common", path)
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    return common
+
+
 def host_ref_loop_ms() -> float:
     """Median of five timings of perfbench's fixed reference loop, in ms.
 
@@ -116,12 +128,6 @@ def host_ref_loop_ms() -> float:
     gate on an absolute latency record it before and after their measured
     phases, so a failed gate can be told from a slow stretch of the host.
     """
-    import importlib.util
     import statistics
-    from pathlib import Path
 
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "common.py"
-    spec = importlib.util.spec_from_file_location("perfbench_common", path)
-    common = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(common)
-    return round(statistics.median(common.ref_loop_series(5)), 3)
+    return round(statistics.median(perfbench_common().ref_loop_series(5)), 3)

@@ -42,7 +42,9 @@ class SolverConfig:
     #: constraint (roughly a 250 km radius), so that the reported region is an
     #: honest confidence area rather than just the deepest intersection.
     target_region_area_km2: float = 200000.0
-    #: Number of vertices used when turning disks into polygons.
+    #: Number of vertices used when turning upper-bound and hint disks into
+    #: polygons.  Lower-bound (exclusion) disks are inscribed octagons
+    #: (:data:`repro.core.constraints.LOWER_BOUND_SEGMENTS`) whatever this is.
     circle_segments: int = 32
     #: When True the solver maintains exact, disjoint complements of every
     #: split (paper equation semantics, more expensive).  When False -- the

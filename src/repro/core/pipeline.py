@@ -56,7 +56,6 @@ from .config import OctantConfig
 from .constraints import (
     Constraint,
     ConstraintSet,
-    DiskConstraint,
     DistanceConstraint,
     GeoRegionConstraint,
     PlanarConstraint,
@@ -290,7 +289,9 @@ class ConstraintPipeline:
         """Planarize a cohort of constraint systems with pooled geometry.
 
         Before realizing anything, every system that will miss the planar
-        memo contributes its disk realizations to one pooled
+        memo contributes its disk realizations (each constraint's
+        :meth:`~repro.core.constraints.Constraint.disk_specs`, the disks its
+        ``to_planar`` reads) to one pooled
         :class:`~repro.geometry.circles.CircleCache` warm pass (a single
         batched boundary computation plus one projection pass per working
         plane, instead of per-disk scalar loops).  Each system is then
@@ -311,22 +312,8 @@ class ConstraintPipeline:
             projection_key = projection.cache_key()
             for constraint in ordered:
                 cache = getattr(constraint, "geometry_cache", None)
-                if cache is None:
-                    continue
-                specs = []
-                if isinstance(constraint, DistanceConstraint):
-                    specs.append(
-                        (constraint.landmark_location, constraint.max_km, constraint.circle_segments)
-                    )
-                    if constraint.min_km > 0:
-                        specs.append(
-                            (constraint.landmark_location, constraint.min_km, constraint.circle_segments)
-                        )
-                elif isinstance(constraint, DiskConstraint):
-                    specs.append(
-                        (constraint.center, constraint.radius_km, constraint.circle_segments)
-                    )
-                if not specs:
+                specs = constraint.disk_specs()
+                if cache is None or not specs:
                     continue
                 boundary_jobs.setdefault(id(cache), (cache, []))[1].extend(specs)
                 if projection_key is not None:

@@ -2075,9 +2075,10 @@ class FusedSolverKernel:
         """``subtract_convex`` for the pooled rows of every target.
 
         One path at every pool size: the pooled wedge classification, then
-        the wedge chains of every target, bucketed by part width.  Every
-        latency exclusion has 32 edges, where the scalar decomposition's
-        O(edges^2) half-plane passes cost more than the chains' O(edges).
+        the wedge chains of every target, bucketed by part width.  A latency
+        lower bound is an inscribed octagon (8 edges), so a straddled part
+        runs at most 8 chains of at most 8 clips each; pooling them beats the
+        scalar decomposition's O(edges^2) half-plane passes per part.
         """
         specs = self._fused_wedges(
             group, plans, flats, X, Y, counts, row_target, starts, rows

@@ -10,6 +10,7 @@ from repro.core import (
     Polarity,
     latency_weight,
 )
+from repro.core.constraints import LOWER_BOUND_SEGMENTS
 from repro.geometry import (
     AzimuthalEquidistantProjection,
     GeoPoint,
@@ -70,6 +71,40 @@ class TestDistanceConstraint:
         near = PROJ.forward(DENVER.destination(90.0, 100.0))
         assert planar.exclusion.contains_point(near)
 
+    def test_lower_bound_is_an_inscribed_polygon(self):
+        """The exclusion has LOWER_BOUND_SEGMENTS vertices, all on the circle.
+
+        Vertices on the geodesic circle of radius ``min_km`` make the polygon
+        inscribed: it lies inside the disk, so the bound stays sound.  The
+        tolerance covers the projection round trip.
+        """
+        constraint = DistanceConstraint(
+            "lm", DENVER, max_km=800.0, min_km=300.0, circle_segments=32
+        )
+        planar = constraint.to_planar(PROJ)
+        assert len(planar.exclusion) == LOWER_BOUND_SEGMENTS
+        assert len(planar.inclusion) == 32
+        for vertex in planar.exclusion.vertices:
+            assert PROJ.inverse(vertex).distance_km(DENVER) == pytest.approx(
+                300.0, abs=1e-6
+            )
+
+    def test_disk_specs_are_the_realized_disks(self):
+        constraint = DistanceConstraint(
+            "lm", DENVER, max_km=800.0, min_km=300.0, circle_segments=32
+        )
+        assert constraint.disk_specs() == [
+            (DENVER, 800.0, 32),
+            (DENVER, 300.0, LOWER_BOUND_SEGMENTS),
+        ]
+        planar = constraint.to_planar(PROJ)
+        assert planar.inclusion.coords == disk_polygon(DENVER, 800.0, PROJ, 32).coords
+        assert planar.exclusion.coords == (
+            disk_polygon(DENVER, 300.0, PROJ, LOWER_BOUND_SEGMENTS).coords
+        )
+        upper_only = DistanceConstraint("lm", DENVER, max_km=800.0, circle_segments=32)
+        assert upper_only.disk_specs() == [(DENVER, 800.0, 32)]
+
     def test_planar_respects_distance_semantics(self):
         constraint = DistanceConstraint("lm", DENVER, max_km=1600.0)
         planar = constraint.to_planar(PROJ)
@@ -121,6 +156,11 @@ class TestDiskConstraint:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             DiskConstraint(DENVER, 0.0)
+
+    def test_negative_disk_keeps_its_segments(self):
+        constraint = DiskConstraint(DENVER, 300.0, Polarity.NEGATIVE, circle_segments=32)
+        assert constraint.disk_specs() == [(DENVER, 300.0, 32)]
+        assert len(constraint.to_planar(PROJ).exclusion) == 32
 
 
 class TestGeoRegionConstraint:

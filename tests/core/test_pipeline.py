@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import BatchLocalizer, Octant, OctantConfig, collect_dataset
-from repro.core import ConstraintPipeline, geographic_constraints
+from repro.core import ConstraintPipeline, DistanceConstraint, geographic_constraints
 from repro.network.dns import UndnsParser
 from repro.network.planetlab import small_deployment
 
@@ -133,3 +133,39 @@ class TestSharedGeometryCache:
         assert cache.stats()["boundary_misses"] == 0
         BatchLocalizer(octant).prepare_for_target(dataset.host_ids[0])
         assert cache.stats()["boundary_misses"] > 0
+
+    def test_planarize_many_warms_every_disk_it_realizes(self, dataset, monkeypatch):
+        """The pooled warm pass covers every disk, lower bounds included.
+
+        After ``planarize_many``'s warm pass, the per-system ``planarize``
+        calls find every boundary and planar disk in the circle cache.
+        """
+        octant = Octant(dataset)
+        localizer = BatchLocalizer(octant)
+        presolved = [
+            octant.presolve(t, localizer.prepare_for_target(t), planarize=False)
+            for t in dataset.host_ids[:2]
+        ]
+        for p in presolved:
+            assert any(
+                isinstance(c, DistanceConstraint) and c.min_km > 0
+                for c in p.constraints
+            ), p.target_id
+        pipeline = octant.pipeline
+        cache = pipeline.circle_cache
+        scalar_planarize = pipeline.planarize
+        added = []
+
+        def planarize(*args, **kwargs):
+            before = cache.stats()
+            planar = scalar_planarize(*args, **kwargs)
+            after = cache.stats()
+            added.append(
+                {k: after[k] - before[k] for k in ("planar_misses", "boundary_misses")}
+            )
+            return planar
+
+        monkeypatch.setattr(pipeline, "planarize", planarize)
+        planar = pipeline.planarize_many([(p.constraints, p.projection) for p in presolved])
+        assert all(planar)
+        assert added == [{"planar_misses": 0, "boundary_misses": 0}] * 2
