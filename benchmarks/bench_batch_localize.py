@@ -22,7 +22,7 @@ import pytest
 
 from repro import BatchLocalizer, Octant, OctantConfig
 from repro.core.config import SolverConfig
-from repro.core.reference import reference_localize
+from repro.core.reference import reference_localize, reference_solve
 
 #: Bump when the shape of BENCH_batch.json changes.
 #: v2: ``batch_localize`` gained ``stage_ms_per_target`` -- the fused
@@ -67,7 +67,7 @@ def _estimate_signature(estimate):
 
 
 def _engine_signature(estimate):
-    """Every pinned metric the solver engines must agree on."""
+    """Every pinned metric the solver and the reference solve must agree on."""
     region = estimate.region
     return (
         None if estimate.point is None else (estimate.point.lat, estimate.point.lon),
@@ -204,7 +204,7 @@ def test_fused_pipeline_drift_gate(dataset, target_ids):
 
     shuffled = list(target_ids)
     random.Random(len(shuffled) * 31 + len(dataset.hosts)).shuffle(shuffled)
-    fused_config = OctantConfig(solver=SolverConfig(engine="fused"))
+    fused_config = OctantConfig(solver=SolverConfig())
 
     best = {"sequential": float("inf"), "fused": float("inf")}
     results: dict[str, dict] = {}
@@ -271,35 +271,38 @@ def test_fused_pipeline_drift_gate(dataset, target_ids):
 
 @pytest.mark.benchmark(group="solver-engine")
 def test_solver_engine_speedup(dataset, target_ids):
-    """Default (fused) vs object solver engine: identity always, speedup at size.
+    """The fused solver vs the scalar reference solve: identity always,
+    speedup at size.
 
     Two measurements:
 
-    1. **End-to-end identity.**  Full leave-one-out runs under each engine
-       must produce bit-identical estimates on every pinned metric (point,
-       area, piece count, per-piece weights and vertex coordinates) -- the
-       drift gate CI runs on a tiny cohort.
+    1. **End-to-end identity.**  A fused leave-one-out run must produce
+       estimates bit-identical on every pinned metric (point, area, piece
+       count, per-piece weights and vertex coordinates) to
+       :func:`reference_localize` with ``scalar_solve`` -- every stage
+       derived from scratch and solved by :func:`reference_solve`, one
+       ``Polygon`` at a time.  This is the drift gate CI runs on a tiny
+       cohort.
     2. **Weighted-solver time.**  Each target's planar constraint system is
        built once (through the batch engine, so both solvers see identical
-       inputs) and then solved by each engine, one system at a time; the
-       solve() wall time is the metric the NumPy kernel targets.  Interleaved
-       minimum-of-N repetitions keep single-core scheduling noise out of the
-       ratio.  The tracked figure (30-host cohort, single core) is a >=3x
-       reduction; the assertion below uses a noise margin.
+       inputs) and then solved by the fused solver and by
+       :func:`reference_solve`, one system at a time; the solve wall time is
+       the metric the NumPy kernel targets.  Interleaved minimum-of-N
+       repetitions keep single-core scheduling noise out of the ratio.  The
+       tracked figure (30-host cohort, single core) is ``solver_engines`` in
+       ``BENCH_batch.json``; the assertion below uses a noise margin.
     """
     from repro.core.heights import estimate_target_height
     from repro.core.solver import WeightedRegionSolver
 
-    # -- end-to-end identity under both engines -------------------------- #
-    results = {}
-    for engine in ("object", "fused"):
-        config = OctantConfig(solver=SolverConfig(engine=engine))
-        results[engine] = BatchLocalizer(Octant(dataset, config)).localize_all(
-            target_ids
-        )
+    # -- end-to-end identity against the scalar reference --------------- #
+    fused = BatchLocalizer(Octant(dataset)).localize_all(target_ids)
+    reference = Octant(dataset)
     for target in target_ids:
-        want = _engine_signature(results["object"][target])
-        assert _engine_signature(results["fused"][target]) == want
+        want = _engine_signature(
+            reference_localize(reference, target, scalar_solve=True)
+        )
+        assert _engine_signature(fused[target]) == want
 
     # -- solver-only timing on identical constraint systems -------------- #
     octant = Octant(dataset)
@@ -334,18 +337,25 @@ def test_solver_engine_speedup(dataset, target_ids):
 
     solver_seconds = {"fused": float("inf"), "object": float("inf")}
     regions = {}
+    solver_config = SolverConfig()
+
+    def fused_solve(planar, projection):
+        solver = WeightedRegionSolver(solver_config)
+        return solver.solve(planar, projection), solver.diagnostics
+
+    def object_solve(planar, projection):
+        return reference_solve(planar, projection, solver_config)
+
     for _repetition in range(3):
-        for engine in ("fused", "object"):
-            solver_config = SolverConfig(engine=engine)
+        for name, solve in (("fused", fused_solve), ("object", object_solve)):
             total = 0.0
             out = []
             for planar, projection in systems:
-                solver = WeightedRegionSolver(solver_config)
-                region = solver.solve(planar, projection)
-                total += solver.diagnostics.solve_seconds
+                region, diagnostics = solve(planar, projection)
+                total += diagnostics.solve_seconds
                 out.append(region)
-            solver_seconds[engine] = min(solver_seconds[engine], total)
-            regions.setdefault(engine, out)
+            solver_seconds[name] = min(solver_seconds[name], total)
+            regions.setdefault(name, out)
 
     # Solver-level identity: same pieces, weights and coordinates.
     for region_v, region_o in zip(regions["fused"], regions["object"]):
@@ -367,12 +377,12 @@ def test_solver_engine_speedup(dataset, target_ids):
     print()
     print("=" * 72)
     print(
-        f"Weighted-solver engines -- {len(dataset.hosts)} hosts, "
+        f"Weighted solver vs reference solve -- {len(dataset.hosts)} hosts, "
         f"{per_target} targets (single core)"
     )
     print("=" * 72)
-    print(f"  object engine : {object_ms:7.1f} ms/target solver time")
-    print(f"  fused engine  : {fused_ms:7.1f} ms/target solver time")
+    print(f"  reference     : {object_ms:7.1f} ms/target solver time")
+    print(f"  fused solver  : {fused_ms:7.1f} ms/target solver time")
     print(f"  speedup       : {speedup:5.2f}x")
 
     _merge_json(

@@ -20,7 +20,7 @@ Open-loop matters: arrivals do not wait for completions, so a crash that
 stalls a shard shows up as queueing (p99) rather than as a politely paused
 workload.  Reported per mode: offered/achieved req/s, p50/p99 latency,
 availability %, degraded fraction (failover hops, in-process fallbacks,
-engine-ladder degradations), restarts.  Results land in ``BENCH_load.json``
+ladder degradations), restarts.  Results land in ``BENCH_load.json``
 (override with ``OCTANT_LOAD_BENCH_JSON``) so CI can archive and gate.
 """
 

@@ -5,8 +5,8 @@ under one *fixed, seeded* fault schedule (every draw is a pure function of
 the seed, so two runs of this benchmark inject exactly the same faults):
 
 1. **Ladder on** (the default :class:`ResilienceConfig`): retriable faults
-   are retried with backoff, fatal faults fall down the engine ladder and
-   then to the shortest-ping baseline.  The tracked contract is
+   are retried with backoff; fatal faults and an exhausted retry budget
+   fall to the shortest-ping baseline.  The tracked contract is
    **availability >= 99%** -- nearly every request gets an answer, with the
    degraded fraction reported alongside.
 2. **Ladder off** (``degradation=False``): the same schedule, no fallback.

@@ -53,7 +53,9 @@ from repro.evalx import percentile
 #: phase splits gain ``mask`` and ``cohort_engines`` records the mask
 #: outcomes (``geo_mask``); the kernel summary drops the deleted geographic
 #: memo's outcome key.
-SCHEMA_VERSION = 9
+#: v10: the fused kernel is the only solver engine: ``single_target`` drops
+#: ``engine`` and its kernel summary drops the ``engine`` label.
+SCHEMA_VERSION = 10
 
 
 def _merge_json(section: str, payload: dict) -> None:
@@ -91,7 +93,6 @@ def test_single_target_solution_time(benchmark, dataset):
     )
     per_target_s = min(run.solve_time_s for run in runs)
     estimate = min(runs, key=lambda run: run.solve_time_s)
-    engine = str(estimate.details.get("solver_engine", "unknown"))
     targets_per_sec = (1.0 / per_target_s) if per_target_s > 0 else float("inf")
 
     print()
@@ -99,7 +100,6 @@ def test_single_target_solution_time(benchmark, dataset):
     print("Solution time -- single-target localization (paper: 'a few seconds')")
     print("=" * 72)
     print(f"  target          : {target}")
-    print(f"  solver engine   : {engine}")
     print(f"  constraints used: {estimate.constraints_used}")
     print(f"  region area     : {estimate.region_area_square_miles():.0f} sq mi")
     print(f"  localize time   : {per_target_s:.3f} s ({targets_per_sec:.1f} targets/sec)")
@@ -108,7 +108,6 @@ def test_single_target_solution_time(benchmark, dataset):
     _merge_json(
         "single_target",
         {
-            "engine": engine,
             "hosts": len(dataset.hosts),
             "constraints_used": estimate.constraints_used,
             "per_target_localize_s": round(per_target_s, 6),

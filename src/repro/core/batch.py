@@ -34,7 +34,7 @@ changes between targets:
    (:meth:`BatchLocalizer.localize_one`) is a cohort of one through it, and
    :meth:`BatchLocalizer.localize_all` runs one whole-cohort preparation,
    then solves the cohort in chunks of ``SolverConfig.fuse_width`` targets
-   and merges them in input order, for every solver engine.  There is no
+   and merges them in input order.  There is no
    worker fan-out: thread and fork-pool fan-out never beat this serial path
    on the NumPy kernels (see ``DESIGN_BATCH.md``).  Concurrency lives in the
    serving tier, which drives one shared localizer from its executor
@@ -600,27 +600,22 @@ class BatchLocalizer:
         self,
         target_id: str,
         landmark_pool: Sequence[str] | None = None,
-        engine: str | None = None,
     ) -> LocationEstimate:
         """Localize one target: a cohort of one through :meth:`solve_many`.
 
         The estimate, failures included, is the one ``solve_many([target_id])``
-        returns.  ``engine`` overrides the configured solver engine for this
-        call (degradation ladder).
+        returns.
         """
         with self._fault_scope():
             # The inner body, not the public method: a tracer that wraps
             # both entry points must record one span per request.
-            return self._solve_many_inner([target_id], landmark_pool, engine=engine)[
-                target_id
-            ]
+            return self._solve_many_inner([target_id], landmark_pool)[target_id]
 
     def solve_many(
         self,
         target_ids: Sequence[str],
         landmark_pool: Sequence[str] | None = None,
         *,
-        engine: str | None = None,
         _prepared: Mapping[str, "PreparedLandmarks | _PrepareFailure"] | None = None,
     ) -> dict[str, LocationEstimate]:
         """Localize a cohort of targets through whole-cohort batched stages.
@@ -632,24 +627,20 @@ class BatchLocalizer:
         with the cohort-shared target-height tables, planarization is pooled
         through :meth:`ConstraintPipeline.planarize_many`, and the whole
         cohort's weighted-region systems run through
-        :meth:`ConstraintPipeline.solve_many` in a single kernel invocation.
-        Under ``engine="fused"`` that is one lockstep run whose batched clip
-        passes span every target; other engines solve per system.  Every
+        :meth:`ConstraintPipeline.solve_many` in a single kernel invocation:
+        one lockstep run whose batched clip passes span every target.  Every
         stage checkpoint is keyed by target id, so seeded fault schedules
         draw per target whatever the cohort.  The estimates equal
         :meth:`localize_one` per target.
         """
         with self._fault_scope():
-            return self._solve_many_inner(
-                target_ids, landmark_pool, engine=engine, _prepared=_prepared
-            )
+            return self._solve_many_inner(target_ids, landmark_pool, _prepared=_prepared)
 
     def _solve_many_inner(
         self,
         target_ids: Sequence[str],
         landmark_pool: Sequence[str] | None = None,
         *,
-        engine: str | None = None,
         _prepared: Mapping[str, "PreparedLandmarks | _PrepareFailure"] | None = None,
     ) -> dict[str, LocationEstimate]:
         targets = list(target_ids)
@@ -703,7 +694,6 @@ class BatchLocalizer:
             solve_started = time.perf_counter()
             solved = self.octant.pipeline.solve_many(
                 [(p.planar, p.projection) for p in presolved],
-                engine=engine,
                 keys=[p.target_id for p in presolved],
             )
             solve_share = (time.perf_counter() - solve_started) / len(presolved)
@@ -726,8 +716,7 @@ class BatchLocalizer:
         cohort at once); the cohort is then cut into chunks of
         ``SolverConfig.fuse_width`` targets, each solved by one
         :meth:`solve_many` call over the prepared state.  The merge is
-        ordered by the input target list, and every engine takes this path:
-        the estimates are identical to :meth:`localize_one` per target.
+        ordered by the input target list, and the estimates are identical to :meth:`localize_one` per target.
         """
         targets = list(target_ids) if target_ids is not None else self.dataset.host_ids
         pool = tuple(landmark_pool) if landmark_pool is not None else None

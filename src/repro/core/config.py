@@ -16,8 +16,8 @@ from ..resilience.config import ResilienceConfig
 __all__ = ["SOLVER_ENGINES", "OctantConfig", "SolverConfig"]
 
 #: The solver engines :attr:`SolverConfig.engine` accepts: the NumPy cohort
-#: kernel and the object reference.
-SOLVER_ENGINES = ("fused", "object")
+#: kernel only.
+SOLVER_ENGINES = ("fused",)
 
 
 @dataclass(frozen=True)
@@ -46,34 +46,24 @@ class SolverConfig:
     #: polygons.  Lower-bound (exclusion) disks are inscribed octagons
     #: (:data:`repro.core.constraints.LOWER_BOUND_SEGMENTS`) whatever this is.
     circle_segments: int = 32
-    #: When True the solver maintains exact, disjoint complements of every
-    #: split (paper equation semantics, more expensive).  When False -- the
-    #: default -- the unsatisfied side of a split keeps the original piece,
-    #: which produces the same lattice of constraint intersections the paper
-    #: describes while staying fast enough for the full evaluation.
-    exact_complements: bool = False
-    #: Which solver engine runs the weighted accumulation (one of
-    #: :data:`SOLVER_ENGINES`).  ``"fused"`` (the default) is the NumPy
-    #: cohort kernel (:class:`repro.geometry.kernel.FusedSolverKernel`):
-    #: batched Sutherland-Hodgman passes over the whole piece population with
-    #: a fully-inside/fully-outside prefilter, plus a *target* axis -- cohort
-    #: workloads (batch leave-one-out studies, micro-batched serving) advance
-    #: every target's constraint sequence in lockstep and pool the batched
-    #: passes of all targets into single NumPy calls.  A single solve is a
-    #: cohort of one.  ``"object"`` is the per-``Polygon`` path, kept as the
-    #: independent reference.  A non-convex exclusion that straddles a
-    #: piece's boundary (a projected geographic ring, a hand-written one)
-    #: runs the same scalar ``subtract_polygons`` on both engines.  Both
-    #: produce bit-identical estimates (pinned by the engine-equivalence
-    #: suites); ``exact_complements`` runs on the object path regardless,
-    #: which is the only mode that needs general disjoint complements.
+    #: The solver engine, one of :data:`SOLVER_ENGINES`; ``"fused"``, the
+    #: NumPy cohort kernel (:class:`repro.geometry.kernel.FusedSolverKernel`),
+    #: is the only one.  It runs batched Sutherland-Hodgman passes over the
+    #: whole piece population with a fully-inside/fully-outside prefilter,
+    #: plus a *target* axis: cohort workloads (batch leave-one-out studies,
+    #: micro-batched serving) advance every target's constraint sequence in
+    #: lockstep and pool the batched passes of all targets into single NumPy
+    #: calls.  A single solve is a cohort of one.  The field selects nothing:
+    #: it stays only because ``perfbench/workloads.py`` sets it
+    #: (``replace(..., engine="fused")``), and goes with the next change to
+    #: the benchmark (ROADMAP item 7).  Any other value raises
+    #: :class:`ValueError`.
     engine: str = "fused"
     #: Cohort width: the batch evaluation engine
     #: (``BatchLocalizer.localize_all``) solves leave-one-out cohorts in
-    #: chunks of this many targets (one lockstep kernel run per chunk under
-    #: ``"fused"``, per-system solves under ``"object"``), and the serving
-    #: layer coalesces up to this many queued requests into one fused solve
-    #: per executor dispatch.
+    #: chunks of this many targets, one lockstep kernel run per chunk, and
+    #: the serving layer coalesces up to this many queued requests into one
+    #: fused solve per executor dispatch.
     fuse_width: int = 16
 
     def __post_init__(self) -> None:

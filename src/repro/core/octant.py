@@ -319,7 +319,6 @@ class Octant:
                 "dropped_constraints": list(diagnostics.dropped_constraints),
                 "max_weight": diagnostics.max_weight,
                 "geo_mask": diagnostics.geo_mask,
-                "solver_engine": diagnostics.engine,
                 "solver_seconds": diagnostics.solve_seconds,
                 "kernel": diagnostics.kernel_summary(),
             },

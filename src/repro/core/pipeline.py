@@ -26,7 +26,7 @@ machinery:
    geographic rings carry no weight: they are realized per projection
    through the circle cache (:meth:`~ConstraintPipeline.land_mask`) and
    subtracted from the selected pieces as a hard exclusion
-   (:func:`~repro.geometry.kernel.select_region`), whichever engine ran.
+   (:func:`~repro.geometry.kernel.select_region`).
 
 The pipeline holds no dataset: :meth:`~ConstraintPipeline.assemble` takes
 it as an argument, and every cache the stages keep is content-addressed or
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 from .._lru import BoundedLRU
@@ -385,19 +385,15 @@ class ConstraintPipeline:
     def solve_many(
         self,
         systems: Sequence[tuple[Sequence[PlanarConstraint], Projection]],
-        engine: str | None = None,
         keys: Sequence[object] = (),
     ) -> list[tuple[Region, SolverDiagnostics]]:
         """Solve a cohort of realized constraint systems.
 
-        Under ``engine="fused"`` the whole cohort advances in lockstep
-        through one :class:`~repro.geometry.kernel.FusedSolverKernel` run
-        (single NumPy passes clip every target's pieces at once); the object
-        engine solves each system independently.  Results are bit-identical
-        to calling :meth:`solve` per system, in input order.  ``engine``
-        overrides the configured engine for this cohort only (degradation
-        ladder: the engines are bit-identical, so a fallback answer equals
-        the primary one); ``keys`` label one resilience checkpoint each
+        The whole cohort advances in lockstep through one
+        :class:`~repro.geometry.kernel.FusedSolverKernel` run (single NumPy
+        passes clip every target's pieces at once).  Results are
+        bit-identical to calling :meth:`solve` per system, in input order.
+        ``keys`` label one resilience checkpoint each
         (typically the target ids), fired before the pooled solve.  Each
         system's selection is masked by the geographic rings under its
         projection (:meth:`land_mask`).
@@ -405,11 +401,8 @@ class ConstraintPipeline:
         for key in keys or (None,):
             checkpoint("solve", key)
         started = time.perf_counter()
-        config = self.config.solver
-        if engine is not None and engine != config.engine:
-            config = replace(config, engine=engine)
         results = solve_systems(
-            config,
+            self.config.solver,
             list(systems),
             [self.land_mask(projection) for _planar, projection in systems],
         )

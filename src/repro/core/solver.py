@@ -17,26 +17,20 @@ until the configured size threshold is reached -- precisely the paper's
 "union of all regions, sorted by weight, such that they exceed a desired size
 threshold".  Exclusions that are certain, such as the geographic rings, carry
 no weight: :func:`~repro.geometry.kernel.select_region` subtracts them from
-the selection as a land mask, for both engines.
+the selection as a land mask.
 
 Setting every weight to 1 and the selection threshold to "maximum weight only"
 recovers the strict intersection semantics, which is how the ablation compares
 weighted and unweighted solving.
 
-Two engines implement the accumulation (``SolverConfig.engine``):
-
-* ``"fused"`` (default) -- the NumPy cohort kernel
-  :class:`~repro.geometry.kernel.FusedSolverKernel`: each target's piece
-  population lives in packed coordinate arrays, every constraint is applied
-  in batched vectorized passes with a fully-inside/fully-outside prefilter,
-  and a cohort of targets advances in lockstep so the k-th constraint of
-  every target shares those passes.  A single solve is a cohort of one.
-* ``"object"`` -- the original one-``Polygon``-at-a-time path, kept as the
-  executable specification the kernel is pinned against.
-
-Both engines produce bit-identical results on every estimate metric (point,
-area, piece count, weights); ``exact_complements`` mode always runs on the
-object path.
+The NumPy cohort kernel :class:`~repro.geometry.kernel.FusedSolverKernel`
+implements the accumulation.  Each target's piece
+population lives in packed coordinate arrays, every constraint is applied in
+batched vectorized passes with a fully-inside/fully-outside prefilter, and a
+cohort of targets advances in lockstep so the k-th constraint of every target
+shares those passes.  A single solve is a cohort of one.  The kernel is
+pinned bit for bit against :func:`~repro.core.reference.reference_solve`,
+the one-``Polygon``-at-a-time specification, which no runtime module runs.
 """
 
 from __future__ import annotations
@@ -45,20 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..geometry import (
-    Polygon,
-    Projection,
-    Region,
-    RegionPiece,
-    intersect_polygons,
-    subtract_polygons,
-)
-from ..geometry.kernel import (
-    WORLD_SQUARE,
-    FusedSolverKernel,
-    select_region,
-    subtract_cautious,
-)
+from ..geometry import Polygon, Projection, Region
+from ..geometry.kernel import FusedSolverKernel
 from .config import SolverConfig
 from .constraints import PlanarConstraint
 
@@ -81,9 +63,7 @@ class SolverDiagnostics:
     selected_weight: float = 0.0
     dropped_constraints: list[str] = field(default_factory=list)
 
-    # ---- engine / kernel instrumentation ------------------------------- #
-    #: Which engine ran the solve (``"fused"`` or ``"object"``).
-    engine: str = "object"
+    # ---- kernel instrumentation ---------------------------------------- #
     #: Total wall time of the solve call.
     solve_seconds: float = 0.0
     #: The fused kernel's work counters below count distinct piece
@@ -125,8 +105,8 @@ class SolverDiagnostics:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     # ---- fused cohort instrumentation ---------------------------------- #
-    #: How many targets shared the fused cohort this solve ran in (0 when
-    #: the solve did not run fused).
+    #: How many targets shared the fused cohort this solve ran in (0 for a
+    #: system with no constraints, and for the reference solve).
     fused_cohort_targets: int = 0
     #: Pooled batched clip passes the cohort executed (cohort-level: every
     #: member of one cohort reports the same number).  Inclusion passes run
@@ -148,7 +128,6 @@ class SolverDiagnostics:
     def kernel_summary(self) -> dict[str, object]:
         """Compact counters for ``EstimateResult.details`` reporting."""
         return {
-            "engine": self.engine,
             "prefilter_bbox": self.prefilter_bbox,
             "prefilter_inside": self.prefilter_inside,
             "prefilter_outside": self.prefilter_outside,
@@ -192,122 +171,11 @@ class WeightedRegionSolver:
         ``mask`` lists planar exclusions subtracted from the selection
         (:func:`~repro.geometry.kernel.select_region`).
         """
-        started = time.perf_counter()
-        self.diagnostics = SolverDiagnostics()
-        if self.config.engine == "fused" and not self.config.exact_complements:
-            # A single solve is a cohort of one.
-            ((region, diagnostics),) = solve_systems(
-                self.config, [(constraints, projection)], [mask]
-            )
-            self.diagnostics = diagnostics
-            return region
-        # The object engine -- and exact-complement mode, which needs general
-        # disjoint complements only the object path implements.
-        usable = [c for c in constraints if c is not None]
-        if not usable:
-            return Region.empty(projection)
-
-        self.diagnostics.engine = "object"
-        region = self._solve_object(usable, projection, mask)
-        self.diagnostics.solve_seconds = time.perf_counter() - started
-        return region
-
-    # ------------------------------------------------------------------ #
-    # Object engine (the executable specification)
-    # ------------------------------------------------------------------ #
-    def _solve_object(
-        self,
-        usable: list[PlanarConstraint],
-        projection: Projection,
-        mask: Sequence[Polygon],
-    ) -> Region:
-        pieces: list[RegionPiece] = [RegionPiece(WORLD_SQUARE, 0.0)]
-        ordered = sorted(usable, key=lambda c: c.weight, reverse=True)
-
-        for constraint in ordered:
-            new_pieces = self._apply_constraint(pieces, constraint)
-            if not new_pieces:
-                # The constraint wiped out everything; skip it rather than
-                # collapsing the solution (it is inconsistent with the
-                # accumulated evidence, which outweighs it).
-                self.diagnostics.constraints_skipped += 1
-                self.diagnostics.dropped_constraints.append(constraint.label)
-                continue
-            pieces = self._prune(new_pieces)
-            self.diagnostics.constraints_applied += 1
-            self.diagnostics.max_pieces_seen = max(
-                self.diagnostics.max_pieces_seen, len(pieces)
-            )
-
-        selected = select_region(
-            [p.weight for p in pieces],
-            [p.area_km2() for p in pieces],
-            lambda i: pieces[i].polygon,
-            self.config,
-            mask,
-            self.diagnostics,
+        ((region, diagnostics),) = solve_systems(
+            self.config, [(constraints, projection)], [mask]
         )
-        return Region(selected, projection)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _apply_constraint(
-        self, pieces: Sequence[RegionPiece], constraint: PlanarConstraint
-    ) -> list[RegionPiece]:
-        """Split every piece by the constraint, assigning weight to the satisfied part."""
-        result: list[RegionPiece] = []
-        for piece in pieces:
-            satisfied, unsatisfied = self._split_piece(piece.polygon, constraint)
-            for polygon in satisfied:
-                result.append(RegionPiece(polygon, piece.weight + constraint.weight))
-            for polygon in unsatisfied:
-                result.append(RegionPiece(polygon, piece.weight))
-        return [p for p in result if p.area_km2() >= self.config.min_piece_area_km2]
-
-    def _split_piece(
-        self, polygon: Polygon, constraint: PlanarConstraint
-    ) -> tuple[list[Polygon], list[Polygon]]:
-        """Partition ``polygon`` into (satisfies constraint, does not satisfy).
-
-        In the default (non-exact) mode the unsatisfied side is simply the
-        original piece: the solver then carries the full lattice of constraint
-        intersections ("all possible resulting regions via intersections", as
-        the paper puts it) with overlapping lower-weight fallbacks, rather
-        than maintaining disjoint complements.
-        """
-        inclusion = constraint.inclusion
-        exclusion = constraint.exclusion
-        exact = self.config.exact_complements
-
-        if inclusion is not None:
-            inside = intersect_polygons(polygon, inclusion)
-            outside = subtract_polygons(polygon, inclusion) if exact else [polygon]
-        else:
-            inside = [polygon]
-            outside = []
-
-        if exclusion is None:
-            return inside, outside
-
-        satisfied: list[Polygon] = []
-        unsatisfied: list[Polygon] = list(outside)
-        for piece in inside:
-            kept = subtract_cautious(piece, exclusion)
-            satisfied.extend(kept)
-            if exact:
-                unsatisfied.extend(intersect_polygons(piece, exclusion))
-            elif not outside:
-                unsatisfied.append(piece)
-        return satisfied, unsatisfied
-
-    def _prune(self, pieces: list[RegionPiece]) -> list[RegionPiece]:
-        """Bound the piece population: drop slivers, keep the heaviest pieces."""
-        viable = [p for p in pieces if p.area_km2() >= self.config.min_piece_area_km2]
-        if len(viable) <= self.config.max_pieces:
-            return viable
-        ranked = sorted(viable, key=lambda p: (p.weight, p.area_km2()), reverse=True)
-        return ranked[: self.config.max_pieces]
+        self.diagnostics = diagnostics
+        return region
 
 
 def solve_systems(
@@ -315,46 +183,38 @@ def solve_systems(
     systems: Sequence[tuple],
     masks: Sequence[Sequence[Polygon]] = (),
 ) -> list[tuple[Region, SolverDiagnostics]]:
-    """Solve many constraint systems, fused into one cohort when configured.
+    """Solve many constraint systems in one fused cohort.
 
     ``systems`` holds ``(constraints, projection)`` per target, and
     ``masks`` (empty, or one per system) the planar exclusions subtracted
-    from each system's selection.  With ``engine="fused"`` (and not
-    ``exact_complements``) every non-degenerate system advances through one
-    :class:`FusedSolverKernel` lockstep run -- the k-th constraint of every
-    target applied in shared batched passes; the object engine solves each
-    system independently.  Returns one ``(region, diagnostics)`` pair per
-    system, in input order; results are bit-identical to solving each
-    system alone.
+    from each system's selection.  Every non-degenerate system advances
+    through one :class:`FusedSolverKernel` lockstep run -- the k-th
+    constraint of every target applied in shared batched passes.  Returns
+    one ``(region, diagnostics)`` pair per system, in input order; results
+    are bit-identical to solving each system alone.
     """
     config = config or SolverConfig()
     results: list[tuple[Region, SolverDiagnostics] | None] = [None] * len(systems)
-    use_fused = config.engine == "fused" and not config.exact_complements
-    fused_jobs: list[tuple[int, list, object, SolverDiagnostics, float, Sequence]] = []
+    jobs: list[tuple[int, list, object, SolverDiagnostics, float, Sequence]] = []
     masks = list(masks) or [()] * len(systems)
     for i, (constraints, projection) in enumerate(systems):
-        if not use_fused:
-            solver = WeightedRegionSolver(config)
-            region = solver.solve(constraints, projection, masks[i])
-            results[i] = (region, solver.diagnostics)
-            continue
         started = time.perf_counter()
-        diagnostics = SolverDiagnostics(engine="fused")
+        diagnostics = SolverDiagnostics()
         usable = [c for c in constraints if c is not None]
         if not usable:
             diagnostics.solve_seconds = time.perf_counter() - started
             results[i] = (Region.empty(projection), diagnostics)
             continue
-        fused_jobs.append((i, usable, projection, diagnostics, started, masks[i]))
+        jobs.append((i, usable, projection, diagnostics, started, masks[i]))
 
-    if fused_jobs:
+    if jobs:
         kernel = FusedSolverKernel(config)
         regions = kernel.solve_many(
             [(usable, projection, diagnostics, mask)
-             for (_i, usable, projection, diagnostics, _t, mask) in fused_jobs]
+             for (_i, usable, projection, diagnostics, _t, mask) in jobs]
         )
         finished = time.perf_counter()
-        for (i, _u, _p, diagnostics, started, _m), region in zip(fused_jobs, regions):
+        for (i, _u, _p, diagnostics, started, _m), region in zip(jobs, regions):
             # The cohort solve is one shared span; each member records the
             # full wall time (amortized cost is what the benchmarks divide
             # back out).

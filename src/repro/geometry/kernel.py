@@ -1,7 +1,7 @@
 """Vectorized flat-buffer solver kernel.
 
-The weighted region solver's object path clips one Python :class:`Polygon`
-at a time: every constraint walks every piece through per-vertex Python
+The reference solve (:func:`repro.core.reference.reference_solve`, the
+object path) clips one Python :class:`Polygon` at a time: every constraint walks every piece through per-vertex Python
 loops (Sutherland-Hodgman passes, keyhole containment scans, wedge
 subtraction).  This module re-implements that inner loop as NumPy passes
 over a struct-of-arrays *flat buffer*:
@@ -124,8 +124,8 @@ def subtract_cautious(piece: Polygon, exclusion: Polygon) -> list[Polygon]:
     edge; a keyholed polygon keeps it as a single piece with identical
     area and containment behaviour.  Otherwise ``subtract_polygons`` runs:
     wedge decomposition for a convex exclusion, Greiner-Hormann for a
-    non-convex one.  This function is the object engine's exclusion and the
-    scalar reference of the fused kernel, which classifies bounding boxes
+    non-convex one.  This function is the reference solve's exclusion and
+    the scalar reference of the fused kernel, which classifies bounding boxes
     over pooled rows, keyholes one part at a time, pools the convex wedge
     chains, and calls ``subtract_polygons`` itself for a non-convex
     exclusion.
@@ -160,7 +160,7 @@ def select_region(
 ) -> list[RegionPiece]:
     """Pick the estimate region from a solved piece population, then mask it.
 
-    Both engines' results pass through here.  Pieces (piece ``i`` has
+    Every solve's result passes through here.  Pieces (piece ``i`` has
     ``weights[i]``, ``areas[i]`` and ``polygon(i)``) are ranked by weight,
     then by smaller area, and taken until the region reaches
     ``config.target_region_area_km2``; past the top weight class a lighter
@@ -1420,7 +1420,7 @@ class FusedSolverKernel:
     are cohort-shaped: many targets solve structurally identical
     weighted-region systems, and on the tiny matrices the solver sees NumPy
     *dispatch* dominates arithmetic.  Every target's constraint sequence
-    (ordered by weight, exactly like the object engine) therefore advances
+    (ordered by weight, exactly like the reference solve) therefore advances
     in lockstep, and the k-th constraint of every active target is applied
     in shared batched passes:
 
@@ -1456,8 +1456,8 @@ class FusedSolverKernel:
     scans, scatter by row; padding width and cross-row short-circuits never
     change a row's values), so a target's output does not depend on its
     cohort -- pinned by the cohort suites in
-    ``tests/core/test_solver_engines.py``, and against the object engine
-    by the engine-equivalence suites.
+    ``tests/core/test_solver_engines.py``, and against the reference solve
+    by the same suites.
     """
 
     def __init__(self, config) -> None:
@@ -1482,7 +1482,6 @@ class FusedSolverKernel:
         """
         states: list[_TargetState] = []
         for constraints, projection, diagnostics, mask in systems:
-            diagnostics.engine = "fused"
             buffer = PieceBuffer.from_polygons([(WORLD_SQUARE, 0.0)])
             ordered = sorted(constraints, key=lambda c: c.weight, reverse=True)
             states.append(_TargetState(diagnostics, buffer, ordered, projection, mask))
@@ -2256,8 +2255,8 @@ def _scalar_boolean(
 
     The non-convex operands the batched passes do not replicate -- a
     non-convex inclusion, or a non-convex exclusion straddling a part's
-    boundary -- run the scalar reference boolean itself, so both engines
-    agree by construction.  Every call counts as a fallback.
+    boundary -- run the scalar reference boolean itself, so the kernel and
+    the reference solve agree by construction.  Every call counts as a fallback.
     """
     out: list[list] = []
     for part in parts:

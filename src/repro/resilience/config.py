@@ -26,16 +26,16 @@ class ResilienceConfig:
     #: Default per-request deadline (seconds); ``None`` disables deadlines
     #: unless the caller passes an explicit ``timeout``.
     deadline_s: float | None = None
-    #: Per-rung retry budget for retriable stage faults.
+    #: Retry budget of the solve rung for retriable stage faults.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Per-``stage:engine`` circuit breakers consulted before each ladder rung.
+    #: Per-``stage:engine`` circuit breakers consulted before the solve rung.
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    #: Enable the graceful-degradation ladder (fused -> object engines).
-    #: Off: a failed primary attempt is recorded as a failed estimate, the
+    #: Enable the graceful-degradation ladder (fused solve -> baseline).
+    #: Off: a failed solve is recorded as a failed estimate, the
     #: pre-resilience behavior.
     degradation: bool = True
     #: Allow the final ladder rung: a coarse ``repro.baselines`` estimate
-    #: (shortest-ping) when every engine rung failed or the deadline leaves
+    #: (shortest-ping) when the solve failed or the deadline leaves
     #: no time for another solve.  Every such answer carries
     #: ``details["degraded"]`` provenance.
     baseline_fallback: bool = True

@@ -12,8 +12,8 @@ policy:
     then step down the degradation ladder.
 ``fatal``
     Deterministic for these inputs: retrying the same attempt cannot help.
-    Step straight down the degradation ladder (a different engine or the
-    coarse baseline may still answer).
+    Step straight down the degradation ladder (the coarse baseline may
+    still answer).
 ``deadline``
     The request's deadline expired mid-flight.  No time for another full
     attempt; jump directly to the (near-instant) baseline fallback, or fail

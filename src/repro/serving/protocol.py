@@ -68,7 +68,8 @@ _HEADER = struct.Struct("!2sBBI")  # magic, version, kind, payload length
 
 
 class FrameError(RuntimeError):
-    """A malformed frame: bad magic, unknown kind, or kind/payload mismatch."""
+    """A malformed frame: bad magic, unknown kind, an undecodable payload, or
+    a kind/payload mismatch."""
 
 
 # --------------------------------------------------------------------------- #
@@ -215,7 +216,14 @@ def encode_frame(message: object) -> bytes:
 
 
 def decode_frame(data: bytes) -> object:
-    """Parse one frame; validates magic, version, length and payload class."""
+    """Parse one frame; validates magic, version, length and payload class.
+
+    Raises :class:`FrameError`, and nothing else, for any malformed frame:
+    a corrupt payload fails inside ``pickle.loads`` with whatever the bytes
+    happen to trip (``UnpicklingError``, ``UnicodeDecodeError``, an import
+    error for a garbled module name, ...), and the readers treat only
+    ``FrameError`` as a protocol failure.
+    """
     if len(data) < _HEADER.size:
         raise FrameError(f"truncated frame header ({len(data)} bytes)")
     magic, version, code, length = _HEADER.unpack_from(data)
@@ -229,7 +237,13 @@ def decode_frame(data: bytes) -> object:
     payload = data[_HEADER.size:]
     if len(payload) != length:
         raise FrameError(f"frame length mismatch: header {length}, got {len(payload)}")
-    message = pickle.loads(payload)
+    try:
+        message = pickle.loads(payload)
+    except Exception as exc:  # noqa: BLE001 - any failure means a bad payload
+        raise FrameError(
+            f"undecodable frame kind {code} ({cls.__name__}) payload: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     if type(message) is not cls:
         raise FrameError(
             f"frame kind {code} ({cls.__name__}) carried a "

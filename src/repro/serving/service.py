@@ -32,9 +32,8 @@ processes is the sharded tier (``repro.serving.cluster``), not this service.
 :class:`~repro.resilience.deadline.CancelToken` through a thread-local
 resilience scope; the pipeline's stage checkpoints enforce them
 cooperatively.  A failed attempt rides a graceful-degradation ladder --
-retry with jittered backoff for retriable faults, then lower solver engine
-rungs (``fused`` -> ``object``, bit-identical), then the
-coarse shortest-ping baseline -- with per-rung circuit breakers and
+retry with jittered backoff for retriable faults, then the coarse
+shortest-ping baseline -- with a circuit breaker on the solve and
 deadline-aware shedding of expired queue entries.  Every degraded answer
 records its provenance under ``details["degraded"]``; with no faults
 injected and no deadline pressure, answers are bit-identical to the plain
@@ -78,12 +77,6 @@ from ..resilience import (
 
 __all__ = ["DriftDetector", "LocalizationService", "ServiceStats"]
 
-#: Solver-engine degradation ladder, strongest (most batched) first: the
-#: NumPy cohort kernel, then the object reference.  Both engines are
-#: bit-identical (pinned by the engine-equivalence suites), so falling down
-#: a rung changes performance, never the answer.
-ENGINE_LADDER = ("fused", "object")
-
 #: Bound of each snapshot localizer's prepared-landmarks LRU (the warm path).
 PREPARED_CACHE_SIZE = 128
 
@@ -100,7 +93,7 @@ class ServiceStats:
     warm_requests: int = 0
     cold_seconds: float = 0.0
     warm_seconds: float = 0.0
-    #: Micro-batching (fused engine): executor dispatches that solved more
+    #: Micro-batching: executor dispatches that solved more
     #: than one request, and the dispatch-width histogram {width: count}
     #: (width 1 entries included so the coalescing rate is visible).
     fused_batches: int = 0
@@ -111,7 +104,7 @@ class ServiceStats:
     fused_rows: int = 0
     #: Resilience counters.  ``retries``: same-rung retry attempts of
     #: retriable faults; ``degraded_answers``: answers produced below the
-    #: primary rung (lower engine or baseline), every one of which carries
+    #: primary rung (the baseline), every one of which carries
     #: ``details["degraded"]``; ``baseline_answers``: the subset answered by
     #: the coarse shortest-ping fallback; ``shed_requests``: queue entries
     #: resolved at dequeue without an executor dispatch (expired deadline or
@@ -578,10 +571,7 @@ class LocalizationService:
 
     def _fuse_width(self) -> int:
         """How many queued requests one executor dispatch may coalesce."""
-        solver = self.config.solver
-        if solver.engine != "fused" or solver.exact_complements:
-            return 1
-        return max(1, solver.fuse_width)
+        return max(1, self.config.solver.fuse_width)
 
     def _shed(self, request: _Request) -> bool:
         """Resolve a dequeued request without dispatching it, if warranted.
@@ -646,7 +636,7 @@ class LocalizationService:
         loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
-            # Micro-batching: under the fused engine, drain whatever is
+            # Micro-batching: drain whatever is
             # already queued (up to fuse_width) into one executor dispatch;
             # the fused kernel solves the whole batch in shared passes.
             # Requests keep their enqueue-time snapshots -- the batch is
@@ -779,8 +769,8 @@ class LocalizationService:
                 # One target's unexpected failure must not fail its
                 # groupmates: retry each request individually through the
                 # single path -- the first-class retry/degradation policy,
-                # which backs off retriable faults, falls down the engine
-                # ladder and captures terminal errors with type and
+                # which backs off retriable faults, falls back to the
+                # baseline and captures terminal errors with type and
                 # traceback, exactly what an uncoalesced dispatch does.
                 with self._stats_lock:
                     self.stats.microbatch_retries += 1
@@ -792,13 +782,6 @@ class LocalizationService:
         for request in batch:
             request.elapsed = share
         return [results[id(request)] for request in batch]
-
-    def _engine_ladder(self) -> list[str]:
-        """Solver engines to try, primary first, degradation rungs after."""
-        primary = self.config.solver.engine
-        if not self.resilience.degradation or primary not in ENGINE_LADDER:
-            return [primary]
-        return list(ENGINE_LADDER[ENGINE_LADDER.index(primary):])
 
     def _localize_sync(self, request: _Request) -> LocationEstimate:
         """Executor-side request execution with full failure capture.
@@ -822,15 +805,13 @@ class LocalizationService:
     def _localize_resilient(self, request: _Request) -> LocationEstimate:
         """One request through the retry/degradation ladder.
 
-        Rung order: the configured engine, then each lower engine rung
-        (bit-identical results, so a fallback answer equals the primary
-        one), then the coarse baseline.  Per rung, retriable faults are
-        retried with jittered backoff up to the policy budget; fatal faults
-        drop to the next rung; an expired deadline jumps straight to the
-        baseline (no time for another full solve); cancellation and data
-        refusals (unknown target, too few landmarks) are terminal.  Every
-        rung is gated by its circuit breaker, so a persistently failing
-        engine is skipped instead of hammered.
+        Rung order: the fused solve, then the coarse baseline.  Retriable
+        faults are retried with jittered backoff up to the policy budget;
+        fatal faults, an exhausted budget and an expired deadline (no time
+        for another full solve) drop to the baseline; cancellation and data
+        refusals (unknown target, too few landmarks) are terminal.  The
+        solve is gated by its circuit breaker, so a persistently failing
+        solve is skipped instead of hammered.
         """
         target = request.target_id
         if target not in request.localizer.dataset.hosts:
@@ -844,76 +825,49 @@ class LocalizationService:
                 KeyError(f"unknown target {target!r}: not in the served snapshot"),
             )
         policy = self.resilience.retry
-        rungs = self._engine_ladder()
-        primary = rungs[0]
-        attempted: list[str] = []
-        last_error: BaseException | None = None
-        last_traceback: str | None = None
-        for rung in rungs:
-            breaker = self._breakers.get(f"solve:{rung}")
-            if not breaker.allow():
-                attempted.append(f"{rung}:breaker-open")
-                continue
-            attempt = 0
-            while True:
-                try:
-                    checkpoint("dispatch", target)
-                    estimate = request.localizer.localize_one(
-                        target, request.landmark_pool, engine=rung
-                    )
-                except OperationCancelled as exc:
-                    # The caller (or the service lifecycle) withdrew the
-                    # request; resolve terminally, do no further work.
-                    return failed_estimate(target, "octant", exc)
-                except DeadlineExceeded as exc:
-                    return self._degraded_baseline(request, exc, attempted + [rung])
-                except RetriableError as exc:
-                    breaker.record_failure()
-                    last_error = exc
-                    last_traceback = traceback_module.format_exc()
-                    deadline = request.deadline
-                    if policy.retries_left(attempt) and (
-                        deadline is None or not deadline.expired()
-                    ):
-                        with self._stats_lock:
-                            self.stats.retries += 1
-                        delay = policy.delay_s(attempt, target)
-                        if deadline is not None:
-                            delay = min(delay, max(0.0, deadline.remaining()))
-                        if delay > 0:
-                            time.sleep(delay)
-                        attempt += 1
-                        continue
-                    attempted.append(rung)
-                    break
-                except (ValueError, KeyError) as exc:
-                    # Data refusal: deterministic for these inputs on every
-                    # engine, so the ladder cannot help -- terminal.
-                    return failed_estimate(target, "octant", exc)
-                except Exception as exc:  # noqa: BLE001 - boundary of the service
-                    breaker.record_failure()
-                    last_error = exc
-                    last_traceback = traceback_module.format_exc()
-                    attempted.append(rung)
-                    break
-                else:
-                    breaker.record_success()
-                    if rung != primary and estimate.point is not None:
-                        estimate.details["degraded"] = {
-                            "engine": rung,
-                            "primary": primary,
-                            "attempted": list(attempted),
-                            "error_class": (
-                                classify_error(last_error)
-                                if last_error is not None
-                                else None
-                            ),
-                            "error": str(last_error) if last_error is not None else None,
-                        }
-                    return estimate
-        return self._degraded_baseline(
-            request, last_error, attempted, traceback=last_traceback
-        )
+        breaker = self._breakers.get("solve:fused")
+        if not breaker.allow():
+            return self._degraded_baseline(request, None, ["fused:breaker-open"])
+        attempt = 0
+        while True:
+            try:
+                checkpoint("dispatch", target)
+                estimate = request.localizer.localize_one(target, request.landmark_pool)
+            except OperationCancelled as exc:
+                # The caller (or the service lifecycle) withdrew the
+                # request; resolve terminally, do no further work.
+                return failed_estimate(target, "octant", exc)
+            except DeadlineExceeded as exc:
+                return self._degraded_baseline(request, exc, ["fused"])
+            except RetriableError as exc:
+                breaker.record_failure()
+                deadline = request.deadline
+                if policy.retries_left(attempt) and (
+                    deadline is None or not deadline.expired()
+                ):
+                    with self._stats_lock:
+                        self.stats.retries += 1
+                    delay = policy.delay_s(attempt, target)
+                    if deadline is not None:
+                        delay = min(delay, max(0.0, deadline.remaining()))
+                    if delay > 0:
+                        time.sleep(delay)
+                    attempt += 1
+                    continue
+                return self._degraded_baseline(
+                    request, exc, ["fused"], traceback=traceback_module.format_exc()
+                )
+            except (ValueError, KeyError) as exc:
+                # Data refusal: deterministic for these inputs, so the
+                # baseline is no better informed -- terminal.
+                return failed_estimate(target, "octant", exc)
+            except Exception as exc:  # noqa: BLE001 - boundary of the service
+                breaker.record_failure()
+                return self._degraded_baseline(
+                    request, exc, ["fused"], traceback=traceback_module.format_exc()
+                )
+            breaker.record_success()
+            return estimate
 
     def _degraded_baseline(
         self,
@@ -926,7 +880,7 @@ class LocalizationService:
 
         The shortest-ping baseline needs no pipeline work (one pass over
         the target's measurements), so it answers even when every solver
-        rung failed or the deadline left no time for another solve.  Its
+        attempt failed or the deadline left no time for another solve.  Its
         answer is marked ``details["degraded"]`` with the full provenance:
         what was attempted, and the failure that forced the fallback.
         """
@@ -947,7 +901,6 @@ class LocalizationService:
                 estimate.details["degraded"] = {
                     "fallback": "baseline",
                     "method": ShortestPing.name,
-                    "primary": self.config.solver.engine,
                     "attempted": list(attempted),
                     "error_class": (
                         classify_error(cause) if cause is not None else None
@@ -1302,7 +1255,6 @@ class LocalizationService:
             passes = stats.fused_passes
             rows = stats.fused_rows
         return {
-            "engine": self.config.solver.engine,
             "fuse_width": self._fuse_width(),
             "batches": batches,
             "width_histogram": histogram,

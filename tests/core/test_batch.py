@@ -10,7 +10,6 @@ which re-derives every landmark's state with the scalar estimators.
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -46,22 +45,20 @@ def dataset():
 
 class TestBatchSequentialEquality:
     def test_full_config_identical(self, dataset):
-        """Every engine's localize_all matches the from-scratch reference.
-
-        The engines share one batch path (cohort prepare, chunked solve), so
-        each is compared against the from-scratch reference.
-        """
-        base = OctantConfig()
-        for engine in ("fused", "object"):
-            config = replace(base, solver=replace(base.solver, engine=engine))
-            sequential = Octant(dataset, config)
-            results = BatchLocalizer(Octant(dataset, config)).localize_all()
-            assert list(results) == dataset.host_ids
+        """localize_all matches the from-scratch reference, solved both by
+        the fused kernel and by the scalar reference solve."""
+        config = OctantConfig()
+        sequential = Octant(dataset, config)
+        results = BatchLocalizer(Octant(dataset, config)).localize_all()
+        assert list(results) == dataset.host_ids
+        for scalar_solve in (False, True):
             for target in dataset.host_ids:
-                expected = reference_localize(sequential, target)
+                expected = reference_localize(
+                    sequential, target, scalar_solve=scalar_solve
+                )
                 assert estimate_signature(results[target]) == estimate_signature(
                     expected
-                ), (engine, target)
+                ), (scalar_solve, target)
 
     def test_latency_only_config_identical(self, dataset):
         config = OctantConfig.latency_only()
@@ -234,8 +231,8 @@ class TestMaskedEdgeCases:
 
         h0 participates in most measured pairs; leaving h0 out drops the
         masked pair count below the landmark count, so heights must be None
-        for h0's leave-one-out view but present for other targets -- in both
-        engines, with identical estimates.
+        for h0's leave-one-out view but present for other targets -- in the
+        batch path and the reference, with identical estimates.
         """
         pairs = [
             ("h0", "h1", 18.0),
@@ -306,7 +303,7 @@ class TestMaskedEdgeCases:
                 assert derived.heights is not None
                 assert derived.heights.heights_ms == expected.heights.heights_ms
             # Only the hub h0 accumulates >= 3 samples under these masks;
-            # every spoke landmark is skipped, identically in both engines.
+            # every spoke landmark is skipped, identically in both paths.
             assert derived.calibrations.landmark_ids() == expected.calibrations.landmark_ids()
             assert derived.calibrations.landmark_ids() == ["h0"]
             got = batch.localize_one(target)
@@ -378,16 +375,14 @@ class TestFaultScheduleKeys:
         localizer = BatchLocalizer(dataset)
         localizer.fault_plan = _RecordingPlan()
         target = dataset.host_ids[0]
-        for engine in (None, "fused", "object"):
-            localizer.fault_plan.crossings.clear()
-            localizer.localize_one(target, engine=engine)
-            assert localizer.fault_plan.crossings == [
-                ("prepare", target),
-                ("prepare", target),
-                ("assemble", target),
-                ("planarize", target),
-                ("solve", target),
-            ]
+        localizer.localize_one(target)
+        assert localizer.fault_plan.crossings == [
+            ("prepare", target),
+            ("prepare", target),
+            ("assemble", target),
+            ("planarize", target),
+            ("solve", target),
+        ]
 
     def test_solve_many_crossings_keyed_per_target(self, dataset):
         localizer = BatchLocalizer(dataset)

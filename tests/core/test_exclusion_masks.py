@@ -4,9 +4,9 @@ Non-convex negative constraints (the paper's ocean/uninhabited regions,
 Section 2.5, and hand-written rings) go through the fused kernel's pooled
 bounding-box and keyhole stages; a part the exclusion straddles runs the
 scalar ``subtract_polygons`` (Greiner-Hormann) once per distinct geometry,
-the same call the object engine makes.  This suite pins:
+the same call the reference solve makes.  This suite pins:
 
-* fused-vs-object bit identity on randomized non-convex-heavy systems,
+* fused-vs-reference bit identity on randomized non-convex-heavy systems,
   including disconnected, antimeridian-crossing and self-intersecting
   regions;
 * fused cohorts against fused cohorts of one on non-convex-heavy cohorts
@@ -18,7 +18,7 @@ the same call the object engine makes.  This suite pins:
 
 The module, ``test_masked_*`` and ``*_gh_*`` names date from earlier
 batched paths that non-convex exclusions used to ride; the cases now pin
-the scalar subtraction path against the object engine.
+the scalar subtraction path against the reference solve.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core import PlanarConstraint, SolverConfig, WeightedRegionSolver
+from repro.core.reference import reference_solve
 from repro.core.solver import solve_systems
 from repro.geometry import (
     AzimuthalEquidistantProjection,
@@ -86,23 +87,22 @@ def random_nonconvex_system(rng: random.Random) -> list[PlanarConstraint]:
     return constraints
 
 
-def assert_engines_identical(constraints, config_kwargs=None):
-    """Fused vs object bit identity on every estimate metric.
+def assert_reference_identical(constraints, config_kwargs=None):
+    """Fused vs reference bit identity on every estimate metric.
 
-    Returns the fused solver and region; the object engine is the
+    Returns the fused solver and region; :func:`reference_solve` is the
     independent scalar reference.
     """
-    kwargs = dict(config_kwargs or {})
-    fused = WeightedRegionSolver(SolverConfig(engine="fused", **kwargs))
-    obj = WeightedRegionSolver(SolverConfig(engine="object", **kwargs))
+    config = SolverConfig(**dict(config_kwargs or {}))
+    fused = WeightedRegionSolver(config)
     region_v = fused.solve(constraints, PROJ)
-    region_o = obj.solve(constraints, PROJ)
+    region_o, do = reference_solve(constraints, PROJ, config)
     assert region_v.area_km2() == region_o.area_km2()
     assert len(region_v.pieces) == len(region_o.pieces)
     for piece_v, piece_o in zip(region_v.pieces, region_o.pieces):
         assert piece_v.weight == piece_o.weight
         assert piece_v.polygon.coords == piece_o.polygon.coords
-    dv, do = fused.diagnostics, obj.diagnostics
+    dv = fused.diagnostics
     assert dv.constraints_applied == do.constraints_applied
     assert dv.dropped_constraints == do.dropped_constraints
     assert dv.max_weight == do.max_weight
@@ -114,10 +114,10 @@ def assert_cohort_identical(cohort, config_kwargs=None):
     """Fused lockstep cohort vs fused cohorts of one, bit for bit."""
     kwargs = dict(config_kwargs or {})
     fused = solve_systems(
-        SolverConfig(engine="fused", **kwargs), [(c, PROJ) for c in cohort]
+        SolverConfig(**kwargs), [(c, PROJ) for c in cohort]
     )
     for constraints, (region_f, diag_f) in zip(cohort, fused):
-        solver = WeightedRegionSolver(SolverConfig(engine="fused", **kwargs))
+        solver = WeightedRegionSolver(SolverConfig(**kwargs))
         region_v = solver.solve(constraints, PROJ)
         assert region_f.area_km2() == region_v.area_km2()
         assert len(region_f.pieces) == len(region_v.pieces)
@@ -129,25 +129,25 @@ def assert_cohort_identical(cohort, config_kwargs=None):
 
 
 # --------------------------------------------------------------------------- #
-# Fused vs the object engine (non-convex-heavy systems)
+# Fused vs the reference solve (non-convex-heavy systems)
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("seed", range(12))
 def test_masked_nonconvex_equivalence(seed):
     rng = random.Random(9000 + seed)
-    solver, _region = assert_engines_identical(random_nonconvex_system(rng))
-    assert solver.diagnostics.engine == "fused"
+    solver, _region = assert_reference_identical(random_nonconvex_system(rng))
+    assert solver.diagnostics.fused_cohort_targets == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_masked_nonconvex_equivalence_pruned(seed):
     rng = random.Random(9100 + seed)
-    assert_engines_identical(random_nonconvex_system(rng), {"max_pieces": 4})
+    assert_reference_identical(random_nonconvex_system(rng), {"max_pieces": 4})
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_masked_nonconvex_equivalence_slivers(seed):
     rng = random.Random(9200 + seed)
-    assert_engines_identical(
+    assert_reference_identical(
         random_nonconvex_system(rng), {"min_piece_area_km2": 500.0}
     )
 
@@ -155,9 +155,9 @@ def test_masked_nonconvex_equivalence_slivers(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_gh_fallback_equivalence(seed):
     """A second randomized family: the fused kernel's bbox/keyhole stages
-    and scalar subtraction vs the object engine."""
+    and scalar subtraction vs the reference solve."""
     rng = random.Random(9300 + seed)
-    assert_engines_identical(random_nonconvex_system(rng))
+    assert_reference_identical(random_nonconvex_system(rng))
 
 
 def _straddling_system() -> list[PlanarConstraint]:
@@ -179,14 +179,14 @@ def _straddling_system() -> list[PlanarConstraint]:
 
 def test_disconnected_nonconvex_regions():
     """Two far-apart non-convex exclusions (the paper's disconnected case)."""
-    solver, region = assert_engines_identical(_straddling_system())
+    solver, region = assert_reference_identical(_straddling_system())
     assert solver.diagnostics.fallback_pieces > 0
     assert region.pieces
 
 
 def test_gh_fallback_counters():
     """Boundary-straddling exclusions run the scalar subtraction and say so."""
-    solver, _ = assert_engines_identical(_straddling_system())
+    solver, _ = assert_reference_identical(_straddling_system())
     diagnostics = solver.diagnostics
     assert diagnostics.fallback_pieces > 0
     assert diagnostics.fallback_vertices > 0
@@ -198,8 +198,8 @@ def test_gh_fallback_counters():
 
 def test_antimeridian_ring_equivalence():
     """A non-convex ring crossing the antimeridian, far from the projection
-    centre: the projected exclusion must still solve bit-identically on both
-    engines (the azimuthal projection keeps it simple; the point of the case
+    centre: the projected exclusion must still solve bit-identically in the
+    solver and the reference (the azimuthal projection keeps it simple; the point of the case
     is the extreme coordinates)."""
     from repro.core import GeoRegionConstraint, Polarity
 
@@ -220,7 +220,7 @@ def test_antimeridian_ring_equivalence():
         positive(disk_at(270.0, 6000.0, 4000.0), 1.0, "pacific"),
         planar,
     ]
-    assert_engines_identical(constraints)
+    assert_reference_identical(constraints)
 
 
 def test_self_intersecting_ring_rides_gh():
@@ -240,7 +240,7 @@ def test_self_intersecting_ring_rides_gh():
         negative(bowtie, 0.5, "fold"),
         positive(disk_at(120.0, 250.0, 400.0), 0.7, "aux"),
     ]
-    solver, _ = assert_engines_identical(constraints)
+    solver, _ = assert_reference_identical(constraints)
     assert solver.diagnostics.fallback_pieces > 0
 
 
@@ -259,20 +259,23 @@ def test_fused_chunk_boundary_through_batch_engine():
     """fuse_width chunking with the geographic regions.
 
     The coarse rings are non-convex once projected.  The fused batch
-    answers must equal fused cohorts of one and the object engine's.
+    answers must equal fused cohorts of one and the reference solve's.
     """
     from repro import BatchLocalizer, Octant, collect_dataset
     from repro.core.config import OctantConfig, SolverConfig
+    from repro.core.reference import reference_localize
     from repro.network.planetlab import small_deployment
 
     deployment = small_deployment(host_count=6, seed=13)
     dataset = collect_dataset(deployment)
-    config = OctantConfig(solver=SolverConfig(engine="fused", fuse_width=4))
+    config = OctantConfig(solver=SolverConfig(fuse_width=4))
     fused = BatchLocalizer(Octant(dataset, config)).localize_all()
-    one_at_a_time = SolverConfig(engine="fused", fuse_width=1)
-    for solver in (one_at_a_time, SolverConfig(engine="object")):
-        other_config = config.with_overrides(solver=solver)
-        other = BatchLocalizer(Octant(dataset, other_config)).localize_all()
+    one_at_a_time = config.with_overrides(solver=SolverConfig(fuse_width=1))
+    reference = Octant(dataset, config)
+    for other in (
+        BatchLocalizer(Octant(dataset, one_at_a_time)).localize_all(),
+        {t: reference_localize(reference, t, scalar_solve=True) for t in fused},
+    ):
         assert set(fused) == set(other)
         for target, estimate_f in fused.items():
             estimate_o = other[target]
@@ -358,7 +361,7 @@ class TestWarmCacheThreadSafety:
 
         dataset = collect_dataset(small_deployment(host_count=8, seed=5))
         targets = dataset.host_ids[:6]
-        config = OctantConfig(solver=SolverConfig(engine="fused", fuse_width=2))
+        config = OctantConfig(solver=SolverConfig(fuse_width=2))
         serial = BatchLocalizer(Octant(dataset, config)).localize_all(targets)
         shared = BatchLocalizer(Octant(dataset, config))
         chunks = [targets[i : i + 2] for i in range(0, len(targets), 2)]

@@ -16,6 +16,7 @@ from repro.core import (
     WeightedRegionSolver,
     geographic_constraints,
 )
+from repro.core.reference import reference_solve
 from repro.geometry import BoundingBox, GeoPoint, Polygon, projection_for_points
 
 AT_SEA = GeoPoint(38.0, -40.0)  # the middle of the North Atlantic ring
@@ -37,21 +38,33 @@ def _rings():
     ]
 
 
-def _solve(engine, mask=()):
-    solver = WeightedRegionSolver(SolverConfig(engine=engine))
-    region = solver.solve(_system(), PROJECTION, mask)
+def _fused(system, mask=()):
+    solver = WeightedRegionSolver(SolverConfig())
+    return solver.solve(system, PROJECTION, mask), solver.diagnostics
+
+
+def _reference(system, mask=()):
+    return reference_solve(system, PROJECTION, SolverConfig(), mask)
+
+
+#: The solver and the scalar reference it is pinned against.
+SOLVES = (_fused, _reference)
+
+
+def _solve(solve, mask=()):
+    region, diagnostics = solve(_system(), mask)
     pieces = [(p.weight, p.polygon.coords) for p in region.pieces]
-    return region, pieces, solver.diagnostics
+    return region, pieces, diagnostics
 
 
 def test_selection_at_sea_falls_back_to_the_next_weight_class():
     answers = []
-    for engine in ("fused", "object"):
-        _unmasked, selected, plain = _solve(engine)
+    for solve in SOLVES:
+        _unmasked, selected, plain = _solve(solve)
         assert [weight for weight, _ in selected] == [2.0]
         assert plain.geo_mask is None
 
-        region, pieces, diagnostics = _solve(engine, _rings())
+        region, pieces, diagnostics = _solve(solve, _rings())
         assert diagnostics.geo_mask == "fallback"
         assert [weight for weight, _ in pieces] == [1.0]
         assert region.contains_geopoint(CHICAGO)
@@ -65,9 +78,9 @@ def test_selection_at_sea_falls_back_to_the_next_weight_class():
 def test_no_land_anywhere_answers_the_unmasked_selection():
     everywhere = Polygon.rectangle(BoundingBox(-30000.0, -30000.0, 30000.0, 30000.0))
     answers = []
-    for engine in ("fused", "object"):
-        _unmasked, selected, _plain = _solve(engine)
-        _region, pieces, diagnostics = _solve(engine, [everywhere])
+    for solve in SOLVES:
+        _unmasked, selected, _plain = _solve(solve)
+        _region, pieces, diagnostics = _solve(solve, [everywhere])
         assert diagnostics.geo_mask == "empty"
         assert pieces == selected
         answers.append(pieces)
@@ -76,15 +89,14 @@ def test_no_land_anywhere_answers_the_unmasked_selection():
 
 def test_selection_on_land_keeps_its_class():
     answers = []
-    for engine in ("fused", "object"):
-        solver = WeightedRegionSolver(SolverConfig(engine=engine))
+    for solve in SOLVES:
         # The land disk is the heavier one here.
         system = [
             DiskConstraint(CHICAGO, 300.0, weight=2.0, label="land").to_planar(PROJECTION),
             DiskConstraint(AT_SEA, 300.0, weight=1.0, label="sea").to_planar(PROJECTION),
         ]
-        region = solver.solve(system, PROJECTION, _rings())
-        assert solver.diagnostics.geo_mask == "kept"
+        region, diagnostics = solve(system, _rings())
+        assert diagnostics.geo_mask == "kept"
         assert [p.weight for p in region.pieces] == [2.0]
         answers.append([p.polygon.coords for p in region.pieces])
     assert answers[0] == answers[1]

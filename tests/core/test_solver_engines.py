@@ -1,7 +1,8 @@
-"""Fused-vs-object solver engine equivalence.
+"""Fused-vs-reference solver equivalence.
 
 The NumPy cohort kernel (``repro.geometry.kernel``) must be *bit-identical*
-to the object engine on everything an estimate exposes: the point estimate,
+to the one-``Polygon``-at-a-time reference
+(:func:`repro.core.reference.reference_solve`) on everything an estimate exposes: the point estimate,
 region area, piece count and coordinates, the selected and maximum weights,
 and the solver diagnostics that feed reporting.  This suite pins that
 contract on randomized synthetic constraint systems (both polarities,
@@ -19,6 +20,7 @@ import pytest
 
 from repro import BatchLocalizer, Octant, OctantConfig
 from repro.core import PlanarConstraint, SolverConfig, WeightedRegionSolver
+from repro.core.reference import reference_solve
 from repro.geometry import (
     EARTH_RADIUS_KM,
     AzimuthalEquidistantProjection,
@@ -63,18 +65,21 @@ def square(cx, cy, half):
 
 
 def solve_both(constraints, config_kwargs=None):
-    """Run the same constraint set through both engines."""
-    kwargs = dict(config_kwargs or {})
-    fused = WeightedRegionSolver(SolverConfig(engine="fused", **kwargs))
-    obj = WeightedRegionSolver(SolverConfig(engine="object", **kwargs))
+    """Run the same constraint set through the solver and the reference.
+
+    Returns ``(solver, region)`` for the fused solve and
+    ``(diagnostics, region)`` for the reference.
+    """
+    config = SolverConfig(**dict(config_kwargs or {}))
+    fused = WeightedRegionSolver(config)
     region_f = fused.solve(constraints, PROJ)
-    region_o = obj.solve(constraints, PROJ)
-    return (fused, region_f), (obj, region_o)
+    region_o, diagnostics_o = reference_solve(constraints, PROJ, config)
+    return (fused, region_f), (diagnostics_o, region_o)
 
 
 def assert_identical(constraints, config_kwargs=None):
-    """The full bit-identity contract between the two engines."""
-    (fused, region_v), (obj, region_o) = solve_both(constraints, config_kwargs)
+    """The full bit-identity contract between the solver and the reference."""
+    (fused, region_v), (do, region_o) = solve_both(constraints, config_kwargs)
 
     # Estimate metrics: exact float equality, no tolerances.
     assert region_v.area_km2() == region_o.area_km2()
@@ -98,7 +103,7 @@ def assert_identical(constraints, config_kwargs=None):
         assert piece_v.polygon.coords == piece_o.polygon.coords
 
     # Diagnostics the reports consume.
-    dv, do = fused.diagnostics, obj.diagnostics
+    dv = fused.diagnostics
     assert dv.constraints_applied == do.constraints_applied
     assert dv.constraints_skipped == do.constraints_skipped
     assert dv.dropped_constraints == do.dropped_constraints
@@ -106,7 +111,8 @@ def assert_identical(constraints, config_kwargs=None):
     assert dv.max_weight == do.max_weight
     assert dv.selected_weight == do.selected_weight
     assert dv.max_pieces_seen == do.max_pieces_seen
-    assert dv.engine == "fused" and do.engine == "object"
+    assert dv.fused_cohort_targets == (1 if constraints else 0)
+    assert do.fused_cohort_targets == 0
     return region_v, region_o
 
 
@@ -159,7 +165,7 @@ def test_randomized_equivalence(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_randomized_equivalence_small_pieces(seed):
-    """Tight piece caps force heavy pruning interaction in both engines."""
+    """Tight piece caps force heavy pruning interaction on both sides."""
     rng = random.Random(2000 + seed)
     constraints = random_constraints(rng)
     assert_identical(constraints, {"max_pieces": 4})
@@ -256,25 +262,32 @@ class TestTargetedEquivalence:
         An exclusion-only constraint whose box misses a piece is satisfied
         by the whole piece, so the split keeps a copy at +weight: a far
         weight-5 square lifts ``max_weight`` from 1.0 to 6.0 and
-        ``constraints_applied`` from 1 to 2, on both engines.
+        ``constraints_applied`` from 1 to 2, in the solver and the reference.
         """
         inclusion = positive(square(0.0, 0.0, 500.0), 1.0, "inc")
         far = negative(square(3000.0, 3000.0, 50.0), 5.0, "far")
         region_v, _ = assert_identical([inclusion, far])
         assert region_v.pieces[0].weight == 6.0
         # With one piece kept, only the inclusion's piece survives, and the
-        # far square's box misses it: both engines still add its weight.
-        for engine in ("fused", "object"):
-            config = SolverConfig(engine=engine, max_pieces=1)
-            kept = WeightedRegionSolver(config)
-            kept.solve([inclusion, far], PROJ)
-            culled = WeightedRegionSolver(config)
-            culled.solve([inclusion], PROJ)
-            assert (kept.diagnostics.max_weight, kept.diagnostics.constraints_applied) == (6.0, 2)
-            assert (culled.diagnostics.max_weight, culled.diagnostics.constraints_applied) == (1.0, 1)
+        # far square's box misses it: both sides still add its weight.
+        config = SolverConfig(max_pieces=1)
+
+        def fused(constraints):
+            solver = WeightedRegionSolver(config)
+            solver.solve(constraints, PROJ)
+            return solver.diagnostics
+
+        def reference(constraints):
+            return reference_solve(constraints, PROJ, config)[1]
+
+        for solve in (fused, reference):
+            kept = solve([inclusion, far])
+            culled = solve([inclusion])
+            assert (kept.max_weight, kept.constraints_applied) == (6.0, 2)
+            assert (culled.max_weight, culled.constraints_applied) == (1.0, 1)
 
     def test_non_convex_exclusion_falls_back(self):
-        """A non-convex exclusion rides the object fallback inside the kernel."""
+        """A non-convex exclusion rides the scalar fallback inside the kernel."""
         ring = [
             Point2D(-500.0, -500.0),
             Point2D(500.0, -500.0),
@@ -321,7 +334,7 @@ class TestTargetedEquivalence:
 class TestPrefilter:
     def test_fully_inside_skips_clipper(self):
         """A piece wholly inside a huge disk is classified, not clipped."""
-        solver = WeightedRegionSolver(SolverConfig(engine="fused"))
+        solver = WeightedRegionSolver(SolverConfig())
         small = positive(disk_at(0, 0, 100.0), weight=2.0, label="small")
         huge = positive(disk_at(0, 0, 5000.0), weight=1.0, label="huge")
         solver.solve([small, huge], PROJ)
@@ -329,7 +342,7 @@ class TestPrefilter:
 
     def test_fully_outside_disjoint_bbox(self):
         """Disjoint geometry resolves by bounding boxes alone."""
-        solver = WeightedRegionSolver(SolverConfig(engine="fused"))
+        solver = WeightedRegionSolver(SolverConfig())
         a = positive(disk_at(0, 0, 100.0), weight=2.0, label="a")
         b = positive(disk_at(90.0, 8000.0, 100.0), weight=1.0, label="b")
         solver.solve([a, b], PROJ)
@@ -342,7 +355,7 @@ class TestPrefilter:
         wedge classifier sees, and every one of them lies inside the wipe
         exclusion.
         """
-        solver = WeightedRegionSolver(SolverConfig(engine="fused"))
+        solver = WeightedRegionSolver(SolverConfig())
         smalls = [
             positive(disk_at(b, 60.0, 80.0), weight=2.0, label=f"small{b}")
             for b in (0.0, 120.0, 240.0)
@@ -358,7 +371,7 @@ class TestPrefilter:
             positive(disk_at(b, 300.0, 400.0), label=f"c{b}")
             for b in (0.0, 60.0, 120.0, 180.0, 240.0, 300.0)
         ]
-        solver = WeightedRegionSolver(SolverConfig(engine="fused"))
+        solver = WeightedRegionSolver(SolverConfig())
         solver.solve(constraints, PROJ)
         # Plenty of overlapping boundaries: pieces must reach the clipper.
         # One target's inclusion pools clip with the scalar reference, so
@@ -368,19 +381,19 @@ class TestPrefilter:
         # The same system twice is a pool spanning two targets: it clips
         # through the batched passes.
         results = solve_systems(
-            SolverConfig(engine="fused"), [(constraints, PROJ)] * 2
+            SolverConfig(), [(constraints, PROJ)] * 2
         )
         for _region, diag in results:
             assert diag.vertices_clipped > 0
             assert diag.fused_pass_count > 0
 
     def test_phase_timings_recorded(self):
-        solver = WeightedRegionSolver(SolverConfig(engine="fused"))
+        solver = WeightedRegionSolver(SolverConfig())
         solver.solve([positive(disk_at(0, 0, 300.0))], PROJ)
         assert "inclusion" in solver.diagnostics.phase_seconds
         assert solver.diagnostics.solve_seconds > 0.0
         summary = solver.diagnostics.kernel_summary()
-        assert summary["engine"] == "fused"
+        assert summary["phase_seconds"]["inclusion"] >= 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -562,12 +575,17 @@ class TestPlanarCacheEquivalence:
                 else:
                     assert pb.coords == pc.coords == pw.coords
 
-        # ... and identical solver output (both engines) from the warm pass.
-        for engine in ("fused", "object"):
-            solver_u = WeightedRegionSolver(SolverConfig(engine=engine))
-            solver_w = WeightedRegionSolver(SolverConfig(engine=engine))
-            region_u = solver_u.solve(uncached, PROJ)
-            region_w = solver_w.solve(warm, PROJ)
+        # ... and identical solver output (solver and reference) from the
+        # warm pass.
+        def fused(planar):
+            return WeightedRegionSolver(SolverConfig()).solve(planar, PROJ)
+
+        def reference(planar):
+            return reference_solve(planar, PROJ)[0]
+
+        for solve in (fused, reference):
+            region_u = solve(uncached)
+            region_w = solve(warm)
             assert region_u.area_km2() == region_w.area_km2()
             assert len(region_u.pieces) == len(region_w.pieces)
             for piece_u, piece_w in zip(region_u.pieces, region_w.pieces):
@@ -668,11 +686,11 @@ def solve_cohort_both(cohort, config_kwargs=None):
 
     kwargs = dict(config_kwargs or {})
     fused = solve_systems(
-        SolverConfig(engine="fused", **kwargs), [(c, PROJ) for c in cohort]
+        SolverConfig(**kwargs), [(c, PROJ) for c in cohort]
     )
     alone = []
     for constraints in cohort:
-        solver = WeightedRegionSolver(SolverConfig(engine="fused", **kwargs))
+        solver = WeightedRegionSolver(SolverConfig(**kwargs))
         region = solver.solve(constraints, PROJ)
         alone.append((region, solver.diagnostics))
     return fused, alone
@@ -706,7 +724,6 @@ def assert_cohort_identical(cohort, config_kwargs=None):
         assert diag_f.max_weight == diag_v.max_weight
         assert diag_f.selected_weight == diag_v.selected_weight
         assert diag_f.max_pieces_seen == diag_v.max_pieces_seen
-        assert diag_f.engine == diag_v.engine == "fused"
         assert diag_v.fused_cohort_targets == 1
     return fused, alone
 
@@ -737,29 +754,25 @@ def test_randomized_cohort_equivalence_slivers(seed):
 
 class TestFusedEngine:
     def test_single_solve_dispatches_fused(self):
-        """engine='fused' through WeightedRegionSolver is a cohort of one."""
-        solver_f = WeightedRegionSolver(SolverConfig(engine="fused"))
-        solver_v = WeightedRegionSolver(SolverConfig(engine="object"))
+        """A WeightedRegionSolver solve is a fused cohort of one."""
+        solver_f = WeightedRegionSolver(SolverConfig())
         constraints = [
             positive(disk_at(0, 0, 400.0)),
             annulus(disk_at(30.0, 100.0, 500.0), disk_at(30.0, 100.0, 120.0)),
             negative(disk_at(90.0, 380.0, 150.0)),
         ]
         region_f = solver_f.solve(constraints, PROJ)
-        region_v = solver_v.solve(constraints, PROJ)
-        assert solver_f.diagnostics.engine == "fused"
+        region_v, _diagnostics = reference_solve(constraints, PROJ)
         assert solver_f.diagnostics.fused_cohort_targets == 1
         assert region_f.area_km2() == region_v.area_km2()
         for piece_f, piece_v in zip(region_f.pieces, region_v.pieces):
             assert piece_f.weight == piece_v.weight
             assert piece_f.polygon.coords == piece_v.polygon.coords
 
-    def test_exact_complements_falls_back_to_object(self):
-        solver = WeightedRegionSolver(
-            SolverConfig(engine="fused", exact_complements=True)
-        )
-        solver.solve([positive(disk_at(0, 0, 300.0))], PROJ)
-        assert solver.diagnostics.engine == "object"
+    def test_exact_complements_is_gone(self):
+        """The object-only exact-complement mode no longer exists."""
+        with pytest.raises(TypeError):
+            SolverConfig(exact_complements=True)
 
     def test_fused_counters_surface_in_kernel_summary(self):
         """Cohort instrumentation: passes, rows, targets per pass."""
@@ -772,14 +785,13 @@ class TestFusedEngine:
         assert diag.fused_rows_clipped > 0
         assert diag.fused_targets_per_pass > 0
         summary = diag.kernel_summary()
-        assert summary["engine"] == "fused"
+        assert "engine" not in summary
         assert summary["fused_cohort_targets"] == 4
         assert summary["fused_pass_count"] == diag.fused_pass_count
         assert summary["fused_rows_per_pass"] > 0
-        # Object solves report zeroed fused counters under the same schema.
-        solver = WeightedRegionSolver(SolverConfig(engine="object"))
-        solver.solve(cohort[0], PROJ)
-        object_summary = solver.diagnostics.kernel_summary()
+        # Reference solves report zeroed fused counters under the same schema.
+        _region, diagnostics = reference_solve(cohort[0], PROJ)
+        object_summary = diagnostics.kernel_summary()
         assert object_summary["fused_cohort_targets"] == 0
         assert object_summary["fused_pass_count"] == 0
 
@@ -789,14 +801,12 @@ class TestFusedEngine:
 
         cohort = [[], [positive(disk_at(0, 0, 300.0))], []]
         results = solve_systems(
-            SolverConfig(engine="fused"), [(c, PROJ) for c in cohort]
+            SolverConfig(), [(c, PROJ) for c in cohort]
         )
         assert results[0][0].is_empty()
         assert results[2][0].is_empty()
         assert not results[1][0].is_empty()
-        reference = WeightedRegionSolver(SolverConfig(engine="object")).solve(
-            cohort[1], PROJ
-        )
+        reference, _diagnostics = reference_solve(cohort[1], PROJ)
         assert results[1][0].area_km2() == reference.area_km2()
 
 
@@ -849,14 +859,13 @@ class TestSharedGeometry:
         assert (nested_diag.shared_pieces, crossing_diag.shared_pieces) == (1, 0)
         assert (nested_diag.pieces_clipped, crossing_diag.pieces_clipped) == (5, 3)
         for constraints, (region, diag) in zip(cohort, results):
-            solver = WeightedRegionSolver(SolverConfig(engine="object"))
-            reference = solver.solve(constraints, PROJ)
+            reference, ref_diag = reference_solve(constraints, PROJ)
             assert region.area_km2() == reference.area_km2()
             assert [(p.weight, p.polygon.coords) for p in region.pieces] == [
                 (p.weight, p.polygon.coords) for p in reference.pieces
             ]
-            assert diag.max_weight == solver.diagnostics.max_weight
-            assert diag.max_pieces_seen == solver.diagnostics.max_pieces_seen
+            assert diag.max_weight == ref_diag.max_weight
+            assert diag.max_pieces_seen == ref_diag.max_pieces_seen
         assert_identical(crossing_system())
 
     def test_equal_parts_are_one_geometry(self):

@@ -162,6 +162,30 @@ class TestProtocol:
         with pytest.raises(FrameError):
             decode_frame(forged)
 
+    def test_corrupt_payload_raises_only_frame_error(self):
+        """Inverting any one payload byte yields a FrameError or a valid
+        Heartbeat, never another exception: the readers treat only
+        FrameError as a protocol failure, so anything else would kill the
+        supervisor's reader thread without marking the shard dead."""
+        import pickle
+
+        beat = Heartbeat(shard_id=1, incarnation=2, version=3, served=9,
+                         breakers_open=("solve:fused",))
+        frame = encode_frame(beat)
+        payload = len(pickle.dumps(beat, protocol=pickle.HIGHEST_PROTOCOL))
+        outcomes = set()
+        for index in range(len(frame) - payload, len(frame)):
+            corrupt = bytearray(frame)
+            corrupt[index] ^= 0xFF
+            try:
+                message = decode_frame(bytes(corrupt))
+            except FrameError:
+                outcomes.add("FrameError")
+            else:
+                assert type(message) is Heartbeat
+                outcomes.add("Heartbeat")
+        assert outcomes == {"FrameError", "Heartbeat"}
+
     def test_non_message_rejected(self):
         with pytest.raises(FrameError, match="not a protocol message"):
             encode_frame({"definitely": "not a frame"})

@@ -276,14 +276,14 @@ class TestServiceConcurrency:
 
 
 class TestServiceMicroBatching:
-    """Fused-engine request coalescing: correctness and snapshot semantics."""
+    """Request coalescing: correctness and snapshot semantics."""
 
     @pytest.fixture()
     def fused_config(self):
         from repro import OctantConfig
         from repro.core.config import SolverConfig
 
-        return OctantConfig(solver=SolverConfig(engine="fused", fuse_width=4))
+        return OctantConfig(solver=SolverConfig(fuse_width=4))
 
     def test_coalesced_requests_are_per_request_correct(
         self, live_dataset, fused_config
@@ -305,7 +305,7 @@ class TestServiceMicroBatching:
                 reference.localize_one(target)
             )
         fused = stats["fused"]
-        assert fused["engine"] == "fused"
+        assert "engine" not in fused
         assert fused["fuse_width"] == 4
         # The burst outpaces the single worker, so at least one dispatch
         # coalesced multiple requests and the pooled pass counters moved.
@@ -313,16 +313,12 @@ class TestServiceMicroBatching:
         assert fused["batches"] >= 1
         assert fused["passes"] > 0 and fused["rows"] > 0
 
-    def test_vector_engine_never_coalesces(self, live_dataset):
-        """A non-fused engine never coalesces requests.
-
-        The name predates the removal of the ``"vector"`` engine; the
-        object engine is the non-fused one now.
-        """
+    def test_width_one_never_coalesces(self, live_dataset):
+        """``fuse_width=1`` dispatches one request at a time."""
         from repro import OctantConfig
         from repro.core.config import SolverConfig
 
-        config = OctantConfig(solver=SolverConfig(engine="object"))
+        config = OctantConfig(solver=SolverConfig(fuse_width=1))
 
         async def main():
             async with LocalizationService(live_dataset, config, workers=1) as service:
